@@ -4,8 +4,8 @@
 
 Run from the root of a checkout; the package is imported from its ``src``.
 With ``--trace 0`` the last line of standard output is a JSON object with the
-end-to-end metrics (wall_s, setup_s, peak_rss_mb); with ``--trace 1`` it holds
-the per-layer metrics of a traced run.  Details, the environment and, for a
+end-to-end metrics (wall_probes, setup_s, peak_rss_mb; wall_s is printed
+above it); with ``--trace 1`` it holds the per-layer metrics of a traced run.  Details, the environment and, for a
 traced run, every span go to ``.perfbench_out/``.  See perfbench/README.md.
 """
 
@@ -25,19 +25,21 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".perfbench_out"
 WORKLOAD_NAMES = ("pucci_1d", "pucci_2d", "sections_2d", "exit_1d")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_REPEATS = 3        # fresh processes timed for setup_s
+WORKERS = 3              # fresh processes per untraced run; each times setup_s
 APPLY_SAMPLES = 5        # calls of apply / assemble on the final iterate
 
 
 def prepare() -> dict:
-    """Pin BLAS and OpenMP threads to at most nproc and put the checkout's
-    ``src`` first on the import path.  Must run before numpy is imported."""
+    """Pin BLAS and OpenMP to one thread and put the checkout's ``src`` first
+    on the import path.  Must run before numpy is imported.
+
+    One thread, not nproc: the host shares its cores, and a second BLAS
+    thread that spins while it waits for a core slowed the dense solves by
+    several times whenever anything else ran (see README.md)."""
     nproc = len(os.sched_getaffinity(0))
     threads = {}
     for var in THREAD_VARS:
-        cur = os.environ.get(var, "")
-        n = min(int(cur), nproc) if cur.isdigit() and int(cur) > 0 else nproc
-        os.environ[var] = threads[var] = str(n)
+        os.environ[var] = threads[var] = "1"
     init = ROOT / "src" / "maslab" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"perfbench: {init} not found; run from a checkout")
@@ -51,22 +53,64 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--setup-only", action="store_true",
-                   help="import and build the inputs, then exit (times setup_s)")
+    p.add_argument("--worker", action="store_true",
+                   help="internal: one process of an untraced run (prints 'ready' "
+                        "after set-up, then one JSON report)")
     return p.parse_args(argv)
 
 
-def time_setup(args) -> list[float]:
-    """Wall time of fresh processes that import the package and build the
-    workload's inputs and exact reference."""
+def run_workers(args) -> tuple[list[float], list[dict]]:
+    """The untraced run: WORKERS fresh processes one after another, each
+    measuring bodies for an equal share of --seconds.  A process's set-up
+    time (imports, inputs, exact reference) is the time from its start until
+    it reports ready.  Several processes per run also average out what
+    differs from one process to the next: on the recording host the median
+    body of the same workload differed by up to 10% between processes."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-           "--seed", str(args.seed), "--setup-only"]
-    times = []
-    for _ in range(SETUP_REPEATS):
+           "--seed", str(args.seed), "--seconds", repr(args.seconds / WORKERS),
+           "--worker"]
+    setup_times, reports = [], []
+    for _ in range(WORKERS):
         t0 = time.perf_counter()
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+        try:
+            ready = proc.stdout.readline()
+            setup_times.append(time.perf_counter() - t0)
+            out = proc.stdout.read()
+        except BaseException:
+            proc.kill()
+            raise
+        finally:
+            proc.wait()
+        if ready.strip() != "ready" or proc.returncode != 0:
+            raise SystemExit(f"perfbench: worker failed (exit {proc.returncode})")
+        reports.append(json.loads(out))
+    return setup_times, reports
+
+
+def worker(args) -> int:
+    """One process of an untraced run: set up, report ready, then run bodies
+    under the speed probe for --seconds and print one JSON report."""
+    import workloads
+    from speed import SpeedProbe
+    wl = workloads.WORKLOADS[args.workload](args.seed, workloads.load_recorded())
+    print("ready", flush=True)
+    ops = workloads.Ops()
+    # Another body starts while it would end nearer the deadline than
+    # stopping now does, so a process lasts its share give or take half a body.
+    deadline = time.perf_counter() + args.seconds
+    bodies, probes = [], []
+    while not bodies or bodies[-1].wall / 2 + time.perf_counter() <= deadline:
+        probes.append(SpeedProbe())
+        bodies.append(run_body(wl, ops, probe=probes[-1]))
+    print(json.dumps({
+        "walls": [b.wall for b in bodies],
+        "probe_medians": [p.median() for p in probes],
+        "probe_counts": [len(p.samples) for p in probes],
+        "grid_err": bodies[0].grid_err,
+        "attempted": ops.attempted, "failed": ops.failed, "failures": ops.failures,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+    return 0
 
 
 def environment(base: dict) -> dict:
@@ -83,22 +127,28 @@ def environment(base: dict) -> dict:
                 python=sys.version.split()[0], commit=commit or "unknown")
 
 
-def run_body(wl, ops, tracer=None):
-    """One body; with a tracer, wrappers are installed only while it runs."""
+def run_body(wl, ops, tracer=None, probe=None):
+    """One body; with a tracer, wrappers are installed only while it runs.
+    With a speed probe, the probe samples the host while the body runs and
+    the time its samples take is left out of ``body.wall``."""
     import workloads
     body = workloads.Body(keep_problems=tracer is not None)
     if tracer is not None:
         install_wrappers(tracer)
         body.spans = [len(tracer.spans)]
+    if probe is not None:
+        probe.start()
     c0, t0 = os.times(), time.perf_counter()
     try:
         wl.body(ops, body, tracer)
     finally:
         t1, c1 = time.perf_counter(), os.times()
+        if probe is not None:
+            probe.stop()
         if tracer is not None:
             tracer.uninstall()
             body.spans.append(len(tracer.spans))
-    body.wall = t1 - t0
+    body.wall = t1 - t0 - (probe.spent if probe is not None else 0.0)
     body.cpu = (c1.user - c0.user) + (c1.system - c0.system)
     return body
 
@@ -195,7 +245,7 @@ def sample_apply_assemble(body) -> dict:
             "solver.apply_samples": n}
 
 
-UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+UNITS = {"wall_probes": "probe", "setup_s": "s", "peak_rss_mb": "MB"}
 LAYER_UNITS = {"solver.iterations": "count", "solver.final_residual": "max-abs",
                "solver.nodes_total": "count", "kernels.nodes_per_point": "nodes/point",
                "solver.inbox_fraction": "fraction", "solver.node_bytes": "B-computed",
@@ -214,11 +264,8 @@ def layer_unit(name: str) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     base_env = prepare()
-    if args.setup_only:
-        import workloads
-        workloads.WORKLOADS[args.workload](args.seed, workloads.load_recorded())
-        return 0
-    setup_times = time_setup(args)
+    if args.worker:
+        return worker(args)
 
     import maslab
     if not Path(maslab.__file__).resolve().is_relative_to(ROOT / "src"):
@@ -227,32 +274,48 @@ def main(argv=None) -> int:
     from spans import Tracer
 
     env = environment(base_env)
-    wl = workloads.WORKLOADS[args.workload](args.seed, workloads.load_recorded())
-    ops = workloads.Ops()
-    start = time.perf_counter()
     result = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
               "seconds": args.seconds, "environment": env}
-    lines = [f"perfbench {args.workload} seed={args.seed} trace={args.trace} "
-             f"seconds={args.seconds:g}",
+    lines = [f"perfbench {args.workload} seed={args.seed} "
+             f"trace={args.trace} seconds={args.seconds:g}",
              "environment: " + " ".join(f"{k}={v}" for k, v in env.items())]
 
     if not args.trace:
-        bodies = [run_body(wl, ops)]
-        while bodies[-1].wall + time.perf_counter() <= start + args.seconds:
-            bodies.append(run_body(wl, ops))
-        walls = [b.wall for b in bodies]
-        values = {"wall_s": statistics.median(walls),
+        setup_times, reports = run_workers(args)
+        walls = [w for r in reports for w in r["walls"]]
+        probes = [m for r in reports for m in r["probe_medians"]]
+        ratios = [w / m for w, m in zip(walls, probes)]
+        values = {"wall_probes": statistics.median(ratios),
                   "setup_s": statistics.median(setup_times),
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-        result.update(wall_samples=walls, setup_samples=setup_times)
-        lines += [f"wall_s       {values['wall_s']:.4f} s   median of {len(walls)} bodies",
+                  "peak_rss_mb": max(r["peak_rss_mb"] for r in reports)}
+        result.update(wall_samples=walls, wall_probes_samples=ratios,
+                      probe_medians=probes, setup_samples=setup_times,
+                      probe_counts=[c for r in reports for c in r["probe_counts"]],
+                      bodies_per_process=[len(r["walls"]) for r in reports])
+        lines += [f"wall_probes  {values['wall_probes']:.1f} probe   median of "
+                  f"{len(walls)} bodies in {WORKERS} processes, each body over "
+                  f"the median of its {min(result['probe_counts'])}+ probe samples",
+                  f"wall_s       {statistics.median(walls):.4f} s   median of "
+                  f"{len(walls)} bodies (not bounded: see perfbench/README.md)",
+                  f"probe        {statistics.median(probes):.6f} s   median over "
+                  f"bodies of each body's median sample",
                   f"setup_s      {values['setup_s']:.4f} s   median of "
                   f"{len(setup_times)} fresh processes",
-                  f"peak_rss_mb  {values['peak_rss_mb']:.1f} MB"]
+                  f"peak_rss_mb  {values['peak_rss_mb']:.1f} MB   largest of the "
+                  f"{WORKERS} processes"]
         units = UNITS
+        ops = workloads.Ops()
+        for r in reports:
+            ops.attempted += r["attempted"]
+            ops.failed += r["failed"]
+            ops.failures += r["failures"]
+        grid_errs = [r["grid_err"] for r in reports if r["grid_err"] is not None]
     else:
         # a warm-up body, then traced and untraced bodies in turn, so that
         # the overhead compares bodies run under the same conditions
+        wl = workloads.WORKLOADS[args.workload](args.seed, workloads.load_recorded())
+        ops = workloads.Ops()
+        start = time.perf_counter()
         tracer = Tracer()
         run_body(wl, ops)
         traced, untraced = [run_body(wl, ops, tracer)], [run_body(wl, ops)]
@@ -277,14 +340,13 @@ def main(argv=None) -> int:
         lines.append(f"tracing overhead {overhead:.4f} s per body (traced "
                      f"{len(traced)}, untraced {len(untraced)} bodies)")
         units = {k: layer_unit(k) for k in values}
-        bodies = traced
+        grid_errs = [b.grid_err for b in traced if b.grid_err is not None]
 
-    for b in bodies:
-        if b.grid_err is not None:
-            lines.append(f"grid_err     {b.grid_err:.4e} (max |u_h - exact| at "
-                         f"{len(wl.PROBES)} probes, tolerance {wl.GRID_TOL:g})")
-            result["grid_err"] = b.grid_err
-            break
+    if grid_errs:
+        wl_class = workloads.WORKLOADS[args.workload]
+        lines.append(f"grid_err     {grid_errs[0]:.4e} (max |u_h - exact| at "
+                     f"{len(wl_class.PROBES)} probes, tolerance {wl_class.GRID_TOL:g})")
+        result["grid_err"] = grid_errs[0]
     lines.append(f"operations: attempted {ops.attempted}, failed {ops.failed}")
     lines += [f"FAILED {f}" for f in ops.failures]
     metrics = {k: {"value": v, "unit": units[k]} for k, v in values.items()}
