@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .envelope import abp_experiment, compute_tau
 from .errors import ConfigurationError, MaslabError
-from .grid import GridFunction, make_rule
+from .grid import GridFunction, make_rule, tensor_points
 from .kernels import (KernelSpec, extremal, isaacs_apply, lower_rule,
                       make_kernel_rule, make_plan, upper_rule)
 from .mc import JumpProcessConfig, estimate_exit_payoff
@@ -173,12 +173,7 @@ def _cmd_sections(cfg: dict, out: str) -> int:
             t = boundary_radii(pot, c_arr, float(r), dirs).max()
             lo = c_arr - 1.3 * t
             hi = c_arr + 1.3 * t
-            axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(n)]
-            if n == 1:
-                lattice = axes[0][:, None]
-            else:
-                gmesh = np.meshgrid(*axes, indexing="ij")
-                lattice = np.stack([a.ravel() for a in gmesh], axis=-1)
+            lattice = tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(n)])
             cell = ((hi[0] - lo[0]) / (per_axis - 1)) ** n
             m_r = section_measure(pot, c_arr, float(r), lattice, cell)
             m_half = section_measure(pot, c_arr, float(r) / 2.0, lattice, cell)

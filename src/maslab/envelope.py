@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import ConfigurationError, RefinementNeededError
-from .grid import GridFunction, zero_rule
+from .grid import GridFunction, tensor_points, zero_rule
 from .kernels import KernelSpec
 from .potential import Potential, _as_points
 from .sections import (besicovitch_cover, boundary_radii, contains_many,
@@ -105,14 +105,7 @@ def _aligned_lattice(u: GridFunction, radius: float):
     lo_ext = u.lo - np.maximum(lo, 0) * h
     hi_ext = u.hi + np.maximum(hi, 0) * h
     axes = [np.arange(lo_ext[i], hi_ext[i] + h / 2, h) for i in range(u.dim)]
-    if u.dim == 1:
-        pts = axes[0][:, None]
-        shape = (axes[0].size,)
-    else:
-        g = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([a.ravel() for a in g], axis=-1)
-        shape = g[0].shape
-    return pts, shape, lo_ext, hi_ext
+    return tensor_points(axes), tuple(a.size for a in axes), lo_ext, hi_ext
 
 
 def _upper_hull_1d(x: np.ndarray, z: np.ndarray):

@@ -94,6 +94,15 @@ def make_rule(rule_id: str, params=()) -> ExteriorRule:
     return RULE_FACTORIES[rule_id](list(params))
 
 
+def tensor_points(axes) -> np.ndarray:
+    """All points of the lattice axes[0] x axes[1] x ..., last axis fastest,
+    as an (N, len(axes)) array."""
+    if len(axes) == 1:
+        return np.asarray(axes[0])[:, None]
+    g = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a.ravel() for a in g], axis=-1)
+
+
 class GridFunction:
     """Values on a uniform lattice over a box, multilinear inside, rule outside."""
 
@@ -118,23 +127,15 @@ class GridFunction:
         lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
         hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
         counts = np.rint((hi - lo) / h).astype(int) + 1
-        axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(lo.size)]
-        if lo.size == 1:
-            pts = axes[0][:, None]
-        else:
-            g = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([a.ravel() for a in g], axis=-1)
+        pts = tensor_points([np.linspace(lo[i], hi[i], counts[i]) for i in range(lo.size)])
         vals = np.asarray(fn(pts), dtype=float).reshape(counts)
         return cls(lo, hi, vals, exterior)
 
     # -- geometry helpers ----------------------------------------------------
 
     def points(self) -> np.ndarray:
-        axes = [np.linspace(self.lo[i], self.hi[i], self.shape[i]) for i in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        g = np.meshgrid(*axes, indexing="ij")
-        return np.stack([a.ravel() for a in g], axis=-1)
+        return tensor_points([np.linspace(self.lo[i], self.hi[i], self.shape[i])
+                              for i in range(self.dim)])
 
     def cell_volume(self) -> float:
         return self.h ** self.dim

@@ -17,6 +17,13 @@ Quadrature decomposes increment space into
   (c) an analytic tail beyond the tail radius, bounded via sup|u| and the
       quadratic-growth lower bound of wbar; the tail radius is pushed out
       until that bound is below tolerance.
+
+The kernel at x follows the sections of phi at x, so every base point has
+its own node set.  point_quadrature builds the sets of a whole batch of
+points in one pass; operator_values reduces node second differences to
+M+, M-, linear or Isaacs values, with the slopes of policy_slopes.  The
+pointwise operators below and the compiled grid operator in solver.py both
+evaluate through these.
 """
 
 from __future__ import annotations
@@ -51,12 +58,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelRule:
-    """Multiplier rule: K(y) = (2-sigma)*mult(x,y)/wbar^{(n+sigma)/2}, mult in [lam,Lam]."""
+    """Multiplier rule: K(y) = (2-sigma)*mult(x,y)/wbar^{(n+sigma)/2}, mult in [lam,Lam].
+
+    mult(x, y, wbar) is called with one row of x per node: the node's base
+    point (or a single base point shared by all nodes).
+    """
 
     name: str
     mult: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     smooth: bool = True
-    x_dependent: bool = False
 
     def multipliers(self, x, y, wbar) -> np.ndarray:
         m = np.asarray(self.mult(x, y, wbar), dtype=float)
@@ -115,14 +125,6 @@ def sym_height(potential: Potential, x, y) -> np.ndarray:
     return np.sqrt(wp * wm)
 
 
-def pucci_plus(delta, lam, Lam):
-    return np.maximum(lam * delta, Lam * delta)
-
-
-def pucci_minus(delta, lam, Lam):
-    return np.minimum(lam * delta, Lam * delta)
-
-
 # ---------------------------------------------------------------------------
 # quadrature plans
 # ---------------------------------------------------------------------------
@@ -155,6 +157,7 @@ class QuadraturePlan:
 
 
 def _directions(n: int, count: int) -> np.ndarray:
+    # Half-step angle offset: part of the scheme, unlike sections.unit_directions (keep apart).
     if n == 1:
         return np.array([[1.0], [-1.0]])
     a = 2.0 * math.pi * (np.arange(count) + 0.5) / count
@@ -225,76 +228,154 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
 
 @dataclass
 class PointQuadrature:
-    """Increment nodes and kernel-bound coefficients for one base point."""
+    """Increment nodes and kernel-bound coefficients for a batch of base points.
 
-    x: np.ndarray            # (n,)
+    Node j belongs to base point x[pid[j]].  Each point's nodes are
+    contiguous: its inner model nodes first (one per angle), then its ring
+    nodes angle by angle.
+    """
+
+    x: np.ndarray            # (k, n) base points
+    pid: np.ndarray          # (J,) base-point index of each node, nondecreasing
     y: np.ndarray            # (J, n) increments
     coef: np.ndarray         # (J,) nonnegative; includes (2-sigma) where needed
     wbar: np.ndarray         # (J,) height at the nodes (model value on inner nodes)
-    n_inner: int
-    tail_integral: float     # multiply by (2-sigma)*Lam*4*sup|u| for the bound
-
-    def mass(self, Lam: float) -> float:
-        return 2.0 * Lam * float(self.coef.sum())
 
 
-def point_quadrature(plan: QuadraturePlan, x) -> PointQuadrature:
+def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
+    """Node sets of all base points in xs, built in one vectorized pass.
+
+    Every point's set is a function of that point alone: the angles are
+    shared, while the inner radii and ring knots follow D2phi(x) and the
+    ring coefficients the true wbar at x.
+    """
     pot, spec = plan.potential, plan.spec
     n, sigma = pot.dim, spec.sigma
-    x = _as_points(x, n)[0]
-    G = pot.hessian(x)[0]
+    x = _as_points(xs, n)
+    k = x.shape[0]
     ang, aw = plan.angles, plan.ang_weights
-    q = 0.5 * np.einsum("ai,ij,aj->a", ang, G, ang)
+    n_ang = ang.shape[0]
+    q = 0.5 * np.einsum("ai,kij,aj->ka", ang, pot.hessian(x), ang)     # (k, n_ang)
     t_in = plan.inner_radius / np.sqrt(q)
-
-    # inner model nodes: one directional second difference per angle
-    y_inner = t_in[:, None] * ang
-    coef_inner = aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)
-    wbar_inner = np.full(ang.shape[0], plan.inner_radius ** 2)
-
     if np.any(t_in >= plan.tail_radius):
         raise ConfigurationError("inner core reaches the tail radius: "
                                  "grid scale too coarse for this plan")
+
+    # ring panels per (point, angle): from t_in through the ladder knots
+    # strictly inside (t_in, tail_radius) to the tail radius
+    knots = plan.ring_heights / np.sqrt(q)[:, :, None]
+    inside = (knots > t_in[:, :, None] * (1 + 1e-12)) & (knots < plan.tail_radius)
+    edges = np.concatenate([t_in[:, :, None], knots,
+                            np.full((k, n_ang, 1), plan.tail_radius)], axis=2)
+    end = np.ones((k, n_ang, 1), dtype=bool)
+    lo_mask = np.concatenate([end, inside, ~end], axis=2)
+    lo = edges[lo_mask]
+    hi = edges[np.concatenate([~end, inside, end], axis=2)]
     gl_x, gl_w = np.polynomial.legendre.leggauss(plan.ring_nodes)
-    ys, cs, ws = [y_inner], [coef_inner], [wbar_inner]
-    for a in range(ang.shape[0]):
-        knots = plan.ring_heights / math.sqrt(q[a])
-        knots = knots[(knots > t_in[a] * (1 + 1e-12)) & (knots < plan.tail_radius)]
-        knots = np.concatenate([[t_in[a]], knots, [plan.tail_radius]])
-        lo, hi = knots[:-1], knots[1:]
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        t = (mid + half * gl_x[None, :]).ravel()
-        w = (half * gl_w[None, :]).ravel()
-        y = t[:, None] * ang[a]
-        wb = sym_height(pot, x, y)
-        c = aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0)
-        ys.append(y)
-        cs.append(c)
-        ws.append(wb)
-    return PointQuadrature(
-        x=x, y=np.vstack(ys), coef=np.concatenate(cs),
-        wbar=np.concatenate(ws), n_inner=ang.shape[0],
-        tail_integral=plan.tail_integral)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # built (node, panel) and transposed: a long inner loop is much faster
+    t_ring = (mid + half * gl_x[:, None]).T.ravel()
+    w_ring = (half * gl_w[:, None]).T.ravel()
+
+    # node order per point: one inner model node per angle, then the ring
+    # nodes angle by angle.  Radii, weights and angle indices are placed in
+    # that order first; increments, heights and coefficients follow per node.
+    per_point = n_ang + plan.ring_nodes * np.count_nonzero(lo_mask.reshape(k, -1), axis=1)
+    inner = ((np.cumsum(per_point) - per_point)[:, None] + np.arange(n_ang)).ravel()
+    ring = np.ones(int(per_point.sum()), dtype=bool)
+    ring[inner] = False
+    t = np.empty(ring.size)
+    t[inner], t[ring] = t_in.ravel(), t_ring
+    w = np.zeros(ring.size)
+    w[ring] = w_ring
+    a = np.empty(ring.size, dtype=np.intp)
+    a[inner] = np.tile(np.arange(n_ang), k)
+    a[ring] = np.repeat(np.nonzero(lo_mask)[1], plan.ring_nodes)
+    y = np.empty((ring.size, n))
+    for d in range(n):
+        y[:, d] = t * ang[:, d].take(a)
+    wbar = sym_height(pot, np.repeat(x, per_point, axis=0), y)
+    coef = aw.take(a) * w * t ** (n - 1) * (2.0 - sigma) * wbar ** (-(n + sigma) / 2.0)
+    # inner nodes: the quadratic model, whose radial integral is closed form
+    wbar[inner] = plan.inner_radius ** 2
+    coef[inner] = (aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)).ravel()
+    return PointQuadrature(x=x, pid=np.repeat(np.arange(k), per_point),
+                           y=y, coef=coef, wbar=wbar)
 
 
 # ---------------------------------------------------------------------------
 # operator evaluation
 # ---------------------------------------------------------------------------
 
+EQUATIONS = ("extremal_plus", "extremal_minus", "linear", "isaacs")
+
+
 def node_deltas(u, pq: PointQuadrature) -> np.ndarray:
-    up = u.eval(pq.x[None, :] + pq.y)
-    um = u.eval(pq.x[None, :] - pq.y)
-    ux = float(u.eval(pq.x[None, :])[0])
-    d = up + um - 2.0 * ux
+    xj = pq.x[pq.pid]
+    up = u.eval(xj + pq.y)
+    um = u.eval(xj - pq.y)
+    d = up + um - 2.0 * u.eval(pq.x)[pq.pid]
     if not np.all(np.isfinite(d)):
         raise DataError("non-finite u values at quadrature nodes")
     return d
 
 
-def _extremal_from_deltas(d, coef, spec: KernelSpec, plus: bool) -> float:
-    s = pucci_plus(d, spec.lam, spec.Lam) if plus else pucci_minus(d, spec.lam, spec.Lam)
-    return float(coef @ s)
+def rule_multipliers(rule: KernelRule, spec: KernelSpec, x, y, wbar) -> np.ndarray:
+    """The rule's multipliers at the nodes, checked against [lam, Lam]."""
+    m = rule.multipliers(x, y, wbar)
+    if np.any(m < spec.lam - 1e-12) or np.any(m > spec.Lam + 1e-12):
+        raise KernelClassError(
+            f"kernel rule {rule.name!r} leaves [{spec.lam}, {spec.Lam}] at a node")
+    return m
+
+
+def policy_slopes(delta, coef, pid, count: int, spec: KernelSpec, equation: str,
+                  mults=None) -> np.ndarray:
+    """Per-node kernel multipliers that attain the operator at `count` points.
+
+    Node j belongs to point pid[j] and carries the kernel bound coef[j] and
+    the second difference delta[j].  The slopes are the Pucci choice of lam
+    or Lam for the extremal equations, the rule's multipliers `mults` for
+    "linear", and for "isaacs" (mults a list of families, each a list of
+    multiplier arrays) the multipliers of the min over families of the max
+    within each family, chosen point by point.  Frozen, they are the policy
+    of the linearization.
+    """
+    if equation == "extremal_plus":
+        return np.where(delta > 0, spec.Lam, spec.lam)
+    if equation == "extremal_minus":
+        return np.where(delta > 0, spec.lam, spec.Lam)
+    if equation == "linear":
+        return mults
+    if equation != "isaacs":
+        raise ConfigurationError(f"unknown equation {equation!r}")
+    dc = coef * delta
+    vals = [np.stack([np.bincount(pid, weights=dc * m, minlength=count) for m in beta])
+            for beta in mults]
+    best_b = [v.argmax(axis=0) for v in vals]
+    best_a = np.stack([v.max(axis=0) for v in vals]).argmin(axis=0)
+    slopes = np.empty(delta.size)
+    for a, beta in enumerate(mults):
+        for b, m in enumerate(beta):
+            sel = (best_a[pid] == a) & (best_b[a][pid] == b)
+            slopes[sel] = m[sel]
+    return slopes
+
+
+def operator_values(delta, coef, pid, count: int, spec: KernelSpec, equation: str,
+                    mults=None) -> np.ndarray:
+    """M+, M-, linear or Isaacs values at `count` points from node second
+    differences: the sum of coef * slope * delta over each point's nodes,
+    with the slopes of policy_slopes."""
+    slopes = policy_slopes(delta, coef, pid, count, spec, equation, mults)
+    return np.bincount(pid, weights=coef * (slopes * delta), minlength=count)
+
+
+def _point_value(u, pq: PointQuadrature, spec: KernelSpec, equation: str,
+                 mults=None) -> float:
+    return float(operator_values(node_deltas(u, pq), pq.coef, pq.pid, 1, spec,
+                                 equation, mults)[0])
 
 
 def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan,
@@ -308,15 +389,12 @@ def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan,
         raise ConfigurationError("extremal() needs an extremal selection")
     if abs(spec.sigma - plan.spec.sigma) > 1e-15:
         raise ConfigurationError("spec.sigma differs from the plan's sigma")
-    plus = spec.selection == "extremal_plus"
-    pq = point_quadrature(plan, x)
-    val = _extremal_from_deltas(node_deltas(u, pq), pq.coef, spec, plus)
+    val = _point_value(u, point_quadrature(plan, x), spec, spec.selection)
     if not adaptive:
         return val
     for _ in range(3):
         plan = plan.refined()
-        pq = point_quadrature(plan, x)
-        val2 = _extremal_from_deltas(node_deltas(u, pq), pq.coef, spec, plus)
+        val2 = _point_value(u, point_quadrature(plan, x), spec, spec.selection)
         if abs(val2 - val) <= 1e-4 * max(abs(val2), 1e-12):
             return val2
         val = val2
@@ -325,34 +403,20 @@ def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan,
 
 def linear_apply(u, x, rule: KernelRule, plan: QuadraturePlan) -> float:
     """L u(x) for a single admissible kernel rule (checked against the sandwich)."""
-    spec = plan.spec
     pq = point_quadrature(plan, x)
-    mult = rule.multipliers(pq.x, pq.y, pq.wbar)
-    if np.any(mult < spec.lam - 1e-12) or np.any(mult > spec.Lam + 1e-12):
-        raise KernelClassError(
-            f"kernel rule {rule.name!r} leaves [{spec.lam}, {spec.Lam}] at a node")
-    d = node_deltas(u, pq)
-    return float(pq.coef @ (mult * d))
+    mult = rule_multipliers(rule, plan.spec, pq.x[pq.pid], pq.y, pq.wbar)
+    return _point_value(u, pq, plan.spec, "linear", mult)
 
 
 def isaacs_apply(u, x, families, plan: QuadraturePlan) -> float:
     """min over alpha of max over beta of the linear operators (Isaacs form)."""
     if not families or any(len(b) == 0 for b in families):
         raise ConfigurationError("families must be nonempty")
-    spec = plan.spec
     pq = point_quadrature(plan, x)
-    d = node_deltas(u, pq)
-    dc = pq.coef * d
-    outer = []
-    for beta_rules in families:
-        inner = []
-        for rule in beta_rules:
-            mult = rule.multipliers(pq.x, pq.y, pq.wbar)
-            if np.any(mult < spec.lam - 1e-12) or np.any(mult > spec.Lam + 1e-12):
-                raise KernelClassError(f"rule {rule.name!r} violates the kernel class")
-            inner.append(float(dc @ mult))
-        outer.append(max(inner))
-    return min(outer)
+    xj = pq.x[pq.pid]
+    mults = [[rule_multipliers(rule, plan.spec, xj, pq.y, pq.wbar) for rule in beta]
+             for beta in families]
+    return _point_value(u, pq, plan.spec, "isaacs", mults)
 
 
 class FieldDifference:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogViolationError, ConfigurationError
+from .grid import tensor_points
 
 CATALOG_IDS = ("iso_quadratic", "aniso_quadratic", "perturbed_quadratic")
 
@@ -116,18 +117,23 @@ class Potential:
     def shifted_height(self, x, y) -> np.ndarray:
         """w_x(y) = v_x(x + y), evaluated in a cancellation-free form.
 
-        The naive formula phi(x+y) - phi(x) - grad.y subtracts O(1) terms to
-        produce an O(|y|^2) result; for quadratics the exact quadratic form is
-        used and for the perturbed entry the difference of square roots is
+        x is one base point or one per row of y.  The naive formula
+        phi(x+y) - phi(x) - grad.y subtracts O(1) terms to produce an
+        O(|y|^2) result; for quadratics the exact quadratic form is used and
+        for the perturbed entry the difference of square roots is
         rationalized, so small heights keep full relative accuracy.
         """
-        xa = _as_points(x, self.dim)[0]
         ya = _as_points(y, self.dim)
-        w = 0.5 * np.einsum("ki,ij,kj->k", ya, self._A, ya)
+        xa = _as_points(x, self.dim)
+        if xa.shape[0] not in (1, ya.shape[0]):
+            raise ConfigurationError("need one base point or one per increment")
+        w = 0.5 * np.einsum("ki,ki->k", ya @ self._A, ya)
         if self.eps:
-            s0 = float(np.sqrt(1.0 + xa @ xa))
-            s1 = np.sqrt(1.0 + np.einsum("ki,ki->k", xa[None, :] + ya, xa[None, :] + ya))
-            xy = ya @ xa
+            # a single base point broadcasts: s0 is then one value
+            xpy = xa + ya
+            s0 = np.sqrt(1.0 + np.einsum("ki,ki->k", xa, xa))
+            s1 = np.sqrt(1.0 + np.einsum("ki,ki->k", xpy, xpy))
+            xy = np.einsum("ki,ki->k", ya, xa)
             yy = np.einsum("ki,ki->k", ya, ya)
             # s1 - s0 - x.y/s0, written without cancellation:
             bracket = yy / (s0 + s1) - xy * (2.0 * xy + yy) / ((s0 + s1) ** 2 * s0)
@@ -172,11 +178,7 @@ def lattice_points(box_lo, box_hi, per_axis: int) -> np.ndarray:
     """Deterministic evaluation lattice with `per_axis` points per axis."""
     lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
     hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)]
-    if lo.size == 1:
-        return axes[0][:, None]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in g], axis=-1)
+    return tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)])
 
 
 def verify_ma_bounds(potential: Potential, box_lo, box_hi, samples: int) -> tuple[float, float]:

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
 from .grid import ExteriorRule, GridFunction
-from .kernels import KernelRule, KernelSpec, midpoint_rule, sym_height
+from .kernels import KernelRule, KernelSpec, midpoint_rule, operator_values, sym_height
 from .potential import Potential, _as_points
 from .sections import boundary_radii, unit_directions
-from .solver import DiscreteEval, DiscreteProblem, solve
+from .solver import DiscreteProblem, solve
 
 
 @dataclass
@@ -78,7 +78,8 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
         raise ConfigurationError(f"inf over S_r(z) of u = {inf_r:g} > 1")
     hyp_margin = None
     if problem is not None:
-        mm = DiscreteEval(problem, "extremal_minus").apply(vals)
+        mm = operator_values(problem.node_deltas(vals), problem.COEF, problem.PID,
+                             problem.P, problem.spec, "extremal_minus")
         upts = problem.grid_pts[problem.unknown]
         in_2tau = potential.height(z, upts) < (2.0 * tau) ** 2
         hyp_margin = float(mm[in_2tau].max()) if in_2tau.any() else None

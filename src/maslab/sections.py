@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, RefinementNeededError
+from .grid import tensor_points
 from .potential import Potential, _as_points
 
 
@@ -244,11 +245,7 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
 def _pad_lattice(pts: np.ndarray, pad: float, per_axis: int) -> np.ndarray:
     lo = pts.min(axis=0) - pad
     hi = pts.max(axis=0) + pad
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(pts.shape[1])]
-    if pts.shape[1] == 1:
-        return axes[0][:, None]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in g], axis=-1)
+    return tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(pts.shape[1])])
 
 
 def besicovitch_cover(potential: Potential, A: np.ndarray, radii, epsilon: float,

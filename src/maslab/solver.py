@@ -12,6 +12,11 @@ desk scale, so the fixed point is located by policy iteration (the extremal
 slope field is frozen, the resulting linear system solved sparsely, and the
 policy re-derived) and then polished with explicit sweeps; both paths share
 one compiled node set, so they agree on the discrete operator exactly.
+
+The node set is compiled by kernels.point_quadrature over blocks of unknowns
+(each point gets the nodes of its own sections), and operator values and
+policies come from kernels.operator_values and kernels.policy_slopes, the
+same reduction the pointwise operators use.
 """
 
 from __future__ import annotations
@@ -22,13 +27,34 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, DataError, KernelClassError
+from .errors import ConfigurationError, DataError
 from .grid import ExteriorRule, GridFunction
-from .kernels import (KernelRule, KernelSpec, QuadraturePlan, make_plan,
-                      point_quadrature)
+from .kernels import (EQUATIONS, KernelRule, KernelSpec, QuadraturePlan, make_plan,
+                      operator_values, point_quadrature, policy_slopes,
+                      rule_multipliers)
 from .potential import Potential
 
-EQUATIONS = ("extremal_plus", "extremal_minus", "linear", "isaacs")
+# Nodes compiled per call of point_quadrature: bounds the temporaries of one
+# block (increments, interpolation stencils, exterior values), which would
+# otherwise scale with the whole node set.  Smaller blocks are not leaner:
+# at 2^17-2^18 nodes the per-block arrays fragmented the heap, and repeated
+# 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
+NODE_BUDGET = 1 << 19
+
+
+def _block_points(plan: QuadraturePlan) -> int:
+    """Unknowns per compile block: the budget over the plan's largest node
+    count per point (every ladder knot inside the ring range)."""
+    per_point = plan.angles.shape[0] * (1 + plan.ring_nodes * (plan.ring_heights.size + 1))
+    return max(1, NODE_BUDGET // per_point)
+
+
+def _join(blocks: list) -> np.ndarray:
+    """Concatenate per-block arrays, releasing the blocks as soon as they
+    are copied so that only one node array exists twice at a time."""
+    out = np.concatenate(blocks)
+    blocks.clear()
+    return out
 
 
 @dataclass
@@ -45,10 +71,13 @@ class DiscreteProblem:
     """Compiled nonlocal operator on a lattice over a box (optionally masked).
 
     Unknowns are the lattice points where `domain` is true (default: every
-    lattice point); the rest carry exterior data.  Node bookkeeping is flat:
-    for quadrature node j of unknown p, S_j collects the interpolated pair
-    sum u(x_p + y_j) + u(x_p - y_j), split into in-box contributions
-    (csr-style triplets) and a constant exterior part.
+    lattice point); the rest carry exterior data.  Every unknown p gets the
+    node set of its own base point, built by kernels.point_quadrature on
+    blocks of unknowns whose size keeps each block within NODE_BUDGET nodes.
+    Node bookkeeping is flat: node j belongs to unknown PID[j] with kernel
+    bound COEF[j] and height WBAR[j]; S_j, the interpolated pair sum
+    u(x_p + y_j) + u(x_p - y_j), is split into in-box contributions
+    (triplets CROW, CCOL, CW) and a constant exterior part CONST[j].
     """
 
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
@@ -101,17 +130,47 @@ class DiscreteProblem:
             rules = [r for beta in self.families for r in beta]
         else:
             rules = []
-        shift_invariant = self.potential.id in ("iso_quadratic", "aniso_quadratic")
-        if shift_invariant:
-            flat_mults = self._compile_shift_invariant(rules)
-        else:
-            flat_mults = self._compile_pointwise(rules)
+        geom, spec = self.geom, self.spec
+        pid, coef, const, wbar = [], [], [], []
+        crow, ccol, cw = [], [], []
+        mults = [[] for _ in rules]
+        j_off = 0
+        step = _block_points(self.plan)
+        for first in range(0, self.P, step):
+            pq = point_quadrature(self.plan,
+                                  self.grid_pts[self.unknown[first:first + step]])
+            x = np.take(pq.x, pq.pid, axis=0)      # row gather; faster than pq.x[pq.pid]
+            cj = np.zeros(pq.coef.size)
+            for sgn in (1.0, -1.0):
+                pts = x + sgn * pq.y
+                ins = geom.inside(pts)
+                if ins.any():
+                    idx, wts = geom.interp_weights(pts[ins])
+                    jj = np.nonzero(ins)[0] + j_off
+                    crow.append(np.repeat(jj, idx.shape[1]))
+                    ccol.append(idx.ravel())
+                    cw.append(wts.ravel())
+                if (~ins).any():
+                    cj[~ins] += self.exterior(pts[~ins])
+            for m_list, rule in zip(mults, rules):
+                m_list.append(rule_multipliers(rule, spec, x, pq.y, pq.wbar))
+            pid.append(pq.pid + first)
+            coef.append(pq.coef)
+            wbar.append(pq.wbar)
+            const.append(cj)
+            j_off += pq.coef.size
+        self.PID = _join(pid)
+        self.COEF = _join(coef)
+        self.CONST = _join(const)
+        self.WBAR = _join(wbar)
+        self.Jtot = self.COEF.size
+        self.CROW = _join(crow)
+        self.CCOL = _join(ccol)
+        self.CW = _join(cw)
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
-            * 2.0 * self.spec.Lam
+            * 2.0 * spec.Lam
         self.cfl_dt = 1.0 / float(self.mass.max())
-        for m, rule in zip(flat_mults, rules):
-            if np.any(m < self.spec.lam - 1e-12) or np.any(m > self.spec.Lam + 1e-12):
-                raise KernelClassError(f"kernel rule {rule.name!r} violates the sandwich")
+        flat_mults = [_join(m) for m in mults]
         if self.equation == "linear":
             self._mults = flat_mults[0]
         elif self.equation == "isaacs":
@@ -122,87 +181,6 @@ class DiscreteProblem:
         else:
             self._mults = None
 
-    def _compile_pointwise(self, rules) -> list[np.ndarray]:
-        """Generic path: one point quadrature per unknown (x-dependent kernels)."""
-        geom = self.geom
-        pid, coef, const, wbar = [], [], [], []
-        crow, ccol, cw = [], [], []
-        mults = [[] for _ in rules]
-        j_off = 0
-        for k, gi in enumerate(self.unknown):
-            x = self.grid_pts[gi]
-            pq = point_quadrature(self.plan, x)
-            J = pq.y.shape[0]
-            pid.append(np.full(J, k, dtype=np.int64))
-            coef.append(pq.coef)
-            wbar.append(pq.wbar)
-            for m_list, rule in zip(mults, rules):
-                m_list.append(rule.multipliers(x, pq.y, pq.wbar))
-            cj = np.zeros(J)
-            for sgn in (1.0, -1.0):
-                pts = x[None, :] + sgn * pq.y
-                ins = geom.inside(pts)
-                if ins.any():
-                    idx, wts = geom.interp_weights(pts[ins])
-                    jj = np.nonzero(ins)[0] + j_off
-                    crow.append(np.repeat(jj, idx.shape[1]))
-                    ccol.append(idx.ravel())
-                    cw.append(wts.ravel())
-                if (~ins).any():
-                    cj[~ins] += self.exterior(pts[~ins])
-            const.append(cj)
-            j_off += J
-        self.PID = np.concatenate(pid)
-        self.COEF = np.concatenate(coef)
-        self.CONST = np.concatenate(const)
-        self.WBAR = np.concatenate(wbar)
-        self.Jtot = self.COEF.size
-        self.CROW = np.concatenate(crow)
-        self.CCOL = np.concatenate(ccol)
-        self.CW = np.concatenate(cw)
-        return [np.concatenate(m) for m in mults]
-
-    def _compile_shift_invariant(self, rules) -> list[np.ndarray]:
-        """Quadratic potentials: one node set shared by every point, assembled
-        vectorized across (point, node) pairs."""
-        geom = self.geom
-        pq = point_quadrature(self.plan, self.grid_pts[self.unknown[0]])
-        J = pq.y.shape[0]
-        P = self.P
-        self.PID = np.repeat(np.arange(P, dtype=np.int64), J)
-        self.COEF = np.tile(pq.coef, P)
-        self.WBAR = np.tile(pq.wbar, P)
-        self.Jtot = P * J
-        self.CONST = np.zeros(self.Jtot)
-        crow, ccol, cw = [], [], []
-        for sgn in (1.0, -1.0):
-            pts = (self.grid_pts[self.unknown][:, None, :]
-                   + sgn * pq.y[None, :, :]).reshape(-1, self.n)
-            ins = geom.inside(pts)
-            if ins.any():
-                idx, wts = geom.interp_weights(pts[ins])
-                jj = np.nonzero(ins)[0]
-                crow.append(np.repeat(jj, idx.shape[1]))
-                ccol.append(idx.ravel())
-                cw.append(wts.ravel())
-            if (~ins).any():
-                out = np.nonzero(~ins)[0]  # unique node ids within this sign pass
-                self.CONST[out] += self.exterior(pts[out])
-        self.CROW = np.concatenate(crow)
-        self.CCOL = np.concatenate(ccol)
-        self.CW = np.concatenate(cw)
-        mults = []
-        for rule in rules:
-            if getattr(rule, "x_dependent", False):
-                m = np.concatenate([
-                    rule.multipliers(self.grid_pts[gi], pq.y, pq.wbar)
-                    for gi in self.unknown])
-            else:
-                m = np.tile(rule.multipliers(self.grid_pts[self.unknown[0]],
-                                             pq.y, pq.wbar), P)
-            mults.append(m)
-        return mults
-
     # -- discrete operator ---------------------------------------------------
 
     def node_deltas(self, u_flat: np.ndarray) -> np.ndarray:
@@ -210,52 +188,15 @@ class DiscreteProblem:
                                      minlength=self.Jtot)
         return S - 2.0 * u_flat[self.unknown[self.PID]]
 
-    def _node_values(self, delta: np.ndarray) -> np.ndarray:
-        lam, Lam = self.spec.lam, self.spec.Lam
-        if self.equation == "extremal_plus":
-            return self.COEF * np.maximum(lam * delta, Lam * delta)
-        if self.equation == "extremal_minus":
-            return self.COEF * np.minimum(lam * delta, Lam * delta)
-        if self.equation == "linear":
-            return self.COEF * self._mults * delta
-        raise ConfigurationError("isaacs values are assembled per family")
-
     def apply(self, u_flat: np.ndarray) -> np.ndarray:
         """A u at every unknown point."""
-        delta = self.node_deltas(u_flat)
-        if self.equation == "isaacs":
-            dc = self.COEF * delta
-            outer = []
-            for beta in self._mults:
-                vals = np.stack([np.bincount(self.PID, weights=dc * m,
-                                             minlength=self.P) for m in beta])
-                outer.append(vals.max(axis=0))
-            return np.stack(outer).min(axis=0)
-        return np.bincount(self.PID, weights=self._node_values(delta), minlength=self.P)
+        return operator_values(self.node_deltas(u_flat), self.COEF, self.PID, self.P,
+                               self.spec, self.equation, self._mults)
 
     def node_slopes(self, delta: np.ndarray):
         """Frozen linearization slopes (policy) at the current iterate."""
-        lam, Lam = self.spec.lam, self.spec.Lam
-        if self.equation == "extremal_plus":
-            return np.where(delta > 0, Lam, lam)
-        if self.equation == "extremal_minus":
-            return np.where(delta > 0, lam, Lam)
-        if self.equation == "linear":
-            return self._mults
-        dc = self.COEF * delta
-        per, best_b, val_a = [], [], []
-        for beta in self._mults:
-            vals = np.stack([np.bincount(self.PID, weights=dc * m,
-                                         minlength=self.P) for m in beta])
-            best_b.append(vals.argmax(axis=0))
-            val_a.append(vals.max(axis=0))
-        best_a = np.stack(val_a).argmin(axis=0)
-        slopes = np.empty(self.Jtot)
-        for a, beta in enumerate(self._mults):
-            for b, m in enumerate(beta):
-                pts = (best_a[self.PID] == a) & (best_b[a][self.PID] == b)
-                slopes[pts] = m[pts]
-        return slopes
+        return policy_slopes(delta, self.COEF, self.PID, self.P, self.spec,
+                             self.equation, self._mults)
 
     def assemble(self, slopes: np.ndarray):
         """Sparse linearization: rows = unknowns, columns = all lattice points."""
@@ -316,12 +257,15 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                     the policy step stalls;
       "explicit" -- damped explicit iteration only (the scheme of record).
     """
+    if method not in ("auto", "explicit"):
+        raise ConfigurationError(f"unknown solve method {method!r}; "
+                                 "use 'auto' or 'explicit'")
     f_vals = _f_values(f, problem.grid_pts[problem.unknown])
     u = problem.data_values()
     iters = 0
     res = problem.residual(u, f_vals)
 
-    if method in ("auto", "policy"):
+    if method == "auto":
         prev = np.inf
         for _ in range(40):
             delta = problem.node_deltas(u)
@@ -407,8 +351,9 @@ def comparison_check(problem_sub: DiscreteProblem, u_sub: GridFunction,
     worst = float(diff[problem_sub.unknown].max())
     ok = worst <= tolerance
     # difference operator check: M+(u - v) >= f_sub - f_super, discretely
-    plus = DiscreteEval(problem_sub, "extremal_plus")
-    mplus = plus.apply(diff)
+    mplus = operator_values(problem_sub.node_deltas(diff), problem_sub.COEF,
+                            problem_sub.PID, problem_sub.P, problem_sub.spec,
+                            "extremal_plus")
     diff_margin = float((mplus - (fs - fg)).min())
     return {"max_u_minus_v": worst, "ok": bool(ok),
             "worst_point": problem_sub.grid_pts[problem_sub.unknown[
@@ -416,23 +361,3 @@ def comparison_check(problem_sub: DiscreteProblem, u_sub: GridFunction,
             "subsolution_margin": pre_sub, "supersolution_margin": pre_super,
             "precondition_slack": slack,
             "mplus_diff_min_margin": diff_margin, "tolerance": tolerance}
-
-
-class DiscreteEval:
-    """Reuse a compiled problem's nodes to apply a different extremal selection."""
-
-    def __init__(self, problem: DiscreteProblem, equation: str):
-        self.problem = problem
-        self.equation = equation
-
-    def apply(self, u_flat: np.ndarray) -> np.ndarray:
-        p = self.problem
-        delta = p.node_deltas(u_flat)
-        lam, Lam = p.spec.lam, p.spec.Lam
-        if self.equation == "extremal_plus":
-            nv = p.COEF * np.maximum(lam * delta, Lam * delta)
-        elif self.equation == "extremal_minus":
-            nv = p.COEF * np.minimum(lam * delta, Lam * delta)
-        else:
-            raise ConfigurationError("DiscreteEval supports extremal selections")
-        return np.bincount(p.PID, weights=nv, minlength=p.P)

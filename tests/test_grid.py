@@ -4,7 +4,7 @@ import pytest
 from maslab.errors import ConfigurationError, DataError
 from maslab.grid import (AnalyticField, GridFunction, constant_rule,
                          gaussian_rule, halfspace_rule, indicator_box_rule,
-                         make_rule, zero_rule)
+                         make_rule, tensor_points, zero_rule)
 
 
 def _ramp(p):
@@ -23,6 +23,15 @@ def test_nodes_reproduced_exactly():
                                    zero_rule())
     pts = u.points()
     assert np.allclose(u.eval(pts), u.values.ravel(), atol=0.0)
+
+
+def test_tensor_points_row_major():
+    ax0, ax1 = np.linspace(-1.0, 1.0, 3), np.arange(0.0, 0.5, 0.25)
+    assert np.array_equal(tensor_points([ax0]), ax0[:, None])
+    pts = tensor_points([ax0, ax1])
+    assert pts.shape == (6, 2)
+    assert np.array_equal(pts[:2], [[-1.0, 0.0], [-1.0, 0.25]])
+    assert np.array_equal(pts[-1], [1.0, 0.25])
 
 
 def test_exterior_rule_applies_outside():

@@ -7,7 +7,8 @@ from maslab.grid import AnalyticField, GridFunction, gaussian_rule, zero_rule
 from maslab.kernels import (KernelSpec, checkerboard_rule,
                             ellipticity_check, extremal, isaacs_apply,
                             linear_apply, lower_rule, make_plan, midpoint_rule,
-                            second_difference, sym_height, upper_rule)
+                            point_quadrature, second_difference, sym_height,
+                            upper_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +405,78 @@ def test_nonfinite_field_rejected(iso1):
     plan = make_plan(iso1, spec, 1 / 32, 2.0, 1.0)
     with pytest.raises(DataError):
         extremal(bad, [0.0], spec, plan)
+
+
+# ---------------------------------------------------------------------------
+# batched node sets
+# ---------------------------------------------------------------------------
+
+def _reference_point_quadrature(plan, x):
+    """One point's (y, coef, wbar), built angle by angle (the scheme's node
+    order: inner model nodes, then each angle's ring panels)."""
+    pot, sigma = plan.potential, plan.spec.sigma
+    n = pot.dim
+    G = pot.hessian(x)[0]
+    ang, aw = plan.angles, plan.ang_weights
+    q = 0.5 * np.einsum("ai,ij,aj->a", ang, G, ang)
+    t_in = plan.inner_radius / np.sqrt(q)
+    ys = [t_in[:, None] * ang]
+    cs = [aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)]
+    ws = [np.full(ang.shape[0], plan.inner_radius ** 2)]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(plan.ring_nodes)
+    for a in range(ang.shape[0]):
+        knots = plan.ring_heights / np.sqrt(q[a])
+        knots = knots[(knots > t_in[a] * (1 + 1e-12)) & (knots < plan.tail_radius)]
+        knots = np.concatenate([[t_in[a]], knots, [plan.tail_radius]])
+        lo, hi = knots[:-1], knots[1:]
+        mid = 0.5 * (lo + hi)[:, None]
+        half = 0.5 * (hi - lo)[:, None]
+        t = (mid + half * gl_x[None, :]).ravel()
+        w = (half * gl_w[None, :]).ravel()
+        y = t[:, None] * ang[a]
+        wb = sym_height(pot, x, y)
+        ys.append(y)
+        cs.append(aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0))
+        ws.append(wb)
+    return np.vstack(ys), np.concatenate(cs), np.concatenate(ws)
+
+
+_BATCH_POINTS = {1: np.array([[-0.9], [0.0], [0.35], [1.0]]),
+                 2: np.array([[0.0, 0.0], [0.5, -0.25], [-0.75, 0.9], [1.0, 1.0]])}
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "iso2", "aniso2", "perturbed1",
+                                      "perturbed2"])
+def test_batched_node_sets_match_single_points(request, pot_name):
+    pot = request.getfixturevalue(pot_name)
+    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
+    pts = _BATCH_POINTS[pot.dim]
+    batch = point_quadrature(plan, pts)
+    singles = [point_quadrature(plan, x) for x in pts]
+    sizes = [s.coef.size for s in singles]
+    assert np.array_equal(batch.pid, np.repeat(np.arange(len(pts)), sizes))
+    assert np.array_equal(batch.x, pts)
+    for name in ("y", "coef", "wbar"):
+        assert np.array_equal(getattr(batch, name),
+                              np.concatenate([getattr(s, name) for s in singles])), name
+    # exact against the per-angle construction for quadratics; the perturbed
+    # height differs only by rounding in its base-point terms
+    rtol = 1e-14 if pot.eps else 0.0
+    for x, s in zip(pts, singles):
+        for got, want in zip((s.y, s.coef, s.wbar), _reference_point_quadrature(plan, x)):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "iso2", "aniso2"])
+def test_quadratic_node_sets_shift_invariant(request, pot_name):
+    pot = request.getfixturevalue(pot_name)
+    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
+    pts = _BATCH_POINTS[pot.dim]
+    pq = point_quadrature(plan, pts)
+    counts = np.bincount(pq.pid)
+    assert np.all(counts == counts[0])
+    for arr in (pq.y, pq.coef, pq.wbar):
+        per_point = arr.reshape(len(pts), counts[0], -1)
+        assert np.array_equal(per_point, np.broadcast_to(per_point[:1], per_point.shape))

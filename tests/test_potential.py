@@ -109,6 +109,16 @@ def test_shifted_height_small_increment_accuracy(perturbed2):
     assert w == pytest.approx(quad, rel=1e-5)
 
 
+def test_shifted_height_per_increment_base_points(perturbed2, rng):
+    xs = rng.uniform(-1.0, 1.0, size=(6, 2))
+    ys = rng.normal(size=(6, 2))
+    rowwise = [perturbed2.shifted_height(x, y[None, :])[0] for x, y in zip(xs, ys)]
+    np.testing.assert_allclose(perturbed2.shifted_height(xs, ys), rowwise,
+                               rtol=1e-15, atol=0.0)
+    with pytest.raises(ConfigurationError):
+        perturbed2.shifted_height(xs[:2], ys)
+
+
 def test_ma_bounds_iso(iso2):
     assert verify_ma_bounds(iso2, [-2, -2], [2, 2], 8) == (1.0, 1.0)
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from maslab import solver
 from maslab.errors import ConfigurationError
-from maslab.grid import (constant_rule, halfspace_rule, indicator_box_rule,
-                         zero_rule)
-from maslab.kernels import KernelSpec, make_kernel_rule, midpoint_rule
-from maslab.solver import DiscreteEval, DiscreteProblem, comparison_check, solve
+from maslab.grid import (GridFunction, constant_rule, gaussian_rule, halfspace_rule,
+                         indicator_box_rule, zero_rule)
+from maslab.kernels import (KernelSpec, checkerboard_rule, extremal, isaacs_apply,
+                            linear_apply, lower_rule, make_kernel_rule,
+                            midpoint_rule, operator_values, upper_rule)
+from maslab.solver import DiscreteProblem, comparison_check, solve
 
 
 def test_zero_data_zero_solution(iso1):
@@ -167,12 +172,70 @@ def test_unknown_equation_rejected(iso1):
         DiscreteProblem(iso1, spec, [-1], [1], 0.5, zero_rule(), "heat")
 
 
-def test_discrete_eval_matches_problem(iso1, rng):
+def test_other_selection_on_compiled_nodes_matches_problem(iso1, rng):
+    # comparison_check and l_eps_tail evaluate M+ / M- on another problem's nodes
     spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
-    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, zero_rule())
-    u = rng.normal(size=prob.N)
-    assert np.allclose(DiscreteEval(prob, "extremal_plus").apply(u),
-                       prob.apply(u), atol=0.0)
+    plus = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, zero_rule())
+    minus = DiscreteProblem(iso1, replace(spec, selection="extremal_minus"), [-1], [1],
+                            1 / 32, zero_rule(), "extremal_minus")
+    u = rng.normal(size=plus.N)
+    vals = operator_values(minus.node_deltas(u), minus.COEF, minus.PID, minus.P,
+                           minus.spec, "extremal_plus")
+    assert np.array_equal(vals, plus.apply(u))
+
+
+@pytest.mark.parametrize("pot_name", ["perturbed2", "aniso2"])
+def test_compiled_operator_matches_pointwise(request, pot_name, rng):
+    pot = request.getfixturevalue(pot_name)
+    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    data = gaussian_rule(1.0, 0.7, [0.3, -0.2])
+    rough = checkerboard_rule(spec)
+    families = [[lower_rule(spec), rough], [upper_rule(spec), midpoint_rule(spec)]]
+    cases = {"extremal_plus": {}, "extremal_minus": {},
+             "linear": {"kernel_rule": rough}, "isaacs": {"families": families}}
+    values = None
+    for equation, kw in cases.items():
+        prob = DiscreteProblem(pot, spec, [-1, -1], [1, 1], 1 / 4, data, equation, **kw)
+        if values is None:
+            values = rng.normal(size=prob.geom.shape)
+        u = GridFunction(prob.geom.lo, prob.geom.hi, values, data)
+        got = prob.apply(u.values.ravel())
+        pts = prob.grid_pts[prob.unknown]
+        if equation == "linear":
+            want = [linear_apply(u, x, rough, prob.plan) for x in pts]
+        elif equation == "isaacs":
+            want = [isaacs_apply(u, x, families, prob.plan) for x in pts]
+        else:
+            want = [extremal(u, x, replace(spec, selection=equation), prob.plan)
+                    for x in pts]
+        scale = float(np.abs(want).max())
+        assert np.abs(got - np.asarray(want)).max() <= 1e-12 * scale, equation
+
+
+def test_unknown_solve_method_rejected(iso1):
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-1], [1], 0.25, zero_rule())
+    for method in ("policy", "explict"):
+        with pytest.raises(ConfigurationError):
+            solve(prob, method=method)
+
+
+def test_benchmark_hooks_present(iso1, monkeypatch):
+    # perfbench wraps these module attributes and reads these node arrays
+    calls = []
+    for name in ("point_quadrature", "make_plan"):
+        original = solver.__dict__[name]
+
+        def counted(*args, _name=name, _f=original, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-1], [1], 0.25, zero_rule())
+    assert set(calls) == {"point_quadrature", "make_plan"}
+    for attr in ("PID", "COEF", "CONST", "WBAR", "CROW", "CCOL", "CW"):
+        assert isinstance(getattr(prob, attr), np.ndarray), attr
+    assert prob._mults is None
+    assert prob.Jtot == prob.COEF.size
 
 
 def test_max_iter_exceeded_returns_best_iterate(iso1):
