@@ -179,10 +179,7 @@ def tail_kernel_integral(potential: Potential, sigma: float, R: float) -> float:
 
 
 def make_plan(potential: Potential, spec: KernelSpec, h: float,
-              box_diam: float, sup_scale: float = 1.0,
-              n_ang: int | None = None, ring_nodes: int | None = None,
-              tail_tol: float = 1e-9,
-              inner_cells: int | None = None) -> QuadraturePlan:
+              box_diam: float, sup_scale: float = 1.0) -> QuadraturePlan:
     """Build the quadrature plan for lattice scale h.
 
     rho0 is the height of a few grid cells (2 in 1D where the model stencil
@@ -190,19 +187,19 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     wider core keeps the interpolation bias on the curvature model small);
     the ring ladder r_k doubles from r_0 = 2^{-1/(2-sigma)} in both
     directions; the tail radius is chosen so the analytic tail bound is
-    below tail_tol * max(1, sup_scale).
+    below 1e-9 * max(1, sup_scale).  Rays run along 2 directions in 1D and
+    16 in 2D, with 8 Gauss-Legendre nodes per ring panel in 1D and 5 in 2D.
     """
     if h <= 0 or box_diam <= 0:
         raise ConfigurationError("h and box_diam must be positive")
     n = potential.dim
     sigma, lam, Lam = spec.sigma, spec.lam, spec.Lam
     a_lo, a_hi = potential.hessian_bounds()
-    if inner_cells is None:
-        inner_cells = 2 if n == 1 else 4
+    inner_cells = 2 if n == 1 else 4
     rho0 = inner_cells * h * math.sqrt(0.5 * a_hi)
     r0 = 2.0 ** (-1.0 / (2.0 - sigma))
 
-    eps_tail = tail_tol * max(1.0, sup_scale)
+    eps_tail = 1e-9 * max(1.0, sup_scale)
     coef = (2.0 - sigma) * Lam * 4.0 * max(sup_scale, 1e-300) * _sphere_measure(n) \
         * (0.5 * a_lo) ** (-(n + sigma) / 2.0) / sigma
     R_t = (coef / eps_tail) ** (1.0 / sigma)
@@ -213,13 +210,10 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     j_hi = math.ceil(math.log2(h_max / r0)) + 1
     ladder = r0 * (2.0 ** np.arange(j_lo, j_hi + 1, dtype=float))
 
-    if n_ang is None:
-        n_ang = 2 if n == 1 else 16
-    if ring_nodes is None:
-        ring_nodes = 8 if n == 1 else 5
+    n_ang = 2 if n == 1 else 16
     return QuadraturePlan(
         potential=potential, spec=spec, inner_radius=rho0,
-        ring_heights=ladder, ring_nodes=int(ring_nodes),
+        ring_heights=ladder, ring_nodes=8 if n == 1 else 5,
         angles=_directions(n, n_ang), ang_weights=_ang_weights(n, n_ang),
         tail_radius=float(R_t),
         tail_integral=tail_kernel_integral(potential, sigma, R_t),

@@ -2,8 +2,11 @@
 
 A section S_r(x) = {y : v_x(y) < r^2} is the "ball of radius r" of the
 potential's intrinsic geometry.  This module provides membership, radial
-boundary parametrization, ellipsoid normalization, the engulfing probe,
-two covering algorithms and the section-deformation checks.
+boundary parametrization, normalization of a section by its own moments
+(the inertia ellipsoid, in closed form from the boundary radii), the
+engulfing probe, two covering algorithms and the section-deformation
+checks.  The normalization, the engulfing constant and the deformation
+radii are closed forms in the bisected boundary radii or in heights v_x(y).
 """
 
 from __future__ import annotations
@@ -130,39 +133,23 @@ def quasi_distance(potential: Potential, x, y) -> np.ndarray:
 # ellipsoid normalization
 # ---------------------------------------------------------------------------
 
-def _mvee(points: np.ndarray, tol: float = 1e-6, max_iter: int = 200000):
-    """Khachiyan-style minimum volume enclosing ellipsoid.
-
-    Returns (E, c) with all points satisfying (p-c)^T E (p-c) <= 1 + O(tol).
-    """
-    P = np.asarray(points, dtype=float)
-    N, d = P.shape
-    if np.linalg.matrix_rank(P - P.mean(axis=0), tol=1e-10) < d:
-        raise GeometryError("degenerate boundary point set (rank < n)")
-    Q = np.vstack([P.T, np.ones(N)])
-    u = np.full(N, 1.0 / N)
-    for _ in range(max_iter):
-        X = Q @ (u[:, None] * Q.T)
-        M = np.einsum("ij,jk,ik->i", Q.T, np.linalg.inv(X), Q.T)
-        j = int(np.argmax(M))
-        step = (M[j] - d - 1.0) / ((d + 1.0) * (M[j] - 1.0))
-        new_u = (1.0 - step) * u
-        new_u[j] += step
-        err = np.linalg.norm(new_u - u)
-        u = new_u
-        if err <= tol:
-            break
-    c = P.T @ u
-    E = np.linalg.inv(P.T @ (u[:, None] * P) - np.outer(c, c)) / d
-    return E, c
-
-
 def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> AffineMap:
     """Normalization map T with B_c subset T(S_r(x)) subset B_{1+1e-3}.
 
-    Boundary points along `ray_count` spread directions are enclosed by a
-    minimum-volume ellipsoid; T maps that ellipsoid onto the unit ball and is
-    rescaled if fresh rays fall outside the 1e-3 outer margin.
+    T maps the section's inertia ellipsoid onto the unit ball: with centroid
+    x + m and covariance C of S_r(x), T = ((n+2) C)^{-1/2} centred at x + m,
+    so a ball is mapped onto the unit ball and c >= 1/n for any convex
+    section (Kannan, Lovasz and Simonovits 1995).  The moments are
+    integrated in polar form about x from the boundary radii t along
+    `ray_count` spread directions d: with weight w = 2 pi / ray_count in 2D
+    (the periodic trapezoid rule: exact for quadratic sections up to the
+    radius tolerance, spectrally accurate for smooth ones) and w = 1 per
+    half-line in 1D (exact),
+
+        |S| = w sum t^n / n,   m = w sum t^{n+1} d / ((n+1) |S|),
+        C = w sum t^{n+2} d d^T / ((n+2) |S|) - m m^T.
+
+    T is rescaled if fresh rays fall outside the 1e-3 outer margin.
     """
     n = potential.dim
     if ray_count < 2 * n + 2:
@@ -170,21 +157,16 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
     x = _as_points(x, n)[0]
     dirs = unit_directions(n, ray_count)
     t = boundary_radii(potential, x, r, dirs)
-    pts = x[None, :] + t[:, None] * dirs
-    if n == 1:
-        # interval [x+t_- d_-, x+t_+ d_+]: exact "ellipsoid"
-        a, b = np.sort(pts[:, 0])
-        c = np.array([(a + b) / 2.0])
-        half = (b - a) / 2.0
-        T = AffineMap(np.array([[1.0 / half]]), c)
-    else:
-        E, c = _mvee(pts)
-        ev, V = np.linalg.eigh(E)
-        if ev.min() <= 0:
-            raise GeometryError("enclosing ellipsoid is degenerate")
-        T = AffineMap((V * np.sqrt(ev)) @ V.T, c)
+    w = 2.0 * np.pi / ray_count if n == 2 else 1.0
+    vol = w * np.sum(t ** n) / n
+    m = w * (t ** (n + 1)) @ dirs / ((n + 1) * vol)
+    cov = w * (dirs.T * t ** (n + 2)) @ dirs / ((n + 2) * vol) - np.outer(m, m)
+    ev, V = np.linalg.eigh((n + 2) * cov)
+    if ev.min() <= 0:
+        raise GeometryError("section covariance is degenerate")
+    T = AffineMap((V / np.sqrt(ev)) @ V.T, x + m)
 
-    fresh = unit_directions(n, ray_count + (0 if n == 1 else 7))
+    fresh = dirs
     if n == 2:  # offset fresh rays off the fitting rays
         ang = 2.0 * np.pi * (np.arange(ray_count) + 0.5) / ray_count
         fresh = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -204,10 +186,11 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
 # ---------------------------------------------------------------------------
 
 def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) -> float:
-    """Smallest gamma in [1, 64] with S_r(x) subset S_{gamma r}(y) for sampled y.
+    """Smallest gamma >= 1 with S_r(x) subset S_{gamma r}(y) for sampled y.
 
-    y ranges over interior samples of S_r(x), z over its boundary; bisection
-    on gamma against the predicate v_y(z) < (gamma r)^2 for all pairs.
+    y ranges over interior samples of S_r(x), z over its boundary; z lies in
+    S_{gamma r}(y) exactly when gamma r > sqrt(v_y(z)), so gamma is the
+    largest sampled sqrt(v_y(z)) / r.  Raises GeometryError beyond 64.
     """
     if trial_count < 1:
         raise ConfigurationError("trial_count must be >= 1")
@@ -225,17 +208,9 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
     vmax = 0.0
     for y in ys:
         vmax = max(vmax, float(potential.height(y, zs).max()))
-
-    lo, hi = 1.0, 64.0
-    if vmax >= (hi * r) ** 2:
+    if vmax >= (64.0 * r) ** 2:
         raise GeometryError("engulfing failure: gamma > 64 needed (catalog pathology?)")
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if vmax < (mid * r) ** 2:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return max(1.0, float(np.sqrt(vmax)) / r)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +297,7 @@ def cz_decompose(potential: Potential, lattice: np.ndarray, mask: np.ndarray,
     densities = []
     union = np.zeros(lattice.shape[0], dtype=bool)
     lo_b, hi_b = lattice.min(axis=0), lattice.max(axis=0)
-    corners = np.array(np.meshgrid(*zip(lo_b, hi_b), indexing="ij")
-                       ).reshape(potential.dim, -1).T
+    corners = tensor_points(list(zip(lo_b, hi_b)))
 
     def density(center, r):
         ins = contains_many(potential, center, r, lattice)
@@ -388,8 +362,8 @@ def section_measure(potential: Potential, x, r: float, lattice: np.ndarray,
 def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> dict:
     """Empirical checks of section deformation: shell inclusion, doubling, shells.
 
-    For sampled x in S_{3t/4}(y) \\ S_{t/2}(y), finds the largest delta with
-    S_{delta t}(x) inside S_t(y) \\ S_{t/4}(y) on a test lattice; also counts
+    For sampled x in S_{3t/4}(y) \\ S_{t/2}(y), finds the largest delta <= 1
+    with S_{delta t}(x) inside S_t(y) \\ S_{t/4}(y) on a test lattice; also counts
     the doubling ratio |S_r|/|S_{r/2}| and the shell-volume inequality.
     """
     if t <= 0:
@@ -413,17 +387,14 @@ def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> 
     in_hole = contains_many(potential, y, t / 4.0, lattice)
     ring_ok = in_outer & ~in_hole
 
+    # S_{delta t}(x) holds the lattice points p with v_x(p) < (delta t)^2, so
+    # the largest delta keeping it inside the ring is the smallest sqrt(v_x(p))
+    # over lattice points p outside the ring, over t
+    outside = lattice[~ring_ok]
     delta_hats = []
     for x in xs:
-        lo, hi = 0.0, 1.0
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            ins = contains_many(potential, x, mid * t, lattice)
-            if np.all(ring_ok[ins]):
-                lo = mid
-            else:
-                hi = mid
-        delta_hats.append(lo)
+        v_min = float(potential.height(x, outside).min()) if outside.size else np.inf
+        delta_hats.append(min(1.0, float(np.sqrt(v_min)) / t))
     delta_hats = np.array(delta_hats)
 
     doubling = []

@@ -83,8 +83,7 @@ class DiscreteProblem:
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
                  h: float, exterior: ExteriorRule, equation: str = "extremal_plus",
                  kernel_rule: KernelRule | None = None, families=None,
-                 domain=None, plan: QuadraturePlan | None = None,
-                 plan_kwargs: dict | None = None):
+                 domain=None):
         if equation not in EQUATIONS:
             raise ConfigurationError(f"unknown equation {equation!r}")
         self.potential, self.spec, self.exterior = potential, spec, exterior
@@ -114,11 +113,7 @@ class DiscreteProblem:
         self.P = self.unknown.size
 
         box_diam = float(np.linalg.norm(zero.hi - zero.lo))
-        if plan is None:
-            kw = dict(plan_kwargs or {})
-            sup = kw.pop("sup_scale", exterior.sup_bound + 1.0)
-            plan = make_plan(potential, spec, h, box_diam, sup, **kw)
-        self.plan = plan
+        self.plan = make_plan(potential, spec, h, box_diam, exterior.sup_bound + 1.0)
         self._compile()
 
     # -- compilation ---------------------------------------------------------
@@ -247,8 +242,7 @@ def _f_values(f, pts) -> np.ndarray:
 
 
 def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
-          max_iter: int = 30000, method: str = "auto",
-          polish_sweeps: int = 3) -> tuple[GridFunction, SolveReport]:
+          max_iter: int = 30000, method: str = "auto") -> tuple[GridFunction, SolveReport]:
     """Fixed point of A u = f with exterior Dirichlet data.
 
     method:
@@ -256,6 +250,11 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                     monotone polish sweeps; falls back to explicit sweeps if
                     the policy step stalls;
       "explicit" -- damped explicit iteration only (the scheme of record).
+
+    The report's `method` is the path taken: "policy+polish",
+    "policy+explicit" (policy iteration missed the tolerance and up to
+    min(max_iter, 5000) explicit sweeps followed, counted in
+    details["fallback_sweeps"]) or "explicit".
     """
     if method not in ("auto", "explicit"):
         raise ConfigurationError(f"unknown solve method {method!r}; "
@@ -295,16 +294,22 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             if res >= 0.5 * prev and iters > 3:
                 break
             prev = res
+    fallback_sweeps = 0
     if method == "explicit" or res > tolerance:
         sweeps = max_iter if method == "explicit" else min(max_iter, 5000)
+        policy_iters = iters
         for _ in range(sweeps):
             u = problem.iterate(u, f_vals)
             iters += 1
             res = problem.residual(u, f_vals)
             if res <= tolerance:
                 break
+        path = "explicit"
+        if method == "auto":
+            path, fallback_sweeps = "policy+explicit", iters - policy_iters
     else:
-        for _ in range(polish_sweeps):
+        path = "policy+polish"
+        for _ in range(3):
             u = problem.iterate(u, f_vals)
             iters += 1
         res = problem.residual(u, f_vals)
@@ -313,9 +318,10 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                       u.reshape(problem.geom.shape), problem.exterior)
     report = SolveReport(iterations=iters, final_residual=res,
                          cfl_dt=problem.cfl_dt, converged=bool(res <= tolerance),
-                         method=method,
+                         method=path,
                          details={"equation": problem.equation,
-                                  "unknowns": int(problem.P)})
+                                  "unknowns": int(problem.P),
+                                  "fallback_sweeps": fallback_sweeps})
     return gf, report
 
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+import maslab
 from maslab.cli import main, run
 
 POTENTIAL = {"id": "iso_quadratic", "dim": 1, "params": []}
@@ -166,7 +167,10 @@ def test_cli_entrypoint_subprocess(tmp_path):
            "exterior": {"id": "zero"}, "f": 0.0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    env = dict(os.environ, MASLAB_OUT=str(tmp_path / "envout"))
+    # the child imports the same maslab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(maslab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, MASLAB_OUT=str(tmp_path / "envout"), PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-m", "maslab.cli", "solve",
                            "--config", str(cfg_path)], env=env,
                           capture_output=True, text=True)

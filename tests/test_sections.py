@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from maslab.errors import ConfigurationError, GeometryError
+from maslab.grid import tensor_points
 from maslab.potential import make_potential
 from maslab.sections import (AffineMap, Section, besicovitch_cover,
-                             boundary_radius, contains, contains_many,
-                             cz_decompose, deformation_checks, engulfing_probe,
-                             fit_ellipsoid, quasi_distance)
+                             boundary_radii, boundary_radius, contains,
+                             contains_many, cz_decompose, deformation_checks,
+                             engulfing_probe, fit_ellipsoid, quasi_distance,
+                             unit_directions)
 
 
 def test_contains_quadratic(iso2, aniso2):
@@ -97,6 +99,44 @@ def test_fit_ellipsoid_affine_covariance(rng):
     assert np.all(np.abs(sv - 1.0) < 0.01)
 
 
+@pytest.mark.parametrize("A, center", [
+    ([1.0, 0.0, 0.0, 1.0], [0.3, -0.2]),
+    ([25.0, 0.0, 0.0, 1.0], [0.7, 0.7]),
+    ([3.0, 0.5, 0.5, 1.0], [-0.4, 0.6]),
+])
+def test_fit_ellipsoid_quadratic_closed_form(A, center):
+    # S_r(x) = {y : (y-x)^T A (y-x) < 2 r^2} exactly, so T^T T = A / (2 r^2),
+    # centred at x, and T(S_r(x)) is the unit ball
+    pot = make_potential("aniso_quadratic", 2, A)
+    A = np.asarray(A).reshape(2, 2)
+    for r in (0.25, 0.5, 1.0):
+        T = fit_ellipsoid(pot, center, r, ray_count=128)
+        want = A / (2.0 * r * r)
+        got = T.linear_part.T @ T.linear_part
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.abs(T.offset - center).max() <= 1e-9 * r
+        assert T.inner_radius >= 1.0 - 1e-9
+        assert T.outer_radius <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "perturbed1"])
+def test_fit_ellipsoid_1d_is_the_interval_map(pot_name, request):
+    pot = request.getfixturevalue(pot_name)
+    for x, r in ((0.0, 1.0), (0.4, 0.5), (-0.9, 0.25)):
+        t_plus, t_minus = boundary_radii(pot, [x], r, np.array([[1.0], [-1.0]]))
+        T = fit_ellipsoid(pot, [x], r)
+        half = 0.5 * (t_plus + t_minus)
+        assert T.linear_part[0, 0] == pytest.approx(1.0 / half, rel=1e-14)
+        assert T.offset[0] == pytest.approx(x + 0.5 * (t_plus - t_minus), abs=1e-14)
+
+
+def test_fit_ellipsoid_off_centre_perturbed(perturbed2):
+    for r in (0.25, 0.5, 1.0):
+        T = fit_ellipsoid(perturbed2, [0.7, 0.7], r, ray_count=128)
+        assert T.inner_radius >= 0.99
+        assert T.outer_radius <= 1.0 + 1e-3
+
+
 def test_fit_ellipsoid_ray_count_guard(iso2):
     with pytest.raises(ConfigurationError):
         fit_ellipsoid(iso2, [0, 0], 1.0, ray_count=3)
@@ -117,6 +157,33 @@ def test_engulfing_perturbed_uniform(perturbed2):
           for c in ([0.0, 0.0], [0.7, 0.7], [-0.5, 0.3])
           for r in (0.25, 0.5, 1.0)]
     assert max(gs) <= 8.0
+
+
+def _engulfing_by_bisection(potential, x, r, trial_count):
+    # reference: bisection on gamma against the pair predicate v_y(z) < (gamma r)^2
+    n = potential.dim
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dirs = unit_directions(n, max(8, trial_count) if n == 2 else 2)
+    t = boundary_radii(potential, x, r, dirs)
+    zs = x + (1.0 - 1e-9) * t[:, None] * dirs
+    fracs = np.array([0.15, 0.4, 0.65, 0.85, 0.99])
+    ys = np.vstack([x, (x + fracs[:, None, None] * t[None, :, None] * dirs).reshape(-1, n)])
+    lo, hi = 1.0, 64.0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if all(np.all(potential.height(y, zs) < (mid * r) ** 2) for y in ys):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_engulfing_matches_bisection_reference(perturbed1, perturbed2, aniso2):
+    for pot, c, r in ((perturbed2, [0.7, 0.7], 0.5), (perturbed2, [-0.5, 0.3], 1.0),
+                      (aniso2, [0.2, -0.1], 0.25), (perturbed1, [0.4], 0.5)):
+        got = engulfing_probe(pot, c, r, 48)
+        want = _engulfing_by_bisection(pot, c, r, 48)
+        assert want - 1e-3 <= got <= want
 
 
 def test_besicovitch_1d_selection_rule(iso1):
@@ -204,6 +271,42 @@ def test_deformation_perturbed(perturbed2):
     rep = deformation_checks(perturbed2, t=0.5, y=[0.0, 0.0])
     assert rep["delta_hat_min"] >= 1e-2
     assert not rep["failure"]
+
+
+def _delta_hats_by_bisection(potential, t, y, samples=12):
+    # reference: the samples and lattice of deformation_checks, and per sample
+    # a 30-step bisection on delta against full-lattice membership
+    n = potential.dim
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    dirs = unit_directions(n, max(8, samples) if n == 2 else 2)
+    xs = np.vstack([y + boundary_radii(potential, y, s * t, dirs)[:, None] * dirs
+                    for s in (0.72, 0.65, 0.58, 0.51)])
+    tmax = boundary_radii(potential, y, t, dirs).max()
+    per_axis = 600 if n == 1 else 90
+    pts = np.vstack([y, xs])
+    lo, hi = pts.min(axis=0) - 1.3 * tmax, pts.max(axis=0) + 1.3 * tmax
+    lattice = tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(n)])
+    ring_ok = (contains_many(potential, y, t, lattice)
+               & ~contains_many(potential, y, t / 4.0, lattice))
+    out = []
+    for x in xs:
+        d_lo, d_hi = 0.0, 1.0
+        for _ in range(30):
+            mid = 0.5 * (d_lo + d_hi)
+            if np.all(ring_ok[contains_many(potential, x, mid * t, lattice)]):
+                d_lo = mid
+            else:
+                d_hi = mid
+        out.append(d_lo)
+    return np.array(out)
+
+
+def test_deformation_delta_hats_match_bisection_reference(perturbed1, perturbed2):
+    for pot, t, y in ((perturbed2, 1.0, [0.6, -0.3]), (perturbed2, 0.5, [0.0, 0.0]),
+                      (perturbed1, 1.0, [0.3])):
+        got = np.array(deformation_checks(pot, t, y)["delta_hats"])
+        want = _delta_hats_by_bisection(pot, t, y)
+        assert np.abs(got - want).max() <= 1e-8
 
 
 def test_affine_map_invertibility_guard():

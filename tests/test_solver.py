@@ -35,6 +35,8 @@ def test_dirichlet_symmetry(iso1):
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, halfspace_rule(0, 1.0))
     u, rep = solve(prob)
     assert rep.converged
+    assert rep.method == "policy+polish"
+    assert rep.details["fallback_sweeps"] == 0
     assert float(u.eval([0.0])[0]) == pytest.approx(0.5, abs=1e-10)
     assert np.all(np.diff(u.values) > -1e-12)  # monotone profile
 
@@ -245,6 +247,22 @@ def test_max_iter_exceeded_returns_best_iterate(iso1):
     u, rep = solve(prob, method="explicit", tolerance=1e-14, max_iter=5)
     assert not rep.converged
     assert rep.iterations == 5
+    assert np.all(np.isfinite(u.values))
+    assert rep.method == "explicit"
+    assert rep.details["fallback_sweeps"] == 0
+
+
+def test_explicit_fallback_is_reported(iso1):
+    # a tolerance below roundoff stalls the policy iteration; the explicit
+    # sweeps that follow are the path taken, and each is counted
+    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
+    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
+                           indicator_box_rule([1.1], [1.5], 1.0))
+    u, rep = solve(prob, tolerance=1e-30, max_iter=7)
+    assert not rep.converged
+    assert rep.method == "policy+explicit"
+    assert rep.details["fallback_sweeps"] == 7
+    assert rep.iterations > 7
     assert np.all(np.isfinite(u.values))
 
 
