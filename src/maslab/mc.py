@@ -11,6 +11,11 @@ Only the jump law matters for the exit distribution of the f = 0 Dirichlet
 problem; for quadratic potentials it is sampled exactly by inverse CDF
 along rays, for the perturbed entry by rejection against the quadratic
 model (the truncation is then applied in the model height).
+
+Paths are simulated in lockstep, in fixed chunks of `_CHUNK` paths with one
+Generator per chunk: every live path of a chunk draws its next increments
+in one vectorized call, and paths leave the chunk's arrays as they exit.
+A result depends only on (seed, paths).
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .kernels import KernelSpec
 from .potential import Potential
 
 _MAX_JUMPS = 1_000_000
-_BLOCK = 64
+_BLOCK = 64    # increments per path per round, quadratic potentials
+_CHUNK = 4096  # paths per Generator
 
 
 @dataclass(frozen=True)
@@ -71,52 +77,55 @@ def generator_truncation_bound(config: JumpProcessConfig, d2_scale: float) -> fl
             * omega * a_eta ** (2.0 - sigma))
 
 
-def _draw_jumps(rng, config: JumpProcessConfig, x: np.ndarray, count: int) -> np.ndarray:
-    """`count` jump increments from the truncated normalized kernel at x."""
-    pot, spec, eta = config.potential, config.spec, config.eta
-    n, sigma = pot.dim, spec.sigma
-    if pot.id in ("iso_quadratic", "aniso_quadratic"):
-        radii = eta * rng.random(count) ** (-1.0 / sigma)
-        if n == 1:
-            z = np.where(rng.random(count) < 0.5, -radii, radii)[:, None]
-        else:
-            ang = 2.0 * math.pi * rng.random(count)
-            z = radii[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return math.sqrt(2.0) * z @ _sqrtm_inv(pot._A).T
-    return _draw_jumps_generic(rng, config, x, count)
+def _draw_jumps(rng, config: JumpProcessConfig, shape: tuple) -> np.ndarray:
+    """Increments of shape `shape + (n,)` for a quadratic potential.
+
+    Sampled exactly by inverse CDF along rays.  The law does not depend on
+    the base point, so one call serves every live path and every step of a
+    block.
+    """
+    pot, sigma, eta = config.potential, config.spec.sigma, config.eta
+    radii = eta * rng.random(shape) ** (-1.0 / sigma)
+    if pot.dim == 1:
+        z = np.where(rng.random(shape) < 0.5, -radii, radii)[..., None]
+    else:
+        ang = 2.0 * math.pi * rng.random(shape)
+        z = radii[..., None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    return math.sqrt(2.0) * z @ _sqrtm_inv(pot._A).T
 
 
-def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray,
-                        count: int) -> np.ndarray:
-    """Rejection sampler against the local quadratic model (perturbed entry)."""
+def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray) -> np.ndarray:
+    """Perturbed entry: one increment per row of x, by rejection against
+    the local quadratic model.  Each round redraws only the rows not yet
+    accepted."""
     pot, spec, eta = config.potential, config.spec, config.eta
     n, sigma = pot.dim, spec.sigma
     a_lo, a_hi = pot.hessian_bounds()
-    G = pot.hessian(x)[0]
+    G = pot.hessian(x)
     env = (a_hi / a_lo) ** ((n + sigma) / 2.0)
-    out = np.empty((count, n))
-    got = 0
-    while got < count:
-        m = 4 * (count - got) + 8
+    out = np.empty_like(x)
+    pending = np.ones(x.shape[0], dtype=bool)
+    while pending.any():
+        todo = np.flatnonzero(pending)
+        m = todo.size
         if n == 1:
             theta = np.where(rng.random(m) < 0.5, -1.0, 1.0)[:, None]
         else:
             ang = 2.0 * math.pi * rng.random(m)
             theta = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        q = 0.5 * np.einsum("ki,ij,kj->k", theta, G, theta)
+        q = 0.5 * np.einsum("ki,kij,kj->k", theta, G[todo], theta)
         # angular rejection: per-angle model mass ~ q^{-n/2}
         keep = rng.random(m) < (0.5 * a_lo / q) ** (n / 2.0)
-        theta, q = theta[keep], q[keep]
-        t_eta = eta / np.sqrt(q)
-        t = t_eta * rng.random(theta.shape[0]) ** (-1.0 / sigma)
+        rows, theta, q = todo[keep], theta[keep], q[keep]
+        t = eta / np.sqrt(q) * rng.random(rows.size) ** (-1.0 / sigma)
         y = t[:, None] * theta
-        wbar_true = np.sqrt(pot.shifted_height(x, y) * pot.shifted_height(x, -y))
+        xs = x[rows]
+        wbar_true = np.sqrt(pot.shifted_height(xs, y) * pot.shifted_height(xs, -y))
         model = q * t * t
         ratio = (np.maximum(wbar_true, 1e-300) / model) ** (-(n + sigma) / 2.0) / env
-        acc = rng.random(theta.shape[0]) < ratio
-        take = min(int(acc.sum()), count - got)
-        out[got:got + take] = y[acc][:take]
-        got += take
+        acc = rng.random(rows.size) < ratio
+        out[rows[acc]] = y[acc]
+        pending[rows[acc]] = False
     return out
 
 
@@ -124,8 +133,13 @@ def estimate_exit_payoff(config: JumpProcessConfig, x0, box_lo, box_hi,
                          paths: int, d2_scale: float = 1.0) -> dict:
     """Mean exit payoff, standard error and truncation-bias bound.
 
-    Each path gets its own Generator derived from (seed, path index); jumps
-    are drawn in blocks and the path ends on first exit from the box.
+    Paths run in chunks of `_CHUNK`; chunk c draws from the c-th child of
+    SeedSequence(seed), so the result depends only on (seed, paths).  All
+    live paths of a chunk advance together: each round draws their next
+    increments in one call (a block of `_BLOCK` for quadratic potentials,
+    one for the perturbed entry, whose law depends on the position), finds
+    each path's first exit, records its payoff and exact jump count, and
+    drops the paths that left the box.
     """
     if paths < 100:
         raise ConfigurationError("need at least 100 paths")
@@ -137,35 +151,30 @@ def estimate_exit_payoff(config: JumpProcessConfig, x0, box_lo, box_hi,
 
     intensity = total_truncated_mass(config)
     quad = config.potential.id in ("iso_quadratic", "aniso_quadratic")
+    block = _BLOCK if quad else 1
     payoffs = np.empty(paths)
     total_jumps = 0
-    seeds = np.random.SeedSequence(config.seed).spawn(paths)
-    for i in range(paths):
-        rng = np.random.default_rng(seeds[i])
-        x = x0.copy()
-        jumps = 0
-        while True:
+    n_chunks = -(-paths // _CHUNK)
+    for c, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_chunks)):
+        rng = np.random.default_rng(seq)
+        ids = np.arange(c * _CHUNK, min(paths, (c + 1) * _CHUNK))
+        x = np.tile(x0, (ids.size, 1))
+        jumps = 0  # taken by every live path of the chunk so far
+        while ids.size:
             if quad:
-                block = _draw_jumps(rng, config, x, _BLOCK)
-                pos = x[None, :] + np.cumsum(block, axis=0)
-                outside = np.any((pos <= lo) | (pos >= hi), axis=1)
-                k = int(np.argmax(outside)) if outside.any() else -1
-                if k >= 0:
-                    jumps += k + 1
-                    payoffs[i] = float(config.payoff(pos[k:k + 1])[0])
-                    break
-                x = pos[-1]
-                jumps += _BLOCK
+                steps = _draw_jumps(rng, config, (ids.size, block))
             else:
-                y = _draw_jumps(rng, config, x, 1)[0]
-                x = x + y
-                jumps += 1
-                if np.any(x <= lo) or np.any(x >= hi):
-                    payoffs[i] = float(config.payoff(x[None, :])[0])
-                    break
-            if jumps > _MAX_JUMPS:
+                steps = _draw_jumps_generic(rng, config, x)[:, None, :]
+            pos = x[:, None, :] + np.cumsum(steps, axis=1)
+            outside = np.any((pos <= lo) | (pos >= hi), axis=2)
+            exited = outside.any(axis=1)
+            k = np.argmax(outside[exited], axis=1)  # index of the exiting jump
+            payoffs[ids[exited]] = config.payoff(pos[exited, k])
+            total_jumps += k.size * (jumps + 1) + int(k.sum())
+            ids, x = ids[~exited], pos[~exited, -1]
+            jumps += block
+            if ids.size and jumps > _MAX_JUMPS:
                 raise DataError("path exceeded 1e6 jumps (eta too small)")
-        total_jumps += jumps
 
     mean = float(payoffs.mean())
     std_error = float(payoffs.std(ddof=1) / math.sqrt(paths))

@@ -166,11 +166,11 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
         raise GeometryError("section covariance is degenerate")
     T = AffineMap((V / np.sqrt(ev)) @ V.T, x + m)
 
-    fresh = dirs
+    fresh, tf = dirs, t  # in 1D the two half-lines are all the rays there are
     if n == 2:  # offset fresh rays off the fitting rays
         ang = 2.0 * np.pi * (np.arange(ray_count) + 0.5) / ray_count
         fresh = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    tf = boundary_radii(potential, x, r, fresh)
+        tf = boundary_radii(potential, x, r, fresh)
     img = np.linalg.norm(T.apply(x[None, :] + tf[:, None] * fresh), axis=1)
     scale = max(1.0, img.max() / (1.0 + 1e-3))
     if scale > 1.0:
@@ -205,9 +205,11 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
     ys = ys.reshape(-1, n)
     ys = np.vstack([x[None, :], ys])
 
-    vmax = 0.0
-    for y in ys:
-        vmax = max(vmax, float(potential.height(y, zs).max()))
+    # every (sample, boundary point) pair in one call: row i*m + j is (y_i, z_j)
+    m = zs.shape[0]
+    ys_rep = np.repeat(ys, m, axis=0)
+    zs_rep = np.tile(zs, (ys.shape[0], 1))
+    vmax = float(potential.shifted_height(ys_rep, zs_rep - ys_rep).max())
     if vmax >= (64.0 * r) ** 2:
         raise GeometryError("engulfing failure: gamma > 64 needed (catalog pathology?)")
     return max(1.0, float(np.sqrt(vmax)) / r)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -276,8 +277,10 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                 rhs = rhs - M[:, problem.data_idx] @ u[problem.data_idx]
             try:
                 if problem.P <= 6000:
-                    # nonlocal rows are dense; LAPACK beats sparse LU here
-                    x = np.linalg.solve(M_uu.toarray(), rhs)
+                    # nonlocal rows are dense; LAPACK beats sparse LU here.
+                    # LU in place of the Fortran-ordered copy: one P x P array
+                    x = sla.solve(M_uu.toarray(order="F"), rhs, overwrite_a=True,
+                                  check_finite=False, assume_a="gen")
                 else:
                     x = spla.spsolve(M_uu.tocsr(), rhs)
             except (RuntimeError, np.linalg.LinAlgError):

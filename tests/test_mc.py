@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import betainc
 
+import maslab.mc as mc_mod
 from maslab.errors import ConfigurationError
 from maslab.grid import constant_rule, halfspace_rule
 from maslab.kernels import KernelSpec
@@ -111,7 +115,6 @@ def test_cross_validation_against_solver(iso1):
 
 
 def test_runaway_path_guard(iso1, monkeypatch):
-    import maslab.mc as mc_mod
     monkeypatch.setattr(mc_mod, "_MAX_JUMPS", 8)
     cfg = _cfg(iso1, sigma=1.5, eta=1e-4, payoff=constant_rule(1.0))
     with pytest.raises(Exception, match="jumps"):
@@ -129,3 +132,97 @@ def test_cross_validation_2d(iso2):
     mc = estimate_exit_payoff(cfg, [0.2, 0.0], [-1, -1], [1, 1], 6000)
     gv = float(u.eval(np.array([[0.2, 0.0]]))[0])
     assert abs(gv - mc["mean"]) <= 3 * mc["std_error"] + mc["bias_bound"]
+
+
+@pytest.mark.parametrize("x0", [0.4, -0.3])
+def test_exact_exit_law_1d(iso1, x0):
+    # P_x(X_tau > 1) on (-1, 1) for the symmetric sigma-stable process is
+    # the regularized incomplete beta function I_{(1+x)/2}(s, s), s = sigma/2
+    # (Blumenthal, Getoor and Ray 1961); no solver is involved
+    sigma = 1.5
+    exact = float(betainc(sigma / 2, sigma / 2, (1 + x0) / 2))
+    r = estimate_exit_payoff(_cfg(iso1, sigma=sigma, eta=0.025,
+                                  payoff=halfspace_rule(0, 1.0), seed=41),
+                             [x0], [-1], [1], 20_000)
+    assert abs(r["mean"] - exact) <= 3 * r["std_error"] + r["bias_bound"]
+
+
+def test_chunk_boundary_writes_every_payoff(iso1):
+    paths = mc_mod._CHUNK + 3
+    r = estimate_exit_payoff(_cfg(iso1, payoff=constant_rule(2.5)),
+                             [0.3], [-1], [1], paths)
+    assert r["paths"] == paths
+    assert r["mean"] == 2.5
+    assert r["std_error"] == 0.0
+
+
+def _per_path_reference(config, x0, lo, hi, paths):
+    """The former estimator: one Generator and one Python loop per path,
+    with the perturbed rejection sampler in scalar form.
+
+    Returns the per-path payoffs and jump counts.
+    """
+    pot, spec, eta = config.potential, config.spec, config.eta
+    n, sigma = pot.dim, spec.sigma
+    quad = pot.id in ("iso_quadratic", "aniso_quadratic")
+    a_lo, a_hi = pot.hessian_bounds()
+    env = (a_hi / a_lo) ** ((n + sigma) / 2.0)
+
+    def draw_generic(rng, x):
+        G = pot.hessian(x)[0]
+        while True:
+            if n == 1:
+                theta = np.array([-1.0 if rng.random() < 0.5 else 1.0])
+            else:
+                ang = 2.0 * math.pi * rng.random()
+                theta = np.array([math.cos(ang), math.sin(ang)])
+            q = 0.5 * theta @ G @ theta
+            if rng.random() >= (0.5 * a_lo / q) ** (n / 2.0):
+                continue
+            t = eta / math.sqrt(q) * rng.random() ** (-1.0 / sigma)
+            y = t * theta
+            wbar = math.sqrt(pot.shifted_height(x, y)[0] * pot.shifted_height(x, -y)[0])
+            ratio = (max(wbar, 1e-300) / (q * t * t)) ** (-(n + sigma) / 2.0) / env
+            if rng.random() < ratio:
+                return y
+
+    payoffs, jumps = np.empty(paths), np.zeros(paths)
+    seeds = np.random.SeedSequence(config.seed).spawn(paths)
+    for i in range(paths):
+        rng = np.random.default_rng(seeds[i])
+        x = np.array(x0, dtype=float)
+        while True:
+            if quad:  # blocks of _BLOCK jumps, cut at the first exit
+                block = mc_mod._draw_jumps(rng, config, (mc_mod._BLOCK,))
+                pos = x + np.cumsum(block, axis=0)
+            else:
+                pos = (x + draw_generic(rng, x))[None, :]
+            outside = np.any((pos <= lo) | (pos >= hi), axis=1)
+            if outside.any():
+                k = int(np.argmax(outside))
+                jumps[i] += k + 1
+                payoffs[i] = config.payoff(pos[k:k + 1])[0]
+                break
+            jumps[i] += pos.shape[0]
+            x = pos[-1]
+    return payoffs, jumps
+
+
+@pytest.mark.parametrize("case", ["iso1", "perturbed2"])
+def test_parity_with_per_path_reference(case, iso1, perturbed2):
+    if case == "iso1":
+        cfg = _cfg(iso1, sigma=1.5, eta=0.05, payoff=halfspace_rule(0, 1.0), seed=17)
+        args = ([0.4], [-1.0], [1.0], 3000)
+    else:
+        spec = KernelSpec(1.0, 1.0, 1.2, "fixed_midpoint")
+        cfg = JumpProcessConfig(perturbed2, spec, 0.1, halfspace_rule(0, 1.0), 17)
+        args = ([0.3, 0.0], [-1.0, -1.0], [1.0, 1.0], 600)
+    paths = args[-1]
+    ref_pay, ref_jumps = _per_path_reference(cfg, *args)
+    r = estimate_exit_payoff(cfg, *args)
+    se_ref = ref_pay.std(ddof=1) / math.sqrt(paths)
+    assert abs(r["mean"] - ref_pay.mean()) <= 4 * np.hypot(r["std_error"], se_ref)
+    # both estimators sample one law, so the reference's spread of the jump
+    # count stands for both
+    se_jumps = ref_jumps.std(ddof=1) / math.sqrt(paths)
+    assert abs(r["mean_jumps"] - ref_jumps.mean()) <= 4 * math.sqrt(2) * se_jumps
