@@ -145,7 +145,13 @@ class GridFunction:
         return max(float(np.abs(self.values).max()), self.exterior.sup_bound)
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
-        return np.all((pts >= self.lo - 1e-12) & (pts <= self.hi + 1e-12), axis=1)
+        # column by column: np.all over an (N, dim) comparison runs an inner
+        # loop of length dim, several times slower for long N
+        ok = np.ones(pts.shape[0], dtype=bool)
+        for d in range(self.dim):
+            c = pts[:, d]
+            ok &= (c >= self.lo[d] - 1e-12) & (c <= self.hi[d] + 1e-12)
+        return ok
 
     # -- evaluation ----------------------------------------------------------
 

@@ -363,6 +363,12 @@ def operator_values(delta, coef, pid, count: int, spec: KernelSpec, equation: st
     differences: the sum of coef * slope * delta over each point's nodes,
     with the slopes of policy_slopes."""
     slopes = policy_slopes(delta, coef, pid, count, spec, equation, mults)
+    return policy_values(delta, coef, pid, count, slopes)
+
+
+def policy_values(delta, coef, pid, count: int, slopes) -> np.ndarray:
+    """Values at `count` points under a frozen policy: the sum of
+    coef * slope * delta over each point's nodes."""
     return np.bincount(pid, weights=coef * (slopes * delta), minlength=count)
 
 

@@ -127,7 +127,12 @@ class Potential:
         xa = _as_points(x, self.dim)
         if xa.shape[0] not in (1, ya.shape[0]):
             raise ConfigurationError("need one base point or one per increment")
-        w = 0.5 * np.einsum("ki,ki->k", ya @ self._A, ya)
+        if self.dim == 1:
+            # elementwise: a (k, 1) @ (1, 1) matmul costs several times more
+            y0 = ya[:, 0]
+            w = 0.5 * (self._A[0, 0] * y0 * y0)
+        else:
+            w = 0.5 * np.einsum("ki,ki->k", ya @ self._A, ya)
         if self.eps:
             # a single base point broadcasts: s0 is then one value
             xpy = xa + ya

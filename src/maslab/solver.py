@@ -8,10 +8,20 @@ whose update is a positive-weight average, hence monotone: u <= w pointwise
 (exterior included) is preserved and the discrete comparison principle holds
 exactly for the iteration map.  Because dt scales like the inner-core mass
 (~ rho0^sigma), explicit sweeps alone converge too slowly near sigma = 2 at
-desk scale, so the fixed point is located by policy iteration (the extremal
-slope field is frozen, the resulting linear system solved sparsely, and the
-policy re-derived) and then polished with explicit sweeps; both paths share
-one compiled node set, so they agree on the discrete operator exactly.
+desk scale, so the fixed point is located by policy (Howard) iteration and
+then polished with explicit sweeps; both paths share one compiled node set,
+so they agree on the discrete operator exactly.
+
+Each policy step freezes the extremal slopes at the current iterate and
+solves the frozen-policy linear system for the correction, whose right-hand
+side is the current residual.  The first step factors the policy matrix (a
+dense LU up to DENSE_MAX unknowns, a sparse LU above).  Later steps run
+GMRES, right-preconditioned by that kept factor: every policy matrix has the
+same pattern and weights within Lam/lam of the others, so the factor of one
+is a close preconditioner for the rest.  A Krylov step after which the
+residual stalls is followed by a fresh factorization; a direct step that
+stalls ends the policy iteration (Bokanowski, Maroso and Zidani 2009 cover
+Howard's algorithm with inexact inner solves).
 
 The node set is compiled by kernels.point_quadrature over blocks of unknowns
 (each point gets the nodes of its own sections), and operator values and
@@ -32,7 +42,7 @@ from .errors import ConfigurationError, DataError
 from .grid import ExteriorRule, GridFunction
 from .kernels import (EQUATIONS, KernelRule, KernelSpec, QuadraturePlan, make_plan,
                       operator_values, point_quadrature, policy_slopes,
-                      rule_multipliers)
+                      policy_values, rule_multipliers)
 from .potential import Potential
 
 # Nodes compiled per call of point_quadrature: bounds the temporaries of one
@@ -41,6 +51,21 @@ from .potential import Potential
 # at 2^17-2^18 nodes the per-block arrays fragmented the heap, and repeated
 # 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
 NODE_BUDGET = 1 << 19
+
+# Largest number of unknowns whose policy matrix is factored densely: the
+# nonlocal rows are dense, and LAPACK's LU beats a sparse LU up to here.
+DENSE_MAX = 6000
+# GMRES restart length: the iteration cap of one cycle.  Preconditioned by
+# the factor of an earlier policy matrix (same pattern, weights within
+# Lam/lam of the current ones), GMRES reached the roundoff floor in 4-21
+# iterations per step on the benchmark problems; 30 leaves headroom and
+# holds 31 basis vectors of length P.
+KRYLOV_RESTART = 30
+# Cycles per policy step: none after the first.  A step that needs more than
+# one cycle has a poor preconditioner, and a fresh factorization (the cost
+# of about 35 iterations at P = 2305) is cheaper; the stall test after the
+# step triggers it.
+KRYLOV_CYCLES = 1
 
 
 def _block_points(plan: QuadraturePlan) -> int:
@@ -78,7 +103,9 @@ class DiscreteProblem:
     Node bookkeeping is flat: node j belongs to unknown PID[j] with kernel
     bound COEF[j] and height WBAR[j]; S_j, the interpolated pair sum
     u(x_p + y_j) + u(x_p - y_j), is split into in-box contributions
-    (triplets CROW, CCOL, CW) and a constant exterior part CONST[j].
+    (triplets CROW, CCOL, CW) and a constant exterior part CONST[j].  The
+    triplets are node-major (CROW, hence PID[CROW], is nondecreasing), and
+    ROWPTR[p]:ROWPTR[p+1] are the triplets of unknown p.
     """
 
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
@@ -136,25 +163,32 @@ class DiscreteProblem:
             pq = point_quadrature(self.plan,
                                   self.grid_pts[self.unknown[first:first + step]])
             x = np.take(pq.x, pq.pid, axis=0)      # row gather; faster than pq.x[pq.pid]
-            cj = np.zeros(pq.coef.size)
-            for sgn in (1.0, -1.0):
-                pts = x + sgn * pq.y
-                ins = geom.inside(pts)
-                if ins.any():
-                    idx, wts = geom.interp_weights(pts[ins])
-                    jj = np.nonzero(ins)[0] + j_off
-                    crow.append(np.repeat(jj, idx.shape[1]))
-                    ccol.append(idx.ravel())
-                    cw.append(wts.ravel())
-                if (~ins).any():
-                    cj[~ins] += self.exterior(pts[~ins])
+            J = pq.coef.size
+            # row 2j + s holds x_j + y_j (s = 0) or x_j - y_j (s = 1): the
+            # in-box triplets come out node-major, so CROW and PID[CROW]
+            # are nondecreasing over the whole node set
+            pts = np.empty((J, 2, self.n))
+            np.add(x, pq.y, out=pts[:, 0])
+            np.subtract(x, pq.y, out=pts[:, 1])
+            pts = pts.reshape(2 * J, self.n)
+            ins = geom.inside(pts)
+            if ins.any():
+                idx, wts = geom.interp_weights(np.compress(ins, pts, axis=0))
+                crow.append(np.repeat(np.nonzero(ins)[0] // 2 + j_off, idx.shape[1]))
+                ccol.append(idx.ravel())
+                cw.append(wts.ravel())
+            ext = np.zeros(2 * J)
+            if not ins.all():
+                out = ~ins
+                ext[out] = self.exterior(np.compress(out, pts, axis=0))
+            cj = ext[0::2] + ext[1::2]
             for m_list, rule in zip(mults, rules):
                 m_list.append(rule_multipliers(rule, spec, x, pq.y, pq.wbar))
             pid.append(pq.pid + first)
             coef.append(pq.coef)
             wbar.append(pq.wbar)
             const.append(cj)
-            j_off += pq.coef.size
+            j_off += J
         self.PID = _join(pid)
         self.COEF = _join(coef)
         self.CONST = _join(const)
@@ -163,6 +197,9 @@ class DiscreteProblem:
         self.CROW = _join(crow)
         self.CCOL = _join(ccol)
         self.CW = _join(cw)
+        self.ROWPTR = np.zeros(self.P + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.PID.take(self.CROW), minlength=self.P),
+                  out=self.ROWPTR[1:])
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
             * 2.0 * spec.Lam
         self.cfl_dt = 1.0 / float(self.mass.max())
@@ -195,20 +232,19 @@ class DiscreteProblem:
                              self.equation, self._mults)
 
     def assemble(self, slopes: np.ndarray):
-        """Sparse linearization: rows = unknowns, columns = all lattice points."""
+        """Frozen-policy matrix S + diag(d) in the unknowns, S over all columns.
+
+        S is the CSR matrix of the interpolation triplets weighted by
+        a = COEF * slopes (rows = unknowns, columns = all lattice points,
+        duplicate entries left unsummed) and d = -2 * (sum of a per point)
+        the centre weights; the exterior part of A u is not included.  The
+        triplets are node-major, so S is read off them with no COO stage
+        and no sort.
+        """
         a = self.COEF * slopes
-        vals = a[self.CROW] * self.CW
-        rows = self.PID[self.CROW]
-        cols = self.CCOL
-        diag_rows = np.arange(self.P)
-        diag_cols = self.unknown
-        diag_vals = -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
-        M = sp.coo_matrix(
-            (np.concatenate([vals, diag_vals]),
-             (np.concatenate([rows, diag_rows]), np.concatenate([cols, diag_cols]))),
-            shape=(self.P, self.N)).tocsc()
-        rhs_const = np.bincount(self.PID, weights=a * self.CONST, minlength=self.P)
-        return M, rhs_const
+        S = sp.csr_matrix((a.take(self.CROW) * self.CW, self.CCOL, self.ROWPTR),
+                          shape=(self.P, self.N))
+        return S, -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
 
     # -- iteration -----------------------------------------------------------
 
@@ -242,6 +278,55 @@ def _f_values(f, pts) -> np.ndarray:
     return vals
 
 
+class _Factor:
+    """LU factor of one policy matrix S + diag(d), kept to solve with it and
+    to precondition the Krylov solves of later policy steps."""
+
+    def __init__(self, S, d):
+        P = S.shape[0]
+        self.sparse = P > DENSE_MAX
+        if self.sparse:
+            self._lu = spla.splu((S + sp.diags(d)).tocsc())
+        else:
+            # C-ordered dense copy (a CSR matrix writes one without a
+            # conversion), factored as its F-ordered transpose in place, so
+            # the factor is the only P x P array; the policy matrix is
+            # diagonally dominant by rows, so the transpose is by columns.
+            A = S.toarray()
+            A[np.diag_indices(P)] += d
+            self._lu = sla.lu_factor(A.T, overwrite_a=True, check_finite=False)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.sparse:
+            return self._lu.solve(b)
+        return sla.lu_solve(self._lu, b, trans=1, check_finite=False)
+
+
+def _krylov(S, d, r, factor: _Factor, atol: float) -> tuple[np.ndarray, int]:
+    """Correction dx with (S + diag(d)) dx = r by GMRES, right-preconditioned
+    by the factor of an earlier policy matrix so that GMRES minimizes the
+    true residual and `atol` bounds its 2-norm; returns dx and the inner
+    iteration count."""
+    def matvec(v):
+        w = factor.solve(v)
+        return S @ w + d * w
+
+    AM = spla.LinearOperator((r.size, r.size), matvec=matvec, dtype=float)
+    steps = []
+    y, _ = spla.gmres(AM, r, rtol=0.0, atol=atol, restart=KRYLOV_RESTART,
+                      maxiter=KRYLOV_CYCLES, callback=steps.append,
+                      callback_type="pr_norm")
+    return factor.solve(y), len(steps)
+
+
+def _linearize(problem: DiscreteProblem, u: np.ndarray, f_vals: np.ndarray):
+    """Policy at u and the residual vector A u - f, from one node pass."""
+    delta = problem.node_deltas(u)
+    slopes = problem.node_slopes(delta)
+    return slopes, policy_values(delta, problem.COEF, problem.PID, problem.P,
+                                 slopes) - f_vals
+
+
 def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
           max_iter: int = 30000, method: str = "auto") -> tuple[GridFunction, SolveReport]:
     """Fixed point of A u = f with exterior Dirichlet data.
@@ -255,56 +340,80 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     The report's `method` is the path taken: "policy+polish",
     "policy+explicit" (policy iteration missed the tolerance and up to
     min(max_iter, 5000) explicit sweeps followed, counted in
-    details["fallback_sweeps"]) or "explicit".
+    details["fallback_sweeps"]) or "explicit".  details also counts the
+    policy matrices factored ("factorizations") and the GMRES iterations
+    ("krylov_iterations"), lists the max-norm residual after each policy
+    step ("policy_residuals") and names the inner solves
+    ("linear_solver": "lu", "lu+gmres", "splu", "splu+gmres", or "none"
+    for the explicit method).
     """
     if method not in ("auto", "explicit"):
         raise ConfigurationError(f"unknown solve method {method!r}; "
                                  "use 'auto' or 'explicit'")
-    f_vals = _f_values(f, problem.grid_pts[problem.unknown])
+    unk = problem.unknown
+    f_vals = _f_values(f, problem.grid_pts[unk])
     u = problem.data_values()
-    iters = 0
-    res = problem.residual(u, f_vals)
+    slopes, g = _linearize(problem, u, f_vals)
+    res = float(np.abs(g).max())
+    iters = factorizations = krylov_iterations = 0
+    policy_residuals = []
+    factor, linear_solver = None, "none"
 
     if method == "auto":
         prev = np.inf
+        refactor = True
         for _ in range(40):
-            delta = problem.node_deltas(u)
-            slopes = problem.node_slopes(delta)
-            M, rhs_c = problem.assemble(slopes)
-            rhs = f_vals - rhs_c
-            M_uu = M[:, problem.unknown]
+            # the policy system for the correction dx has the right-hand
+            # side -g: exterior and data-column parts are already in g
+            S, d = problem.assemble(slopes)
             if problem.data_idx.size:
-                rhs = rhs - M[:, problem.data_idx] @ u[problem.data_idx]
-            try:
-                if problem.P <= 6000:
-                    # nonlocal rows are dense; LAPACK beats sparse LU here.
-                    # LU in place of the Fortran-ordered copy: one P x P array
-                    x = sla.solve(M_uu.toarray(order="F"), rhs, overwrite_a=True,
-                                  check_finite=False, assume_a="gen")
-                else:
-                    x = spla.spsolve(M_uu.tocsr(), rhs)
-            except (RuntimeError, np.linalg.LinAlgError):
-                break
-            if not np.all(np.isfinite(x)):
-                break
-            u_new = u.copy()
-            u_new[problem.unknown] = x
+                S = S[:, unk]
+            dx = None
+            if not refactor:
+                # solved to the roundoff floor of the policy systems, about
+                # eps * mass * sup|u|, where a direct solve also ends
+                floor = np.finfo(float).eps * problem.mass.max() * np.abs(u).max()
+                dx, k = _krylov(S, d, -g, factor, float(floor))
+                krylov_iterations += k
+                if not np.all(np.isfinite(dx)):
+                    dx = None
+            krylov = dx is not None
+            if not krylov:
+                factor = None           # release the old factor first
+                try:
+                    factor = _Factor(S, d)
+                except (RuntimeError, np.linalg.LinAlgError):
+                    break
+                factorizations += 1
+                linear_solver = "splu" if factor.sparse else "lu"
+                dx = factor.solve(-g)
+                if not np.all(np.isfinite(dx)):
+                    break
+            del S                       # before the node pass
+            u[unk] += dx
             iters += 1
-            res = problem.residual(u_new, f_vals)
-            u = u_new
+            slopes, g = _linearize(problem, u, f_vals)
+            res = float(np.abs(g).max())
+            policy_residuals.append(res)
             if res <= max(tolerance, 1e-14):
                 break
-            if res >= 0.5 * prev and iters > 3:
+            stalled = res >= 0.5 * prev
+            if stalled and not krylov and iters > 3:
                 break
+            # a stalled Krylov step may have missed the policy system's
+            # solution: the next step factors its matrix afresh
+            refactor = stalled and krylov
             prev = res
     fallback_sweeps = 0
+    dt = problem.cfl_dt
     if method == "explicit" or res > tolerance:
         sweeps = max_iter if method == "explicit" else min(max_iter, 5000)
         policy_iters = iters
         for _ in range(sweeps):
-            u = problem.iterate(u, f_vals)
+            u[unk] += dt * g
             iters += 1
-            res = problem.residual(u, f_vals)
+            g = problem.apply(u) - f_vals
+            res = float(np.abs(g).max())
             if res <= tolerance:
                 break
         path = "explicit"
@@ -313,10 +422,13 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     else:
         path = "policy+polish"
         for _ in range(3):
-            u = problem.iterate(u, f_vals)
+            u[unk] += dt * g
             iters += 1
-        res = problem.residual(u, f_vals)
+            g = problem.apply(u) - f_vals
+        res = float(np.abs(g).max())
 
+    if krylov_iterations:
+        linear_solver += "+gmres"
     gf = GridFunction(problem.geom.lo, problem.geom.hi,
                       u.reshape(problem.geom.shape), problem.exterior)
     report = SolveReport(iterations=iters, final_residual=res,
@@ -324,7 +436,11 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                          method=path,
                          details={"equation": problem.equation,
                                   "unknowns": int(problem.P),
-                                  "fallback_sweeps": fallback_sweeps})
+                                  "fallback_sweeps": fallback_sweeps,
+                                  "linear_solver": linear_solver,
+                                  "factorizations": factorizations,
+                                  "krylov_iterations": krylov_iterations,
+                                  "policy_residuals": policy_residuals})
     return gf, report
 
 

@@ -25,6 +25,20 @@ def test_nodes_reproduced_exactly():
     assert np.allclose(u.eval(pts), u.values.ravel(), atol=0.0)
 
 
+def test_inside_matches_rowwise_reference(rng):
+    # per-column test against the former np.all over the (N, dim) comparison,
+    # with points on and just beyond the 1e-12 margin
+    for lo, hi in (([-1.0], [1.0]), ([-1.0, -0.5], [1.0, 2.0])):
+        u = GridFunction.from_callable(lo, hi, 0.5, lambda p: np.zeros(p.shape[0]),
+                                       zero_rule())
+        pts = rng.uniform(-2.5, 2.5, size=(4000, len(lo)))
+        edge = np.array([lo, hi])
+        pts[:8] = edge[rng.integers(2, size=(8, len(lo))), np.arange(len(lo))]
+        pts[8:16] = pts[:8] + rng.choice([-2e-12, -5e-13, 5e-13, 2e-12], size=(8, len(lo)))
+        want = np.all((pts >= u.lo - 1e-12) & (pts <= u.hi + 1e-12), axis=1)
+        assert np.array_equal(u.inside(pts), want)
+
+
 def test_tensor_points_row_major():
     ax0, ax1 = np.linspace(-1.0, 1.0, 3), np.arange(0.0, 0.5, 0.25)
     assert np.array_equal(tensor_points([ax0]), ax0[:, None])

@@ -119,6 +119,17 @@ def test_shifted_height_per_increment_base_points(perturbed2, rng):
         perturbed2.shifted_height(xs[:2], ys)
 
 
+def test_shifted_height_1d_matches_quadratic_form(rng):
+    # 1D heights are computed elementwise; they equal the matrix quadratic
+    # form 0.5 * y.A y bitwise
+    for pot in (make_potential("iso_quadratic", 1),
+                make_potential("aniso_quadratic", 1, [2.5])):
+        x = rng.uniform(-2.0, 2.0, size=(500, 1))
+        y = rng.normal(size=(500, 1))
+        want = 0.5 * np.einsum("ki,ki->k", y @ pot._A, y)
+        assert np.array_equal(pot.shifted_height(x, y), want)
+
+
 def test_ma_bounds_iso(iso2):
     assert verify_ma_bounds(iso2, [-2, -2], [2, 2], 8) == (1.0, 1.0)
 

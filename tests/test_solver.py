@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from dataclasses import replace
 
 from maslab import solver
 from maslab.errors import ConfigurationError
-from maslab.grid import (GridFunction, constant_rule, gaussian_rule, halfspace_rule,
-                         indicator_box_rule, zero_rule)
+from maslab.grid import (GridFunction, callable_rule, constant_rule, gaussian_rule,
+                         halfspace_rule, indicator_box_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, extremal, isaacs_apply,
                             linear_apply, lower_rule, make_kernel_rule,
                             midpoint_rule, operator_values, upper_rule)
@@ -250,6 +252,9 @@ def test_max_iter_exceeded_returns_best_iterate(iso1):
     assert np.all(np.isfinite(u.values))
     assert rep.method == "explicit"
     assert rep.details["fallback_sweeps"] == 0
+    assert rep.details["linear_solver"] == "none"
+    assert rep.details["factorizations"] == rep.details["krylov_iterations"] == 0
+    assert rep.details["policy_residuals"] == []
 
 
 def test_explicit_fallback_is_reported(iso1):
@@ -292,3 +297,107 @@ def test_solve_2d_perturbed_smoke(perturbed2):
     u, rep = solve(prob)
     assert rep.converged
     assert np.all((u.values >= -1e-12) & (u.values <= 1.0 + 1e-12))
+
+
+def _direct_reference(prob, f, tolerance):
+    """Policy iteration with a fresh scipy.linalg.solve per step on the matrix
+    built from COO triplets (the inner solve the Krylov path replaces), the
+    same residual test and the same three polish sweeps."""
+    f_vals = np.full(prob.P, float(f))
+    u = prob.data_values()
+    prev, steps = np.inf, 0
+    for _ in range(40):
+        a = prob.COEF * prob.node_slopes(prob.node_deltas(u))
+        M = sp.coo_matrix((a[prob.CROW] * prob.CW, (prob.PID[prob.CROW], prob.CCOL)),
+                          shape=(prob.P, prob.N)).toarray()
+        M[np.arange(prob.P), prob.unknown] -= 2.0 * np.bincount(prob.PID, weights=a,
+                                                                minlength=prob.P)
+        rhs = (f_vals - np.bincount(prob.PID, weights=a * prob.CONST, minlength=prob.P)
+               - M[:, prob.data_idx] @ u[prob.data_idx])
+        u = u.copy()
+        u[prob.unknown] = scipy.linalg.solve(M[:, prob.unknown], rhs)
+        steps += 1
+        res = prob.residual(u, f_vals)
+        if res <= max(tolerance, 1e-14) or (res >= 0.5 * prev and steps > 3):
+            break
+        prev = res
+    for _ in range(3):
+        u = prob.iterate(u, f_vals)
+    return u, steps
+
+
+def _krylov_cases(request):
+    iso1 = request.getfixturevalue("iso1")
+    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    ring = callable_rule("ring", lambda p: ((p * p).sum(axis=1) >= 4.0).astype(float),
+                         1.0)
+    return {
+        "1d_plus": (lambda: DiscreteProblem(
+            iso1, KernelSpec(1.0, 2.0, 1.9, "extremal_plus"), [-1], [1], 1 / 64,
+            indicator_box_rule([1.1], [1.5], 1.0)), 0.0),
+        "2d_aniso_minus": (lambda: DiscreteProblem(
+            request.getfixturevalue("aniso2"), KernelSpec(1.0, 2.0, 1.5, "extremal_minus"),
+            [-1, -1], [1, 1], 1 / 8, gaussian_rule(1.0, 0.7, [0.3, -0.2]),
+            "extremal_minus"), 0.0),
+        "2d_perturbed_plus": (lambda: DiscreteProblem(
+            request.getfixturevalue("perturbed2"), KernelSpec(1.0, 2.0, 1.5),
+            [-1, -1], [1, 1], 1 / 8, ring), 0.0),
+        "isaacs": (lambda: DiscreteProblem(
+            iso1, mid, [-1], [1], 1 / 64, indicator_box_rule([1.2], [1.8], 1.0), "isaacs",
+            families=[[make_kernel_rule(r, mid) for r in b]
+                      for b in [["lower", "midpoint"], ["upper"]]]), -0.5),
+        # the hole's data columns go to the right-hand side
+        "hole": (lambda: DiscreteProblem(
+            iso1, KernelSpec(1.0, 2.0, 1.2), [-1], [1], 1 / 64,
+            indicator_box_rule([-0.05], [0.05], 2.0),
+            domain=lambda p: np.abs(p[:, 0]) > 0.05), 0.3),
+    }
+
+
+@pytest.mark.parametrize("case", ["1d_plus", "2d_aniso_minus", "2d_perturbed_plus",
+                                  "isaacs", "hole"])
+def test_krylov_path_matches_direct_reference(request, case):
+    make, f = _krylov_cases(request)[case]
+    prob = make()
+    assert np.all(np.diff(prob.CROW) >= 0)       # node-major triplets
+    u, rep = solve(prob, f=f, tolerance=1e-10)
+    want, steps = _direct_reference(prob, f, 1e-10)
+    d = rep.details
+    assert rep.converged and rep.method == "policy+polish"
+    assert d["linear_solver"] == "lu+gmres" and d["krylov_iterations"] > 0
+    assert d["factorizations"] == 1
+    assert len(d["policy_residuals"]) == steps
+    assert d["policy_residuals"][-1] <= 1e-10
+    scale = float(np.abs(want).max())
+    assert np.abs(u.values.ravel() - want).max() <= 1e-12 * scale
+
+
+def test_one_factorization_per_solve(iso1):
+    # the criterion-10 kind of solve: M+ with indicator data, several policy
+    # steps, every step after the first a Krylov step on the first factor
+    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    prob = DiscreteProblem(iso1, spec, [-3], [3], 1 / 64,
+                           indicator_box_rule([3.1], [4.1], 1.0))
+    u, rep = solve(prob)
+    d = rep.details
+    assert rep.converged
+    assert len(d["policy_residuals"]) >= 4
+    assert d["factorizations"] == 1 and d["linear_solver"] == "lu+gmres"
+    assert rep.iterations == len(d["policy_residuals"]) + 3     # + polish
+    assert d["policy_residuals"][-1] <= 1e-10
+
+
+def test_sparse_lu_branch(iso1, monkeypatch):
+    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
+    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64,
+                           indicator_box_rule([1.1], [1.5], 1.0))
+    u_dense, rep_dense = solve(prob)
+    monkeypatch.setattr(solver, "DENSE_MAX", prob.P - 1)
+    u, rep = solve(prob)
+    assert rep.converged
+    assert rep_dense.details["linear_solver"] == "lu+gmres"
+    assert rep.details["linear_solver"] == "splu+gmres"
+    assert rep.details["factorizations"] == 1
+    steps = len(rep_dense.details["policy_residuals"])
+    assert len(rep.details["policy_residuals"]) == steps
+    assert np.abs(u.values - u_dense.values).max() <= 1e-12 * np.abs(u_dense.values).max()
