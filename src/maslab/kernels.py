@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, KernelClassError
 from .potential import Potential, _as_points
 
-SELECTIONS = ("extremal_plus", "extremal_minus", "fixed_midpoint", "table")
+SELECTIONS = ("extremal_plus", "extremal_minus", "fixed_midpoint")
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ class QuadraturePlan:
     angles: np.ndarray             # (n_ang, n) unit directions
     ang_weights: np.ndarray        # (n_ang,) angular weights
     tail_radius: float             # Euclidean radius where rings stop
-    tail_integral: float           # kernel-bound integral beyond tail_radius
     h: float = field(default=0.0)
 
     def refined(self, factor: int = 2) -> "QuadraturePlan":
@@ -168,14 +167,6 @@ def _ang_weights(n: int, count: int) -> np.ndarray:
     if n == 1:
         return np.ones(2)
     return np.full(count, 2.0 * math.pi / count)
-
-
-def tail_kernel_integral(potential: Potential, sigma: float, R: float) -> float:
-    """int_{|y|>R} (alpha_lo |y|^2 / 2)^{-(n+sigma)/2} dy, closed form."""
-    n = potential.dim
-    a_lo, _ = potential.hessian_bounds()
-    return (_sphere_measure(n) * (0.5 * a_lo) ** (-(n + sigma) / 2.0)
-            * R ** (-sigma) / sigma)
 
 
 def make_plan(potential: Potential, spec: KernelSpec, h: float,
@@ -215,9 +206,7 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
         potential=potential, spec=spec, inner_radius=rho0,
         ring_heights=ladder, ring_nodes=8 if n == 1 else 5,
         angles=_directions(n, n_ang), ang_weights=_ang_weights(n, n_ang),
-        tail_radius=float(R_t),
-        tail_integral=tail_kernel_integral(potential, sigma, R_t),
-        h=float(h))
+        tail_radius=float(R_t), h=float(h))
 
 
 @dataclass

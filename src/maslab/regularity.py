@@ -104,7 +104,10 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
     in_1 = v_z < 1.0
     m_hat, eta_hat = None, 0.0
     for mj in 2.0 ** np.arange(0, 40):
-        cnt = float(((vals <= mj) & in_1).sum()) * cell
+        # values within 1e-12 relative of the level count as at it: mirror
+        # points of a symmetric problem differ in the last bits, and whether
+        # both count must not depend on that roundoff
+        cnt = float(((vals <= mj * (1 + 1e-12)) & in_1).sum()) * cell
         if cnt > 0:
             m_hat, eta_hat = float(mj), cnt
             break

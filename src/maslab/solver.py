@@ -21,12 +21,15 @@ same pattern and weights within Lam/lam of the others, so the factor of one
 is a close preconditioner for the rest.  A Krylov step after which the
 residual stalls is followed by a fresh factorization; a direct step that
 stalls ends the policy iteration (Bokanowski, Maroso and Zidani 2009 cover
-Howard's algorithm with inexact inner solves).
+Howard's algorithm with inexact inner solves).  The loop also stops within
+FLOOR_FACTOR of the roundoff floor eps * mass.max() * sup|u|, and says so.
 
 The node set is compiled by kernels.point_quadrature over blocks of unknowns
 (each point gets the nodes of its own sections), and operator values and
 policies come from kernels.operator_values and kernels.policy_slopes, the
-same reduction the pointwise operators use.
+same reduction the pointwise operators use.  Nodes whose pair points both
+fall outside the box see u only through 2u_p, so each point's such nodes
+are compiled, exactly, as one node per distinct exterior value.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ KRYLOV_RESTART = 30
 # of about 35 iterations at P = 2305) is cheaper; the stall test after the
 # step triggers it.
 KRYLOV_CYCLES = 1
+# The policy loop stops within FLOOR_FACTOR of the roundoff floor
+# eps * mass.max() * sup|u| of its linear systems, which no policy step or
+# explicit sweep gets below: on the pucci_1d problem (P = 2305) the policy
+# residuals stalled at 1.0-1.4 times the floor, and 4 covers that spread.
+FLOOR_FACTOR = 4.0
 
 
 def _block_points(plan: QuadraturePlan) -> int:
@@ -104,8 +112,13 @@ class DiscreteProblem:
     bound COEF[j] and height WBAR[j]; S_j, the interpolated pair sum
     u(x_p + y_j) + u(x_p - y_j), is split into in-box contributions
     (triplets CROW, CCOL, CW) and a constant exterior part CONST[j].  The
-    triplets are node-major (CROW, hence PID[CROW], is nondecreasing), and
-    ROWPTR[p]:ROWPTR[p+1] are the triplets of unknown p.
+    fully exterior nodes of a point (x_p + y_j and x_p - y_j outside the box,
+    so delta = CONST - 2u_p) are folded into one group node per CONST value,
+    with summed COEF and coef-weighted mean height and multipliers; each
+    block lists its kept nodes, then its groups.  So PID is not nondecreasing,
+    but the triplets are node-major (CROW, hence PID[CROW], is nondecreasing),
+    and ROWPTR[p]:ROWPTR[p+1] are the triplets of unknown p.  node_counts
+    has the node counts before and after the folding.
     """
 
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
@@ -157,7 +170,7 @@ class DiscreteProblem:
         pid, coef, const, wbar = [], [], [], []
         crow, ccol, cw = [], [], []
         mults = [[] for _ in rules]
-        j_off = 0
+        j_off = quadrature_nodes = exterior_nodes = 0
         step = _block_points(self.plan)
         for first in range(0, self.P, step):
             pq = point_quadrature(self.plan,
@@ -172,23 +185,47 @@ class DiscreteProblem:
             np.subtract(x, pq.y, out=pts[:, 1])
             pts = pts.reshape(2 * J, self.n)
             ins = geom.inside(pts)
-            if ins.any():
-                idx, wts = geom.interp_weights(np.compress(ins, pts, axis=0))
-                crow.append(np.repeat(np.nonzero(ins)[0] // 2 + j_off, idx.shape[1]))
-                ccol.append(idx.ravel())
-                cw.append(wts.ravel())
             ext = np.zeros(2 * J)
             if not ins.all():
                 out = ~ins
                 ext[out] = self.exterior(np.compress(out, pts, axis=0))
             cj = ext[0::2] + ext[1::2]
+            # the nodes of a (point, CONST) group of fully exterior nodes
+            # share delta = CONST - 2u_p, hence one slope: one node each
+            keep = ins[0::2] | ins[1::2]
+            outer = ~keep
+            # the sorts see only the heads of runs of equal (point, CONST):
+            # along a ray the data are mostly constant
+            pe, ec = pq.pid[outer], cj[outer]
+            head = np.ones(ec.size, dtype=bool)
+            head[1:] = (pe[1:] != pe[:-1]) | (ec[1:] != ec[:-1])
+            vals, code = np.unique(ec[head], return_inverse=True)
+            key, gid = np.unique(pe[head] * vals.size + code, return_inverse=True)
+            gid = gid[np.cumsum(head) - 1]
+            ce = pq.coef[outer]
+            gc = np.bincount(gid, weights=ce)
+
+            def fold(v):
+                return np.concatenate([v[keep], np.bincount(gid, weights=ce * v[outer]) / gc])
+
+            if ins.any():
+                idx, wts = geom.interp_weights(np.compress(ins, pts, axis=0))
+                rank = np.cumsum(keep) - 1 + j_off
+                crow.append(np.repeat(rank[np.nonzero(ins)[0] // 2], idx.shape[1]))
+                ccol.append(idx.ravel())
+                cw.append(wts.ravel())
             for m_list, rule in zip(mults, rules):
-                m_list.append(rule_multipliers(rule, spec, x, pq.y, pq.wbar))
-            pid.append(pq.pid + first)
-            coef.append(pq.coef)
-            wbar.append(pq.wbar)
-            const.append(cj)
-            j_off += J
+                m_list.append(fold(rule_multipliers(rule, spec, x, pq.y, pq.wbar)))
+            pid.append(np.concatenate([pq.pid[keep], key // vals.size]) + first)
+            coef.append(np.concatenate([pq.coef[keep], gc]))
+            wbar.append(fold(pq.wbar))
+            const.append(np.concatenate([cj[keep], vals[key % vals.size]]))
+            j_off += coef[-1].size
+            quadrature_nodes += J
+            exterior_nodes += ce.size
+        self.node_counts = {"quadrature_nodes": quadrature_nodes, "compiled_nodes": j_off,
+                            "exterior_groups": j_off - (quadrature_nodes - exterior_nodes),
+                            "exterior_share": exterior_nodes / quadrature_nodes}
         self.PID = _join(pid)
         self.COEF = _join(coef)
         self.CONST = _join(const)
@@ -340,7 +377,10 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     The report's `method` is the path taken: "policy+polish",
     "policy+explicit" (policy iteration missed the tolerance and up to
     min(max_iter, 5000) explicit sweeps followed, counted in
-    details["fallback_sweeps"]) or "explicit".  details also counts the
+    details["fallback_sweeps"]) or "explicit".  details["floor_limited"]
+    says the policy loop stopped at the roundoff floor above the tolerance
+    (no sweeps follow; not converged).  details has the problem's
+    node_counts, and counts the
     policy matrices factored ("factorizations") and the GMRES iterations
     ("krylov_iterations"), lists the max-norm residual after each policy
     step ("policy_residuals") and names the inner solves
@@ -358,6 +398,7 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     iters = factorizations = krylov_iterations = 0
     policy_residuals = []
     factor, linear_solver = None, "none"
+    floor_limited = False
 
     if method == "auto":
         prev = np.inf
@@ -370,10 +411,8 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                 S = S[:, unk]
             dx = None
             if not refactor:
-                # solved to the roundoff floor of the policy systems, about
-                # eps * mass * sup|u|, where a direct solve also ends
-                floor = np.finfo(float).eps * problem.mass.max() * np.abs(u).max()
-                dx, k = _krylov(S, d, -g, factor, float(floor))
+                # solved to the roundoff floor, where a direct solve also ends
+                dx, k = _krylov(S, d, -g, factor, floor)
                 krylov_iterations += k
                 if not np.all(np.isfinite(dx)):
                     dx = None
@@ -395,7 +434,9 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             slopes, g = _linearize(problem, u, f_vals)
             res = float(np.abs(g).max())
             policy_residuals.append(res)
-            if res <= max(tolerance, 1e-14):
+            floor = float(np.finfo(float).eps * problem.mass.max() * np.abs(u).max())
+            if res <= max(tolerance, FLOOR_FACTOR * floor):
+                floor_limited = res > tolerance
                 break
             stalled = res >= 0.5 * prev
             if stalled and not krylov and iters > 3:
@@ -406,7 +447,7 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             prev = res
     fallback_sweeps = 0
     dt = problem.cfl_dt
-    if method == "explicit" or res > tolerance:
+    if method == "explicit" or (res > tolerance and not floor_limited):
         sweeps = max_iter if method == "explicit" else min(max_iter, 5000)
         policy_iters = iters
         for _ in range(sweeps):
@@ -437,10 +478,12 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                          details={"equation": problem.equation,
                                   "unknowns": int(problem.P),
                                   "fallback_sweeps": fallback_sweeps,
+                                  "floor_limited": floor_limited,
                                   "linear_solver": linear_solver,
                                   "factorizations": factorizations,
                                   "krylov_iterations": krylov_iterations,
-                                  "policy_residuals": policy_residuals})
+                                  "policy_residuals": policy_residuals,
+                                  **problem.node_counts})
     return gf, report
 
 

@@ -343,8 +343,9 @@ def test_spec_validation():
         KernelSpec(2.0, 1.0, 1.5)
     with pytest.raises(ConfigurationError):
         KernelSpec(1.0, 2.0, 2.5)
-    with pytest.raises(ConfigurationError):
-        KernelSpec(1.0, 2.0, 1.5, "bogus")
+    for selection in ("bogus", "table"):      # "table" was never implemented
+        with pytest.raises(ConfigurationError):
+            KernelSpec(1.0, 2.0, 1.5, selection)
 
 
 def test_extremal_2d_matches_polar_brute_force(iso2):

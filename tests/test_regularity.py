@@ -43,6 +43,17 @@ def test_leps_fixture_exponent(iso1):
     assert r["r2"] >= 0.9
     assert r["nonempty_levels"] >= 4
     assert r["M_hat"] is not None and r["eta_hat"] > 0
+    # the minimum over S_1 sits at a mirror pair; a last-bit difference
+    # between the two is a tie, and both count
+    sym = 0.5 * (u.values.ravel() + u.values.ravel()[::-1])
+    in_1 = iso1.height(np.zeros(1), u.points()) < 1.0
+    pair = np.flatnonzero(in_1 & (sym == sym[in_1].min()))
+    assert pair.size == 2
+    sym /= sym[pair[0]]
+    sym[pair[1]] *= 1 + 4 * np.finfo(float).eps
+    r = l_eps_tail(u.copy_with(sym.reshape(u.values.shape)), iso1, prob.spec, [0.0],
+                   TAU, eps0=1.0)
+    assert r["M_hat"] == 1.0 and r["eta_hat"] == 2 * u.cell_volume()
 
 
 def test_leps_refinement_stability(iso1):

@@ -11,7 +11,8 @@ from maslab.grid import (GridFunction, callable_rule, constant_rule, gaussian_ru
                          halfspace_rule, indicator_box_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, extremal, isaacs_apply,
                             linear_apply, lower_rule, make_kernel_rule,
-                            midpoint_rule, operator_values, upper_rule)
+                            midpoint_rule, operator_values, policy_slopes,
+                            rule_multipliers, upper_rule)
 from maslab.solver import DiscreteProblem, comparison_check, solve
 
 
@@ -239,7 +240,7 @@ def test_benchmark_hooks_present(iso1, monkeypatch):
     for attr in ("PID", "COEF", "CONST", "WBAR", "CROW", "CCOL", "CW"):
         assert isinstance(getattr(prob, attr), np.ndarray), attr
     assert prob._mults is None
-    assert prob.Jtot == prob.COEF.size
+    assert prob.Jtot == prob.COEF.size == prob.WBAR.size
 
 
 def test_max_iter_exceeded_returns_best_iterate(iso1):
@@ -257,17 +258,51 @@ def test_max_iter_exceeded_returns_best_iterate(iso1):
     assert rep.details["policy_residuals"] == []
 
 
-def test_explicit_fallback_is_reported(iso1):
-    # a tolerance below roundoff stalls the policy iteration; the explicit
-    # sweeps that follow are the path taken, and each is counted
+def test_tolerance_below_roundoff_is_floor_limited(iso1):
+    # a tolerance below the roundoff floor ends the policy iteration at the
+    # floor: reported, not converged, and no explicit sweeps follow
     spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            indicator_box_rule([1.1], [1.5], 1.0))
     u, rep = solve(prob, tolerance=1e-30, max_iter=7)
+    d = rep.details
+    assert not rep.converged
+    assert rep.method == "policy+polish"
+    assert d["floor_limited"] and d["fallback_sweeps"] == 0
+    floor = np.finfo(float).eps * prob.mass.max() * np.abs(u.values).max()
+    assert d["policy_residuals"][-1] <= solver.FLOOR_FACTOR * floor
+    assert rep.iterations == len(d["policy_residuals"]) + 3     # + polish
+    assert np.all(np.isfinite(u.values))
+
+
+def test_pucci_1d_below_roundoff_ends_at_the_floor(iso1):
+    # the benchmark's criterion-10 problem (P = 2305) at tolerance 1e-12:
+    # its policy residuals stall near the floor, about 1.6e-12
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-9.0], [9.0], 1 / 128,
+                           indicator_box_rule([9.0], [12.0], 1.0))
+    u, rep = solve(prob, tolerance=1e-12)
+    d = rep.details
+    assert d["floor_limited"] and d["fallback_sweeps"] == 0
+    assert rep.method == "policy+polish" and not rep.converged
+    assert d["factorizations"] == 1 and len(d["policy_residuals"]) <= 8
+
+
+def test_explicit_fallback_is_reported(iso1, monkeypatch):
+    # a policy matrix that cannot be factored ends the policy iteration; the
+    # explicit sweeps that follow are the path taken, and each is counted
+    def singular(S, d):
+        raise np.linalg.LinAlgError("singular policy matrix")
+
+    monkeypatch.setattr(solver, "_Factor", singular)
+    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
+    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
+                           indicator_box_rule([1.1], [1.5], 1.0))
+    u, rep = solve(prob, tolerance=1e-10, max_iter=7)
+    d = rep.details
     assert not rep.converged
     assert rep.method == "policy+explicit"
-    assert rep.details["fallback_sweeps"] == 7
-    assert rep.iterations > 7
+    assert d["fallback_sweeps"] == rep.iterations == 7
+    assert not d["floor_limited"] and d["factorizations"] == 0
     assert np.all(np.isfinite(u.values))
 
 
@@ -401,3 +436,122 @@ def test_sparse_lu_branch(iso1, monkeypatch):
     steps = len(rep_dense.details["policy_residuals"])
     assert len(rep.details["policy_residuals"]) == steps
     assert np.abs(u.values - u_dense.values).max() <= 1e-12 * np.abs(u_dense.values).max()
+
+
+def _per_node_reference(prob, u):
+    """The operator on the un-aggregated node set, built per node from
+    point_quadrature, the exterior rule and interp_weights: A u, the mass and
+    the frozen-policy matrix (all lattice columns, centre weights included),
+    with the nodes, their pair sums S and which nodes are fully exterior."""
+    pq = solver.point_quadrature(prob.plan, prob.grid_pts[prob.unknown])
+    x = pq.x[pq.pid]
+    S = np.zeros(pq.coef.size)
+    outside = np.ones(pq.coef.size, dtype=bool)
+    stencils = []
+    for sign in (1.0, -1.0):
+        pts = x + sign * pq.y
+        ins = prob.geom.inside(pts)
+        idx, wts = prob.geom.interp_weights(pts[ins])
+        S[ins] += (u[idx] * wts).sum(axis=1)
+        S[~ins] += prob.exterior(pts[~ins])
+        outside &= ~ins
+        stencils.append((ins, idx, wts))
+    delta = S - 2.0 * u[prob.unknown[pq.pid]]
+    if prob.equation == "linear":
+        mults = rule_multipliers(prob.kernel_rule, prob.spec, x, pq.y, pq.wbar)
+    elif prob.equation == "isaacs":
+        mults = [[rule_multipliers(r, prob.spec, x, pq.y, pq.wbar) for r in beta]
+                 for beta in prob.families]
+    else:
+        mults = None
+    args = (delta, pq.coef, pq.pid, prob.P, prob.spec, prob.equation, mults)
+    a = pq.coef * policy_slopes(*args)
+    M = np.zeros((prob.P, prob.N))
+    for ins, idx, wts in stencils:
+        np.add.at(M, (np.repeat(pq.pid[ins], idx.shape[1]), idx.ravel()),
+                  (a[ins][:, None] * wts).ravel())
+    M[np.arange(prob.P), prob.unknown] -= 2.0 * np.bincount(pq.pid, weights=a,
+                                                            minlength=prob.P)
+    mass = np.bincount(pq.pid, weights=pq.coef, minlength=prob.P) * 2.0 * prob.spec.Lam
+    return operator_values(*args), mass, M, pq, S, outside
+
+
+def _aggregation_cases(request):
+    iso1 = request.getfixturevalue("iso1")
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    box = indicator_box_rule([1.1], [1.6], 1.0)
+    rough = checkerboard_rule(mid)
+    return {
+        "plus": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box),
+        "minus": lambda: DiscreteProblem(iso1, replace(spec, selection="extremal_minus"),
+                                         [-1], [1], 1 / 32, box, "extremal_minus"),
+        "linear": lambda: DiscreteProblem(iso1, mid, [-1], [1], 1 / 32, box, "linear",
+                                          kernel_rule=rough),
+        "isaacs": lambda: DiscreteProblem(
+            iso1, mid, [-1], [1], 1 / 32, box, "isaacs",
+            families=[[lower_rule(mid), rough], [upper_rule(mid), midpoint_rule(mid)]]),
+        "hole": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
+                                        indicator_box_rule([-0.1], [0.1], 2.0),
+                                        domain=lambda p: np.abs(p[:, 0]) > 0.1),
+        # continuous data: one group per distinct value
+        "gaussian_2d": lambda: DiscreteProblem(
+            request.getfixturevalue("aniso2"), spec, [-1, -1], [1, 1], 1 / 4,
+            gaussian_rule(1.0, 0.7, [0.3, -0.2])),
+    }
+
+
+@pytest.mark.parametrize("case", ["plus", "minus", "linear", "isaacs", "hole",
+                                  "gaussian_2d"])
+def test_exterior_aggregation_matches_per_node_reference(request, case, rng):
+    prob = _aggregation_cases(request)[case]()
+    u = rng.normal(size=prob.N)
+    want, mass, M_want, pq, S, outside = _per_node_reference(prob, u)
+    got = prob.apply(u)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(prob.mass - mass).max() <= 1e-13 * mass.max()
+    S_got, d = prob.assemble(prob.node_slopes(prob.node_deltas(u)))
+    M_got = S_got.toarray()
+    M_got[np.arange(prob.P), prob.unknown] += d
+    assert np.abs(M_got - M_want).max() <= 1e-13 * np.abs(M_want).max()
+    # the groups: one per (point, CONST) among the fully exterior nodes
+    keys, gid = np.unique(np.column_stack([pq.pid[outside], S[outside]]), axis=0,
+                          return_inverse=True)
+    groups = keys.shape[0]
+    gc = np.bincount(gid, weights=pq.coef[outside])
+    grouped = np.ones(prob.Jtot, dtype=bool)
+    grouped[prob.CROW] = False                  # a group has no in-box triplet
+    order = np.flatnonzero(grouped)[np.lexsort((prob.CONST[grouped], prob.PID[grouped]))]
+    assert np.array_equal(prob.PID[order], keys[:, 0])
+    assert np.array_equal(prob.CONST[order], keys[:, 1])
+    assert np.allclose(prob.COEF[order], gc, rtol=1e-13, atol=0)
+    wbar = np.bincount(gid, weights=pq.coef[outside] * pq.wbar[outside]) / gc
+    assert np.allclose(prob.WBAR[order], wbar, rtol=1e-13, atol=0)
+    counts = prob.node_counts
+    assert counts["quadrature_nodes"] == pq.coef.size
+    assert counts["exterior_groups"] == groups
+    assert counts["compiled_nodes"] == prob.Jtot == pq.coef.size - outside.sum() + groups
+    assert counts["exterior_share"] == outside.sum() / pq.coef.size
+    # kept nodes first in each block: the triplets stay node-major
+    assert np.all(np.diff(prob.CROW) >= 0) and np.all(np.diff(prob.PID[prob.CROW]) >= 0)
+
+
+def test_exterior_groups_of_a_small_case(iso1):
+    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    fams = [[lower_rule(mid), checkerboard_rule(mid)], [upper_rule(mid)]]
+    prob = DiscreteProblem(iso1, mid, [-1], [1], 1 / 8, indicator_box_rule([1.1], [1.6], 1.0),
+                           "isaacs", families=fams)
+    c = prob.node_counts
+    # 17 unknowns: 5940 fully exterior nodes fold into 28 groups
+    assert (c["quadrature_nodes"], c["compiled_nodes"], c["exterior_groups"]) == \
+        (6834, 894, 28)
+    grouped = np.ones(prob.Jtot, dtype=bool)
+    grouped[prob.CROW] = False                  # a group has no in-box triplet
+    assert grouped.sum() == c["exterior_groups"]
+    for m in (m for beta in prob._mults for m in beta):
+        assert np.all((m[grouped] >= mid.lam) & (m[grouped] <= mid.Lam))
+    # groups are not all at one multiplier: the checkerboard is averaged
+    rough = prob._mults[0][1][grouped]
+    assert np.any((rough > mid.lam) & (rough < mid.Lam))
+    _, rep = solve(prob)
+    assert {k: rep.details[k] for k in c} == c
