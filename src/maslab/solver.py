@@ -14,13 +14,13 @@ so they agree on the discrete operator exactly.
 
 Each policy step freezes the extremal slopes at the current iterate and
 solves the frozen-policy linear system for the correction, whose right-hand
-side is the current residual.  The first step factors the policy matrix (a
-dense LU up to DENSE_MAX unknowns, a sparse LU above).  Later steps run
-GMRES, right-preconditioned by that kept factor: every policy matrix has the
-same pattern and weights within Lam/lam of the others, so the factor of one
-is a close preconditioner for the rest.  A Krylov step after which the
-residual stalls is followed by a fresh factorization; a direct step that
-stalls ends the policy iteration (Bokanowski, Maroso and Zidani 2009 cover
+side is the current residual, by GMRES.  The preconditioner is one FFT
+circulant per problem, built from one row of a policy matrix (Strang 1986;
+Lei and Sun 2013 for fractional diffusion): for a quadratic potential the
+node set is shift-invariant, so policy matrices are Toeplitz up to the box
+edge and the policy.  No P x P array or factor is formed.  A step that
+stalls, or a correction that is not finite, ends the policy iteration and
+explicit sweeps take over (Bokanowski, Maroso and Zidani 2009 cover
 Howard's algorithm with inexact inner solves).  The loop also stops within
 FLOOR_FACTOR of the roundoff floor eps * mass.max() * sup|u|, and says so.
 
@@ -34,10 +34,10 @@ are compiled, exactly, as one node per distinct exterior value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,20 +55,14 @@ from .potential import Potential
 # 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
 NODE_BUDGET = 1 << 19
 
-# Largest number of unknowns whose policy matrix is factored densely: the
-# nonlocal rows are dense, and LAPACK's LU beats a sparse LU up to here.
-DENSE_MAX = 6000
-# GMRES restart length: the iteration cap of one cycle.  Preconditioned by
-# the factor of an earlier policy matrix (same pattern, weights within
-# Lam/lam of the current ones), GMRES reached the roundoff floor in 4-21
-# iterations per step on the benchmark problems; 30 leaves headroom and
-# holds 31 basis vectors of length P.
-KRYLOV_RESTART = 30
-# Cycles per policy step: none after the first.  A step that needs more than
-# one cycle has a poor preconditioner, and a fresh factorization (the cost
-# of about 35 iterations at P = 2305) is cheaper; the stall test after the
-# step triggers it.
-KRYLOV_CYCLES = 1
+# GMRES restart: a policy step took 4-19 iterations on 1D, 2D and masked
+# problems, 36 at Lam/lam = 10; 60 holds 61 vectors of length P (16 MB at 33k).
+KRYLOV_RESTART = 60
+# Cycles per policy step; a step that ends at the cap is reported.
+KRYLOV_CYCLES = 2
+# Inner stop relative to the step's right-hand side (the absolute stop is
+# 0.1 * tolerance): one at the roundoff floor made GMRES stagnate.
+KRYLOV_RTOL = 1e-10
 # The policy loop stops within FLOOR_FACTOR of the roundoff floor
 # eps * mass.max() * sup|u| of its linear systems, which no policy step or
 # explicit sweep gets below: on the pucci_1d problem (P = 2305) the policy
@@ -118,7 +112,8 @@ class DiscreteProblem:
     block lists its kept nodes, then its groups.  So PID is not nondecreasing,
     but the triplets are node-major (CROW, hence PID[CROW], is nondecreasing),
     and ROWPTR[p]:ROWPTR[p+1] are the triplets of unknown p.  node_counts
-    has the node counts before and after the folding.
+    has the node counts before and after the folding; preconditioner is the
+    circulant that every policy solve of the problem uses.
     """
 
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
@@ -156,6 +151,7 @@ class DiscreteProblem:
         box_diam = float(np.linalg.norm(zero.hi - zero.lo))
         self.plan = make_plan(potential, spec, h, box_diam, exterior.sup_bound + 1.0)
         self._compile()
+        self.preconditioner = _Circulant(self)
 
     # -- compilation ---------------------------------------------------------
 
@@ -315,45 +311,66 @@ def _f_values(f, pts) -> np.ndarray:
     return vals
 
 
-class _Factor:
-    """LU factor of one policy matrix S + diag(d), kept to solve with it and
-    to precondition the Krylov solves of later policy steps."""
-
-    def __init__(self, S, d):
-        P = S.shape[0]
-        self.sparse = P > DENSE_MAX
-        if self.sparse:
-            self._lu = spla.splu((S + sp.diags(d)).tocsc())
-        else:
-            # C-ordered dense copy (a CSR matrix writes one without a
-            # conversion), factored as its F-ordered transpose in place, so
-            # the factor is the only P x P array; the policy matrix is
-            # diagonally dominant by rows, so the transpose is by columns.
-            A = S.toarray()
-            A[np.diag_indices(P)] += d
-            self._lu = sla.lu_factor(A.T, overwrite_a=True, check_finite=False)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.sparse:
-            return self._lu.solve(b)
-        return sla.lu_solve(self._lu, b, trans=1, check_finite=False)
+def _smooth_length(m: int) -> int:
+    """Smallest 5-smooth integer >= m (one that divides 30^40): an FFT length
+    with a large prime factor is slow (2 * 2305 = 4610 = 2 * 5 * 461)."""
+    while math.gcd(m, 30 ** 40) != m:
+        m += 1
+    return m
 
 
-def _krylov(S, d, r, factor: _Factor, atol: float) -> tuple[np.ndarray, int]:
-    """Correction dx with (S + diag(d)) dx = r by GMRES, right-preconditioned
-    by the factor of an earlier policy matrix so that GMRES minimizes the
-    true residual and `atol` bounds its 2-norm; returns dx and the inner
-    iteration count."""
+class _Circulant:
+    """Circulant C of the row of S + diag(d) at the midpoint slopes (lam +
+    Lam) / 2 and the unknown nearest the box centre, laid out by offset on a
+    periodic lattice of at least 2n - 1 points per axis so that no offsets
+    wrap onto each other; solve(v) = R C^-1 R^T v, R the restriction to the
+    unknowns.  The row is diagonally dominant with a negative sum (kernel
+    mass leaves the box), so every eigenvalue of C is negative."""
+
+    def __init__(self, problem: DiscreteProblem):
+        shape = problem.geom.shape
+        self.shape = tuple(_smooth_length(2 * m - 1) for m in shape)
+        pos = np.array(np.unravel_index(problem.unknown, shape))
+        p0 = int(np.argmin(((pos.T - (np.array(shape) - 1) / 2) ** 2).sum(axis=1)))
+        mid = 0.5 * (problem.spec.lam + problem.spec.Lam)
+        row = slice(problem.ROWPTR[p0], problem.ROWPTR[p0 + 1])
+        cols = np.array(np.unravel_index(problem.CCOL[row], shape))
+        w = mid * problem.COEF[problem.CROW[row]] * problem.CW[row]
+        # (A v)_i = sum_k c_k v_(i+k) is the convolution of v with c_(-k)
+        lag = np.ravel_multi_index(np.mod(pos[:, p0, None] - cols,
+                                          np.array(self.shape)[:, None]), self.shape)
+        layout = np.bincount(lag, weights=w, minlength=int(np.prod(self.shape)))
+        # the centre weight -2 * mid * (sum of the row's COEF); mass = 2 Lam * that sum
+        layout[0] -= mid * problem.mass[p0] / problem.spec.Lam
+        self.eig = np.fft.rfftn(layout.reshape(self.shape))
+        self.index = np.ravel_multi_index(pos, self.shape)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        buf = np.zeros(self.shape)
+        buf.flat[self.index] = v
+        buf = np.fft.irfftn(np.fft.rfftn(buf) / self.eig, s=self.shape,
+                            axes=range(buf.ndim))
+        return buf.ravel()[self.index]
+
+
+def _krylov(problem: DiscreteProblem, slopes, r, atol: float):
+    """Correction dx with (S + diag(d)) dx = r, the policy system of `slopes`,
+    by GMRES right-preconditioned so that max(atol, KRYLOV_RTOL * |r|) bounds
+    the true residual; also the iteration count and whether it hit the cap."""
+    S, d = problem.assemble(slopes)
+    precond, z = problem.preconditioner, np.zeros(problem.N)
+
     def matvec(v):
-        w = factor.solve(v)
-        return S @ w + d * w
+        w = precond.solve(v)
+        z[problem.unknown] = w      # data columns see zeros
+        return S @ z + d * w
 
     AM = spla.LinearOperator((r.size, r.size), matvec=matvec, dtype=float)
     steps = []
-    y, _ = spla.gmres(AM, r, rtol=0.0, atol=atol, restart=KRYLOV_RESTART,
-                      maxiter=KRYLOV_CYCLES, callback=steps.append,
-                      callback_type="pr_norm")
-    return factor.solve(y), len(steps)
+    y, info = spla.gmres(AM, r, rtol=KRYLOV_RTOL, atol=atol, restart=KRYLOV_RESTART,
+                         maxiter=KRYLOV_CYCLES, callback=steps.append,
+                         callback_type="pr_norm")
+    return precond.solve(y), len(steps), info > 0
 
 
 def _linearize(problem: DiscreteProblem, u: np.ndarray, f_vals: np.ndarray):
@@ -379,13 +396,12 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     min(max_iter, 5000) explicit sweeps followed, counted in
     details["fallback_sweeps"]) or "explicit".  details["floor_limited"]
     says the policy loop stopped at the roundoff floor above the tolerance
-    (no sweeps follow; not converged).  details has the problem's
-    node_counts, and counts the
-    policy matrices factored ("factorizations") and the GMRES iterations
-    ("krylov_iterations"), lists the max-norm residual after each policy
-    step ("policy_residuals") and names the inner solves
-    ("linear_solver": "lu", "lu+gmres", "splu", "splu+gmres", or "none"
-    for the explicit method).
+    (no sweeps follow; not converged); "polish_discarded" that the polish
+    sweeps would have lifted a residual below the tolerance above it, so the
+    policy iterate was kept.  details has the problem's node_counts, each
+    policy step's GMRES iterations ("krylov_steps") and residual after it
+    ("policy_residuals"), the steps that ended at the GMRES cycle cap
+    ("krylov_capped") and "linear_solver" ("fft+gmres", or "none").
     """
     if method not in ("auto", "explicit"):
         raise ConfigurationError(f"unknown solve method {method!r}; "
@@ -395,40 +411,20 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     u = problem.data_values()
     slopes, g = _linearize(problem, u, f_vals)
     res = float(np.abs(g).max())
-    iters = factorizations = krylov_iterations = 0
-    policy_residuals = []
-    factor, linear_solver = None, "none"
-    floor_limited = False
+    iters = krylov_capped = 0
+    policy_residuals, krylov_steps = [], []
+    floor_limited = polish_discarded = False
 
     if method == "auto":
         prev = np.inf
-        refactor = True
         for _ in range(40):
             # the policy system for the correction dx has the right-hand
             # side -g: exterior and data-column parts are already in g
-            S, d = problem.assemble(slopes)
-            if problem.data_idx.size:
-                S = S[:, unk]
-            dx = None
-            if not refactor:
-                # solved to the roundoff floor, where a direct solve also ends
-                dx, k = _krylov(S, d, -g, factor, floor)
-                krylov_iterations += k
-                if not np.all(np.isfinite(dx)):
-                    dx = None
-            krylov = dx is not None
-            if not krylov:
-                factor = None           # release the old factor first
-                try:
-                    factor = _Factor(S, d)
-                except (RuntimeError, np.linalg.LinAlgError):
-                    break
-                factorizations += 1
-                linear_solver = "splu" if factor.sparse else "lu"
-                dx = factor.solve(-g)
-                if not np.all(np.isfinite(dx)):
-                    break
-            del S                       # before the node pass
+            dx, k, capped = _krylov(problem, slopes, -g, 0.1 * tolerance)
+            krylov_steps.append(k)
+            krylov_capped += capped
+            if not np.all(np.isfinite(dx)):
+                break
             u[unk] += dx
             iters += 1
             slopes, g = _linearize(problem, u, f_vals)
@@ -438,12 +434,8 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             if res <= max(tolerance, FLOOR_FACTOR * floor):
                 floor_limited = res > tolerance
                 break
-            stalled = res >= 0.5 * prev
-            if stalled and not krylov and iters > 3:
+            if res >= 0.5 * prev and iters > 3:
                 break
-            # a stalled Krylov step may have missed the policy system's
-            # solution: the next step factors its matrix afresh
-            refactor = stalled and krylov
             prev = res
     fallback_sweeps = 0
     dt = problem.cfl_dt
@@ -462,14 +454,18 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             path, fallback_sweeps = "policy+explicit", iters - policy_iters
     else:
         path = "policy+polish"
+        v = u.copy()
         for _ in range(3):
-            u[unk] += dt * g
-            iters += 1
-            g = problem.apply(u) - f_vals
-        res = float(np.abs(g).max())
+            v[unk] += dt * g
+            g = problem.apply(v) - f_vals
+        polished = float(np.abs(g).max())
+        # the sweeps' residual sits at the roundoff floor too, and can lift
+        # one that met the tolerance above it
+        polish_discarded = res <= tolerance < polished
+        if not polish_discarded:
+            u, res = v, polished
+            iters += 3
 
-    if krylov_iterations:
-        linear_solver += "+gmres"
     gf = GridFunction(problem.geom.lo, problem.geom.hi,
                       u.reshape(problem.geom.shape), problem.exterior)
     report = SolveReport(iterations=iters, final_residual=res,
@@ -479,9 +475,10 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                                   "unknowns": int(problem.P),
                                   "fallback_sweeps": fallback_sweeps,
                                   "floor_limited": floor_limited,
-                                  "linear_solver": linear_solver,
-                                  "factorizations": factorizations,
-                                  "krylov_iterations": krylov_iterations,
+                                  "polish_discarded": polish_discarded,
+                                  "linear_solver": "fft+gmres" if krylov_steps else "none",
+                                  "krylov_steps": krylov_steps,
+                                  "krylov_capped": krylov_capped,
                                   "policy_residuals": policy_residuals,
                                   **problem.node_counts})
     return gf, report
