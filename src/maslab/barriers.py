@@ -193,8 +193,7 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     def min_at(sigma: float, sample_pts: np.ndarray):
         sp = KernelSpec(spec.lam, spec.Lam, sigma, "extremal_minus")
         plan = make_plan(potential, sp, h_eval, box_diam, scale)
-        vals = np.array([extremal(fld, p, sp, plan) for p in sample_pts])
-        return vals
+        return extremal(fld, sample_pts, sp, plan)
 
     vals = min_at(spec.sigma, pts)
     threshold = -1e-8 * scale

@@ -17,13 +17,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .envelope import abp_experiment, compute_tau
 from .errors import ConfigurationError, MaslabError
-from .grid import GridFunction, make_rule, tensor_points
+from .grid import GridFunction, box_lattice, make_rule
 from .kernels import (KernelSpec, extremal, isaacs_apply, lower_rule,
                       make_kernel_rule, make_plan, upper_rule)
 from .mc import JumpProcessConfig, estimate_exit_payoff
@@ -173,7 +174,7 @@ def _cmd_sections(cfg: dict, out: str) -> int:
             t = boundary_radii(pot, c_arr, float(r), dirs).max()
             lo = c_arr - 1.3 * t
             hi = c_arr + 1.3 * t
-            lattice = tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(n)])
+            lattice = box_lattice(lo, hi, per_axis)
             cell = ((hi[0] - lo[0]) / (per_axis - 1)) ** n
             m_r = section_measure(pot, c_arr, float(r), lattice, cell)
             m_half = section_measure(pot, c_arr, float(r) / 2.0, lattice, cell)
@@ -221,13 +222,10 @@ def _cmd_operator(cfg: dict, out: str) -> int:
     stride = max(1, eval_pts.shape[0] // int(cfg.get("max_points", 512)))
     eval_pts = eval_pts[::stride]
     fams = [[lower_rule(spec)], [upper_rule(spec)]]
-    from dataclasses import replace as _replace
-    rows = []
-    for x in eval_pts:
-        mminus = extremal(u, x, _replace(spec, selection="extremal_minus"), plan)
-        mplus = extremal(u, x, _replace(spec, selection="extremal_plus"), plan)
-        isc = isaacs_apply(u, x, fams, plan)
-        rows.append(list(x) + [mminus, mplus, isc])
+    mminus = extremal(u, eval_pts, replace(spec, selection="extremal_minus"), plan)
+    mplus = extremal(u, eval_pts, replace(spec, selection="extremal_plus"), plan)
+    isc = isaacs_apply(u, eval_pts, fams, plan)
+    rows = [list(x) + [a, b, c] for x, a, b, c in zip(eval_pts, mminus, mplus, isc)]
     head = [f"x{i}" for i in range(pot.dim)] + ["M_minus", "M_plus", "isaacs"]
     _write_csv(os.path.join(out, "operator.csv"), head, rows)
     _write_json(os.path.join(out, "operator_summary.json"),
@@ -237,10 +235,11 @@ def _cmd_operator(cfg: dict, out: str) -> int:
 
 def _solve_from_config(cfg: dict):
     pot = _potential_from(cfg)
-    spec = _spec_from(cfg, selection=cfg.get("equation", "extremal_plus"))
+    equation = cfg.get("equation", "extremal_plus")
+    spec = _spec_from(cfg, equation if equation in ("extremal_plus", "extremal_minus")
+                      else "fixed_midpoint")
     lo, hi, h = _grid_from(cfg)
     exterior = _rule_from(cfg.get("exterior", {"id": "zero"}))
-    equation = cfg.get("equation", "extremal_plus")
     rule = None
     families = None
     if equation == "linear":

@@ -103,6 +103,15 @@ def tensor_points(axes) -> np.ndarray:
     return np.stack([a.ravel() for a in g], axis=-1)
 
 
+def box_lattice(lo, hi, counts) -> np.ndarray:
+    """The lattice of `counts` points per axis (one count, or one per axis)
+    spanning the box [lo, hi] corner to corner, ordered as tensor_points."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    counts = np.broadcast_to(counts, lo.shape)
+    return tensor_points([np.linspace(lo[i], hi[i], counts[i]) for i in range(lo.size)])
+
+
 class GridFunction:
     """Values on a uniform lattice over a box, multilinear inside, rule outside."""
 
@@ -127,15 +136,14 @@ class GridFunction:
         lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
         hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
         counts = np.rint((hi - lo) / h).astype(int) + 1
-        pts = tensor_points([np.linspace(lo[i], hi[i], counts[i]) for i in range(lo.size)])
+        pts = box_lattice(lo, hi, counts)
         vals = np.asarray(fn(pts), dtype=float).reshape(counts)
         return cls(lo, hi, vals, exterior)
 
     # -- geometry helpers ----------------------------------------------------
 
     def points(self) -> np.ndarray:
-        return tensor_points([np.linspace(self.lo[i], self.hi[i], self.shape[i])
-                              for i in range(self.dim)])
+        return box_lattice(self.lo, self.hi, self.shape)
 
     def cell_volume(self) -> float:
         return self.h ** self.dim

@@ -22,8 +22,8 @@ The kernel at x follows the sections of phi at x, so every base point has
 its own node set.  point_quadrature builds the sets of a whole batch of
 points in one pass; operator_values reduces node second differences to
 M+, M-, linear or Isaacs values, with the slopes of policy_slopes.  The
-pointwise operators below and the compiled grid operator in solver.py both
-evaluate through these.
+pointwise operators below (k points in, k values out) and the compiled grid
+operator in solver.py both evaluate through these, NODE_BUDGET nodes at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError
+from .grid import AnalyticField
 from .potential import Potential, _as_points
 
 SELECTIONS = ("extremal_plus", "extremal_minus", "fixed_midpoint")
@@ -107,14 +108,12 @@ def make_kernel_rule(rule_id: str, spec: KernelSpec) -> KernelRule:
 # second difference and heights
 # ---------------------------------------------------------------------------
 
-def second_difference(u, x, y) -> float:
-    """delta(u, x, y) = u(x+y) + u(x-y) - 2 u(x); exactly symmetric in y."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    up = float(u.eval(x[None, :] + y[None, :])[0])
-    um = float(u.eval(x[None, :] - y[None, :])[0])
-    ux = float(u.eval(x[None, :])[0])
-    return up + um - 2.0 * ux
+def second_difference(u, x, y) -> np.ndarray:
+    """delta(u, x, y) = u(x+y) + u(x-y) - 2 u(x) for each pair of rows of the
+    points x and increments y; exactly symmetric in y."""
+    x = _as_points(x, u.dim)
+    y = _as_points(y, u.dim)
+    return u.eval(x + y) + u.eval(x - y) - 2.0 * u.eval(x)
 
 
 def sym_height(potential: Potential, x, y) -> np.ndarray:
@@ -361,77 +360,115 @@ def policy_values(delta, coef, pid, count: int, slopes) -> np.ndarray:
     return np.bincount(pid, weights=coef * (slopes * delta), minlength=count)
 
 
-def _point_value(u, pq: PointQuadrature, spec: KernelSpec, equation: str,
-                 mults=None) -> float:
-    return float(operator_values(node_deltas(u, pq), pq.coef, pq.pid, 1, spec,
-                                 equation, mults)[0])
+def equation_rules(equation: str, kernel_rule: KernelRule | None = None,
+                   families=None) -> list:
+    """Checks an equation and the kernel rules it needs; returns those rules
+    in order: none for M+ and M-, kernel_rule for "linear", and for
+    "isaacs" the rules of every family (families nonempty, each nonempty)."""
+    if equation not in EQUATIONS:
+        raise ConfigurationError(f"unknown equation {equation!r}")
+    if equation == "linear" and kernel_rule is None:
+        raise ConfigurationError("linear equation needs a kernel rule")
+    if equation == "isaacs" and (not families or any(len(b) == 0 for b in families)):
+        raise ConfigurationError("isaacs equation needs nonempty kernel families")
+    if equation == "linear":
+        return [kernel_rule]
+    return [rule for beta in families for rule in beta] if equation == "isaacs" else []
+
+
+def group_multipliers(equation: str, families, mults: list):
+    """The multiplier arrays of equation_rules' rules, in its order, grouped
+    the way policy_slopes takes them: None for M+ and M-, the one array for
+    "linear", one list of arrays per family for "isaacs"."""
+    if equation != "isaacs":
+        return mults[0] if equation == "linear" else None
+    it = iter(mults)
+    return [[next(it) for _ in beta] for beta in families]
+
+
+# Nodes compiled per call of point_quadrature: bounds the temporaries of one
+# block (increments, interpolation stencils, exterior values), which would
+# otherwise scale with the whole node set.  Smaller blocks are not leaner:
+# at 2^17-2^18 nodes the per-block arrays fragmented the heap, and repeated
+# 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
+NODE_BUDGET = 1 << 19
+
+
+def _block_points(plan: QuadraturePlan) -> int:
+    """Base points per block: the budget over the plan's largest node count
+    per point (every ladder knot inside the ring range)."""
+    per_point = plan.angles.shape[0] * (1 + plan.ring_nodes * (plan.ring_heights.size + 1))
+    return max(1, NODE_BUDGET // per_point)
+
+
+def _evaluate(u, xs, spec: KernelSpec, plan: QuadraturePlan, equation: str,
+              kernel_rule: KernelRule | None = None, families=None) -> np.ndarray:
+    """The equation's operator of u at every point of xs, one value per point,
+    from blocks of at most NODE_BUDGET nodes.  Each point's nodes are its
+    own and contiguous, so its value does not depend on the batch."""
+    rules = equation_rules(equation, kernel_rule, families)
+    x = _as_points(xs, plan.potential.dim)
+    out = np.empty(x.shape[0])
+    step = _block_points(plan)
+    for first in range(0, x.shape[0], step):
+        pq = point_quadrature(plan, x[first:first + step])
+        xj = pq.x[pq.pid]
+        mults = group_multipliers(equation, families, [
+            rule_multipliers(rule, plan.spec, xj, pq.y, pq.wbar) for rule in rules])
+        out[first:first + step] = operator_values(node_deltas(u, pq), pq.coef, pq.pid,
+                                                  pq.x.shape[0], spec, equation, mults)
+    return out
 
 
 def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan,
-             adaptive: bool = False) -> float:
-    """M+ or M- of u at x (selection from spec), with optional node doubling.
+             adaptive: bool = False) -> np.ndarray:
+    """M+ or M- of u at each point of x (selection from spec), with optional
+    node doubling.
 
-    With adaptive=True the ring nodes (and angles in 2D) are doubled until
-    two successive refinements agree to 1e-4 relative (at most 3 doublings).
+    With adaptive=True a point's ring nodes (and angles in 2D) are doubled
+    until two successive refinements agree to 1e-4 relative (at most 3).
     """
     if spec.selection not in ("extremal_plus", "extremal_minus"):
         raise ConfigurationError("extremal() needs an extremal selection")
     if abs(spec.sigma - plan.spec.sigma) > 1e-15:
         raise ConfigurationError("spec.sigma differs from the plan's sigma")
-    val = _point_value(u, point_quadrature(plan, x), spec, spec.selection)
+    x = _as_points(x, plan.potential.dim)
+    val = _evaluate(u, x, spec, plan, spec.selection)
     if not adaptive:
         return val
+    todo = np.arange(val.size)
     for _ in range(3):
         plan = plan.refined()
-        val2 = _point_value(u, point_quadrature(plan, x), spec, spec.selection)
-        if abs(val2 - val) <= 1e-4 * max(abs(val2), 1e-12):
-            return val2
-        val = val2
+        val2 = _evaluate(u, x[todo], spec, plan, spec.selection)
+        done = np.abs(val2 - val[todo]) <= 1e-4 * np.maximum(np.abs(val2), 1e-12)
+        val[todo] = val2
+        todo = todo[~done]
     return val
 
 
-def linear_apply(u, x, rule: KernelRule, plan: QuadraturePlan) -> float:
-    """L u(x) for a single admissible kernel rule (checked against the sandwich)."""
-    pq = point_quadrature(plan, x)
-    mult = rule_multipliers(rule, plan.spec, pq.x[pq.pid], pq.y, pq.wbar)
-    return _point_value(u, pq, plan.spec, "linear", mult)
+def linear_apply(u, x, rule: KernelRule, plan: QuadraturePlan) -> np.ndarray:
+    """L u at each point of x for one admissible kernel rule (checked)."""
+    return _evaluate(u, x, plan.spec, plan, "linear", kernel_rule=rule)
 
 
-def isaacs_apply(u, x, families, plan: QuadraturePlan) -> float:
-    """min over alpha of max over beta of the linear operators (Isaacs form)."""
-    if not families or any(len(b) == 0 for b in families):
-        raise ConfigurationError("families must be nonempty")
-    pq = point_quadrature(plan, x)
-    xj = pq.x[pq.pid]
-    mults = [[rule_multipliers(rule, plan.spec, xj, pq.y, pq.wbar) for rule in beta]
-             for beta in families]
-    return _point_value(u, pq, plan.spec, "isaacs", mults)
-
-
-class FieldDifference:
-    """Pointwise u - v under the field evaluation interface."""
-
-    def __init__(self, u, v):
-        self.u, self.v = u, v
-        self.sup_bound = u.sup_bound + v.sup_bound
-        self.dim = u.dim
-
-    def eval(self, pts):
-        return self.u.eval(pts) - self.v.eval(pts)
+def isaacs_apply(u, x, families, plan: QuadraturePlan) -> np.ndarray:
+    """min over alpha of max over beta of the linear operators, at each x."""
+    return _evaluate(u, x, plan.spec, plan, "isaacs", families=families)
 
 
 def ellipticity_check(u, v, x, spec: KernelSpec, plan: QuadraturePlan,
                       families=None) -> dict:
-    """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at x, I being the Isaacs operator."""
+    """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at each point of x, I being the
+    Isaacs operator; every entry holds one value per point."""
     if families is None:
         families = [[lower_rule(spec)], [upper_rule(spec)]]
     iu = isaacs_apply(u, x, families, plan)
     iv = isaacs_apply(v, x, families, plan)
-    w = FieldDifference(u, v)
+    w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)
     mplus = extremal(w, x, replace(spec, selection="extremal_plus"), plan)
     mminus = extremal(w, x, replace(spec, selection="extremal_minus"), plan)
-    scale = max(1.0, abs(iu), abs(iv), abs(mplus), abs(mminus))
+    scale = np.maximum(1.0, np.abs([iu, iv, mplus, mminus]).max(axis=0))
     tol = 1e-6 * scale
-    ok = (mminus - tol <= iu - iv <= mplus + tol)
+    ok = (mminus - tol <= iu - iv) & (iu - iv <= mplus + tol)
     return {"I_u": iu, "I_v": iv, "M_plus_diff": mplus, "M_minus_diff": mminus,
-            "tolerance": tol, "ok": bool(ok)}
+            "tolerance": tol, "ok": ok}

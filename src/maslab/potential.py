@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogViolationError, ConfigurationError
-from .grid import tensor_points
+from .grid import box_lattice
 
 CATALOG_IDS = ("iso_quadratic", "aniso_quadratic", "perturbed_quadratic")
 
@@ -179,13 +179,6 @@ def height(potential: Potential, x, y) -> float:
     return float(potential.height(x, y)[0])
 
 
-def lattice_points(box_lo, box_hi, per_axis: int) -> np.ndarray:
-    """Deterministic evaluation lattice with `per_axis` points per axis."""
-    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
-    return tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)])
-
-
 def verify_ma_bounds(potential: Potential, box_lo, box_hi, samples: int) -> tuple[float, float]:
     """Min/max of det D^2 phi over a deterministic lattice in the box.
 
@@ -194,7 +187,7 @@ def verify_ma_bounds(potential: Potential, box_lo, box_hi, samples: int) -> tupl
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    pts = lattice_points(box_lo, box_hi, samples)
+    pts = box_lattice(box_lo, box_hi, samples)
     H = potential.hessian(pts)
     det = np.linalg.det(H)
     bad = np.nonzero(det <= 0.0)[0]

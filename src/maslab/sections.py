@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, RefinementNeededError
-from .grid import tensor_points
+from .grid import box_lattice, tensor_points
 from .potential import Potential, _as_points
 
 
@@ -219,12 +219,6 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
 # covering algorithms
 # ---------------------------------------------------------------------------
 
-def _pad_lattice(pts: np.ndarray, pad: float, per_axis: int) -> np.ndarray:
-    lo = pts.min(axis=0) - pad
-    hi = pts.max(axis=0) + pad
-    return tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(pts.shape[1])])
-
-
 def besicovitch_cover(potential: Potential, A: np.ndarray, radii, epsilon: float,
                       test_lattice: np.ndarray | None = None) -> CoverReport:
     """Greedy Besicovitch-type subcover with bounded overlap of the shrunk family.
@@ -259,7 +253,7 @@ def besicovitch_cover(potential: Potential, A: np.ndarray, radii, epsilon: float
     if test_lattice is None:
         pad = 3.0 * max(sel_r)
         per_axis = 1000 if potential.dim == 1 else 120
-        test_lattice = _pad_lattice(A, pad, per_axis)
+        test_lattice = box_lattice(A.min(axis=0) - pad, A.max(axis=0) + pad, per_axis)
 
     counts = np.zeros(test_lattice.shape[0], dtype=int)
     for s in selected:
@@ -382,7 +376,8 @@ def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> 
 
     tmax = boundary_radii(potential, y, t, dirs).max()
     per_axis = 600 if n == 1 else 90
-    lattice = _pad_lattice(np.vstack([y[None, :], xs]), 1.3 * tmax, per_axis)
+    ends = np.vstack([y[None, :], xs])
+    lattice = box_lattice(ends.min(axis=0) - 1.3 * tmax, ends.max(axis=0) + 1.3 * tmax, per_axis)
     cell = ((lattice[:, 0].max() - lattice[:, 0].min()) / (per_axis - 1)) ** n
 
     in_outer = contains_many(potential, y, t, lattice)

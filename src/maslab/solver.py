@@ -43,17 +43,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, DataError
 from .grid import ExteriorRule, GridFunction
-from .kernels import (EQUATIONS, KernelRule, KernelSpec, QuadraturePlan, make_plan,
-                      operator_values, point_quadrature, policy_slopes,
-                      policy_values, rule_multipliers)
+from .kernels import (KernelRule, KernelSpec, _block_points, equation_rules,
+                      group_multipliers, make_plan, operator_values,
+                      point_quadrature, policy_slopes, policy_values,
+                      rule_multipliers)
 from .potential import Potential
-
-# Nodes compiled per call of point_quadrature: bounds the temporaries of one
-# block (increments, interpolation stencils, exterior values), which would
-# otherwise scale with the whole node set.  Smaller blocks are not leaner:
-# at 2^17-2^18 nodes the per-block arrays fragmented the heap, and repeated
-# 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
-NODE_BUDGET = 1 << 19
 
 # GMRES restart: a policy step took 4-19 iterations on 1D, 2D and masked
 # problems, 36 at Lam/lam = 10; 60 holds 61 vectors of length P (16 MB at 33k).
@@ -68,13 +62,6 @@ KRYLOV_RTOL = 1e-10
 # explicit sweep gets below: on the pucci_1d problem (P = 2305) the policy
 # residuals stalled at 1.0-1.4 times the floor, and 4 covers that spread.
 FLOOR_FACTOR = 4.0
-
-
-def _block_points(plan: QuadraturePlan) -> int:
-    """Unknowns per compile block: the budget over the plan's largest node
-    count per point (every ladder knot inside the ring range)."""
-    per_point = plan.angles.shape[0] * (1 + plan.ring_nodes * (plan.ring_heights.size + 1))
-    return max(1, NODE_BUDGET // per_point)
 
 
 def _join(blocks: list) -> np.ndarray:
@@ -101,7 +88,7 @@ class DiscreteProblem:
     Unknowns are the lattice points where `domain` is true (default: every
     lattice point); the rest carry exterior data.  Every unknown p gets the
     node set of its own base point, built by kernels.point_quadrature on
-    blocks of unknowns whose size keeps each block within NODE_BUDGET nodes.
+    blocks of unknowns that keep each block within kernels.NODE_BUDGET nodes.
     Node bookkeeping is flat: node j belongs to unknown PID[j] with kernel
     bound COEF[j] and height WBAR[j]; S_j, the interpolated pair sum
     u(x_p + y_j) + u(x_p - y_j), is split into in-box contributions
@@ -120,14 +107,9 @@ class DiscreteProblem:
                  h: float, exterior: ExteriorRule, equation: str = "extremal_plus",
                  kernel_rule: KernelRule | None = None, families=None,
                  domain=None):
-        if equation not in EQUATIONS:
-            raise ConfigurationError(f"unknown equation {equation!r}")
+        self._rules = equation_rules(equation, kernel_rule, families)
         self.potential, self.spec, self.exterior = potential, spec, exterior
         self.equation, self.kernel_rule, self.families = equation, kernel_rule, families
-        if equation == "linear" and kernel_rule is None:
-            raise ConfigurationError("linear equation needs a kernel rule")
-        if equation == "isaacs" and not families:
-            raise ConfigurationError("isaacs equation needs kernel families")
 
         zero = GridFunction.from_callable(box_lo, box_hi, h, lambda p: np.zeros(p.shape[0]),
                                           exterior)
@@ -156,16 +138,10 @@ class DiscreteProblem:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self):
-        if self.equation == "linear":
-            rules = [self.kernel_rule]
-        elif self.equation == "isaacs":
-            rules = [r for beta in self.families for r in beta]
-        else:
-            rules = []
         geom, spec = self.geom, self.spec
         pid, coef, const, wbar = [], [], [], []
         crow, ccol, cw = [], [], []
-        mults = [[] for _ in rules]
+        mults = [[] for _ in self._rules]
         j_off = quadrature_nodes = exterior_nodes = 0
         step = _block_points(self.plan)
         for first in range(0, self.P, step):
@@ -210,7 +186,7 @@ class DiscreteProblem:
                 crow.append(np.repeat(rank[np.nonzero(ins)[0] // 2], idx.shape[1]))
                 ccol.append(idx.ravel())
                 cw.append(wts.ravel())
-            for m_list, rule in zip(mults, rules):
+            for m_list, rule in zip(mults, self._rules):
                 m_list.append(fold(rule_multipliers(rule, spec, x, pq.y, pq.wbar)))
             pid.append(np.concatenate([pq.pid[keep], key // vals.size]) + first)
             coef.append(np.concatenate([pq.coef[keep], gc]))
@@ -236,16 +212,8 @@ class DiscreteProblem:
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
             * 2.0 * spec.Lam
         self.cfl_dt = 1.0 / float(self.mass.max())
-        flat_mults = [_join(m) for m in mults]
-        if self.equation == "linear":
-            self._mults = flat_mults[0]
-        elif self.equation == "isaacs":
-            self._mults, i = [], 0
-            for beta in self.families:
-                self._mults.append(flat_mults[i:i + len(beta)])
-                i += len(beta)
-        else:
-            self._mults = None
+        self._mults = group_multipliers(self.equation, self.families,
+                                        [_join(m) for m in mults])
 
     # -- discrete operator ---------------------------------------------------
 

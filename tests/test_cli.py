@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import maslab
 from maslab.cli import main, run
@@ -39,6 +40,32 @@ def test_solve_cli(tmp_path):
     assert rep["converged"] is True
     assert (out / "solution.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("equation, extra", [
+    ("linear", {"kernel_rule": "checkerboard"}),
+    ("isaacs", {"families": [["lower", "midpoint"], ["upper"]]})])
+def test_solve_cli_linear_and_isaacs(tmp_path, equation, extra):
+    # no kernel.selection: the equation, not the selection, picks the operator
+    cfg = {"potential": POTENTIAL, "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
+           "grid": {"box_lo": [-1], "box_hi": [1], "h": 1 / 16},
+           "exterior": {"id": "halfspace", "params": [0, 1.0, 1.0]},
+           "equation": equation, **extra}
+    out = tmp_path / equation
+    assert run("solve", cfg, str(out)) == 0
+    rep = json.loads((out / "solve_report.json").read_text())
+    assert rep["details"]["equation"] == equation
+
+
+def test_solve_cli_empty_family_exit_1(tmp_path, capsys):
+    cfg = {"potential": POTENTIAL,
+           "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5, "selection": "fixed_midpoint"},
+           "grid": {"box_lo": [-1], "box_hi": [1], "h": 0.25},
+           "exterior": {"id": "zero"}, "equation": "isaacs",
+           "families": [["lower"], []]}
+    assert run("solve", cfg, str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "families" in err
 
 
 def test_solve_cli_bad_sigma(tmp_path):

@@ -73,29 +73,30 @@ def test_second_difference_affine_zero(iso1):
     from maslab.grid import callable_rule
     aff = callable_rule("aff", lambda p: 3 * p[:, 0] - 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 3 * p[:, 0] - 1, aff)
-    assert second_difference(u, [0.25], [0.5]) == pytest.approx(0.0, abs=1e-13)
+    assert second_difference(u, [0.25], [0.5])[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_second_difference_quadratic(iso2):
     u = AnalyticField("sq", lambda p: (p ** 2).sum(axis=1), np.inf, 2)
     y = np.array([0.3, -0.4])
-    assert second_difference(u, [0.1, 0.2], y) == pytest.approx(2 * (y ** 2).sum())
+    assert second_difference(u, [0.1, 0.2], y)[0] == pytest.approx(2 * (y ** 2).sum())
 
 
 def test_second_difference_symmetry_exact():
     u = GridFunction.from_callable([-2], [2], 1 / 64,
                                    lambda p: np.sin(3 * p[:, 0]), zero_rule())
-    for y in (0.3, 0.7, 1.9):
-        a = second_difference(u, [0.1], [y])
-        b = second_difference(u, [0.1], [-y])
-        assert a == b  # exact, not approximate
+    y = np.array([0.3, 0.7, 1.9])
+    a = second_difference(u, [0.1], y)
+    b = second_difference(u, [0.1], -y)
+    assert a.shape == (3,)
+    assert np.array_equal(a, b)  # exact, not approximate
 
 
 def test_second_difference_gaussian_grid(iso1):
     u = GridFunction.from_callable([-2], [2], 4 / 512,
                                    lambda p: np.exp(-(p ** 2).sum(axis=1)),
                                    gaussian_rule(1.0, 1.0))
-    got = second_difference(u, [0.0], [0.5])
+    got = second_difference(u, [0.0], [0.5])[0]
     assert got == pytest.approx(2 * (np.exp(-0.25) - 1.0), abs=1e-4)
 
 
@@ -116,8 +117,9 @@ def test_extremal_matches_brute_force_cap_parabola(iso1, sigma):
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
     plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
-    for x in (0.0, 0.25, -0.5):
-        val = extremal(u, [x], spec, plan)
+    xs = (0.0, 0.25, -0.5)
+    vals = extremal(u, xs, spec, plan)
+    for x, val in zip(xs, vals):
         oracle = brute_force_cap_parabola(x, sigma, nodes=200_000)
         assert val == pytest.approx(oracle, rel=0.01)
 
@@ -127,8 +129,8 @@ def test_extremal_adaptive_refinement_agrees(iso1):
     u = GridFunction.from_callable([-3], [3], 1 / 128, lambda p: gauss(p[:, 0]),
                                    gaussian_rule(1.0, 1.0))
     plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-    v0 = extremal(u, [0.25], spec, plan)
-    v1 = extremal(u, [0.25], spec, plan, adaptive=True)
+    v0 = extremal(u, [0.25], spec, plan)[0]
+    v1 = extremal(u, [0.25], spec, plan, adaptive=True)[0]
     assert v1 == pytest.approx(v0, rel=5e-3)
 
 
@@ -138,7 +140,7 @@ def test_extremal_gaussian_oracle_sigma19(iso1):
     u = GridFunction.from_callable([-3], [3], 1 / 256, lambda p: gauss(p[:, 0]),
                                    gaussian_rule(1.0, 1.0))
     plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-    val = extremal(u, [0.25], spec, plan)
+    val = extremal(u, [0.25], spec, plan)[0]
     oracle = brute_force_smooth(gauss, gauss_d2, gauss_d4, 0.25, sigma,
                                 nodes=400_000)
     assert val == pytest.approx(oracle, rel=0.01)
@@ -152,7 +154,7 @@ def test_sigma_to_two_stability(iso1):
     for sigma in (1.5, 1.9, 1.99):
         spec = KernelSpec(1.0, 2.0, sigma, "extremal_plus")
         plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-        vals.append(extremal(u, [0.0], spec, plan))
+        vals.append(extremal(u, [0.0], spec, plan)[0])
     assert np.all(np.isfinite(vals))
     assert max(abs(v) for v in vals) < 50.0
 
@@ -179,10 +181,9 @@ def test_affine_invariance(iso1, rng):
                            ext)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     xs = np.linspace(-1.5, 1.5, 25)
-    for x in xs:
-        a = extremal(u, [x], spec, plan)
-        b = extremal(shifted, [x], spec, plan)
-        assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
+    a = extremal(u, xs, spec, plan)
+    b = extremal(shifted, xs, spec, plan)
+    assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
@@ -199,15 +200,15 @@ def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
         spec = KernelSpec(1.0, 2.0, 1.5, sel)
         plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound) if plan is None else plan
         cu = scaled(c)
-        for x in np.linspace(-1.0, 1.0, 11):
-            assert extremal(cu, [x], spec, plan) == pytest.approx(
-                c * extremal(u, [x], spec, plan), rel=1e-10, abs=1e-12)
+        xs = np.linspace(-1.0, 1.0, 11)
+        assert extremal(cu, xs, spec, plan) == pytest.approx(
+            c * extremal(u, xs, spec, plan), rel=1e-10, abs=1e-12)
     neg = scaled(-1.0)
     sp = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
     sm = KernelSpec(1.0, 2.0, 1.5, "extremal_minus")
-    for x in np.linspace(-1.0, 1.0, 11):
-        assert extremal(neg, [x], sp, plan) == pytest.approx(
-            -extremal(u, [x], sm, plan), rel=1e-10, abs=1e-12)
+    xs = np.linspace(-1.0, 1.0, 11)
+    assert extremal(neg, xs, sp, plan) == pytest.approx(
+        -extremal(u, xs, sm, plan), rel=1e-10, abs=1e-12)
 
 
 def test_order_minus_isaacs_plus(iso1, rng):
@@ -215,11 +216,11 @@ def test_order_minus_isaacs_plus(iso1, rng):
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     fams = [[lower_rule(spec), midpoint_rule(spec)], [upper_rule(spec)]]
-    for x in np.linspace(-1.2, 1.2, 20):
-        lo = extremal(u, [x], replace(spec, selection="extremal_minus"), plan)
-        hi = extremal(u, [x], spec, plan)
-        mid = isaacs_apply(u, [x], fams, plan)
-        assert lo - 1e-12 <= mid <= hi + 1e-12
+    xs = np.linspace(-1.2, 1.2, 20)
+    lo = extremal(u, xs, replace(spec, selection="extremal_minus"), plan)
+    hi = extremal(u, xs, spec, plan)
+    mid = isaacs_apply(u, xs, fams, plan)
+    assert np.all((lo - 1e-12 <= mid) & (mid <= hi + 1e-12))
 
 
 def test_linear_sandwiched(iso1, rng):
@@ -227,11 +228,11 @@ def test_linear_sandwiched(iso1, rng):
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rule = midpoint_rule(spec)
-    for x in np.linspace(-1.2, 1.2, 15):
-        lo = extremal(u, [x], replace(spec, selection="extremal_minus"), plan)
-        hi = extremal(u, [x], replace(spec, selection="extremal_plus"), plan)
-        val = linear_apply(u, [x], rule, plan)
-        assert lo - 1e-12 <= val <= hi + 1e-12
+    xs = np.linspace(-1.2, 1.2, 15)
+    lo = extremal(u, xs, replace(spec, selection="extremal_minus"), plan)
+    hi = extremal(u, xs, replace(spec, selection="extremal_plus"), plan)
+    val = linear_apply(u, xs, rule, plan)
+    assert np.all((lo - 1e-12 <= val) & (val <= hi + 1e-12))
 
 
 def test_linear_attains_extremal_on_signed_delta(iso1):
@@ -241,8 +242,8 @@ def test_linear_attains_extremal_on_signed_delta(iso1):
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
     plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
-    val = linear_apply(u, [0.0], lower_rule(spec), plan)
-    mplus = extremal(u, [0.0], spec, plan)
+    val = linear_apply(u, [0.0], lower_rule(spec), plan)[0]
+    mplus = extremal(u, [0.0], spec, plan)[0]
     assert val == pytest.approx(mplus, rel=1e-12)
 
 
@@ -251,8 +252,8 @@ def test_isaacs_single_family_equals_linear(iso1, rng):
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rule = midpoint_rule(spec)
-    a = isaacs_apply(u, [0.3], [[rule]], plan)
-    b = linear_apply(u, [0.3], rule, plan)
+    a = isaacs_apply(u, [0.3], [[rule]], plan)[0]
+    b = linear_apply(u, [0.3], rule, plan)[0]
     assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -262,7 +263,7 @@ def test_isaacs_affine_zero(iso1):
     aff = callable_rule("aff", lambda p: 2 * p[:, 0] + 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 2 * p[:, 0] + 1, aff)
     plan = make_plan(iso1, spec, u.h, 2.0, 3.0)
-    assert isaacs_apply(u, [0.0], [[midpoint_rule(spec)]], plan) == pytest.approx(0.0, abs=1e-9)
+    assert isaacs_apply(u, [0.0], [[midpoint_rule(spec)]], plan)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_isaacs_empty_family_rejected(iso1):
@@ -289,9 +290,9 @@ def test_ellipticity_sandwich(iso1, perturbed1, rng):
         u = _random_grid_function(rng)
         v = _random_grid_function(rng)
         plan = make_plan(pot, spec, u.h, 4.0, u.sup_bound + v.sup_bound)
-        for x in np.linspace(-1.0, 1.0, 7):
-            rep = ellipticity_check(u, v, [x], spec, plan)
-            assert rep["ok"]
+        rep = ellipticity_check(u, v, np.linspace(-1.0, 1.0, 7), spec, plan)
+        assert rep["ok"].shape == (7,)
+        assert rep["ok"].all()
 
 
 def test_ellipticity_affine_shift_zero(iso1, rng):
@@ -304,10 +305,10 @@ def test_ellipticity_affine_shift_zero(iso1, rng):
                      u.values + 1.0 + 0.5 * u.points()[:, 0].reshape(u.shape), ext)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rep = ellipticity_check(u, v, [0.3], spec, plan)
-    assert rep["ok"]
-    assert rep["I_u"] - rep["I_v"] == pytest.approx(0.0, abs=1e-9)
-    assert rep["M_plus_diff"] == pytest.approx(0.0, abs=1e-9)
-    assert rep["M_minus_diff"] == pytest.approx(0.0, abs=1e-9)
+    assert rep["ok"][0]
+    assert rep["I_u"][0] - rep["I_v"][0] == pytest.approx(0.0, abs=1e-9)
+    assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-9)
+    assert rep["M_minus_diff"][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extremal_affine_zero(iso1):
@@ -317,7 +318,7 @@ def test_extremal_affine_zero(iso1):
     for sel in ("extremal_plus", "extremal_minus"):
         spec = KernelSpec(1.0, 2.0, 1.5, sel)
         plan = make_plan(iso1, spec, u.h, 2.0, 7.0)
-        assert extremal(u, [0.1], spec, plan) == pytest.approx(0.0, abs=1e-9)
+        assert extremal(u, [0.1], spec, plan)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ellipticity_equal_fields_zero(iso1, rng):
@@ -325,8 +326,8 @@ def test_ellipticity_equal_fields_zero(iso1, rng):
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rep = ellipticity_check(u, u, [0.2], spec, plan)
-    assert rep["M_plus_diff"] == pytest.approx(0.0, abs=1e-12)
-    assert rep["I_u"] == rep["I_v"]
+    assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-12)
+    assert rep["I_u"][0] == rep["I_v"][0]
 
 
 def test_checkerboard_rule_within_class(iso1):
@@ -378,8 +379,8 @@ def test_extremal_2d_matches_polar_brute_force(iso2):
             * split ** (2 - sigma) / (2 - sigma)
         return total + core
 
-    for x0 in (np.array([0.0, 0.0]), np.array([-0.5, 0.25])):
-        val = extremal(u, x0, spec, plan)
+    x0s = np.array([[0.0, 0.0], [-0.5, 0.25]])
+    for x0, val in zip(x0s, extremal(u, x0s, spec, plan)):
         oracle = brute2(x0)
         assert val == pytest.approx(oracle, rel=0.01)
 
@@ -389,12 +390,12 @@ def test_sigma_to_two_local_limit(iso1):
     # 2^{5/2} u''(x) for the isotropic quadratic potential with lam = Lam = 1
     u = GridFunction.from_callable([-3], [3], 6 / 1024, lambda p: gauss(p[:, 0]),
                                    gaussian_rule(1.0, 1.0))
-    for x0 in (0.0, 0.5):
-        for sigma in (1.99, 1.999):
-            spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
-            plan = make_plan(iso1, spec, u.h, 6.0, 1.0)
-            val = extremal(u, [x0], spec, plan)
-            assert val == pytest.approx(2 ** 2.5 * gauss_d2(x0), rel=0.01)
+    x0s = np.array([0.0, 0.5])
+    for sigma in (1.99, 1.999):
+        spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+        plan = make_plan(iso1, spec, u.h, 6.0, 1.0)
+        val = extremal(u, x0s, spec, plan)
+        assert val == pytest.approx(2 ** 2.5 * gauss_d2(x0s), rel=0.01)
 
 
 def test_nonfinite_field_rejected(iso1):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from dataclasses import replace
 
-from maslab import solver
+from maslab import kernels, solver
 from maslab.errors import ConfigurationError
 from maslab.grid import (GridFunction, callable_rule, constant_rule, gaussian_rule,
                          halfspace_rule, indicator_box_rule, zero_rule)
@@ -177,6 +177,14 @@ def test_unknown_equation_rejected(iso1):
         DiscreteProblem(iso1, spec, [-1], [1], 0.5, zero_rule(), "heat")
 
 
+def test_empty_kernel_family_rejected(iso1):
+    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    for families in ([[lower_rule(spec)], []], []):
+        with pytest.raises(ConfigurationError):
+            DiscreteProblem(iso1, spec, [-1], [1], 0.5, zero_rule(), "isaacs",
+                            families=families)
+
+
 def test_other_selection_on_compiled_nodes_matches_problem(iso1, rng):
     # comparison_check and l_eps_tail evaluate M+ / M- on another problem's nodes
     spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
@@ -207,14 +215,69 @@ def test_compiled_operator_matches_pointwise(request, pot_name, rng):
         got = prob.apply(u.values.ravel())
         pts = prob.grid_pts[prob.unknown]
         if equation == "linear":
-            want = [linear_apply(u, x, rough, prob.plan) for x in pts]
+            want = linear_apply(u, pts, rough, prob.plan)
         elif equation == "isaacs":
-            want = [isaacs_apply(u, x, families, prob.plan) for x in pts]
+            want = isaacs_apply(u, pts, families, prob.plan)
         else:
-            want = [extremal(u, x, replace(spec, selection=equation), prob.plan)
-                    for x in pts]
+            want = extremal(u, pts, replace(spec, selection=equation), prob.plan)
         scale = float(np.abs(want).max())
-        assert np.abs(got - np.asarray(want)).max() <= 1e-12 * scale, equation
+        assert np.abs(got - want).max() <= 1e-12 * scale, equation
+
+
+@pytest.mark.parametrize("pot_name, h", [("perturbed1", 1 / 16), ("perturbed2", 1 / 4)])
+def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
+                                                    monkeypatch):
+    # k points in, k values out, each bit-equal to the point's own call; each
+    # point's nodes are its own, so node blocks change no value either, of
+    # the pointwise operators or of the compiled apply
+    pot = request.getfixturevalue(pot_name)
+    n = pot.dim
+    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    data = gaussian_rule(1.0, 0.7, [0.3, -0.2][:n])
+    rough = checkerboard_rule(spec)
+    families = [[lower_rule(spec), rough], [upper_rule(spec), midpoint_rule(spec)]]
+    cases = {"extremal_plus": {}, "extremal_minus": {},
+             "linear": {"kernel_rule": rough}, "isaacs": {"families": families}}
+    values = rng.normal(size=(round(2 / h) + 1,) * n)
+    xs = rng.uniform(-0.9, 0.9, size=(25, n))
+
+    def pointwise(u, x, equation, plan):
+        if equation == "linear":
+            return linear_apply(u, x, rough, plan)
+        if equation == "isaacs":
+            return isaacs_apply(u, x, families, plan)
+        return extremal(u, x, replace(spec, selection=equation), plan)
+
+    def run():
+        out = {}
+        for equation, kw in cases.items():
+            prob = DiscreteProblem(pot, spec, [-1] * n, [1] * n, h, data, equation, **kw)
+            u = GridFunction(prob.geom.lo, prob.geom.hi, values, data)
+            out[equation] = (prob.apply(values.ravel()),
+                             pointwise(u, xs, equation, prob.plan), u, prob.plan)
+        return out
+
+    whole = run()
+    for equation, (_, batch, u, plan) in whole.items():
+        assert batch.shape == (len(xs),)
+        single = [pointwise(u, x, equation, plan)[0] for x in xs]
+        assert np.array_equal(batch, single), equation
+
+    calls = {kernels: 0, solver: 0}
+    for module in calls:
+        def counted(*args, _module=module, _f=module.point_quadrature):
+            calls[_module] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, "point_quadrature", counted)
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 5000)
+    blocked = run()
+    # every equation blocks alike: at least 3 blocks each for the 25 points
+    # (kernels) and for the unknowns (solver)
+    assert min(calls.values()) >= 3 * len(cases)
+    for equation in cases:
+        assert np.array_equal(blocked[equation][0], whole[equation][0]), equation
+        assert np.array_equal(blocked[equation][1], whole[equation][1]), equation
 
 
 def test_unknown_solve_method_rejected(iso1):
