@@ -311,15 +311,17 @@ def _cmd_leps(cfg: dict, out: str) -> int:
     pot, spec, prob, u, rep = _solve_from_config(cfg)
     tau = cfg.get("tau") or compute_tau(pot)
     z = cfg.get("z", [0.0] * pot.dim)
+    eps0 = max(10.0 * rep.final_residual, 1e-8)
     if cfg.get("normalize", True):
         pts = u.points()
         vz = pot.height(np.asarray(z, dtype=float), pts)
         inf1 = float(u.values.ravel()[vz < 1.0].min())
         if inf1 > 0:
             u = u.copy_with(u.values / inf1)
-    eps0 = float(cfg.get("eps0", max(10.0 * rep.final_residual, 1e-8)))
+            eps0 /= inf1        # M^- (u / inf1) = (M^- u) / inf1
+    eps0 = float(cfg.get("eps0", eps0))
     try:
-        r = l_eps_tail(u, pot, spec, z, float(tau), eps0, problem=None,
+        r = l_eps_tail(u, pot, spec, z, float(tau), eps0, problem=prob,
                        rho=float(cfg.get("rho", 0.5)))
     except MaslabError as e:
         _write_json(os.path.join(out, "leps_report.json"),

@@ -67,7 +67,6 @@ class KernelRule:
 
     name: str
     mult: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    smooth: bool = True
 
     def multipliers(self, x, y, wbar) -> np.ndarray:
         m = np.asarray(self.mult(x, y, wbar), dtype=float)
@@ -93,7 +92,7 @@ def checkerboard_rule(spec: KernelSpec) -> KernelRule:
         shell = np.floor(np.log2(np.sqrt(np.maximum(wbar, 1e-300)))).astype(int)
         return np.where(shell % 2 == 0, Lam, lam)
 
-    return KernelRule("checkerboard", mult, smooth=False)
+    return KernelRule("checkerboard", mult)
 
 
 def make_kernel_rule(rule_id: str, spec: KernelSpec) -> KernelRule:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
 from .grid import ExteriorRule, GridFunction
-from .kernels import KernelRule, KernelSpec, midpoint_rule, operator_values, sym_height
+from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule, sym_height
 from .potential import Potential, _as_points
 from .sections import boundary_radii, unit_directions
 from .solver import DiscreteProblem, solve
@@ -78,8 +78,7 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
         raise ConfigurationError(f"inf over S_r(z) of u = {inf_r:g} > 1")
     hyp_margin = None
     if problem is not None:
-        mm = operator_values(problem.node_deltas(vals), problem.COEF, problem.PID,
-                             problem.P, problem.spec, "extremal_minus")
+        mm = problem.apply(vals, "extremal_minus")
         upts = problem.grid_pts[problem.unknown]
         in_2tau = potential.height(z, upts) < (2.0 * tau) ** 2
         hyp_margin = float(mm[in_2tau].max()) if in_2tau.any() else None
@@ -207,6 +206,19 @@ def _osc_radii(potential: Potential, rho: float, h: float, levels: int = 7):
     return np.array(radii)
 
 
+def _pair_heights(potential: Potential, pts: np.ndarray) -> np.ndarray:
+    """v_p(q) for every pair (row p, column q), as height(p, pts) gives it,
+    from shifted_height over blocks of at most NODE_BUDGET pairs."""
+    m = pts.shape[0]
+    out = np.empty((m, m))
+    step = max(1, NODE_BUDGET // m)
+    for first in range(0, m, step):
+        x = np.repeat(pts[first:first + step], m, axis=0)
+        out[first:first + step] = potential.shifted_height(
+            x, np.tile(pts, (x.shape[0] // m, 1)) - x).reshape(-1, m)
+    return out
+
+
 def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
                     C0: float, rho: float = 0.5) -> dict:
     """Oscillation fit osc_{S_r(x0)} u ~ A r^alpha plus seminorm estimates.
@@ -235,8 +247,7 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     P = pts[half]
     V = vals[half]
     dv = np.abs(V[:, None] - V[None, :])
-    dsec = np.sqrt(np.maximum(
-        np.array([potential.height(p, P) for p in P]), 1e-300))
+    dsec = np.sqrt(np.maximum(_pair_heights(potential, P), 1e-300))
     deuc = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
     np.fill_diagonal(dsec, np.inf)
     np.fill_diagonal(deuc, np.inf)

@@ -8,9 +8,9 @@ whose update is a positive-weight average, hence monotone: u <= w pointwise
 (exterior included) is preserved and the discrete comparison principle holds
 exactly for the iteration map.  Because dt scales like the inner-core mass
 (~ rho0^sigma), explicit sweeps alone converge too slowly near sigma = 2 at
-desk scale, so the fixed point is located by policy (Howard) iteration and
-then polished with explicit sweeps; both paths share one compiled node set,
-so they agree on the discrete operator exactly.
+desk scale, so solve() returns the policy (Howard) iterate on the same
+compiled node set once it meets the tolerance; explicit sweeps run only
+when asked for or when the policy iteration misses it.
 
 Each policy step freezes the extremal slopes at the current iterate and
 solves the frozen-policy linear system for the correction, whose right-hand
@@ -78,7 +78,7 @@ class SolveReport:
     final_residual: float
     cfl_dt: float
     converged: bool
-    method: str = "policy+polish"
+    method: str = "policy"
     details: dict = field(default_factory=dict)
 
 
@@ -222,10 +222,15 @@ class DiscreteProblem:
                                      minlength=self.Jtot)
         return S - 2.0 * u_flat[self.unknown[self.PID]]
 
-    def apply(self, u_flat: np.ndarray) -> np.ndarray:
-        """A u at every unknown point."""
+    def apply(self, u_flat: np.ndarray, equation: str | None = None) -> np.ndarray:
+        """A u at every unknown point; with equation "extremal_plus" or
+        "extremal_minus", that operator on the problem's own nodes instead."""
+        if equation not in (None, "extremal_plus", "extremal_minus"):
+            raise ConfigurationError(f"apply takes 'extremal_plus' or 'extremal_minus', "
+                                     f"not {equation!r}")
+        mults = self._mults if equation is None else None
         return operator_values(self.node_deltas(u_flat), self.COEF, self.PID, self.P,
-                               self.spec, self.equation, self._mults)
+                               self.spec, equation or self.equation, mults)
 
     def node_slopes(self, delta: np.ndarray):
         """Frozen linearization slopes (policy) at the current iterate."""
@@ -354,22 +359,21 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     """Fixed point of A u = f with exterior Dirichlet data.
 
     method:
-      "auto"     -- policy iteration to locate the fixed point, then explicit
-                    monotone polish sweeps; falls back to explicit sweeps if
-                    the policy step stalls;
+      "auto"     -- policy iteration, whose iterate is returned once its
+                    residual meets the tolerance; falls back to explicit
+                    sweeps if the policy step stalls;
       "explicit" -- damped explicit iteration only (the scheme of record).
 
-    The report's `method` is the path taken: "policy+polish",
-    "policy+explicit" (policy iteration missed the tolerance and up to
-    min(max_iter, 5000) explicit sweeps followed, counted in
+    The report's `method` is the path taken: "policy" (iterations counts
+    policy steps), "policy+explicit" (policy iteration missed the tolerance
+    and up to min(max_iter, 5000) explicit sweeps followed, counted in
     details["fallback_sweeps"]) or "explicit".  details["floor_limited"]
     says the policy loop stopped at the roundoff floor above the tolerance
-    (no sweeps follow; not converged); "polish_discarded" that the polish
-    sweeps would have lifted a residual below the tolerance above it, so the
-    policy iterate was kept.  details has the problem's node_counts, each
-    policy step's GMRES iterations ("krylov_steps") and residual after it
-    ("policy_residuals"), the steps that ended at the GMRES cycle cap
-    ("krylov_capped") and "linear_solver" ("fft+gmres", or "none").
+    (no sweeps follow; not converged).  details has the problem's
+    node_counts, each policy step's GMRES iterations ("krylov_steps") and
+    residual after it ("policy_residuals"), the steps that ended at the
+    GMRES cycle cap ("krylov_capped") and "linear_solver" ("fft+gmres", or
+    "none").
     """
     if method not in ("auto", "explicit"):
         raise ConfigurationError(f"unknown solve method {method!r}; "
@@ -381,7 +385,7 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
     res = float(np.abs(g).max())
     iters = krylov_capped = 0
     policy_residuals, krylov_steps = [], []
-    floor_limited = polish_discarded = False
+    floor_limited = False
 
     if method == "auto":
         prev = np.inf
@@ -405,11 +409,10 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
             if res >= 0.5 * prev and iters > 3:
                 break
             prev = res
-    fallback_sweeps = 0
-    dt = problem.cfl_dt
+    fallback_sweeps, path = 0, "policy"
     if method == "explicit" or (res > tolerance and not floor_limited):
         sweeps = max_iter if method == "explicit" else min(max_iter, 5000)
-        policy_iters = iters
+        policy_iters, dt = iters, problem.cfl_dt
         for _ in range(sweeps):
             u[unk] += dt * g
             iters += 1
@@ -420,19 +423,6 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
         path = "explicit"
         if method == "auto":
             path, fallback_sweeps = "policy+explicit", iters - policy_iters
-    else:
-        path = "policy+polish"
-        v = u.copy()
-        for _ in range(3):
-            v[unk] += dt * g
-            g = problem.apply(v) - f_vals
-        polished = float(np.abs(g).max())
-        # the sweeps' residual sits at the roundoff floor too, and can lift
-        # one that met the tolerance above it
-        polish_discarded = res <= tolerance < polished
-        if not polish_discarded:
-            u, res = v, polished
-            iters += 3
 
     gf = GridFunction(problem.geom.lo, problem.geom.hi,
                       u.reshape(problem.geom.shape), problem.exterior)
@@ -443,7 +433,6 @@ def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
                                   "unknowns": int(problem.P),
                                   "fallback_sweeps": fallback_sweeps,
                                   "floor_limited": floor_limited,
-                                  "polish_discarded": polish_discarded,
                                   "linear_solver": "fft+gmres" if krylov_steps else "none",
                                   "krylov_steps": krylov_steps,
                                   "krylov_capped": krylov_capped,
@@ -484,9 +473,7 @@ def comparison_check(problem_sub: DiscreteProblem, u_sub: GridFunction,
     worst = float(diff[problem_sub.unknown].max())
     ok = worst <= tolerance
     # difference operator check: M+(u - v) >= f_sub - f_super, discretely
-    mplus = operator_values(problem_sub.node_deltas(diff), problem_sub.COEF,
-                            problem_sub.PID, problem_sub.P, problem_sub.spec,
-                            "extremal_plus")
+    mplus = problem_sub.apply(diff, "extremal_plus")
     diff_margin = float((mplus - (fs - fg)).min())
     return {"max_u_minus_v": worst, "ok": bool(ok),
             "worst_point": problem_sub.grid_pts[problem_sub.unknown[

@@ -140,6 +140,12 @@ def test_leps_cli(tmp_path):
     assert code == 0
     rep = json.loads((out / "leps_report.json").read_text())
     assert rep["eps_hat"] > 0 and rep["r2"] >= 0.9
+    # the M^- u <= eps0 hypothesis is checked on the solved problem
+    assert isinstance(rep["hypothesis_margin"], float)
+    # negative control: an eps0 below the solve's own residual fails it
+    assert run("leps", dict(cfg, eps0=1e-14), str(tmp_path / "neg")) == 2
+    neg = json.loads((tmp_path / "neg" / "leps_report.json").read_text())
+    assert neg["failed"] is True
 
 
 def test_harnack_cli(tmp_path):

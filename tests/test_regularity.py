@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from maslab import regularity
 from maslab.errors import ConfigurationError, RefinementNeededError
-from maslab.grid import GridFunction, indicator_box_rule, zero_rule
+from maslab.grid import GridFunction, box_lattice, indicator_box_rule, zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule, midpoint_rule
 from maslab.potential import make_potential
 from maslab.regularity import (ExperimentReport, c1alpha_experiment,
@@ -130,6 +131,22 @@ def _holder_solution(iso1, h, sigma=1.5):
     prob = DiscreteProblem(iso1, spec, [-9], [9], h, g)
     u, rep = solve(prob, f=0.0)
     return u, spec, rep
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "perturbed1", "perturbed2", "aniso2"])
+def test_pair_heights_equal_the_per_point_loop(request, pot_name, monkeypatch):
+    # holder_estimate's sectional distances: v_p(q) for every pair, bit for
+    # bit what one height(p, pts) call per point gives, in one block of
+    # pairs or in many
+    pot = request.getfixturevalue(pot_name)
+    for m in (91, 529):
+        k = m if pot.dim == 1 else round(m ** 0.5)
+        pts = box_lattice([-0.7, -0.4][:pot.dim], [0.6, 0.5][:pot.dim], [k] * pot.dim)
+        want = np.array([pot.height(p, pts) for p in pts])
+        assert np.array_equal(regularity._pair_heights(pot, pts), want)
+        with monkeypatch.context() as mp:
+            mp.setattr(regularity, "NODE_BUDGET", 1000)
+            assert np.array_equal(regularity._pair_heights(pot, pts), want)
 
 
 def test_holder_affine_slope_one(iso1):

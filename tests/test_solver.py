@@ -38,7 +38,7 @@ def test_dirichlet_symmetry(iso1):
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, halfspace_rule(0, 1.0))
     u, rep = solve(prob)
     assert rep.converged
-    assert rep.method == "policy+polish"
+    assert rep.method == "policy"
     assert rep.details["fallback_sweeps"] == 0
     assert float(u.eval([0.0])[0]) == pytest.approx(0.5, abs=1e-10)
     assert np.all(np.diff(u.values) > -1e-12)  # monotone profile
@@ -192,9 +192,16 @@ def test_other_selection_on_compiled_nodes_matches_problem(iso1, rng):
     minus = DiscreteProblem(iso1, replace(spec, selection="extremal_minus"), [-1], [1],
                             1 / 32, zero_rule(), "extremal_minus")
     u = rng.normal(size=plus.N)
-    vals = operator_values(minus.node_deltas(u), minus.COEF, minus.PID, minus.P,
-                           minus.spec, "extremal_plus")
-    assert np.array_equal(vals, plus.apply(u))
+    assert np.array_equal(minus.apply(u, "extremal_plus"), plus.apply(u))
+    assert np.array_equal(plus.apply(u, "extremal_minus"), minus.apply(u))
+    # the other selection is what the comparison and L^eps checks evaluated
+    # through kernels.operator_values on the same nodes
+    assert np.array_equal(minus.apply(u, "extremal_plus"),
+                          operator_values(minus.node_deltas(u), minus.COEF, minus.PID,
+                                          minus.P, minus.spec, "extremal_plus"))
+    for equation in ("linear", "isaacs", "fixed_midpoint"):
+        with pytest.raises(ConfigurationError):
+            plus.apply(u, equation)
 
 
 @pytest.mark.parametrize("pot_name", ["perturbed2", "aniso2"])
@@ -304,6 +311,10 @@ def test_benchmark_hooks_present(iso1, monkeypatch):
         assert isinstance(getattr(prob, attr), np.ndarray), attr
     assert prob._mults is None
     assert prob.Jtot == prob.COEF.size == prob.WBAR.size
+    # and these report fields of every solve
+    _, rep = solve(prob)
+    assert isinstance(rep.converged, bool) and rep.converged
+    assert isinstance(rep.final_residual, float) and isinstance(rep.iterations, int)
 
 
 def test_max_iter_exceeded_returns_best_iterate(iso1):
@@ -330,11 +341,11 @@ def test_tolerance_below_roundoff_is_floor_limited(iso1):
     u, rep = solve(prob, tolerance=1e-30, max_iter=7)
     d = rep.details
     assert not rep.converged
-    assert rep.method == "policy+polish"
+    assert rep.method == "policy"
     assert d["floor_limited"] and d["fallback_sweeps"] == 0
     floor = np.finfo(float).eps * prob.mass.max() * np.abs(u.values).max()
     assert d["policy_residuals"][-1] <= solver.FLOOR_FACTOR * floor
-    assert rep.iterations == len(d["policy_residuals"]) + 3     # + polish
+    assert rep.iterations == len(d["policy_residuals"])
     assert np.all(np.isfinite(u.values))
 
 
@@ -346,7 +357,7 @@ def test_pucci_1d_below_roundoff_ends_at_the_floor(iso1):
     u, rep = solve(prob, tolerance=1e-12)
     d = rep.details
     assert d["floor_limited"] and d["fallback_sweeps"] == 0
-    assert rep.method == "policy+polish" and not rep.converged
+    assert rep.method == "policy" and not rep.converged
     assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
     assert len(d["policy_residuals"]) <= 8
 
@@ -401,8 +412,8 @@ def test_solve_2d_perturbed_smoke(perturbed2):
 
 def _direct_reference(prob, f, tolerance):
     """Policy iteration with a fresh scipy.linalg.solve per step on the matrix
-    built from COO triplets (the inner solve the Krylov path replaces), the
-    same residual test and the same three polish sweeps."""
+    built from COO triplets (the inner solve the Krylov path replaces) and
+    the same residual test."""
     f_vals = np.full(prob.P, float(f))
     u = prob.data_values()
     prev, steps = np.inf, 0
@@ -421,8 +432,6 @@ def _direct_reference(prob, f, tolerance):
         if res <= max(tolerance, 1e-14) or (res >= 0.5 * prev and steps > 3):
             break
         prev = res
-    for _ in range(3):
-        u = prob.iterate(u, f_vals)
     return u, steps
 
 
@@ -463,7 +472,7 @@ def test_krylov_path_matches_direct_reference(request, case):
     u, rep = solve(prob, f=f, tolerance=1e-10)
     want, steps = _direct_reference(prob, f, 1e-10)
     d = rep.details
-    assert rep.converged and rep.method == "policy+polish"
+    assert rep.converged and rep.method == "policy"
     assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
     assert len(d["krylov_steps"]) == len(d["policy_residuals"]) == steps
     assert min(d["krylov_steps"]) > 0
@@ -472,19 +481,25 @@ def test_krylov_path_matches_direct_reference(request, case):
     assert np.abs(u.values.ravel() - want).max() <= 1e-12 * scale
 
 
-def test_criterion_10_kind_of_solve_runs_gmres_every_step(iso1):
+def test_criterion_10_kind_of_solve_runs_gmres_every_step(iso1, monkeypatch):
     # M+ with indicator data, several policy steps, each a GMRES solve on
-    # the circulant preconditioner that reaches its target
+    # the circulant preconditioner that reaches its target; the policy
+    # iterate is returned as it is, with no explicit sweep after the loop
     spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
     prob = DiscreteProblem(iso1, spec, [-3], [3], 1 / 64,
                            indicator_box_rule([3.1], [4.1], 1.0))
+    applied = []
+    apply = DiscreteProblem.apply
+    monkeypatch.setattr(DiscreteProblem, "apply",
+                        lambda self, *a: applied.append(1) or apply(self, *a))
     u, rep = solve(prob)
     d = rep.details
-    assert rep.converged
+    assert rep.converged and rep.method == "policy" and applied == []
+    assert rep.final_residual == d["policy_residuals"][-1]
     assert len(d["policy_residuals"]) >= 4
     assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
     assert len(d["krylov_steps"]) == len(d["policy_residuals"])
-    assert rep.iterations == len(d["policy_residuals"]) + 3     # + polish
+    assert rep.iterations == len(d["policy_residuals"])
     assert d["policy_residuals"][-1] <= 1e-10
 
 
@@ -511,31 +526,10 @@ def test_solve_above_6000_unknowns_matches_a_dense_solve(iso1):
     assert np.abs(uf - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_polish_keeps_a_policy_iterate_that_met_the_tolerance(iso1, monkeypatch):
-    # polish sweeps that would lift the residual above a tolerance the policy
-    # iterate met are discarded; constructed by shifting the operator values
-    # the sweeps see (the policy loop does not call apply)
-    prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-1], [1], 1 / 32,
-                           indicator_box_rule([1.1], [1.6], 1.0))
-    u_ref, ref = solve(prob, tolerance=1e-10)
-    apply = DiscreteProblem.apply
-    monkeypatch.setattr(DiscreteProblem, "apply", lambda self, v: apply(self, v) + 1e-9)
-    u, rep = solve(prob, tolerance=1e-10)
-    d = rep.details
-    assert rep.converged and rep.method == "policy+polish"
-    assert rep.final_residual == d["policy_residuals"][-1] <= 1e-10
-    assert d["polish_discarded"] and not ref.details["polish_discarded"]
-    assert rep.iterations == len(d["policy_residuals"])
-    # the returned iterate is the policy iterate, before the sweeps
-    assert not np.array_equal(u.values, u_ref.values)
-    assert np.abs(u.values - u_ref.values).max() <= 1e-9
-
-
-def test_polish_at_the_floor_is_never_a_silent_miss(iso1):
-    # found on the new path: sigma 1.2, h = 1/64, tolerance set to the last
-    # policy residual of a floor-limited solve.  The sweeps lift the residual
-    # (7.8e-14) above that tolerance; the solve must still end converged or
-    # say why not
+def test_tolerance_at_the_floor_is_never_a_silent_miss(iso1):
+    # sigma 1.2, h = 1/64, tolerance set to the last policy residual of a
+    # floor-limited solve, where residuals move by roundoff: the solve must
+    # still end converged or say why not
     prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.2), [-1], [1], 1 / 64,
                            indicator_box_rule([1.1], [1.6], 1.0))
     _, first = solve(prob, tolerance=1e-30)
