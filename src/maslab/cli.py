@@ -250,9 +250,7 @@ def _solve_from_config(cfg: dict):
     prob = DiscreteProblem(pot, spec, lo, hi, h, exterior, equation,
                            kernel_rule=rule, families=families,
                            domain=_domain_from(cfg, pot))
-    u, rep = solve(prob, f=_f_from(cfg),
-                   tolerance=float(cfg.get("tolerance", 1e-10)),
-                   max_iter=int(cfg.get("max_iter", 30000)))
+    u, rep = solve(prob, f=_f_from(cfg), tolerance=float(cfg.get("tolerance", 1e-10)))
     return pot, spec, prob, u, rep
 
 
@@ -264,8 +262,7 @@ def _cmd_solve(cfg: dict, out: str) -> int:
     _write_csv(os.path.join(out, "solution.csv"), head, rows)
     _write_json(os.path.join(out, "solve_report.json"),
                 {"iterations": rep.iterations, "final_residual": rep.final_residual,
-                 "cfl_dt": rep.cfl_dt, "converged": rep.converged,
-                 "method": rep.method, "details": rep.details})
+                 "converged": rep.converged, "details": rep.details})
     return 0 if rep.converged else 2
 
 
@@ -311,15 +308,7 @@ def _cmd_leps(cfg: dict, out: str) -> int:
     pot, spec, prob, u, rep = _solve_from_config(cfg)
     tau = cfg.get("tau") or compute_tau(pot)
     z = cfg.get("z", [0.0] * pot.dim)
-    eps0 = max(10.0 * rep.final_residual, 1e-8)
-    if cfg.get("normalize", True):
-        pts = u.points()
-        vz = pot.height(np.asarray(z, dtype=float), pts)
-        inf1 = float(u.values.ravel()[vz < 1.0].min())
-        if inf1 > 0:
-            u = u.copy_with(u.values / inf1)
-            eps0 /= inf1        # M^- (u / inf1) = (M^- u) / inf1
-    eps0 = float(cfg.get("eps0", eps0))
+    eps0 = float(cfg.get("eps0", max(10.0 * rep.final_residual, 1e-8)))
     try:
         r = l_eps_tail(u, pot, spec, z, float(tau), eps0, problem=prob,
                        rho=float(cfg.get("rho", 0.5)))

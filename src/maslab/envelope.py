@@ -108,21 +108,6 @@ def _aligned_lattice(u: GridFunction, radius: float):
     return tensor_points(axes), tuple(a.size for a in axes), lo_ext, hi_ext
 
 
-def _upper_hull_1d(x: np.ndarray, z: np.ndarray):
-    """Vertices of the upper concave chain of points (x, z), x sorted."""
-    keep = []
-    for i in range(x.size):
-        while len(keep) >= 2:
-            j, k = keep[-2], keep[-1]
-            # drop k if it lies below segment (j, i)
-            if (z[k] - z[j]) * (x[i] - x[j]) <= (z[i] - z[j]) * (x[k] - x[j]) + 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return np.array(keep, dtype=int)
-
-
 def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> EnvelopeResult:
     """Concave envelope of u^+ on S_tau(0), zero outside, on an aligned lattice.
 
@@ -166,27 +151,15 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
 
     P = pts[in_tau]
     Z = up[in_tau]
-    if n == 1:
-        order = np.argsort(P[:, 0])
-        xs, zs = P[order, 0], Z[order]
-        hull = _upper_hull_1d(xs, zs)
-        hx, hz = xs[hull], zs[hull]
-        g_in = np.interp(pts[in_tau][:, 0], hx, hz)
-        slopes = np.diff(hz) / np.diff(hx)
-        seg = np.clip(np.searchsorted(hx, pts[in_tau][:, 0], side="right") - 1,
-                      0, slopes.size - 1)
-        grads_in = slopes[seg][:, None]
-    else:
-        lift = np.column_stack([P, Z])
-        hull = ConvexHull(lift)
-        eq = hull.equations  # outward normal: a.x + b*z + d <= 0 inside
-        upper = eq[:, n] > 1e-12
-        a, b, d = eq[upper, :n], eq[upper, n], eq[upper, n + 1]
-        # plane z = -(a.x + d)/b; min over upper facets = concave envelope
-        planes = -(P @ a.T + d[None, :]) / b[None, :]
-        which = planes.argmin(axis=1)
-        g_in = planes[np.arange(P.shape[0]), which]
-        grads_in = -(a / b[:, None])[which]
+    hull = ConvexHull(np.column_stack([P, Z]))
+    eq = hull.equations  # outward normal: a.x + b*z + d <= 0 inside
+    upper = eq[:, n] > 1e-12
+    a, b, d = eq[upper, :n], eq[upper, n], eq[upper, n + 1]
+    # plane z = -(a.x + d)/b; min over upper facets = concave envelope
+    planes = -(P @ a.T + d[None, :]) / b[None, :]
+    which = planes.argmin(axis=1)
+    g_in = planes[np.arange(P.shape[0]), which]
+    grads_in = -(a / b[:, None])[which]
     gamma_vals[in_tau] = np.maximum(g_in, 0.0)
     grads[in_tau] = grads_in
 

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, DataError, KernelClassError, RefinementN
 from .grid import ExteriorRule, GridFunction
 from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule, sym_height
 from .potential import Potential, _as_points
-from .sections import boundary_radii, unit_directions
+from .sections import boundary_radii, contains_many, unit_directions
 from .solver import DiscreteProblem, solve
 
 
@@ -59,23 +59,21 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray):
 
 def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
                tau: float, eps0: float, problem: DiscreteProblem | None = None,
-               rho: float = 0.5, r_section: float = 1.0,
-               levels=None) -> dict:
+               rho: float = 0.5, levels=None) -> dict:
     """Superlevel-set decay of a nonnegative near-supersolution on S_rho(z).
 
-    Measures |{u > t} cap S_rho(z)| for dyadic t, fits the tail exponent, and
-    also reports the finite level M_hat with |{u <= M_hat} cap S_1(z)| > 0.
+    u is divided by its infimum over S_1(z) (reported as inf_S_1), so that
+    the normalized function has infimum 1 there.  It measures
+    |{u > t} cap S_rho(z)| for dyadic t, fits the tail exponent, and also
+    reports the finite level M_hat with |{u <= M_hat} cap S_1(z)| > 0.
+    With the solved problem, the hypothesis M^- u <= eps0 on S_2tau(z) is
+    checked on u as solved, and its margin reported.
     """
     z = _as_points(z, potential.dim)[0]
     pts = u.points()
     vals = u.values.ravel()
     if vals.min() < -1e-9 * max(1.0, float(np.abs(vals).max())):
         raise DataError("u must be nonnegative")
-    v_z = potential.height(z, pts)
-    in_r = v_z < r_section ** 2
-    inf_r = float(vals[in_r].min()) if in_r.any() else np.inf
-    if inf_r > 1.0 + 1e-9:
-        raise ConfigurationError(f"inf over S_r(z) of u = {inf_r:g} > 1")
     hyp_margin = None
     if problem is not None:
         mm = problem.apply(vals, "extremal_minus")
@@ -85,6 +83,11 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
         if hyp_margin is not None and hyp_margin > eps0:
             raise ConfigurationError(
                 f"M^- u = {hyp_margin:g} > eps0 = {eps0:g} on S_2tau(z)")
+    v_z = potential.height(z, pts)
+    in_1 = v_z < 1.0
+    inf_1 = float(vals[in_1].min()) if in_1.any() else np.inf
+    if 0.0 < inf_1 < np.inf:
+        vals = vals / inf_1
 
     cell = u.cell_volume()
     if levels is None:
@@ -97,10 +100,9 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
             f"only {int(nonempty.sum())} nonempty superlevels: insufficient range")
     slope, intercept, r2 = _loglog_fit(np.asarray(levels)[nonempty], meas[nonempty])
     eps_hat = -slope
-    meas_r = float(in_r.sum()) * cell
-    c_hat = math.exp(intercept) / meas_r
+    meas_1 = float(in_1.sum()) * cell
+    c_hat = math.exp(intercept) / meas_1
 
-    in_1 = v_z < 1.0
     m_hat, eta_hat = None, 0.0
     for mj in 2.0 ** np.arange(0, 40):
         # values within 1e-12 relative of the level count as at it: mirror
@@ -114,16 +116,12 @@ def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
             "levels": np.asarray(levels).tolist(), "measures": meas.tolist(),
             "nonempty_levels": int(nonempty.sum()),
             "M_hat": m_hat, "eta_hat": eta_hat,
-            "inf_S_r": inf_r, "hypothesis_margin": hyp_margin}
+            "inf_S_1": inf_1, "hypothesis_margin": hyp_margin}
 
 
 # ---------------------------------------------------------------------------
 # Harnack
 # ---------------------------------------------------------------------------
-
-def _section_mask(potential: Potential, center, r: float, pts: np.ndarray) -> np.ndarray:
-    return potential.height(center, pts) < r * r
-
 
 def harnack_experiment(potential: Potential, lam: float, Lam: float,
                        data_family: list[ExteriorRule], sigmas, resolutions,
@@ -153,7 +151,7 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
                 if vals.min() < -1e-10 * max(1.0, vals.max()):
                     raise DataError("harnack solution not nonnegative")
                 pts = u.points()
-                half = _section_mask(potential, zero, rho / 2.0, pts)
+                half = contains_many(potential, zero, rho / 2.0, pts)
                 u0 = float(u.eval(zero[None, :])[0])
                 c0 = rep.final_residual
                 ratio = float(vals[half].max()) / (u0 + c0) if u0 + c0 > 0 else np.inf
@@ -232,7 +230,7 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     radii = _osc_radii(potential, rho, u.h)
     oscs = []
     for r in radii:
-        m = _section_mask(potential, x0, r, pts)
+        m = contains_many(potential, x0, r, pts)
         if m.sum() < 2:
             raise RefinementNeededError("empty oscillation window")
         oscs.append(float(vals[m].max() - vals[m].min()))
@@ -243,7 +241,7 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     good = oscs > 0
     alpha_hat, _, r2 = _loglog_fit(radii[good], oscs[good])
 
-    half = _section_mask(potential, x0, rho / 2.0, pts)
+    half = contains_many(potential, x0, rho / 2.0, pts)
     P = pts[half]
     V = vals[half]
     dv = np.abs(V[:, None] - V[None, :])
@@ -383,7 +381,7 @@ def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: floa
         oscs = []
         x0 = np.zeros(n)
         for r in radii:
-            m = _section_mask(potential, x0, r, pts)
+            m = contains_many(potential, x0, r, pts)
             gm = grad[m]
             spread = gm.max(axis=0) - gm.min(axis=0)
             oscs.append(float(np.linalg.norm(spread)))

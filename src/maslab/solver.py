@@ -1,16 +1,15 @@
 """Monotone grid scheme for M+/M- u = f, linear and Isaacs equations.
 
-The scheme of record is the damped explicit iteration
+The scheme of record is the damped explicit map
 
-    u <- u + dt * (A u - f),   dt <= 1 / (kernel mass per point),
+    u <- u + dt * (A u - f),   dt = 1 / (kernel mass per point),
 
-whose update is a positive-weight average, hence monotone: u <= w pointwise
-(exterior included) is preserved and the discrete comparison principle holds
-exactly for the iteration map.  Because dt scales like the inner-core mass
-(~ rho0^sigma), explicit sweeps alone converge too slowly near sigma = 2 at
-desk scale, so solve() returns the policy (Howard) iterate on the same
-compiled node set once it meets the tolerance; explicit sweeps run only
-when asked for or when the policy iteration misses it.
+a positive-weight average, hence monotone: u <= w pointwise (exterior
+included) is preserved, so the discrete comparison principle holds exactly
+for it (DiscreteProblem.iterate).  Its fixed point is what solve() computes,
+by policy (Howard) iteration on the same compiled node set; explicit sweeps
+alone converge too slowly near sigma = 2 at desk scale, since dt scales like
+the inner-core mass (~ rho0^sigma).
 
 Each policy step freezes the extremal slopes at the current iterate and
 solves the frozen-policy linear system for the correction, whose right-hand
@@ -18,11 +17,12 @@ side is the current residual, by GMRES.  The preconditioner is one FFT
 circulant per problem, built from one row of a policy matrix (Strang 1986;
 Lei and Sun 2013 for fractional diffusion): for a quadratic potential the
 node set is shift-invariant, so policy matrices are Toeplitz up to the box
-edge and the policy.  No P x P array or factor is formed.  A step that
-stalls, or a correction that is not finite, ends the policy iteration and
-explicit sweeps take over (Bokanowski, Maroso and Zidani 2009 cover
-Howard's algorithm with inexact inner solves).  The loop also stops within
-FLOOR_FACTOR of the roundoff floor eps * mass.max() * sup|u|, and says so.
+edge and the policy.  No P x P array or factor is formed.  Howard's
+algorithm on a monotone scheme converges with inexact inner solves
+(Bokanowski, Maroso and Zidani 2009), so the loop is the only solve path:
+it returns its last finite iterate and names its exit -- the tolerance, the
+roundoff floor eps * mass.max() * sup|u| (within FLOOR_FACTOR), a stalled
+step, a correction that is not finite, or POLICY_STEPS.
 
 The node set is compiled by kernels.point_quadrature over blocks of unknowns
 (each point gets the nodes of its own sections), and operator values and
@@ -58,10 +58,12 @@ KRYLOV_CYCLES = 2
 # 0.1 * tolerance): one at the roundoff floor made GMRES stagnate.
 KRYLOV_RTOL = 1e-10
 # The policy loop stops within FLOOR_FACTOR of the roundoff floor
-# eps * mass.max() * sup|u| of its linear systems, which no policy step or
-# explicit sweep gets below: on the pucci_1d problem (P = 2305) the policy
-# residuals stalled at 1.0-1.4 times the floor, and 4 covers that spread.
+# eps * mass.max() * sup|u| of its linear systems, which no policy step gets
+# below: on the pucci_1d problem (P = 2305) the policy residuals stalled at
+# 1.0-1.4 times the floor, and 4 covers that spread.
 FLOOR_FACTOR = 4.0
+# Policy steps per solve; a solve that ends here reports "step_cap".
+POLICY_STEPS = 40
 
 
 def _join(blocks: list) -> np.ndarray:
@@ -76,9 +78,7 @@ def _join(blocks: list) -> np.ndarray:
 class SolveReport:
     iterations: int
     final_residual: float
-    cfl_dt: float
     converged: bool
-    method: str = "policy"
     details: dict = field(default_factory=dict)
 
 
@@ -254,12 +254,10 @@ class DiscreteProblem:
 
     # -- iteration -----------------------------------------------------------
 
-    def iterate(self, u_flat: np.ndarray, f_vals: np.ndarray,
-                dt: float | None = None) -> np.ndarray:
-        """One damped explicit sweep; monotone for dt <= cfl_dt."""
-        dt = self.cfl_dt if dt is None else dt
+    def iterate(self, u_flat: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+        """One damped explicit sweep at dt = cfl_dt: the monotone scheme map."""
         out = u_flat.copy()
-        out[self.unknown] = u_flat[self.unknown] + dt * (self.apply(u_flat) - f_vals)
+        out[self.unknown] += self.cfl_dt * (self.apply(u_flat) - f_vals)
         return out
 
     def residual(self, u_flat: np.ndarray, f_vals: np.ndarray) -> float:
@@ -354,86 +352,58 @@ def _linearize(problem: DiscreteProblem, u: np.ndarray, f_vals: np.ndarray):
                                  slopes) - f_vals
 
 
-def solve(problem: DiscreteProblem, f=None, tolerance: float = 1e-10,
-          max_iter: int = 30000, method: str = "auto") -> tuple[GridFunction, SolveReport]:
-    """Fixed point of A u = f with exterior Dirichlet data.
+def solve(problem: DiscreteProblem, f=None,
+          tolerance: float = 1e-10) -> tuple[GridFunction, SolveReport]:
+    """Fixed point of A u = f with exterior Dirichlet data, by policy iteration.
 
-    method:
-      "auto"     -- policy iteration, whose iterate is returned once its
-                    residual meets the tolerance; falls back to explicit
-                    sweeps if the policy step stalls;
-      "explicit" -- damped explicit iteration only (the scheme of record).
-
-    The report's `method` is the path taken: "policy" (iterations counts
-    policy steps), "policy+explicit" (policy iteration missed the tolerance
-    and up to min(max_iter, 5000) explicit sweeps followed, counted in
-    details["fallback_sweeps"]) or "explicit".  details["floor_limited"]
-    says the policy loop stopped at the roundoff floor above the tolerance
-    (no sweeps follow; not converged).  details has the problem's
-    node_counts, each policy step's GMRES iterations ("krylov_steps") and
-    residual after it ("policy_residuals"), the steps that ended at the
-    GMRES cycle cap ("krylov_capped") and "linear_solver" ("fft+gmres", or
-    "none").
+    Returns the last finite policy iterate.  details["stop"] says why the
+    loop ended: "tolerance" (residual <= tolerance; the only stop that is
+    converged), "floor" (within FLOOR_FACTOR of the roundoff floor, above
+    the tolerance), "stalled" (a step after the third cut the residual by
+    less than half), "not_finite" (a correction that is not finite, not
+    applied) or "step_cap" (POLICY_STEPS steps).  iterations counts policy
+    steps, each with its GMRES iterations in details["krylov_steps"] and
+    its residual in details["policy_residuals"]; details["krylov_capped"]
+    counts the GMRES solves that ended at the cycle cap, and the problem's
+    node_counts are there too.
     """
-    if method not in ("auto", "explicit"):
-        raise ConfigurationError(f"unknown solve method {method!r}; "
-                                 "use 'auto' or 'explicit'")
     unk = problem.unknown
     f_vals = _f_values(f, problem.grid_pts[unk])
     u = problem.data_values()
     slopes, g = _linearize(problem, u, f_vals)
     res = float(np.abs(g).max())
-    iters = krylov_capped = 0
+    krylov_capped = 0
     policy_residuals, krylov_steps = [], []
-    floor_limited = False
-
-    if method == "auto":
-        prev = np.inf
-        for _ in range(40):
-            # the policy system for the correction dx has the right-hand
-            # side -g: exterior and data-column parts are already in g
-            dx, k, capped = _krylov(problem, slopes, -g, 0.1 * tolerance)
-            krylov_steps.append(k)
-            krylov_capped += capped
-            if not np.all(np.isfinite(dx)):
-                break
-            u[unk] += dx
-            iters += 1
-            slopes, g = _linearize(problem, u, f_vals)
-            res = float(np.abs(g).max())
-            policy_residuals.append(res)
-            floor = float(np.finfo(float).eps * problem.mass.max() * np.abs(u).max())
-            if res <= max(tolerance, FLOOR_FACTOR * floor):
-                floor_limited = res > tolerance
-                break
-            if res >= 0.5 * prev and iters > 3:
-                break
-            prev = res
-    fallback_sweeps, path = 0, "policy"
-    if method == "explicit" or (res > tolerance and not floor_limited):
-        sweeps = max_iter if method == "explicit" else min(max_iter, 5000)
-        policy_iters, dt = iters, problem.cfl_dt
-        for _ in range(sweeps):
-            u[unk] += dt * g
-            iters += 1
-            g = problem.apply(u) - f_vals
-            res = float(np.abs(g).max())
-            if res <= tolerance:
-                break
-        path = "explicit"
-        if method == "auto":
-            path, fallback_sweeps = "policy+explicit", iters - policy_iters
+    stop, prev = "step_cap", np.inf
+    for step in range(1, POLICY_STEPS + 1):
+        # the policy system for the correction dx has the right-hand side
+        # -g: exterior and data-column parts are already in g
+        dx, k, capped = _krylov(problem, slopes, -g, 0.1 * tolerance)
+        krylov_steps.append(k)
+        krylov_capped += capped
+        if not np.all(np.isfinite(dx)):
+            stop = "not_finite"
+            break
+        u[unk] += dx
+        slopes, g = _linearize(problem, u, f_vals)
+        res = float(np.abs(g).max())
+        policy_residuals.append(res)
+        floor = float(np.finfo(float).eps * problem.mass.max() * np.abs(u).max())
+        if res <= max(tolerance, FLOOR_FACTOR * floor):
+            stop = "tolerance" if res <= tolerance else "floor"
+            break
+        if res >= 0.5 * prev and step > 3:
+            stop = "stalled"
+            break
+        prev = res
 
     gf = GridFunction(problem.geom.lo, problem.geom.hi,
                       u.reshape(problem.geom.shape), problem.exterior)
-    report = SolveReport(iterations=iters, final_residual=res,
-                         cfl_dt=problem.cfl_dt, converged=bool(res <= tolerance),
-                         method=path,
+    report = SolveReport(iterations=len(policy_residuals), final_residual=res,
+                         converged=stop == "tolerance",
                          details={"equation": problem.equation,
                                   "unknowns": int(problem.P),
-                                  "fallback_sweeps": fallback_sweeps,
-                                  "floor_limited": floor_limited,
-                                  "linear_solver": "fft+gmres" if krylov_steps else "none",
+                                  "stop": stop,
                                   "krylov_steps": krylov_steps,
                                   "krylov_capped": krylov_capped,
                                   "policy_residuals": policy_residuals,

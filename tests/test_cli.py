@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -37,7 +38,8 @@ def test_solve_cli(tmp_path):
     code, out = _run_twice(tmp_path, "solve", cfg)
     assert code == 0
     rep = json.loads((out / "solve_report.json").read_text())
-    assert rep["converged"] is True
+    assert rep["converged"] is True and rep["details"]["stop"] == "tolerance"
+    assert "method" not in rep and "cfl_dt" not in rep
     assert (out / "solution.csv").exists()
     assert (out / "manifest.json").exists()
 
@@ -146,6 +148,22 @@ def test_leps_cli(tmp_path):
     assert run("leps", dict(cfg, eps0=1e-14), str(tmp_path / "neg")) == 2
     neg = json.loads((tmp_path / "neg" / "leps_report.json").read_text())
     assert neg["failed"] is True
+
+
+def test_leps_cli_checks_the_hypothesis_on_u_as_solved(tmp_path):
+    # data outside the box: M^- u <= eps0 must be checked on u as solved
+    # (max 2.75e-12 on S_2tau here), not on u / inf over S_1 against the
+    # unscaled exterior data, which evaluates -3.20 and passes vacuously
+    cfg = {"potential": POTENTIAL,
+           "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 0.5},
+           "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 32},
+           "exterior": {"id": "indicator_box", "params": [1, 9.0, 12.0, 1.0]},
+           "equation": "extremal_minus", "f": 0.0, "tau": 3.0, "eps0": 1e-13}
+    assert run("leps", cfg, str(tmp_path)) == 2
+    rep = json.loads((tmp_path / "leps_report.json").read_text())
+    assert rep["failed"] is True
+    margin = re.fullmatch(r"M\^- u = (\S+) > eps0 = 1e-13 on S_2tau\(z\)", rep["error"])
+    assert margin and 1e-12 < float(margin.group(1)) < 1e-11
 
 
 def test_harnack_cli(tmp_path):

@@ -38,8 +38,7 @@ def test_dirichlet_symmetry(iso1):
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, halfspace_rule(0, 1.0))
     u, rep = solve(prob)
     assert rep.converged
-    assert rep.method == "policy"
-    assert rep.details["fallback_sweeps"] == 0
+    assert rep.details["stop"] == "tolerance"
     assert float(u.eval([0.0])[0]) == pytest.approx(0.5, abs=1e-10)
     assert np.all(np.diff(u.values) > -1e-12)  # monotone profile
 
@@ -71,10 +70,15 @@ def test_residual_nonincreasing_explicit(iso1):
 def test_explicit_method_converges_small(iso1):
     spec = KernelSpec(1.0, 1.0, 0.8, "extremal_plus")
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 16, halfspace_rule(0, 1.0))
-    u_exp, rep_exp = solve(prob, method="explicit", tolerance=1e-8, max_iter=20000)
+    # the scheme of record's fixed point, by explicit sweeps
+    u_exp, f = prob.data_values(), np.zeros(prob.P)
+    for _ in range(20000):
+        if prob.residual(u_exp, f) <= 1e-8:
+            break
+        u_exp = prob.iterate(u_exp, f)
+    assert prob.residual(u_exp, f) <= 1e-8
     u_pol, rep_pol = solve(prob, tolerance=1e-10)
-    assert rep_exp.converged
-    assert np.abs(u_exp.values - u_pol.values).max() < 1e-6
+    assert np.abs(u_exp - u_pol.values.ravel()).max() < 1e-6
 
 
 def test_grid_convergence_reported(iso1):
@@ -287,13 +291,6 @@ def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
         assert np.array_equal(blocked[equation][1], whole[equation][1]), equation
 
 
-def test_unknown_solve_method_rejected(iso1):
-    prob = DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-1], [1], 0.25, zero_rule())
-    for method in ("policy", "explict"):
-        with pytest.raises(ConfigurationError):
-            solve(prob, method=method)
-
-
 def test_benchmark_hooks_present(iso1, monkeypatch):
     # perfbench wraps these module attributes and reads these node arrays
     calls = []
@@ -317,32 +314,16 @@ def test_benchmark_hooks_present(iso1, monkeypatch):
     assert isinstance(rep.final_residual, float) and isinstance(rep.iterations, int)
 
 
-def test_max_iter_exceeded_returns_best_iterate(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
-    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
-                           indicator_box_rule([1.1], [1.5], 1.0))
-    u, rep = solve(prob, method="explicit", tolerance=1e-14, max_iter=5)
-    assert not rep.converged
-    assert rep.iterations == 5
-    assert np.all(np.isfinite(u.values))
-    assert rep.method == "explicit"
-    assert rep.details["fallback_sweeps"] == 0
-    assert rep.details["linear_solver"] == "none"
-    assert rep.details["krylov_steps"] == rep.details["policy_residuals"] == []
-    assert rep.details["krylov_capped"] == 0
-
-
-def test_tolerance_below_roundoff_is_floor_limited(iso1):
+def test_tolerance_below_roundoff_stops_at_the_floor(iso1):
     # a tolerance below the roundoff floor ends the policy iteration at the
-    # floor: reported, not converged, and no explicit sweeps follow
+    # floor: reported, and not converged
     spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            indicator_box_rule([1.1], [1.5], 1.0))
-    u, rep = solve(prob, tolerance=1e-30, max_iter=7)
+    u, rep = solve(prob, tolerance=1e-30)
     d = rep.details
     assert not rep.converged
-    assert rep.method == "policy"
-    assert d["floor_limited"] and d["fallback_sweeps"] == 0
+    assert d["stop"] == "floor"
     floor = np.finfo(float).eps * prob.mass.max() * np.abs(u.values).max()
     assert d["policy_residuals"][-1] <= solver.FLOOR_FACTOR * floor
     assert rep.iterations == len(d["policy_residuals"])
@@ -356,30 +337,73 @@ def test_pucci_1d_below_roundoff_ends_at_the_floor(iso1):
                            indicator_box_rule([9.0], [12.0], 1.0))
     u, rep = solve(prob, tolerance=1e-12)
     d = rep.details
-    assert d["floor_limited"] and d["fallback_sweeps"] == 0
-    assert rep.method == "policy" and not rep.converged
-    assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
+    assert d["stop"] == "floor" and not rep.converged
+    assert d["krylov_capped"] == 0
     assert len(d["policy_residuals"]) <= 8
 
 
-def test_explicit_fallback_is_reported(iso1, monkeypatch):
-    # a correction that is not finite ends the policy iteration; the explicit
-    # sweeps that follow are the path taken, and each is counted
+def _count_apply(monkeypatch):
+    applied = []
+    apply = DiscreteProblem.apply
+    monkeypatch.setattr(DiscreteProblem, "apply",
+                        lambda self, *a: applied.append(1) or apply(self, *a))
+    return applied
+
+
+def test_not_finite_correction_is_reported(iso1, monkeypatch):
+    # a correction that is not finite ends the policy iteration before it is
+    # applied: the data are returned, and the exit is named
     monkeypatch.setattr(solver._Circulant, "solve", lambda self, v: np.full_like(v, np.nan))
     spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            indicator_box_rule([1.1], [1.5], 1.0))
+    applied = _count_apply(monkeypatch)
     with np.errstate(invalid="ignore"):
-        u, rep = solve(prob, tolerance=1e-10, max_iter=7)
+        u, rep = solve(prob, tolerance=1e-10)
     d = rep.details
-    assert not rep.converged
-    assert rep.method == "policy+explicit"
-    assert d["fallback_sweeps"] == rep.iterations == 7
-    assert not d["floor_limited"] and d["policy_residuals"] == []
+    assert d["stop"] == "not_finite" and not rep.converged
+    assert rep.iterations == 0 and d["policy_residuals"] == []
+    assert np.array_equal(u.values.ravel(), prob.data_values())
     # the one GMRES step ran to its cap and says so
     assert d["krylov_steps"] == [solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES]
     assert d["krylov_capped"] == 1
+    assert applied == []
+
+
+def _criterion_10_kind_problem(iso1):
+    return DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5, "extremal_plus"), [-3], [3],
+                           1 / 64, indicator_box_rule([3.1], [4.1], 1.0))
+
+
+def test_stalled_policy_loop_is_reported(iso1, monkeypatch):
+    # corrections cut to a tenth lower the residual by less than half a step:
+    # the loop stops after its fourth step and says so, with no other solve
+    krylov = solver._krylov
+
+    def tenth(*args):
+        dx, k, capped = krylov(*args)
+        return 0.1 * dx, k, capped
+
+    monkeypatch.setattr(solver, "_krylov", tenth)
+    prob = _criterion_10_kind_problem(iso1)
+    applied = _count_apply(monkeypatch)
+    u, rep = solve(prob)
+    d = rep.details
+    assert d["stop"] == "stalled" and not rep.converged
+    assert rep.iterations == len(d["policy_residuals"]) == 4
+    assert rep.final_residual == d["policy_residuals"][-1] > 1e-10
     assert np.all(np.isfinite(u.values))
+    assert applied == []
+
+
+def test_policy_step_cap_is_reported(iso1, monkeypatch):
+    # the criterion-10 kind of problem needs at least 4 policy steps
+    monkeypatch.setattr(solver, "POLICY_STEPS", 2)
+    u, rep = solve(_criterion_10_kind_problem(iso1))
+    d = rep.details
+    assert d["stop"] == "step_cap" and not rep.converged
+    assert rep.iterations == len(d["policy_residuals"]) == 2
+    assert rep.final_residual == d["policy_residuals"][-1] > 1e-10
 
 
 def test_solve_2d_symmetry_and_bounds(iso2):
@@ -472,8 +496,8 @@ def test_krylov_path_matches_direct_reference(request, case):
     u, rep = solve(prob, f=f, tolerance=1e-10)
     want, steps = _direct_reference(prob, f, 1e-10)
     d = rep.details
-    assert rep.converged and rep.method == "policy"
-    assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
+    assert rep.converged and d["stop"] == "tolerance"
+    assert d["krylov_capped"] == 0
     assert len(d["krylov_steps"]) == len(d["policy_residuals"]) == steps
     assert min(d["krylov_steps"]) > 0
     assert d["policy_residuals"][-1] <= 1e-10
@@ -485,19 +509,14 @@ def test_criterion_10_kind_of_solve_runs_gmres_every_step(iso1, monkeypatch):
     # M+ with indicator data, several policy steps, each a GMRES solve on
     # the circulant preconditioner that reaches its target; the policy
     # iterate is returned as it is, with no explicit sweep after the loop
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
-    prob = DiscreteProblem(iso1, spec, [-3], [3], 1 / 64,
-                           indicator_box_rule([3.1], [4.1], 1.0))
-    applied = []
-    apply = DiscreteProblem.apply
-    monkeypatch.setattr(DiscreteProblem, "apply",
-                        lambda self, *a: applied.append(1) or apply(self, *a))
+    prob = _criterion_10_kind_problem(iso1)
+    applied = _count_apply(monkeypatch)
     u, rep = solve(prob)
     d = rep.details
-    assert rep.converged and rep.method == "policy" and applied == []
+    assert rep.converged and d["stop"] == "tolerance" and applied == []
     assert rep.final_residual == d["policy_residuals"][-1]
     assert len(d["policy_residuals"]) >= 4
-    assert d["linear_solver"] == "fft+gmres" and d["krylov_capped"] == 0
+    assert d["krylov_capped"] == 0
     assert len(d["krylov_steps"]) == len(d["policy_residuals"])
     assert rep.iterations == len(d["policy_residuals"])
     assert d["policy_residuals"][-1] <= 1e-10
@@ -535,7 +554,7 @@ def test_tolerance_at_the_floor_is_never_a_silent_miss(iso1):
     _, first = solve(prob, tolerance=1e-30)
     tol = first.details["policy_residuals"][-1]
     _, rep = solve(prob, tolerance=tol)
-    assert rep.converged or rep.details["floor_limited"]
+    assert rep.converged or rep.details["stop"] == "floor"
 
 
 def _nearest_centre(prob):
