@@ -80,8 +80,7 @@ class Barrier:
         return AnalyticField("psi_bump", fn, c["c_norm"] * c["a"], n)
 
 
-def boundary_moment(potential: Potential, spec: KernelSpec,
-                    ray_count: int = 512) -> tuple[float, float]:
+def boundary_moment(potential: Potential, ray_count: int = 512) -> tuple[float, float]:
     """(int_{T(bd S_1)} y_1^2 dsigma, |T(bd S_1)|) by boundary quadrature."""
     n = potential.dim
     T = fit_ellipsoid(potential, np.zeros(n), 1.0,
@@ -103,7 +102,7 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
     if kind not in BARRIER_KINDS:
         raise ConfigurationError(f"unknown barrier kind {kind!r}")
     params = dict(params or {})
-    i_y1, bd = boundary_moment(potential, spec)
+    i_y1, bd = boundary_moment(potential)
     m_min = spec.Lam * bd / (spec.lam * i_y1) - 2.0
     m = float(params.get("m", max(m_min, 0.0) + 1.0))
     delta0 = (m + 2.0) * spec.lam * i_y1 - spec.Lam * bd

@@ -99,15 +99,14 @@ def _potential_from(cfg: dict):
     return make_potential(p.get("id", ""), int(p.get("dim", 1)), p.get("params", ()))
 
 
-def _spec_from(cfg: dict, selection="extremal_plus") -> KernelSpec:
+def _spec_from(cfg: dict) -> KernelSpec:
     k = cfg.get("kernel")
     if not k:
         raise ConfigurationError("config needs a 'kernel' section")
     for key in ("lam", "Lam", "sigma"):
         if key not in k:
             raise ConfigurationError(f"kernel section missing field '{key}'")
-    return KernelSpec(float(k["lam"]), float(k["Lam"]), float(k["sigma"]),
-                      k.get("selection", selection))
+    return KernelSpec(float(k["lam"]), float(k["Lam"]), float(k["sigma"]))
 
 
 def _rule_from(cfg_rule) -> "ExteriorRule":
@@ -236,8 +235,7 @@ def _cmd_operator(cfg: dict, out: str) -> int:
 def _solve_from_config(cfg: dict):
     pot = _potential_from(cfg)
     equation = cfg.get("equation", "extremal_plus")
-    spec = _spec_from(cfg, equation if equation in ("extremal_plus", "extremal_minus")
-                      else "fixed_midpoint")
+    spec = _spec_from(cfg)
     lo, hi, h = _grid_from(cfg)
     exterior = _rule_from(cfg.get("exterior", {"id": "zero"}))
     rule = None
@@ -310,7 +308,7 @@ def _cmd_leps(cfg: dict, out: str) -> int:
     z = cfg.get("z", [0.0] * pot.dim)
     eps0 = float(cfg.get("eps0", max(10.0 * rep.final_residual, 1e-8)))
     try:
-        r = l_eps_tail(u, pot, spec, z, float(tau), eps0, problem=prob,
+        r = l_eps_tail(u, pot, z, float(tau), eps0, problem=prob,
                        rho=float(cfg.get("rho", 0.5)))
     except MaslabError as e:
         _write_json(os.path.join(out, "leps_report.json"),

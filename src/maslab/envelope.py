@@ -175,7 +175,7 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
 # ring estimate and ABP pipeline
 # ---------------------------------------------------------------------------
 
-def ring_heights(sigma: float, h: float, a_hi: float) -> np.ndarray:
+def detachment_heights(sigma: float, h: float, a_hi: float) -> np.ndarray:
     """r_k = 2^{-1/(2-sigma)-k}, k = 0.., truncated where sections shrink
     below about four lattice cells."""
     r0 = 2.0 ** (-1.0 / (2.0 - sigma))
@@ -208,7 +208,7 @@ def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
         raise RefinementNeededError("empty contact set inside S_1")
     a_hi = potential.hessian_bounds()[1]
     h = envelope.gamma.h
-    rks = ring_heights(spec.sigma, h, a_hi)
+    rks = detachment_heights(spec.sigma, h, a_hi)
 
     per_contact = []
     c0_hat = 0.0

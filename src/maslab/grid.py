@@ -197,9 +197,6 @@ class GridFunction:
             out[~ins] = self.exterior(pts[~ins])
         return out
 
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.lo, self.hi, values, self.exterior)
-
 
 class AnalyticField:
     """Closed-form bounded function under the GridFunction evaluation interface."""

@@ -145,13 +145,6 @@ class QuadraturePlan:
     tail_radius: float             # Euclidean radius where rings stop
     h: float = field(default=0.0)
 
-    def refined(self, factor: int = 2) -> "QuadraturePlan":
-        n = self.potential.dim
-        n_ang = self.angles.shape[0] * (factor if n == 2 else 1)
-        ang = _directions(n, n_ang)
-        return replace(self, ring_nodes=self.ring_nodes * factor,
-                       angles=ang, ang_weights=_ang_weights(n, n_ang))
-
 
 def _directions(n: int, count: int) -> np.ndarray:
     # Half-step angle offset: part of the scheme, unlike sections.unit_directions (keep apart).
@@ -419,30 +412,13 @@ def _evaluate(u, xs, spec: KernelSpec, plan: QuadraturePlan, equation: str,
     return out
 
 
-def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan,
-             adaptive: bool = False) -> np.ndarray:
-    """M+ or M- of u at each point of x (selection from spec), with optional
-    node doubling.
-
-    With adaptive=True a point's ring nodes (and angles in 2D) are doubled
-    until two successive refinements agree to 1e-4 relative (at most 3).
-    """
+def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan) -> np.ndarray:
+    """M+ or M- of u at each point of x (selection from spec)."""
     if spec.selection not in ("extremal_plus", "extremal_minus"):
         raise ConfigurationError("extremal() needs an extremal selection")
     if abs(spec.sigma - plan.spec.sigma) > 1e-15:
         raise ConfigurationError("spec.sigma differs from the plan's sigma")
-    x = _as_points(x, plan.potential.dim)
-    val = _evaluate(u, x, spec, plan, spec.selection)
-    if not adaptive:
-        return val
-    todo = np.arange(val.size)
-    for _ in range(3):
-        plan = plan.refined()
-        val2 = _evaluate(u, x[todo], spec, plan, spec.selection)
-        done = np.abs(val2 - val[todo]) <= 1e-4 * np.maximum(np.abs(val2), 1e-12)
-        val[todo] = val2
-        todo = todo[~done]
-    return val
+    return _evaluate(u, x, spec, plan, spec.selection)
 
 
 def linear_apply(u, x, rule: KernelRule, plan: QuadraturePlan) -> np.ndarray:

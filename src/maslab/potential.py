@@ -165,20 +165,6 @@ def make_potential(id: str, dim: int, params=()) -> Potential:
     return Potential(id=id, dim=dim, params=tuple(params))
 
 
-def evaluate(potential: Potential, x):
-    """Closed-form (value, gradient, hessian) at a single point."""
-    p = _as_points(x, potential.dim)
-    if p.shape[0] != 1:
-        raise ConfigurationError("evaluate expects a single point")
-    return (float(potential.value(p)[0]),
-            potential.gradient(p)[0],
-            potential.hessian(p)[0])
-
-
-def height(potential: Potential, x, y) -> float:
-    return float(potential.height(x, y)[0])
-
-
 def verify_ma_bounds(potential: Potential, box_lo, box_hi, samples: int) -> tuple[float, float]:
     """Min/max of det D^2 phi over a deterministic lattice in the box.
 

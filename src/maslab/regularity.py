@@ -57,9 +57,9 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray):
 # L^eps tail
 # ---------------------------------------------------------------------------
 
-def l_eps_tail(u: GridFunction, potential: Potential, spec: KernelSpec, z,
-               tau: float, eps0: float, problem: DiscreteProblem | None = None,
-               rho: float = 0.5, levels=None) -> dict:
+def l_eps_tail(u: GridFunction, potential: Potential, z, tau: float, eps0: float,
+               problem: DiscreteProblem | None = None, rho: float = 0.5,
+               levels=None) -> dict:
     """Superlevel-set decay of a nonnegative near-supersolution on S_rho(z).
 
     u is divided by its infimum over S_1(z) (reported as inf_S_1), so that

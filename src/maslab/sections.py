@@ -47,10 +47,6 @@ class AffineMap:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return (pts - self.offset) @ self.linear_part.T
 
-    def inverse_apply(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ np.linalg.inv(self.linear_part).T + self.offset
-
     @property
     def det(self) -> float:
         return float(np.linalg.det(self.linear_part))
@@ -67,11 +63,6 @@ class CoverReport:
 # ---------------------------------------------------------------------------
 # basic queries
 # ---------------------------------------------------------------------------
-
-def contains(potential: Potential, section: Section, y) -> bool:
-    v = potential.height(np.asarray(section.center, dtype=float), y)
-    return bool(v[0] < section.r ** 2)
-
 
 def contains_many(potential: Potential, center, r: float, pts) -> np.ndarray:
     return potential.height(center, pts) < r ** 2
@@ -118,10 +109,6 @@ def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray,
         if np.all((hi - lo) <= rel_tol * hi):
             break
     return 0.5 * (lo + hi)
-
-
-def boundary_radius(potential: Potential, x, r: float, direction) -> float:
-    return float(boundary_radii(potential, x, r, np.atleast_2d(direction))[0])
 
 
 def quasi_distance(potential: Potential, x, y) -> np.ndarray:

@@ -1,15 +1,12 @@
 """Monotone grid scheme for M+/M- u = f, linear and Isaacs equations.
 
-The scheme of record is the damped explicit map
-
-    u <- u + dt * (A u - f),   dt = 1 / (kernel mass per point),
-
-a positive-weight average, hence monotone: u <= w pointwise (exterior
-included) is preserved, so the discrete comparison principle holds exactly
-for it (DiscreteProblem.iterate).  Its fixed point is what solve() computes,
-by policy (Howard) iteration on the same compiled node set; explicit sweeps
-alone converge too slowly near sigma = 2 at desk scale, since dt scales like
-the inner-core mass (~ rho0^sigma).
+The scheme is A u = f.  At each unknown, A u is the sup (M+), the inf (M-),
+a fixed rule (linear) or the inf-sup (Isaacs) over policy matrices
+S + diag(d) applied to u, plus the exterior part.  S >= 0 holds
+interpolation weights times kernel mass, and d + (row sum of S) < 0 because
+kernel mass leaves the box.  So A is monotone (Oberman 2006), the discrete
+comparison principle holds exactly, and solve() finds u by policy (Howard)
+iteration.
 
 Each policy step freezes the extremal slopes at the current iterate and
 solves the frozen-policy linear system for the correction, whose right-hand
@@ -211,7 +208,6 @@ class DiscreteProblem:
                   out=self.ROWPTR[1:])
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
             * 2.0 * spec.Lam
-        self.cfl_dt = 1.0 / float(self.mass.max())
         self._mults = group_multipliers(self.equation, self.families,
                                         [_join(m) for m in mults])
 
@@ -251,14 +247,6 @@ class DiscreteProblem:
         S = sp.csr_matrix((a.take(self.CROW) * self.CW, self.CCOL, self.ROWPTR),
                           shape=(self.P, self.N))
         return S, -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
-
-    # -- iteration -----------------------------------------------------------
-
-    def iterate(self, u_flat: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-        """One damped explicit sweep at dt = cfl_dt: the monotone scheme map."""
-        out = u_flat.copy()
-        out[self.unknown] += self.cfl_dt * (self.apply(u_flat) - f_vals)
-        return out
 
     def residual(self, u_flat: np.ndarray, f_vals: np.ndarray) -> float:
         return float(np.abs(self.apply(u_flat) - f_vals).max())

@@ -377,8 +377,8 @@ def test_criterion_11_l_eps_tail():
                            domain=dom)
     u, rep = solve(prob, f=0.0)
     assert rep.converged
-    r = l_eps_tail(u, ISO1, spec, [0.0], TAU,
-                   eps0=10 * rep.final_residual + 1e-8, problem=prob)
+    r = l_eps_tail(u, ISO1, [0.0], TAU, eps0=10 * rep.final_residual + 1e-8,
+                   problem=prob)
     ok = (r["eps_hat"] > 0 and r["r2"] >= 0.9 and r["M_hat"] is not None
           and r["eta_hat"] > 0)
     record_criterion(11, ok, f"eps_hat {r['eps_hat']:.3f} > 0 with R2 "

@@ -9,8 +9,7 @@ from maslab.kernels import KernelSpec
 def test_boundary_moment_circle_oracle(iso2):
     # independent closed form: T(S_1) = B_1 exactly for the isotropic
     # quadratic, so int y1^2 dsigma = pi and |bd| = 2 pi
-    spec = KernelSpec(1.0, 2.0, 1.9)
-    i1, bd = boundary_moment(iso2, spec)
+    i1, bd = boundary_moment(iso2)
     assert i1 == pytest.approx(np.pi, rel=1e-3)
     assert bd == pytest.approx(2 * np.pi, rel=1e-3)
 

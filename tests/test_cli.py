@@ -61,7 +61,7 @@ def test_solve_cli_linear_and_isaacs(tmp_path, equation, extra):
 
 def test_solve_cli_empty_family_exit_1(tmp_path, capsys):
     cfg = {"potential": POTENTIAL,
-           "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5, "selection": "fixed_midpoint"},
+           "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
            "grid": {"box_lo": [-1], "box_hi": [1], "h": 0.25},
            "exterior": {"id": "zero"}, "equation": "isaacs",
            "families": [["lower"], []]}

@@ -124,16 +124,6 @@ def test_extremal_matches_brute_force_cap_parabola(iso1, sigma):
         assert val == pytest.approx(oracle, rel=0.01)
 
 
-def test_extremal_adaptive_refinement_agrees(iso1):
-    spec = KernelSpec(1.0, 1.0, 1.5, "extremal_plus")
-    u = GridFunction.from_callable([-3], [3], 1 / 128, lambda p: gauss(p[:, 0]),
-                                   gaussian_rule(1.0, 1.0))
-    plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-    v0 = extremal(u, [0.25], spec, plan)[0]
-    v1 = extremal(u, [0.25], spec, plan, adaptive=True)[0]
-    assert v1 == pytest.approx(v0, rel=5e-3)
-
-
 def test_extremal_gaussian_oracle_sigma19(iso1):
     sigma = 1.9
     spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")

@@ -2,28 +2,28 @@ import numpy as np
 import pytest
 
 from maslab.errors import ConfigurationError
-from maslab.potential import evaluate, height, make_potential, verify_ma_bounds
+from maslab.potential import make_potential, verify_ma_bounds
 
 
 def test_eval_iso_quadratic():
     pot = make_potential("iso_quadratic", 2)
-    v, g, H = evaluate(pot, [1.0, 0.0])
-    assert v == pytest.approx(0.5)
-    assert np.allclose(g, [1.0, 0.0])
-    assert np.allclose(H, np.eye(2))
+    x = [1.0, 0.0]
+    assert pot.value(x)[0] == pytest.approx(0.5)
+    assert np.allclose(pot.gradient(x)[0], [1.0, 0.0])
+    assert np.allclose(pot.hessian(x)[0], np.eye(2))
 
 
 def test_eval_aniso_quadratic(aniso2):
-    v, g, H = evaluate(aniso2, [1.0, 1.0])
-    assert v == pytest.approx(2.5)
-    assert np.allclose(g, [4.0, 1.0])
-    assert np.allclose(H, np.diag([4.0, 1.0]))
+    x = [1.0, 1.0]
+    assert aniso2.value(x)[0] == pytest.approx(2.5)
+    assert np.allclose(aniso2.gradient(x)[0], [4.0, 1.0])
+    assert np.allclose(aniso2.hessian(x)[0], np.diag([4.0, 1.0]))
 
 
 def test_eval_perturbed_at_origin(perturbed2):
-    v, g, H = evaluate(perturbed2, [0.0, 0.0])
-    assert np.allclose(g, 0.0)
-    assert np.allclose(H, 1.1 * np.eye(2))
+    x = [0.0, 0.0]
+    assert np.allclose(perturbed2.gradient(x)[0], 0.0)
+    assert np.allclose(perturbed2.hessian(x)[0], 1.1 * np.eye(2))
 
 
 def test_hessian_symmetric_everywhere(perturbed2, rng):
@@ -48,11 +48,11 @@ def test_eps_range():
 
 
 def test_height_quadratic_closed_form(iso1):
-    assert height(iso1, [0.0], [1.0]) == pytest.approx(0.5)
+    assert iso1.height([0.0], [1.0])[0] == pytest.approx(0.5)
 
 
 def test_height_zero_at_base(perturbed2):
-    assert height(perturbed2, [0.3, -0.2], [0.3, -0.2]) == 0.0
+    assert perturbed2.height([0.3, -0.2], [0.3, -0.2])[0] == 0.0
 
 
 def test_height_taylor_agreement(perturbed1):
@@ -60,7 +60,7 @@ def test_height_taylor_agreement(perturbed1):
     x = np.array([1.0])
     H = perturbed1.hessian(x)[0]
     for inc in (1e-3, -7e-4):
-        v = height(perturbed1, x, x + inc)
+        v = perturbed1.height(x, x + inc)[0]
         quad = 0.5 * inc * H[0, 0] * inc
         assert v == pytest.approx(quad, rel=1e-4)
 

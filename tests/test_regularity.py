@@ -15,11 +15,10 @@ TAU = 3.0
 
 
 def test_leps_trivial_flat_errors(iso1):
-    spec = KernelSpec(1.0, 2.0, 0.5, "extremal_minus")
     u = GridFunction.from_callable([-9], [9], 1 / 16,
                                    lambda p: np.ones(p.shape[0]), zero_rule())
     with pytest.raises(RefinementNeededError):
-        l_eps_tail(u, iso1, spec, [0.0], TAU, eps0=1.0)
+        l_eps_tail(u, iso1, [0.0], TAU, eps0=1.0)
 
 
 def _leps_fixture(iso1, h):
@@ -35,8 +34,8 @@ def _leps_fixture(iso1, h):
 
 def test_leps_fixture_exponent(iso1):
     u, prob, rep = _leps_fixture(iso1, 1 / 128)
-    r = l_eps_tail(u, iso1, prob.spec, [0.0], TAU,
-                   eps0=10 * rep.final_residual + 1e-8, problem=prob)
+    r = l_eps_tail(u, iso1, [0.0], TAU, eps0=10 * rep.final_residual + 1e-8,
+                   problem=prob)
     assert r["eps_hat"] > 0
     assert r["r2"] >= 0.9
     assert r["nonempty_levels"] >= 4
@@ -49,8 +48,8 @@ def test_leps_fixture_exponent(iso1):
     assert pair.size == 2
     sym /= sym[pair[0]]
     sym[pair[1]] *= 1 + 4 * np.finfo(float).eps
-    r = l_eps_tail(u.copy_with(sym.reshape(u.values.shape)), iso1, prob.spec, [0.0],
-                   TAU, eps0=1.0)
+    r = l_eps_tail(GridFunction(u.lo, u.hi, sym.reshape(u.values.shape), u.exterior),
+                   iso1, [0.0], TAU, eps0=1.0)
     assert r["M_hat"] == 1.0 and r["eta_hat"] == 2 * u.cell_volume()
 
 
@@ -58,7 +57,7 @@ def test_leps_refinement_stability(iso1):
     vals = []
     for h in (1 / 96, 1 / 192):
         u, prob, rep = _leps_fixture(iso1, h)
-        r = l_eps_tail(u, iso1, prob.spec, [0.0], TAU, eps0=1e-6, problem=prob)
+        r = l_eps_tail(u, iso1, [0.0], TAU, eps0=1e-6, problem=prob)
         vals.append(r["eps_hat"])
     assert abs(vals[0] - vals[1]) <= 0.2 * max(vals)
 

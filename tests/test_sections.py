@@ -4,17 +4,16 @@ import pytest
 from maslab.errors import ConfigurationError, GeometryError
 from maslab.grid import tensor_points
 from maslab.potential import make_potential
-from maslab.sections import (AffineMap, Section, besicovitch_cover,
-                             boundary_radii, boundary_radius, contains,
+from maslab.sections import (AffineMap, besicovitch_cover, boundary_radii,
                              contains_many, cz_decompose, deformation_checks,
                              engulfing_probe, fit_ellipsoid, quasi_distance,
                              unit_directions)
 
 
 def test_contains_quadratic(iso2, aniso2):
-    assert contains(iso2, Section((0.0, 0.0), 1.0), [1.0, 0.0])       # v = 0.5 < 1
-    assert not contains(aniso2, Section((0.0, 0.0), 1.0), [1.0, 0.0])  # v = 2 >= 1
-    assert contains(aniso2, Section((0.3, 0.4), 0.2), [0.3, 0.4])      # own center
+    assert contains_many(iso2, [0.0, 0.0], 1.0, [1.0, 0.0])[0]         # v = 0.5 < 1
+    assert not contains_many(aniso2, [0.0, 0.0], 1.0, [1.0, 0.0])[0]   # v = 2 >= 1
+    assert contains_many(aniso2, [0.3, 0.4], 0.2, [0.3, 0.4])[0]       # own center
 
 
 def test_section_monotone_and_convex(perturbed2, rng):
@@ -30,9 +29,9 @@ def test_section_monotone_and_convex(perturbed2, rng):
 
 
 def test_boundary_radius_closed_forms(iso2, aniso2):
-    assert boundary_radius(iso2, [0, 0], 1.0, [1, 0]) == pytest.approx(np.sqrt(2), rel=1e-9)
-    assert boundary_radius(aniso2, [0, 0], 1.0, [0, 1]) == pytest.approx(np.sqrt(2), rel=1e-9)
-    assert boundary_radius(aniso2, [0, 0], 1.0, [1, 0]) == pytest.approx(np.sqrt(0.5), rel=1e-9)
+    assert boundary_radii(iso2, [0, 0], 1.0, [[1, 0]]) == pytest.approx([np.sqrt(2)], rel=1e-9)
+    t = boundary_radii(aniso2, [0, 0], 1.0, [[0, 1], [1, 0]])
+    assert t == pytest.approx([np.sqrt(2), np.sqrt(0.5)], rel=1e-9)
 
 
 def test_boundary_radius_independent_bisection_oracle(perturbed2):
@@ -46,13 +45,13 @@ def test_boundary_radius_independent_bisection_oracle(perturbed2):
         return float(perturbed2.height(x, x + t * d)[0]) - r * r
 
     t_oracle = brentq(fn, 1e-9, 10.0, xtol=1e-12)
-    t_pkg = boundary_radius(perturbed2, x, r, d)
+    t_pkg = boundary_radii(perturbed2, x, r, d)[0]
     assert t_pkg == pytest.approx(t_oracle, abs=1e-8)
 
 
 def test_boundary_radius_rejects_zero_direction(iso1):
     with pytest.raises(ConfigurationError):
-        boundary_radius(iso1, [0.0], 1.0, [0.0])
+        boundary_radii(iso1, [0.0], 1.0, [[0.0]])
 
 
 def test_quasi_distance_closed_form(iso2):
@@ -312,9 +311,3 @@ def test_deformation_delta_hats_match_bisection_reference(perturbed1, perturbed2
 def test_affine_map_invertibility_guard():
     with pytest.raises(GeometryError):
         AffineMap(np.zeros((2, 2)), np.zeros(2))
-
-
-def test_affine_map_roundtrip(rng):
-    T = AffineMap(np.array([[2.0, 0.3], [0.0, 1.5]]), np.array([0.5, -1.0]))
-    pts = rng.normal(size=(20, 2))
-    assert np.allclose(T.inverse_apply(T.apply(pts)), pts, atol=1e-12)
