@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BarrierError, ConfigurationError
 from .grid import AnalyticField
-from .kernels import KernelSpec, extremal, make_plan
+from .kernels import KernelSpec, evaluate, make_plan
 from .potential import Potential
 from .sections import AffineMap, boundary_radii, fit_ellipsoid, unit_directions
 
@@ -83,9 +83,8 @@ class Barrier:
 def boundary_moment(potential: Potential, ray_count: int = 512) -> tuple[float, float]:
     """(int_{T(bd S_1)} y_1^2 dsigma, |T(bd S_1)|) by boundary quadrature."""
     n = potential.dim
-    T = fit_ellipsoid(potential, np.zeros(n), 1.0,
-                      ray_count=max(2 * n + 2, ray_count if n == 2 else 2))
-    dirs = unit_directions(n, ray_count if n == 2 else 2)
+    T = fit_ellipsoid(potential, np.zeros(n), 1.0, ray_count=max(2 * n + 2, ray_count))
+    dirs = unit_directions(n, ray_count)
     t = boundary_radii(potential, np.zeros(n), 1.0, dirs)
     z = T.apply(t[:, None] * dirs)
     if n == 1:
@@ -162,7 +161,7 @@ def _region_samples(potential: Potential, region: dict, count: int) -> np.ndarra
     if kind == "outside_section":
         r = float(region["r"])
         r_out = float(region.get("r_out", 8.0 * r))
-        dirs = unit_directions(n, max(8, count // 8) if n == 2 else 2)
+        dirs = unit_directions(n, max(8, count // 8))
         heights = np.geomspace(r * 1.02, r_out, max(count // dirs.shape[0], 2))
         pts = []
         for s in heights:
@@ -190,9 +189,8 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     box_diam = 2.0 * float(np.linalg.norm(pts, axis=1).max()) + 4.0
 
     def min_at(sigma: float, sample_pts: np.ndarray):
-        sp = KernelSpec(spec.lam, spec.Lam, sigma, "extremal_minus")
-        plan = make_plan(potential, sp, h_eval, box_diam, scale)
-        return extremal(fld, sample_pts, sp, plan)
+        plan = make_plan(potential, KernelSpec(spec.lam, spec.Lam, sigma), h_eval, box_diam, scale)
+        return evaluate(fld, sample_pts, plan, "extremal_minus")
 
     vals = min_at(spec.sigma, pts)
     threshold = -1e-8 * scale

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,14 +24,14 @@ from . import __version__
 from .envelope import abp_experiment, compute_tau
 from .errors import ConfigurationError, MaslabError
 from .grid import GridFunction, box_lattice, make_rule
-from .kernels import (KernelSpec, extremal, isaacs_apply, lower_rule,
-                      make_kernel_rule, make_plan, upper_rule)
+from .kernels import (KernelSpec, evaluate, lower_rule, make_kernel_rule,
+                      make_plan, upper_rule)
 from .mc import JumpProcessConfig, estimate_exit_payoff
 from .potential import make_potential
 from .regularity import (c1alpha_experiment, harnack_experiment,
                          holder_estimate, l_eps_tail)
 from .sections import (boundary_radii, engulfing_probe, fit_ellipsoid,
-                       section_measure, unit_directions)
+                       section_measure, sphere_measure, unit_directions)
 from .solver import DiscreteProblem, solve
 
 SUBCOMMANDS = ("sections", "operator", "solve", "abp", "leps", "harnack",
@@ -73,13 +72,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         for row in rows:
             w.writerow([_fnum(v) if isinstance(v, (float, np.floating)) else v
                         for v in row])
-
-
-def _drop_clock(report: dict) -> dict:
-    """Wall-clock timing lives only in the manifest; reports stay byte-stable."""
-    report = dict(report)
-    report["runtimes"] = {}
-    return report
 
 
 def _load_config(path: str) -> dict:
@@ -167,8 +159,7 @@ def _cmd_sections(cfg: dict, out: str) -> int:
             c_arr = np.asarray(c, dtype=float)
             gamma = engulfing_probe(pot, c_arr, float(r), trial_count)
             T = fit_ellipsoid(pot, c_arr, float(r), max(ray_count, 2 * n + 2))
-            ball_vol = 2.0 if n == 1 else np.pi
-            volume = ball_vol / abs(T.det)
+            volume = sphere_measure(n) / n / abs(T.det)
             dirs = unit_directions(n, 32)
             t = boundary_radii(pot, c_arr, float(r), dirs).max()
             lo = c_arr - 1.3 * t
@@ -221,9 +212,9 @@ def _cmd_operator(cfg: dict, out: str) -> int:
     stride = max(1, eval_pts.shape[0] // int(cfg.get("max_points", 512)))
     eval_pts = eval_pts[::stride]
     fams = [[lower_rule(spec)], [upper_rule(spec)]]
-    mminus = extremal(u, eval_pts, replace(spec, selection="extremal_minus"), plan)
-    mplus = extremal(u, eval_pts, replace(spec, selection="extremal_plus"), plan)
-    isc = isaacs_apply(u, eval_pts, fams, plan)
+    mminus = evaluate(u, eval_pts, plan, "extremal_minus")
+    mplus = evaluate(u, eval_pts, plan, "extremal_plus")
+    isc = evaluate(u, eval_pts, plan, "isaacs", families=fams)
     rows = [list(x) + [a, b, c] for x, a, b, c in zip(eval_pts, mminus, mplus, isc)]
     head = [f"x{i}" for i in range(pot.dim)] + ["M_minus", "M_plus", "isaacs"]
     _write_csv(os.path.join(out, "operator.csv"), head, rows)
@@ -341,7 +332,7 @@ def _cmd_harnack(cfg: dict, out: str) -> int:
         tolerance=float(cfg.get("tolerance", 1e-9)))
     _write_csv(os.path.join(out, "harnack_ratios.csv"), ["run", "ratio"],
                sorted(rep.constants["per_run"].items()))
-    _write_json(os.path.join(out, "harnack_report.json"), _drop_clock(rep.to_dict()))
+    _write_json(os.path.join(out, "harnack_report.json"), rep.to_dict())
     return 0 if rep.passed else 2
 
 
@@ -380,8 +371,7 @@ def _cmd_c1alpha(cfg: dict, out: str) -> int:
     pot = _potential_from(cfg)
     k = cfg.get("kernel", {})
     sigma = float(k.get("sigma", 1.5))
-    spec = KernelSpec(float(k.get("lam", 1.0)), float(k.get("Lam", 1.0)), sigma,
-                      "fixed_midpoint")
+    spec = KernelSpec(float(k.get("lam", 1.0)), float(k.get("Lam", 1.0)), sigma)
     rule = make_kernel_rule(cfg.get("kernel_rule", "midpoint"), spec)
     lo, hi, h = _grid_from(cfg)
     rep = c1alpha_experiment(
@@ -394,7 +384,7 @@ def _cmd_c1alpha(cfg: dict, out: str) -> int:
         refusal_factor=float(cfg.get("refusal_factor", 1.25)),
         drift_tol=float(cfg.get("drift_tol", 0.25)),
         tolerance=float(cfg.get("tolerance", 1e-9)))
-    _write_json(os.path.join(out, "c1alpha_report.json"), _drop_clock(rep.to_dict()))
+    _write_json(os.path.join(out, "c1alpha_report.json"), rep.to_dict())
     return 0 if rep.passed else 2
 
 
@@ -402,7 +392,7 @@ def _cmd_mc_validate(cfg: dict, out: str) -> int:
     pot = _potential_from(cfg)
     k = cfg.get("kernel", {})
     spec = KernelSpec(float(k.get("lam", 1.0)), float(k.get("Lam", k.get("lam", 1.0))),
-                      float(k.get("sigma", 1.5)), "fixed_midpoint")
+                      float(k.get("sigma", 1.5)))
     payoff = _rule_from(cfg.get("payoff"))
     mc_cfg = JumpProcessConfig(pot, spec, float(cfg.get("eta", 0.05)), payoff,
                                int(cfg.get("seed", 0)))

@@ -51,7 +51,7 @@ def compute_tau(potential: Potential, samples: int = 24,
     n = potential.dim
     if gamma_hat is None:
         gamma_hat = estimate_engulfing(potential)
-    dirs = unit_directions(n, max(16, samples) if n == 2 else 2)
+    dirs = unit_directions(n, max(16, samples))
     t1 = boundary_radii(potential, np.zeros(n), 1.0, dirs)
     fracs = np.linspace(0.0, 0.999, samples if n == 1 else max(4, samples // 4))
     xs = (fracs[:, None, None] * t1[None, :, None] * dirs[None, :, :]).reshape(-1, n)

@@ -22,14 +22,16 @@ The kernel at x follows the sections of phi at x, so every base point has
 its own node set.  point_quadrature builds the sets of a whole batch of
 points in one pass; operator_values reduces node second differences to
 M+, M-, linear or Isaacs values, with the slopes of policy_slopes.  The
-pointwise operators below (k points in, k values out) and the compiled grid
-operator in solver.py both evaluate through these, NODE_BUDGET nodes at a time.
+kernel class (lam, Lam, sigma) is the plan's spec and the operator over it
+is named by `equation`, as in solver.DiscreteProblem: evaluate (k points in,
+k values out) and the compiled grid operator both evaluate through these,
+NODE_BUDGET nodes at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,12 +39,17 @@ import numpy as np
 from .errors import ConfigurationError, DataError, KernelClassError
 from .grid import AnalyticField
 from .potential import Potential, _as_points
+from .sections import sphere_measure, unit_directions
 
 SELECTIONS = ("extremal_plus", "extremal_minus", "fixed_midpoint")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """The kernel class: multipliers in [lam, Lam], order sigma in (0, 2).  An
+    equation name picks the operator over it.  Nothing reads `selection`; it
+    stays because the benchmark workloads pass it as a fourth argument."""
+
     lam: float
     Lam: float
     sigma: float
@@ -127,10 +134,6 @@ def sym_height(potential: Potential, x, y) -> np.ndarray:
 # quadrature plans
 # ---------------------------------------------------------------------------
 
-def _sphere_measure(n: int) -> float:
-    return 2.0 if n == 1 else 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class QuadraturePlan:
     """Node layout for one (potential, spec, grid-scale) combination."""
@@ -143,21 +146,6 @@ class QuadraturePlan:
     angles: np.ndarray             # (n_ang, n) unit directions
     ang_weights: np.ndarray        # (n_ang,) angular weights
     tail_radius: float             # Euclidean radius where rings stop
-    h: float = field(default=0.0)
-
-
-def _directions(n: int, count: int) -> np.ndarray:
-    # Half-step angle offset: part of the scheme, unlike sections.unit_directions (keep apart).
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    a = 2.0 * math.pi * (np.arange(count) + 0.5) / count
-    return np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-
-def _ang_weights(n: int, count: int) -> np.ndarray:
-    if n == 1:
-        return np.ones(2)
-    return np.full(count, 2.0 * math.pi / count)
 
 
 def make_plan(potential: Potential, spec: KernelSpec, h: float,
@@ -182,7 +170,7 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     r0 = 2.0 ** (-1.0 / (2.0 - sigma))
 
     eps_tail = 1e-9 * max(1.0, sup_scale)
-    coef = (2.0 - sigma) * Lam * 4.0 * max(sup_scale, 1e-300) * _sphere_measure(n) \
+    coef = (2.0 - sigma) * Lam * 4.0 * max(sup_scale, 1e-300) * sphere_measure(n) \
         * (0.5 * a_lo) ** (-(n + sigma) / 2.0) / sigma
     R_t = (coef / eps_tail) ** (1.0 / sigma)
     R_t = min(max(R_t, 2.0 * box_diam), 1e30)
@@ -192,12 +180,12 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     j_hi = math.ceil(math.log2(h_max / r0)) + 1
     ladder = r0 * (2.0 ** np.arange(j_lo, j_hi + 1, dtype=float))
 
-    n_ang = 2 if n == 1 else 16
+    angles = unit_directions(n, 16, 0.5)    # half-step angles
     return QuadraturePlan(
         potential=potential, spec=spec, inner_radius=rho0,
-        ring_heights=ladder, ring_nodes=8 if n == 1 else 5,
-        angles=_directions(n, n_ang), ang_weights=_ang_weights(n, n_ang),
-        tail_radius=float(R_t), h=float(h))
+        ring_heights=ladder, ring_nodes=8 if n == 1 else 5, angles=angles,
+        ang_weights=np.full(len(angles), sphere_measure(n) / len(angles)),
+        tail_radius=float(R_t))
 
 
 @dataclass
@@ -393,11 +381,12 @@ def _block_points(plan: QuadraturePlan) -> int:
     return max(1, NODE_BUDGET // per_point)
 
 
-def _evaluate(u, xs, spec: KernelSpec, plan: QuadraturePlan, equation: str,
-              kernel_rule: KernelRule | None = None, families=None) -> np.ndarray:
-    """The equation's operator of u at every point of xs, one value per point,
-    from blocks of at most NODE_BUDGET nodes.  Each point's nodes are its
-    own and contiguous, so its value does not depend on the batch."""
+def evaluate(u, xs, plan: QuadraturePlan, equation: str = "extremal_plus",
+             kernel_rule: KernelRule | None = None, families=None) -> np.ndarray:
+    """The equation's operator over the class plan.spec (M+, M-, "linear" for
+    kernel_rule, "isaacs" over families) of u at every point of xs, from
+    blocks of at most NODE_BUDGET nodes.  Each point's nodes are its own and
+    contiguous, so its value does not depend on the batch."""
     rules = equation_rules(equation, kernel_rule, families)
     x = _as_points(xs, plan.potential.dim)
     out = np.empty(x.shape[0])
@@ -408,40 +397,20 @@ def _evaluate(u, xs, spec: KernelSpec, plan: QuadraturePlan, equation: str,
         mults = group_multipliers(equation, families, [
             rule_multipliers(rule, plan.spec, xj, pq.y, pq.wbar) for rule in rules])
         out[first:first + step] = operator_values(node_deltas(u, pq), pq.coef, pq.pid,
-                                                  pq.x.shape[0], spec, equation, mults)
+                                                  pq.x.shape[0], plan.spec, equation, mults)
     return out
 
 
-def extremal(u, x, spec: KernelSpec, plan: QuadraturePlan) -> np.ndarray:
-    """M+ or M- of u at each point of x (selection from spec)."""
-    if spec.selection not in ("extremal_plus", "extremal_minus"):
-        raise ConfigurationError("extremal() needs an extremal selection")
-    if abs(spec.sigma - plan.spec.sigma) > 1e-15:
-        raise ConfigurationError("spec.sigma differs from the plan's sigma")
-    return _evaluate(u, x, spec, plan, spec.selection)
-
-
-def linear_apply(u, x, rule: KernelRule, plan: QuadraturePlan) -> np.ndarray:
-    """L u at each point of x for one admissible kernel rule (checked)."""
-    return _evaluate(u, x, plan.spec, plan, "linear", kernel_rule=rule)
-
-
-def isaacs_apply(u, x, families, plan: QuadraturePlan) -> np.ndarray:
-    """min over alpha of max over beta of the linear operators, at each x."""
-    return _evaluate(u, x, plan.spec, plan, "isaacs", families=families)
-
-
-def ellipticity_check(u, v, x, spec: KernelSpec, plan: QuadraturePlan,
-                      families=None) -> dict:
+def ellipticity_check(u, v, x, plan: QuadraturePlan, families=None) -> dict:
     """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at each point of x, I being the
     Isaacs operator; every entry holds one value per point."""
     if families is None:
-        families = [[lower_rule(spec)], [upper_rule(spec)]]
-    iu = isaacs_apply(u, x, families, plan)
-    iv = isaacs_apply(v, x, families, plan)
+        families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
+    iu = evaluate(u, x, plan, "isaacs", families=families)
+    iv = evaluate(v, x, plan, "isaacs", families=families)
     w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)
-    mplus = extremal(w, x, replace(spec, selection="extremal_plus"), plan)
-    mminus = extremal(w, x, replace(spec, selection="extremal_minus"), plan)
+    mplus = evaluate(w, x, plan, "extremal_plus")
+    mminus = evaluate(w, x, plan, "extremal_minus")
     scale = np.maximum(1.0, np.abs([iu, iv, mplus, mminus]).max(axis=0))
     tol = 1e-6 * scale
     ok = (mminus - tol <= iu - iv) & (iu - iv <= mplus + tol)

@@ -29,6 +29,7 @@ from .errors import ConfigurationError, DataError
 from .grid import ExteriorRule
 from .kernels import KernelSpec
 from .potential import Potential
+from .sections import sphere_measure
 
 _MAX_JUMPS = 1_000_000
 _BLOCK = 64    # increments per path per round, quadratic potentials
@@ -60,10 +61,9 @@ def total_truncated_mass(config: JumpProcessConfig) -> float:
     pot, spec, eta = config.potential, config.spec, config.eta
     n, sigma, c = pot.dim, config.spec.sigma, config.spec.lam
     detA = np.linalg.det(pot._A)
-    omega = 2.0 if n == 1 else 2.0 * math.pi
     # change of variables z = A^{1/2} y / sqrt(2): wbar = |z|^2
     jac = 2.0 ** (n / 2.0) / math.sqrt(detA)
-    return 2.0 * (2.0 - sigma) * c * jac * omega * eta ** (-sigma) / sigma
+    return 2.0 * (2.0 - sigma) * c * jac * sphere_measure(n) * eta ** (-sigma) / sigma
 
 
 def generator_truncation_bound(config: JumpProcessConfig, d2_scale: float) -> float:
@@ -71,10 +71,17 @@ def generator_truncation_bound(config: JumpProcessConfig, d2_scale: float) -> fl
     pot, spec = config.potential, config.spec
     n, sigma = pot.dim, spec.sigma
     a_lo, _ = pot.hessian_bounds()
-    omega = 2.0 if n == 1 else 2.0 * math.pi
     a_eta = config.eta * math.sqrt(2.0 / a_lo)
     return (spec.lam * d2_scale * (0.5 * a_lo) ** (-(n + sigma) / 2.0)
-            * omega * a_eta ** (2.0 - sigma))
+            * sphere_measure(n) * a_eta ** (2.0 - sigma))
+
+
+def _random_directions(rng, n: int, shape: tuple) -> np.ndarray:
+    """Uniform directions on S^{n-1}, of shape `shape + (n,)`."""
+    if n == 1:
+        return np.where(rng.random(shape) < 0.5, -1.0, 1.0)[..., None]
+    ang = 2.0 * math.pi * rng.random(shape)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def _draw_jumps(rng, config: JumpProcessConfig, shape: tuple) -> np.ndarray:
@@ -86,11 +93,7 @@ def _draw_jumps(rng, config: JumpProcessConfig, shape: tuple) -> np.ndarray:
     """
     pot, sigma, eta = config.potential, config.spec.sigma, config.eta
     radii = eta * rng.random(shape) ** (-1.0 / sigma)
-    if pot.dim == 1:
-        z = np.where(rng.random(shape) < 0.5, -radii, radii)[..., None]
-    else:
-        ang = 2.0 * math.pi * rng.random(shape)
-        z = radii[..., None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    z = radii[..., None] * _random_directions(rng, pot.dim, shape)
     return math.sqrt(2.0) * z @ _sqrtm_inv(pot._A).T
 
 
@@ -108,11 +111,7 @@ def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray) -> np.nda
     while pending.any():
         todo = np.flatnonzero(pending)
         m = todo.size
-        if n == 1:
-            theta = np.where(rng.random(m) < 0.5, -1.0, 1.0)[:, None]
-        else:
-            ang = 2.0 * math.pi * rng.random(m)
-            theta = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        theta = _random_directions(rng, n, (m,))
         q = 0.5 * np.einsum("ki,kij,kj->k", theta, G[todo], theta)
         # angular rejection: per-angle model mass ~ q^{-n/2}
         keep = rng.random(m) < (0.5 * a_lo / q) ** (n / 2.0)

@@ -9,7 +9,6 @@ log-log with an R^2 gate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import ConfigurationError, DataError, KernelClassError, RefinementN
 from .grid import ExteriorRule, GridFunction
 from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule, sym_height
 from .potential import Potential, _as_points
-from .sections import boundary_radii, contains_many, unit_directions
+from .sections import boundary_radii, contains_many, sphere_measure, unit_directions
 from .solver import DiscreteProblem, solve
 
 
@@ -29,7 +28,6 @@ class ExperimentReport:
     constants: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     stability: dict = field(default_factory=dict)
-    runtimes: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -38,8 +36,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "inputs": self.inputs,
                 "constants": self.constants, "flags": self.flags,
-                "stability": self.stability, "runtimes": self.runtimes,
-                "passed": self.passed}
+                "stability": self.stability, "passed": self.passed}
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray):
@@ -135,12 +132,11 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
     resolutions, drift below drift_tol between resolutions, and a bounded
     trend of the constant as sigma grows.
     """
-    t0 = time.time()
     n = potential.dim
     zero = np.zeros(n)
     per_run = {}
     for sigma in sigmas:
-        spec = KernelSpec(lam, Lam, sigma, "extremal_plus")
+        spec = KernelSpec(lam, Lam, sigma)
         for g in data_family:
             for h in resolutions:
                 prob = DiscreteProblem(potential, spec, box_lo, box_hi, h, g)
@@ -182,8 +178,7 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
         constants={"ratio_max": float(ratios.max()), "per_run": per_run,
                    "sigma_trend": float(trend)},
         flags=flags,
-        stability={"drifts": drifts},
-        runtimes={"total_sec": time.time() - t0})
+        stability={"drifts": drifts})
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def _shift_integral(potential: Potential, spec: KernelSpec, rule: KernelRule,
     dirs = unit_directions(n, n_ang)
     t_in = boundary_radii(potential, np.zeros(n), varrho, dirs)
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_rad)
-    aw = 1.0 if n == 1 else 2.0 * math.pi / n_ang
+    aw = sphere_measure(n) / len(dirs)
     total = 0.0
     origin = np.zeros(n)
 
@@ -310,8 +305,7 @@ def kernel_shift_check(potential: Potential, spec: KernelSpec, rule: KernelRule,
     vals, fine = [], []
     for s in shifts:
         vals.append(_shift_integral(potential, spec, rule, varrho, s, n_rad, n_ang))
-        fine.append(_shift_integral(potential, spec, rule, varrho, s,
-                                    2 * n_rad, n_ang if potential.dim == 1 else 2 * n_ang))
+        fine.append(_shift_integral(potential, spec, rule, varrho, s, 2 * n_rad, 2 * n_ang))
     vals, fine = np.array(vals), np.array(fine)
     rel = np.abs(fine - vals) / np.maximum(np.abs(fine), 1e-300)
     stable = bool(rel.max() <= refine_tol)
@@ -345,9 +339,8 @@ def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: floa
     whose shift integral exceeds refusal_factor times the baseline (or is
     unstable under refinement) is refused and no exponent is asserted.
     """
-    t0 = time.time()
     n = potential.dim
-    spec = KernelSpec(lam, Lam, sigma, "fixed_midpoint")
+    spec = KernelSpec(lam, Lam, sigma)
     if shifts is None:
         base = np.zeros(n)
         shifts = [base + varrho * f * unit_directions(n, 2)[0] for f in (0.05, 0.1, 0.2)]
@@ -364,8 +357,7 @@ def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: floa
             "c1alpha", inputs=inputs,
             constants={"Upsilon_hat": candidate["Upsilon_hat"],
                        "Upsilon_baseline": baseline["Upsilon_hat"]},
-            flags={"kernel_certified": False},
-            runtimes={"total_sec": time.time() - t0})
+            flags={"kernel_certified": False})
 
     gammas, r2s, semis = [], [], []
     sup_u = 0.0
@@ -404,5 +396,4 @@ def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: floa
                    "Upsilon_hat": candidate["Upsilon_hat"],
                    "Upsilon_baseline": baseline["Upsilon_hat"], "sup_u": sup_u},
         flags=flags,
-        stability={"gamma_drift": drift},
-        runtimes={"total_sec": time.time() - t0})
+        stability={"gamma_drift": drift})

@@ -68,11 +68,18 @@ def contains_many(potential: Potential, center, r: float, pts) -> np.ndarray:
     return potential.height(center, pts) < r ** 2
 
 
-def unit_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic spread of unit directions."""
+def sphere_measure(dim: int) -> float:
+    """|S^{n-1}|: 2 half-lines in 1D, the circle's length 2 pi in 2D."""
+    return 2.0 if dim == 1 else 2.0 * np.pi
+
+
+def unit_directions(dim: int, count: int, offset: float = 0.0) -> np.ndarray:
+    """The discrete S^{n-1}: the two half-lines in 1D (count is ignored), and
+    in 2D `count` directions at angles 2 pi (k + offset) / count.  Each
+    direction carries the weight sphere_measure(dim) / len(directions)."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    ang = 2.0 * np.pi * np.arange(count) / count
+    ang = 2.0 * np.pi * (np.arange(count) + offset) / count
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
@@ -127,11 +134,11 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
     x + m and covariance C of S_r(x), T = ((n+2) C)^{-1/2} centred at x + m,
     so a ball is mapped onto the unit ball and c >= 1/n for any convex
     section (Kannan, Lovasz and Simonovits 1995).  The moments are
-    integrated in polar form about x from the boundary radii t along
-    `ray_count` spread directions d: with weight w = 2 pi / ray_count in 2D
-    (the periodic trapezoid rule: exact for quadratic sections up to the
-    radius tolerance, spectrally accurate for smooth ones) and w = 1 per
-    half-line in 1D (exact),
+    integrated in polar form about x from the boundary radii t along the
+    directions d of unit_directions(n, ray_count), each with its weight w:
+    2 pi / ray_count in 2D (the periodic trapezoid rule: exact for quadratic
+    sections up to the radius tolerance, spectrally accurate for smooth
+    ones) and 1 per half-line in 1D (exact),
 
         |S| = w sum t^n / n,   m = w sum t^{n+1} d / ((n+1) |S|),
         C = w sum t^{n+2} d d^T / ((n+2) |S|) - m m^T.
@@ -144,7 +151,7 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
     x = _as_points(x, n)[0]
     dirs = unit_directions(n, ray_count)
     t = boundary_radii(potential, x, r, dirs)
-    w = 2.0 * np.pi / ray_count if n == 2 else 1.0
+    w = sphere_measure(n) / len(dirs)
     vol = w * np.sum(t ** n) / n
     m = w * (t ** (n + 1)) @ dirs / ((n + 1) * vol)
     cov = w * (dirs.T * t ** (n + 2)) @ dirs / ((n + 2) * vol) - np.outer(m, m)
@@ -153,11 +160,8 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
         raise GeometryError("section covariance is degenerate")
     T = AffineMap((V / np.sqrt(ev)) @ V.T, x + m)
 
-    fresh, tf = dirs, t  # in 1D the two half-lines are all the rays there are
-    if n == 2:  # offset fresh rays off the fitting rays
-        ang = 2.0 * np.pi * (np.arange(ray_count) + 0.5) / ray_count
-        fresh = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        tf = boundary_radii(potential, x, r, fresh)
+    fresh = unit_directions(n, ray_count, 0.5)  # off the fitting rays (1D: the same two)
+    tf = t if n == 1 else boundary_radii(potential, x, r, fresh)
     img = np.linalg.norm(T.apply(x[None, :] + tf[:, None] * fresh), axis=1)
     scale = max(1.0, img.max() / (1.0 + 1e-3))
     if scale > 1.0:
@@ -183,8 +187,7 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
         raise ConfigurationError("trial_count must be >= 1")
     n = potential.dim
     x = _as_points(x, n)[0]
-    ndir = max(8, trial_count) if n == 2 else 2
-    dirs = unit_directions(n, ndir)
+    dirs = unit_directions(n, max(8, trial_count))
     t = boundary_radii(potential, x, r, dirs)
     zs = x[None, :] + (1.0 - 1e-9) * t[:, None] * dirs
     fracs = np.array([0.15, 0.4, 0.65, 0.85, 0.99])
@@ -353,7 +356,7 @@ def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> 
         raise ConfigurationError("t must be positive")
     n = potential.dim
     y = _as_points(y, n)[0]
-    dirs = unit_directions(n, max(8, samples) if n == 2 else 2)
+    dirs = unit_directions(n, max(8, samples))
     heights = np.array([0.72, 0.65, 0.58, 0.51]) * t
     xs = []
     for s in heights:

@@ -3,7 +3,6 @@ in the terminal summary.  Tolerances are pinned here and nowhere else."""
 
 import filecmp
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -13,9 +12,9 @@ from maslab.cli import run as cli_run
 from maslab.envelope import abp_experiment
 from maslab.grid import (GridFunction, callable_rule, halfspace_rule,
                          indicator_box_rule, zero_rule)
-from maslab.kernels import (KernelSpec, extremal, linear_apply, lower_rule,
+from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
                             make_plan, midpoint_rule, second_difference,
-                            upper_rule, isaacs_apply, checkerboard_rule)
+                            upper_rule)
 from maslab.mc import JumpProcessConfig, estimate_exit_payoff
 from maslab.potential import make_potential
 from maslab.regularity import (c1alpha_experiment, harnack_experiment,
@@ -72,12 +71,12 @@ def test_criterion_1_operator_oracle():
     sigmas = (0.5, 1.5, 1.9)
     oracles = _brute_force([float(x) for x in pts], sigmas)
     for i, sigma in enumerate(sigmas):
-        spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+        spec = KernelSpec(1.0, 1.0, sigma)
         plan = make_plan(ISO1, spec, h, 2.0, u.sup_bound)
         rule = midpoint_rule(spec)  # lam = Lam: the single admissible kernel
         oracle = oracles[:, i]
-        v_ext = extremal(u, pts, spec, plan)
-        v_lin = linear_apply(u, pts, rule, plan)
+        v_ext = evaluate(u, pts, plan, "extremal_plus")
+        v_lin = evaluate(u, pts, plan, "linear", kernel_rule=rule)
         worst = max(worst,
                     (np.abs(v_ext - oracle) / np.abs(oracle)).max(),
                     (np.abs(v_lin - oracle) / np.abs(oracle)).max())
@@ -99,9 +98,8 @@ def test_criterion_2_algebraic_invariants():
     sup = float(np.abs(coef).sum())
     ext = callable_rule("trig", fn, sup)
     u = GridFunction.from_callable([-2], [2], 1 / 64, fn, ext)
-    spec_p = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
-    spec_m = replace(spec_p, selection="extremal_minus")
-    plan = make_plan(ISO1, spec_p, u.h, 4.0, sup)
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    plan = make_plan(ISO1, spec, u.h, 4.0, sup)
     neg = GridFunction(u.lo, u.hi, -u.values,
                        callable_rule("neg", lambda p: -fn(p), sup))
     cu = GridFunction(u.lo, u.hi, 2.5 * u.values,
@@ -110,19 +108,20 @@ def test_criterion_2_algebraic_invariants():
                        u.values + 3.0 + 2.0 * u.points()[:, 0].reshape(u.shape),
                        callable_rule("af", lambda p: fn(p) + 3.0 + 2.0 * p[:, 0],
                                      sup + 10.0))
-    fams = [[lower_rule(spec_p), midpoint_rule(spec_p)], [upper_rule(spec_p)]]
+    fams = [[lower_rule(spec), midpoint_rule(spec)], [upper_rule(spec)]]
 
     xs = rng.uniform(-1.5, 1.5, size=1000)
     ys = rng.uniform(-3, 3, size=1000)
     tol = 1e-10
     ok_sym = np.array_equal(second_difference(u, xs, ys), second_difference(u, xs, -ys))
-    mp = extremal(u, xs, spec_p, plan)
-    mm = extremal(u, xs, spec_m, plan)
+    mp = evaluate(u, xs, plan, "extremal_plus")
+    mm = evaluate(u, xs, plan, "extremal_minus")
     scale = np.maximum(1.0, np.maximum(np.abs(mp), np.abs(mm)))
-    ok_aff = np.all(np.abs(extremal(aff, xs, spec_p, plan) - mp) <= tol * scale)
-    ok_hom = np.all(np.abs(extremal(cu, xs, spec_p, plan) - 2.5 * mp) <= 2.5 * tol * scale)
-    ok_sign = np.all(np.abs(extremal(neg, xs, spec_p, plan) + mm) <= tol * scale)
-    isc = isaacs_apply(u, xs, fams, plan)
+    ok_aff = np.all(np.abs(evaluate(aff, xs, plan, "extremal_plus") - mp) <= tol * scale)
+    ok_hom = np.all(np.abs(evaluate(cu, xs, plan, "extremal_plus") - 2.5 * mp)
+                    <= 2.5 * tol * scale)
+    ok_sign = np.all(np.abs(evaluate(neg, xs, plan, "extremal_plus") + mm) <= tol * scale)
+    isc = evaluate(u, xs, plan, "isaacs", families=fams)
     ok_ord = np.all((mm - tol * scale <= isc) & (isc <= mp + tol * scale))
     ok = ok_sym and ok_aff and ok_hom and ok_ord and ok_sign
     record_criterion(2, ok, "delta symmetry exact, affine invariance, positive "
@@ -136,7 +135,7 @@ def test_criterion_2_algebraic_invariants():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_barriers():
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     barrier = build_barrier("F_power", ISO1, spec, {"m": 1.0})
     rep = verify_subsolution(barrier, ISO1, spec,
                              {"kind": "annulus", "r_in": 1.0, "r_out": 4.0},
@@ -166,7 +165,7 @@ def test_criterion_3_barriers():
 
 def test_criterion_4_solver_mc_cross_validation():
     g = halfspace_rule(0, 1.0)
-    spec = KernelSpec(1.0, 1.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.5)
     prob = DiscreteProblem(ISO1, spec, [-1], [1], 1 / 128, g)
     u, rep = solve(prob)
     assert rep.converged
@@ -203,9 +202,9 @@ def test_criterion_5_comparison_principle():
         sigma = float(rng.choice([1.2, 1.5, 1.8]))
         if i < 14:
             eq, kw = "extremal_plus", {}
-            spec = KernelSpec(1.0, 2.0, sigma, "extremal_plus")
+            spec = KernelSpec(1.0, 2.0, sigma)
         else:
-            spec = KernelSpec(1.0, 2.0, sigma, "fixed_midpoint")
+            spec = KernelSpec(1.0, 2.0, sigma)
             eq = "isaacs"
             kw = {"families": [[lower_rule(spec), midpoint_rule(spec)],
                                [upper_rule(spec)]]}
@@ -305,7 +304,7 @@ def test_criterion_8_abp_stability():
     ones = lambda p: np.ones(p.shape[0])
     chats = []
     for h in (1 / 64, 1 / 128):
-        spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+        spec = KernelSpec(1.0, 2.0, 1.5)
         dom = lambda pts: ISO1.height(np.zeros(1), pts) < 1.0
         prob = DiscreteProblem(ISO1, spec, [-1.5], [1.5], h, zero_rule(),
                                "extremal_plus", domain=dom)
@@ -348,7 +347,7 @@ def test_criterion_10_holder():
     seminorm_cap = 0.5  # recorded harness constant
     alphas, results = [], []
     for h in (1 / 128, 1 / 256):
-        spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+        spec = KernelSpec(1.0, 2.0, 1.5)
         prob = DiscreteProblem(ISO1, spec, [-9], [9], h, g)
         u, rep = solve(prob, f=0.0)
         r = holder_estimate(u, ISO1, [0.0], spec, C0=rep.final_residual)
@@ -369,7 +368,7 @@ def test_criterion_10_holder():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_l_eps_tail():
-    spec = KernelSpec(1.0, 2.0, 0.5, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 0.5)
     hole = 1 / 32
     g = indicator_box_rule([-hole], [hole], 1.0)
     dom = lambda pts: np.abs(pts[:, 0]) > hole
@@ -394,7 +393,7 @@ def test_criterion_11_l_eps_tail():
 
 def test_criterion_12_c1alpha():
     from maslab.grid import gaussian_rule
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     kw = dict(varrho=0.5, box_lo=[-9], box_hi=[9],
               exterior=gaussian_rule(1.0, 2.0, center=[10.0]),
               f_rule=lambda p: -np.exp(-p[:, 0] ** 2))

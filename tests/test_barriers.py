@@ -38,7 +38,7 @@ def test_f_power_values(iso1):
 
 
 def test_f_power_subsolution_sigma19(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("F_power", iso1, spec, {"m": 1.0})
     rep = verify_subsolution(b, iso1, spec, {"kind": "annulus", "r_in": 1.0,
                                              "r_out": 4.0},
@@ -48,7 +48,7 @@ def test_f_power_subsolution_sigma19(iso1):
 
 
 def test_f_power_fails_small_sigma(iso1):
-    spec = KernelSpec(1.0, 2.0, 0.5, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 0.5)
     b = build_barrier("F_power", iso1, spec, {"m": 1.0})
     rep = verify_subsolution(b, iso1, spec, {"kind": "annulus", "r_in": 1.0,
                                              "r_out": 4.0},
@@ -57,7 +57,7 @@ def test_f_power_fails_small_sigma(iso1):
 
 
 def test_sigma0_scan_reports_threshold(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("F_power", iso1, spec, {"m": 1.0})
     rep = verify_subsolution(b, iso1, spec, {"kind": "annulus", "r_in": 1.0,
                                              "r_out": 3.0},
@@ -67,7 +67,7 @@ def test_sigma0_scan_reports_threshold(iso1):
 
 
 def test_g_normalized_subsolution(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("g_normalized", iso1, spec, {"m": 1.0, "r": 0.25})
     rep = verify_subsolution(b, iso1, spec,
                              {"kind": "outside_section", "r": 0.25, "r_out": 4.0},
@@ -76,7 +76,7 @@ def test_g_normalized_subsolution(iso1):
 
 
 def test_psi_bump_shape(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     tau = 3.0
     b = build_barrier("psi_bump", iso1, spec, {"m": 1.0, "tau": tau})
     psi = b.field()
@@ -89,7 +89,7 @@ def test_psi_bump_shape(iso1):
 
 
 def test_psi_bump_c11_one_sided(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("psi_bump", iso1, spec, {"m": 1.0, "tau": 3.0})
     psi = b.field()
     # one-sided second differences stay bounded across every paste radius
@@ -104,7 +104,7 @@ def test_psi_bump_c11_one_sided(iso1):
 
 
 def test_psi_bump_subsolution_outside_quarter(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("psi_bump", iso1, spec, {"m": 1.0, "tau": 3.0})
     rep = verify_subsolution(b, iso1, spec,
                              {"kind": "outside_section", "r": 0.25, "r_out": 7.0},

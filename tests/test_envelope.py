@@ -124,7 +124,7 @@ def test_envelope_2d_smoke(iso2):
 
 
 def _solved_abp_fixture(iso1, h):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     dom = lambda pts: iso1.height(np.zeros(1), pts) < 1.0
     prob = DiscreteProblem(iso1, spec, [-1.5], [1.5], h, zero_rule(),
                            "extremal_plus", domain=dom)
@@ -169,13 +169,13 @@ def test_abp_pipeline_stability(iso1):
 def test_abp_trivial_case(iso1):
     u = GridFunction.from_callable([-1.5], [1.5], 1 / 32,
                                    lambda p: -np.abs(p[:, 0]), zero_rule())
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     r = abp_experiment(u, iso1, spec, _ones, TAU)
     assert r["trivial"]
 
 
 def test_abp_perturbed_order_of_magnitude(perturbed1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     dom = lambda pts: perturbed1.height(np.zeros(1), pts) < 1.0
     prob = DiscreteProblem(perturbed1, spec, [-1.5], [1.5], 1 / 64, zero_rule(),
                            "extremal_plus", domain=dom)
@@ -208,7 +208,7 @@ def test_ring_estimate_coarse_grid_refinement_error(iso1):
     from maslab.errors import RefinementNeededError
     from maslab.regularity import ExperimentReport  # noqa: F401 (import check)
     u = GridFunction.from_callable([-1.5], [1.5], 0.5, _cap, zero_rule())
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")  # r_0 tiny at sigma=1.9
+    spec = KernelSpec(1.0, 2.0, 1.9)  # r_0 tiny at sigma=1.9
     env = concave_envelope(u, iso1, TAU)
     with _pt.raises(RefinementNeededError):
         ring_estimate_check(env, iso1, spec, _ones, M=20.0)

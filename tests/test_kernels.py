@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from maslab.errors import ConfigurationError, KernelClassError
 from maslab.grid import AnalyticField, GridFunction, gaussian_rule, zero_rule
-from maslab.kernels import (KernelSpec, checkerboard_rule,
-                            ellipticity_check, extremal, isaacs_apply,
-                            linear_apply, lower_rule, make_plan, midpoint_rule,
+from maslab.kernels import (KernelSpec, checkerboard_rule, ellipticity_check,
+                            evaluate, lower_rule, make_plan, midpoint_rule,
                             point_quadrature, second_difference, sym_height,
                             upper_rule)
+from maslab.sections import sphere_measure, unit_directions
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +111,13 @@ def test_sym_height_reduces_to_quadratic(aniso2):
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 1.9])
 def test_extremal_matches_brute_force_cap_parabola(iso1, sigma):
-    spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, sigma)
     u = GridFunction.from_callable([-1], [1], 1 / 256,
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
     plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
     xs = (0.0, 0.25, -0.5)
-    vals = extremal(u, xs, spec, plan)
+    vals = evaluate(u, xs, plan, "extremal_plus")
     for x, val in zip(xs, vals):
         oracle = brute_force_cap_parabola(x, sigma, nodes=200_000)
         assert val == pytest.approx(oracle, rel=0.01)
@@ -126,11 +125,11 @@ def test_extremal_matches_brute_force_cap_parabola(iso1, sigma):
 
 def test_extremal_gaussian_oracle_sigma19(iso1):
     sigma = 1.9
-    spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, sigma)
     u = GridFunction.from_callable([-3], [3], 1 / 256, lambda p: gauss(p[:, 0]),
                                    gaussian_rule(1.0, 1.0))
     plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-    val = extremal(u, [0.25], spec, plan)[0]
+    val = evaluate(u, [0.25], plan, "extremal_plus")[0]
     oracle = brute_force_smooth(gauss, gauss_d2, gauss_d4, 0.25, sigma,
                                 nodes=400_000)
     assert val == pytest.approx(oracle, rel=0.01)
@@ -142,9 +141,9 @@ def test_sigma_to_two_stability(iso1):
                                    gaussian_rule(1.0, 1.0))
     vals = []
     for sigma in (1.5, 1.9, 1.99):
-        spec = KernelSpec(1.0, 2.0, sigma, "extremal_plus")
+        spec = KernelSpec(1.0, 2.0, sigma)
         plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
-        vals.append(extremal(u, [0.0], spec, plan)[0])
+        vals.append(evaluate(u, [0.0], plan, "extremal_plus")[0])
     assert np.all(np.isfinite(vals))
     assert max(abs(v) for v in vals) < 50.0
 
@@ -162,7 +161,7 @@ def _random_grid_function(rng, h=1 / 64):
 
 def test_affine_invariance(iso1, rng):
     from maslab.grid import callable_rule
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     ext = callable_rule("aff", lambda p: u.exterior(p) + 3.0 + 2.0 * p[:, 0],
                         u.exterior.sup_bound + 3.0)
@@ -171,130 +170,151 @@ def test_affine_invariance(iso1, rng):
                            ext)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     xs = np.linspace(-1.5, 1.5, 25)
-    a = extremal(u, xs, spec, plan)
-    b = extremal(shifted, xs, spec, plan)
+    a = evaluate(u, xs, plan, "extremal_plus")
+    b = evaluate(shifted, xs, plan, "extremal_plus")
     assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
     from maslab.grid import callable_rule
     u = _random_grid_function(rng)
-    plan = None
+    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 4.0, u.sup_bound)
+    xs = np.linspace(-1.0, 1.0, 11)
 
     def scaled(c):
         ext = callable_rule("s", lambda p, c=c: c * u.exterior(p),
                             abs(c) * u.exterior.sup_bound)
         return GridFunction(u.lo, u.hi, c * u.values, ext)
 
-    for sel, c in (("extremal_plus", 2.5), ("extremal_minus", 0.3)):
-        spec = KernelSpec(1.0, 2.0, 1.5, sel)
-        plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound) if plan is None else plan
-        cu = scaled(c)
-        xs = np.linspace(-1.0, 1.0, 11)
-        assert extremal(cu, xs, spec, plan) == pytest.approx(
-            c * extremal(u, xs, spec, plan), rel=1e-10, abs=1e-12)
-    neg = scaled(-1.0)
-    sp = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
-    sm = KernelSpec(1.0, 2.0, 1.5, "extremal_minus")
-    xs = np.linspace(-1.0, 1.0, 11)
-    assert extremal(neg, xs, sp, plan) == pytest.approx(
-        -extremal(u, xs, sm, plan), rel=1e-10, abs=1e-12)
+    for equation, c in (("extremal_plus", 2.5), ("extremal_minus", 0.3)):
+        assert evaluate(scaled(c), xs, plan, equation) == pytest.approx(
+            c * evaluate(u, xs, plan, equation), rel=1e-10, abs=1e-12)
+    assert evaluate(scaled(-1.0), xs, plan, "extremal_plus") == pytest.approx(
+        -evaluate(u, xs, plan, "extremal_minus"), rel=1e-10, abs=1e-12)
 
 
 def test_order_minus_isaacs_plus(iso1, rng):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     fams = [[lower_rule(spec), midpoint_rule(spec)], [upper_rule(spec)]]
     xs = np.linspace(-1.2, 1.2, 20)
-    lo = extremal(u, xs, replace(spec, selection="extremal_minus"), plan)
-    hi = extremal(u, xs, spec, plan)
-    mid = isaacs_apply(u, xs, fams, plan)
+    lo = evaluate(u, xs, plan, "extremal_minus")
+    hi = evaluate(u, xs, plan, "extremal_plus")
+    mid = evaluate(u, xs, plan, "isaacs", families=fams)
     assert np.all((lo - 1e-12 <= mid) & (mid <= hi + 1e-12))
 
 
 def test_linear_sandwiched(iso1, rng):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rule = midpoint_rule(spec)
     xs = np.linspace(-1.2, 1.2, 15)
-    lo = extremal(u, xs, replace(spec, selection="extremal_minus"), plan)
-    hi = extremal(u, xs, replace(spec, selection="extremal_plus"), plan)
-    val = linear_apply(u, xs, rule, plan)
+    lo = evaluate(u, xs, plan, "extremal_minus")
+    hi = evaluate(u, xs, plan, "extremal_plus")
+    val = evaluate(u, xs, plan, "linear", kernel_rule=rule)
     assert np.all((lo - 1e-12 <= val) & (val <= hi + 1e-12))
 
 
 def test_linear_attains_extremal_on_signed_delta(iso1):
     # u concave cap: delta <= 0 everywhere, so the lower-bound kernel gives M+
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = GridFunction.from_callable([-1], [1], 1 / 128,
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
     plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
-    val = linear_apply(u, [0.0], lower_rule(spec), plan)[0]
-    mplus = extremal(u, [0.0], spec, plan)[0]
+    val = evaluate(u, [0.0], plan, "linear", kernel_rule=lower_rule(spec))[0]
+    mplus = evaluate(u, [0.0], plan, "extremal_plus")[0]
     assert val == pytest.approx(mplus, rel=1e-12)
 
 
 def test_isaacs_single_family_equals_linear(iso1, rng):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     rule = midpoint_rule(spec)
-    a = isaacs_apply(u, [0.3], [[rule]], plan)[0]
-    b = linear_apply(u, [0.3], rule, plan)[0]
+    a = evaluate(u, [0.3], plan, "isaacs", families=[[rule]])[0]
+    b = evaluate(u, [0.3], plan, "linear", kernel_rule=rule)[0]
     assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_isaacs_affine_zero(iso1):
     from maslab.grid import callable_rule
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     aff = callable_rule("aff", lambda p: 2 * p[:, 0] + 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 2 * p[:, 0] + 1, aff)
     plan = make_plan(iso1, spec, u.h, 2.0, 3.0)
-    assert isaacs_apply(u, [0.0], [[midpoint_rule(spec)]], plan)[0] == pytest.approx(0.0, abs=1e-9)
+    val = evaluate(u, [0.0], plan, "isaacs", families=[[midpoint_rule(spec)]])[0]
+    assert val == pytest.approx(0.0, abs=1e-9)
+
+
+def test_evaluate_rejects_non_operator_equations(iso1, rng):
+    # evaluate takes the solver's equation names and nothing else; the
+    # default is M+
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    u = _random_grid_function(rng)
+    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    for equation in ("fixed_midpoint", "bogus"):
+        with pytest.raises(ConfigurationError):
+            evaluate(u, [0.0], plan, equation)
+    with pytest.raises(ConfigurationError):
+        evaluate(u, [0.0], plan, "linear")
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(evaluate(u, xs, plan), evaluate(u, xs, plan, "extremal_plus"))
+
+
+def test_plan_rays_follow_the_shared_sphere_rule(iso1, iso2):
+    # the scheme's rays are unit_directions at half-step angles, each
+    # weighted by its share of the sphere
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    for pot in (iso1, iso2):
+        n = pot.dim
+        plan = make_plan(pot, spec, 1 / 16, 4.0)
+        assert np.array_equal(plan.angles, unit_directions(n, 16, 0.5))
+        assert plan.ang_weights.sum() == pytest.approx(sphere_measure(n), rel=1e-15)
+        assert np.all(plan.ang_weights == plan.ang_weights[0])
 
 
 def test_isaacs_empty_family_rejected(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(np.random.default_rng(0))
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     with pytest.raises(ConfigurationError):
-        isaacs_apply(u, [0.0], [], plan)
+        evaluate(u, [0.0], plan, "isaacs", families=[])
 
 
 def test_kernel_class_violation_detected(iso1, rng):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
     from maslab.kernels import KernelRule
     bad = KernelRule("bad", lambda x, y, w: 5.0)
     with pytest.raises(KernelClassError):
-        linear_apply(u, [0.0], bad, plan)
+        evaluate(u, [0.0], plan, "linear", kernel_rule=bad)
 
 
 def test_ellipticity_sandwich(iso1, perturbed1, rng):
     for pot in (iso1, perturbed1):
-        spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+        spec = KernelSpec(1.0, 2.0, 1.5)
         u = _random_grid_function(rng)
         v = _random_grid_function(rng)
         plan = make_plan(pot, spec, u.h, 4.0, u.sup_bound + v.sup_bound)
-        rep = ellipticity_check(u, v, np.linspace(-1.0, 1.0, 7), spec, plan)
+        rep = ellipticity_check(u, v, np.linspace(-1.0, 1.0, 7), plan)
         assert rep["ok"].shape == (7,)
         assert rep["ok"].all()
 
 
 def test_ellipticity_affine_shift_zero(iso1, rng):
     from maslab.grid import callable_rule
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     ext = callable_rule("af", lambda p: u.exterior(p) + 1.0 + 0.5 * p[:, 0],
                         u.exterior.sup_bound + 5.0)
     v = GridFunction(u.lo, u.hi,
                      u.values + 1.0 + 0.5 * u.points()[:, 0].reshape(u.shape), ext)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
-    rep = ellipticity_check(u, v, [0.3], spec, plan)
+    rep = ellipticity_check(u, v, [0.3], plan)
     assert rep["ok"][0]
     assert rep["I_u"][0] - rep["I_v"][0] == pytest.approx(0.0, abs=1e-9)
     assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-9)
@@ -305,23 +325,22 @@ def test_extremal_affine_zero(iso1):
     from maslab.grid import callable_rule
     aff = callable_rule("aff", lambda p: 4.0 - 3.0 * p[:, 0], 1000.0)
     u = GridFunction.from_callable([-1], [1], 1 / 32, lambda p: 4.0 - 3.0 * p[:, 0], aff)
-    for sel in ("extremal_plus", "extremal_minus"):
-        spec = KernelSpec(1.0, 2.0, 1.5, sel)
-        plan = make_plan(iso1, spec, u.h, 2.0, 7.0)
-        assert extremal(u, [0.1], spec, plan)[0] == pytest.approx(0.0, abs=1e-9)
+    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 2.0, 7.0)
+    for equation in ("extremal_plus", "extremal_minus"):
+        assert evaluate(u, [0.1], plan, equation)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ellipticity_equal_fields_zero(iso1, rng):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
-    rep = ellipticity_check(u, u, [0.2], spec, plan)
+    rep = ellipticity_check(u, u, [0.2], plan)
     assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-12)
     assert rep["I_u"][0] == rep["I_v"][0]
 
 
 def test_checkerboard_rule_within_class(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     rule = checkerboard_rule(spec)
     y = np.array([[0.3], [0.7], [2.0]])
     w = sym_height(iso1, np.zeros(1), y)
@@ -343,7 +362,7 @@ def test_extremal_2d_matches_polar_brute_force(iso2):
     # full polar quadrature of the closed-form kernel with exact u, plus the
     # exact Taylor core below the split radius
     sigma = 1.5
-    spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, sigma)
     u = GridFunction.from_callable([-3, -3], [3, 3], 6 / 192,
                                    lambda p: np.exp(-(p * p).sum(-1)),
                                    gaussian_rule(1.0, 1.0))
@@ -370,7 +389,7 @@ def test_extremal_2d_matches_polar_brute_force(iso2):
         return total + core
 
     x0s = np.array([[0.0, 0.0], [-0.5, 0.25]])
-    for x0, val in zip(x0s, extremal(u, x0s, spec, plan)):
+    for x0, val in zip(x0s, evaluate(u, x0s, plan, "extremal_plus")):
         oracle = brute2(x0)
         assert val == pytest.approx(oracle, rel=0.01)
 
@@ -382,9 +401,9 @@ def test_sigma_to_two_local_limit(iso1):
                                    gaussian_rule(1.0, 1.0))
     x0s = np.array([0.0, 0.5])
     for sigma in (1.99, 1.999):
-        spec = KernelSpec(1.0, 1.0, sigma, "extremal_plus")
+        spec = KernelSpec(1.0, 1.0, sigma)
         plan = make_plan(iso1, spec, u.h, 6.0, 1.0)
-        val = extremal(u, x0s, spec, plan)
+        val = evaluate(u, x0s, plan, "extremal_plus")
         assert val == pytest.approx(2 ** 2.5 * gauss_d2(x0s), rel=0.01)
 
 
@@ -393,10 +412,10 @@ def test_nonfinite_field_rejected(iso1):
     from maslab.errors import DataError
     bad = AnalyticField("bad", lambda p: np.where(p[:, 0] > 1.0, np.inf, 0.0),
                         1.0, 1)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     plan = make_plan(iso1, spec, 1 / 32, 2.0, 1.0)
     with pytest.raises(DataError):
-        extremal(bad, [0.0], spec, plan)
+        evaluate(bad, [0.0], plan, "extremal_plus")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +460,7 @@ _BATCH_POINTS = {1: np.array([[-0.9], [0.0], [0.35], [1.0]]),
                                       "perturbed2"])
 def test_batched_node_sets_match_single_points(request, pot_name):
     pot = request.getfixturevalue(pot_name)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
     pts = _BATCH_POINTS[pot.dim]
     batch = point_quadrature(plan, pts)
@@ -463,7 +482,7 @@ def test_batched_node_sets_match_single_points(request, pot_name):
 @pytest.mark.parametrize("pot_name", ["iso1", "iso2", "aniso2"])
 def test_quadratic_node_sets_shift_invariant(request, pot_name):
     pot = request.getfixturevalue(pot_name)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
     pts = _BATCH_POINTS[pot.dim]
     pq = point_quadrature(plan, pts)

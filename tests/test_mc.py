@@ -14,12 +14,12 @@ from maslab.solver import DiscreteProblem, solve
 
 
 def _cfg(pot, sigma=1.5, eta=0.05, payoff=None, seed=7):
-    spec = KernelSpec(1.0, 1.0, sigma, "fixed_midpoint")
+    spec = KernelSpec(1.0, 1.0, sigma)
     return JumpProcessConfig(pot, spec, eta, payoff or constant_rule(1.0), seed)
 
 
 def test_requires_single_kernel(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     with pytest.raises(ConfigurationError):
         JumpProcessConfig(iso1, spec, 0.05, constant_rule(1.0), 0)
 
@@ -84,7 +84,7 @@ def test_paths_floor(iso1):
 def test_aniso_2d_mirror_symmetry(aniso2):
     # exits through the y-sides carry payoff 0, so the mean is below 1/2;
     # mirrored payoffs must agree within noise by x-symmetry
-    spec = KernelSpec(1.0, 1.0, 1.2, "fixed_midpoint")
+    spec = KernelSpec(1.0, 1.0, 1.2)
     from maslab.grid import callable_rule
     right = halfspace_rule(0, 1.0)
     left = callable_rule("left", lambda p: (p[:, 0] < -1.0).astype(float), 1.0)
@@ -96,7 +96,7 @@ def test_aniso_2d_mirror_symmetry(aniso2):
 
 
 def test_generic_sampler_perturbed(perturbed1):
-    spec = KernelSpec(1.0, 1.0, 1.2, "fixed_midpoint")
+    spec = KernelSpec(1.0, 1.0, 1.2)
     cfg = JumpProcessConfig(perturbed1, spec, 0.1, halfspace_rule(0, 1.0), 5)
     r = estimate_exit_payoff(cfg, [0.0], [-1], [1], 300)
     assert abs(r["mean"] - 0.5) <= 4 * r["std_error"] + 0.05
@@ -105,7 +105,7 @@ def test_generic_sampler_perturbed(perturbed1):
 def test_cross_validation_against_solver(iso1):
     # the acceptance criterion at reduced scale
     g = halfspace_rule(0, 1.0)
-    spec = KernelSpec(1.0, 1.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, g)
     u, rep = solve(prob)
     r = estimate_exit_payoff(_cfg(iso1, eta=0.025, payoff=g, seed=11),
@@ -124,7 +124,7 @@ def test_runaway_path_guard(iso1, monkeypatch):
 def test_cross_validation_2d(iso2):
     from maslab.grid import callable_rule
     g = callable_rule("right", lambda p: (p[:, 0] >= 1.0).astype(float), 1.0)
-    spec = KernelSpec(1.0, 1.0, 1.2, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.2)
     prob = DiscreteProblem(iso2, spec, [-1, -1], [1, 1], 1 / 16, g)
     u, rep = solve(prob)
     assert rep.converged
@@ -214,7 +214,7 @@ def test_parity_with_per_path_reference(case, iso1, perturbed2):
         cfg = _cfg(iso1, sigma=1.5, eta=0.05, payoff=halfspace_rule(0, 1.0), seed=17)
         args = ([0.4], [-1.0], [1.0], 3000)
     else:
-        spec = KernelSpec(1.0, 1.0, 1.2, "fixed_midpoint")
+        spec = KernelSpec(1.0, 1.0, 1.2)
         cfg = JumpProcessConfig(perturbed2, spec, 0.1, halfspace_rule(0, 1.0), 17)
         args = ([0.3, 0.0], [-1.0, -1.0], [1.0, 1.0], 600)
     paths = args[-1]

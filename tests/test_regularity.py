@@ -22,7 +22,7 @@ def test_leps_trivial_flat_errors(iso1):
 
 
 def _leps_fixture(iso1, h):
-    spec = KernelSpec(1.0, 2.0, 0.5, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 0.5)
     hole = 1 / 32
     g = indicator_box_rule([-hole], [hole], 1.0)
     dom = lambda pts: np.abs(pts[:, 0]) > hole
@@ -122,7 +122,7 @@ def test_harnack_report_roundtrip(iso1):
 
 
 def _holder_solution(iso1, h, sigma=1.5):
-    spec = KernelSpec(1.0, 2.0, sigma, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, sigma)
     g = indicator_box_rule([9.0], [12.0], 1.0)
     prob = DiscreteProblem(iso1, spec, [-9], [9], h, g)
     u, rep = solve(prob, f=0.0)
@@ -149,7 +149,7 @@ def test_holder_affine_slope_one(iso1):
     from maslab.grid import callable_rule
     aff = callable_rule("aff", lambda p: p[:, 0], 20.0)
     u = GridFunction.from_callable([-9], [9], 1 / 128, lambda p: p[:, 0], aff)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     r = holder_estimate(u, iso1, [0.0], spec, C0=0.0)
     assert r["alpha_hat"] >= 0.95
     assert r["r2"] >= 0.99
@@ -175,7 +175,7 @@ def test_holder_sigma_pair_bounded_below(iso1):
 
 
 def test_shift_check_smooth_stable(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     r = kernel_shift_check(iso1, spec, midpoint_rule(spec), 0.5, [[0.05], [0.1]])
     assert r["stable"]
     assert np.isfinite(r["Upsilon_hat"])
@@ -183,7 +183,7 @@ def test_shift_check_smooth_stable(iso1):
 
 
 def test_shift_check_rejects_bad_shifts(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     with pytest.raises(ConfigurationError):
         kernel_shift_check(iso1, spec, midpoint_rule(spec), 0.5, [[0.0]])
     with pytest.raises(ConfigurationError):
@@ -191,7 +191,7 @@ def test_shift_check_rejects_bad_shifts(iso1):
 
 
 def test_shift_check_rough_flagged(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     smooth = kernel_shift_check(iso1, spec, midpoint_rule(spec), 0.5,
                                 [[0.05], [0.1]])
     rough = kernel_shift_check(iso1, spec, checkerboard_rule(spec), 0.5,
@@ -209,7 +209,7 @@ def _c1a_kwargs(h_list):
 
 
 def test_c1alpha_smooth_kernel(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     rep = c1alpha_experiment(iso1, 1.0, 2.0, 1.5, rule=midpoint_rule(spec),
                              **_c1a_kwargs([1 / 96, 1 / 192]))
     assert rep.passed
@@ -218,7 +218,7 @@ def test_c1alpha_smooth_kernel(iso1):
 
 
 def test_c1alpha_rough_kernel_refused(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     rep = c1alpha_experiment(iso1, 1.0, 2.0, 1.5, rule=checkerboard_rule(spec),
                              **_c1a_kwargs([1 / 96]))
     assert not rep.passed

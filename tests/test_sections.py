@@ -162,7 +162,7 @@ def _engulfing_by_bisection(potential, x, r, trial_count):
     # reference: bisection on gamma against the pair predicate v_y(z) < (gamma r)^2
     n = potential.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    dirs = unit_directions(n, max(8, trial_count) if n == 2 else 2)
+    dirs = unit_directions(n, max(8, trial_count))
     t = boundary_radii(potential, x, r, dirs)
     zs = x + (1.0 - 1e-9) * t[:, None] * dirs
     fracs = np.array([0.15, 0.4, 0.65, 0.85, 0.99])
@@ -277,7 +277,7 @@ def _delta_hats_by_bisection(potential, t, y, samples=12):
     # a 30-step bisection on delta against full-lattice membership
     n = potential.dim
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    dirs = unit_directions(n, max(8, samples) if n == 2 else 2)
+    dirs = unit_directions(n, max(8, samples))
     xs = np.vstack([y + boundary_radii(potential, y, s * t, dirs)[:, None] * dirs
                     for s in (0.72, 0.65, 0.58, 0.51)])
     tmax = boundary_radii(potential, y, t, dirs).max()

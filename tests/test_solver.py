@@ -3,21 +3,19 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from dataclasses import replace
-
 from maslab import kernels, solver
 from maslab.errors import ConfigurationError
 from maslab.grid import (GridFunction, callable_rule, constant_rule, gaussian_rule,
                          halfspace_rule, indicator_box_rule, zero_rule)
-from maslab.kernels import (KernelSpec, checkerboard_rule, extremal, isaacs_apply,
-                            linear_apply, lower_rule, make_kernel_rule,
+from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
+                            make_kernel_rule,
                             midpoint_rule, operator_values, policy_slopes,
                             rule_multipliers, upper_rule)
 from maslab.solver import DiscreteProblem, comparison_check, solve
 
 
 def test_zero_data_zero_solution(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, zero_rule())
     u, rep = solve(prob)
     assert rep.converged
@@ -25,7 +23,7 @@ def test_zero_data_zero_solution(iso1):
 
 
 def test_constant_data_constant_solution(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_minus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, constant_rule(3.0),
                            "extremal_minus")
     u, rep = solve(prob)
@@ -34,7 +32,7 @@ def test_constant_data_constant_solution(iso1):
 
 
 def test_dirichlet_symmetry(iso1):
-    spec = KernelSpec(1.0, 1.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, halfspace_rule(0, 1.0))
     u, rep = solve(prob)
     assert rep.converged
@@ -48,7 +46,7 @@ def test_policy_matrices_are_monotone(request, rng):
     # matrix S + diag(d): S >= 0, and d + (row sum of S) < 0 at every
     # unknown since kernel mass leaves the box; checked at the data, at
     # the solution and at random iterates
-    iso1, mid = request.getfixturevalue("iso1"), KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    iso1, mid = request.getfixturevalue("iso1"), KernelSpec(1.0, 2.0, 1.5)
     spec = KernelSpec(1.0, 2.0, 1.5)
     ring = callable_rule("ring", lambda p: ((p * p).sum(axis=1) >= 1.0).astype(float), 1.0)
     families = [[lower_rule(mid), checkerboard_rule(mid)], [upper_rule(mid)]]
@@ -73,7 +71,7 @@ def test_policy_matrices_are_monotone(request, rng):
 
 
 def test_grid_convergence_reported(iso1):
-    spec = KernelSpec(1.0, 1.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.5)
     sols = []
     for h in (1 / 32, 1 / 64, 1 / 128):
         prob = DiscreteProblem(iso1, spec, [-1], [1], h, halfspace_rule(0, 1.0))
@@ -86,7 +84,7 @@ def test_grid_convergence_reported(iso1):
 
 
 def test_solve_perturbed_potential(perturbed1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(perturbed1, spec, [-1], [1], 1 / 32,
                            halfspace_rule(0, 1.0))
     u, rep = solve(prob)
@@ -96,7 +94,7 @@ def test_solve_perturbed_potential(perturbed1):
 
 def test_solve_isaacs_between_extremals(iso1):
     g = indicator_box_rule([1.2], [1.8], 1.0)
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     fams = [["lower", "midpoint"], ["upper"]]
     prob_i = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, g, "isaacs",
                              families=[[make_kernel_rule(r, spec) for r in b]
@@ -112,7 +110,7 @@ def test_solve_isaacs_between_extremals(iso1):
 
 
 def test_solve_linear_midpoint(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            halfspace_rule(0, 1.0), "linear",
                            kernel_rule=midpoint_rule(spec))
@@ -122,7 +120,7 @@ def test_solve_linear_midpoint(iso1):
 
 
 def test_domain_mask_holds_data(iso1):
-    spec = KernelSpec(1.0, 1.0, 1.2, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.2)
     hole = indicator_box_rule([-0.05], [0.05], 2.0)
     dom = lambda pts: np.abs(pts[:, 0]) > 0.05
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 64, hole, domain=dom)
@@ -133,7 +131,7 @@ def test_domain_mask_holds_data(iso1):
 
 
 def test_comparison_pairs(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     g_lo = indicator_box_rule([1.2], [1.8], 0.6)
     g_hi = indicator_box_rule([1.2], [1.9], 1.0)
     prob_lo = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, g_lo)
@@ -146,7 +144,7 @@ def test_comparison_pairs(iso1):
 
 
 def test_comparison_trivial_equal_pair(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     g = indicator_box_rule([1.2], [1.8], 1.0)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, g)
     u, _ = solve(prob, f=0.0, tolerance=1e-12)
@@ -155,7 +153,7 @@ def test_comparison_trivial_equal_pair(iso1):
 
 
 def test_comparison_detects_exterior_violation(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     g = indicator_box_rule([1.2], [1.8], 1.0)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, g)
     u, _ = solve(prob)
@@ -167,13 +165,13 @@ def test_comparison_detects_exterior_violation(iso1):
 
 
 def test_unknown_equation_rejected(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     with pytest.raises(ConfigurationError):
         DiscreteProblem(iso1, spec, [-1], [1], 0.5, zero_rule(), "heat")
 
 
 def test_empty_kernel_family_rejected(iso1):
-    spec = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     for families in ([[lower_rule(spec)], []], []):
         with pytest.raises(ConfigurationError):
             DiscreteProblem(iso1, spec, [-1], [1], 0.5, zero_rule(), "isaacs",
@@ -182,14 +180,13 @@ def test_empty_kernel_family_rejected(iso1):
 
 def test_other_selection_on_compiled_nodes_matches_problem(iso1, rng):
     # comparison_check and l_eps_tail evaluate M+ / M- on another problem's nodes
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     plus = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, zero_rule())
-    minus = DiscreteProblem(iso1, replace(spec, selection="extremal_minus"), [-1], [1],
-                            1 / 32, zero_rule(), "extremal_minus")
+    minus = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, zero_rule(), "extremal_minus")
     u = rng.normal(size=plus.N)
     assert np.array_equal(minus.apply(u, "extremal_plus"), plus.apply(u))
     assert np.array_equal(plus.apply(u, "extremal_minus"), minus.apply(u))
-    # the other selection is what the comparison and L^eps checks evaluated
+    # the other equation is what the comparison and L^eps checks evaluated
     # through kernels.operator_values on the same nodes
     assert np.array_equal(minus.apply(u, "extremal_plus"),
                           operator_values(minus.node_deltas(u), minus.COEF, minus.PID,
@@ -202,7 +199,7 @@ def test_other_selection_on_compiled_nodes_matches_problem(iso1, rng):
 @pytest.mark.parametrize("pot_name", ["perturbed2", "aniso2"])
 def test_compiled_operator_matches_pointwise(request, pot_name, rng):
     pot = request.getfixturevalue(pot_name)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     data = gaussian_rule(1.0, 0.7, [0.3, -0.2])
     rough = checkerboard_rule(spec)
     families = [[lower_rule(spec), rough], [upper_rule(spec), midpoint_rule(spec)]]
@@ -216,12 +213,7 @@ def test_compiled_operator_matches_pointwise(request, pot_name, rng):
         u = GridFunction(prob.geom.lo, prob.geom.hi, values, data)
         got = prob.apply(u.values.ravel())
         pts = prob.grid_pts[prob.unknown]
-        if equation == "linear":
-            want = linear_apply(u, pts, rough, prob.plan)
-        elif equation == "isaacs":
-            want = isaacs_apply(u, pts, families, prob.plan)
-        else:
-            want = extremal(u, pts, replace(spec, selection=equation), prob.plan)
+        want = evaluate(u, pts, prob.plan, equation, **kw)
         scale = float(np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-12 * scale, equation
 
@@ -234,7 +226,7 @@ def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
     # the pointwise operators or of the compiled apply
     pot = request.getfixturevalue(pot_name)
     n = pot.dim
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     data = gaussian_rule(1.0, 0.7, [0.3, -0.2][:n])
     rough = checkerboard_rule(spec)
     families = [[lower_rule(spec), rough], [upper_rule(spec), midpoint_rule(spec)]]
@@ -243,26 +235,19 @@ def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
     values = rng.normal(size=(round(2 / h) + 1,) * n)
     xs = rng.uniform(-0.9, 0.9, size=(25, n))
 
-    def pointwise(u, x, equation, plan):
-        if equation == "linear":
-            return linear_apply(u, x, rough, plan)
-        if equation == "isaacs":
-            return isaacs_apply(u, x, families, plan)
-        return extremal(u, x, replace(spec, selection=equation), plan)
-
     def run():
         out = {}
         for equation, kw in cases.items():
             prob = DiscreteProblem(pot, spec, [-1] * n, [1] * n, h, data, equation, **kw)
             u = GridFunction(prob.geom.lo, prob.geom.hi, values, data)
             out[equation] = (prob.apply(values.ravel()),
-                             pointwise(u, xs, equation, prob.plan), u, prob.plan)
+                             evaluate(u, xs, prob.plan, equation, **kw), u, prob.plan)
         return out
 
     whole = run()
     for equation, (_, batch, u, plan) in whole.items():
         assert batch.shape == (len(xs),)
-        single = [pointwise(u, x, equation, plan)[0] for x in xs]
+        single = [evaluate(u, x, plan, equation, **cases[equation])[0] for x in xs]
         assert np.array_equal(batch, single), equation
 
     calls = {kernels: 0, solver: 0}
@@ -308,7 +293,7 @@ def test_benchmark_hooks_present(iso1, monkeypatch):
 def test_tolerance_below_roundoff_stops_at_the_floor(iso1):
     # a tolerance below the roundoff floor ends the policy iteration at the
     # floor: reported, and not converged
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            indicator_box_rule([1.1], [1.5], 1.0))
     u, rep = solve(prob, tolerance=1e-30)
@@ -345,7 +330,7 @@ def test_not_finite_correction_is_reported(iso1, monkeypatch):
     # a correction that is not finite ends the policy iteration before it is
     # applied: the data are returned, and the exit is named
     monkeypatch.setattr(solver._Circulant, "solve", lambda self, v: np.full_like(v, np.nan))
-    spec = KernelSpec(1.0, 2.0, 1.9, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.9)
     prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32,
                            indicator_box_rule([1.1], [1.5], 1.0))
     applied = _count_apply(monkeypatch)
@@ -362,7 +347,7 @@ def test_not_finite_correction_is_reported(iso1, monkeypatch):
 
 
 def _criterion_10_kind_problem(iso1):
-    return DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5, "extremal_plus"), [-3], [3],
+    return DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-3], [3],
                            1 / 64, indicator_box_rule([3.1], [4.1], 1.0))
 
 
@@ -403,7 +388,7 @@ def test_solve_2d_symmetry_and_bounds(iso2):
     from maslab.grid import callable_rule
     g = callable_rule("ring", lambda p: ((p * p).sum(axis=1) >= 4.0).astype(float),
                       1.0)
-    spec = KernelSpec(1.0, 1.0, 1.2, "extremal_plus")
+    spec = KernelSpec(1.0, 1.0, 1.2)
     prob = DiscreteProblem(iso2, spec, [-1, -1], [1, 1], 1 / 12, g)
     u, rep = solve(prob)
     assert rep.converged
@@ -418,7 +403,7 @@ def test_solve_2d_perturbed_smoke(perturbed2):
     from maslab.grid import callable_rule
     g = callable_rule("ring", lambda p: ((p * p).sum(axis=1) >= 4.0).astype(float),
                       1.0)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(perturbed2, spec, [-1, -1], [1, 1], 1 / 8, g)
     u, rep = solve(prob)
     assert rep.converged
@@ -452,15 +437,15 @@ def _direct_reference(prob, f, tolerance):
 
 def _krylov_cases(request):
     iso1 = request.getfixturevalue("iso1")
-    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    mid = KernelSpec(1.0, 2.0, 1.5)
     ring = callable_rule("ring", lambda p: ((p * p).sum(axis=1) >= 4.0).astype(float),
                          1.0)
     return {
         "1d_plus": (lambda: DiscreteProblem(
-            iso1, KernelSpec(1.0, 2.0, 1.9, "extremal_plus"), [-1], [1], 1 / 64,
+            iso1, KernelSpec(1.0, 2.0, 1.9), [-1], [1], 1 / 64,
             indicator_box_rule([1.1], [1.5], 1.0)), 0.0),
         "2d_aniso_minus": (lambda: DiscreteProblem(
-            request.getfixturevalue("aniso2"), KernelSpec(1.0, 2.0, 1.5, "extremal_minus"),
+            request.getfixturevalue("aniso2"), KernelSpec(1.0, 2.0, 1.5),
             [-1, -1], [1, 1], 1 / 8, gaussian_rule(1.0, 0.7, [0.3, -0.2]),
             "extremal_minus"), 0.0),
         "2d_perturbed_plus": (lambda: DiscreteProblem(
@@ -517,7 +502,7 @@ def test_solve_above_6000_unknowns_matches_a_dense_solve(iso1):
     # P = 6145, beyond the size a dense LU was once limited to: the solution
     # solves the linear system of its own final policy.  Both carry residuals
     # up to the tolerance, 1e-10 (7.8e-12 relative apart when measured)
-    spec = KernelSpec(1.0, 2.0, 1.5, "extremal_plus")
+    spec = KernelSpec(1.0, 2.0, 1.5)
     prob = DiscreteProblem(iso1, spec, [-3], [3], 1 / 1024,
                            indicator_box_rule([3.0], [4.0], 1.0))
     assert prob.P > 6000
@@ -627,7 +612,7 @@ def test_preconditioner_quality(request, case):
             iso1, spec, [-1.5], [1.5], 1 / 128, zero_rule(),
             domain=lambda p: iso1.height(np.zeros(1), p) < 1.0), -1.0),
         "criterion_11_hole": lambda: (DiscreteProblem(
-            iso1, KernelSpec(1.0, 2.0, 0.5, "extremal_minus"), [-9], [9], 1 / 128,
+            iso1, KernelSpec(1.0, 2.0, 0.5), [-9], [9], 1 / 128,
             indicator_box_rule([-1 / 32], [1 / 32], 1.0), "extremal_minus",
             domain=lambda p: np.abs(p[:, 0]) > 1 / 32), 0.0),
         "sigma_1.9": lambda: (DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.9), [-1], [1],
@@ -700,13 +685,13 @@ def _per_node_reference(prob, u):
 def _aggregation_cases(request):
     iso1 = request.getfixturevalue("iso1")
     spec = KernelSpec(1.0, 2.0, 1.5)
-    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    mid = KernelSpec(1.0, 2.0, 1.5)
     box = indicator_box_rule([1.1], [1.6], 1.0)
     rough = checkerboard_rule(mid)
     return {
         "plus": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box),
-        "minus": lambda: DiscreteProblem(iso1, replace(spec, selection="extremal_minus"),
-                                         [-1], [1], 1 / 32, box, "extremal_minus"),
+        "minus": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box,
+                                         "extremal_minus"),
         "linear": lambda: DiscreteProblem(iso1, mid, [-1], [1], 1 / 32, box, "linear",
                                           kernel_rule=rough),
         "isaacs": lambda: DiscreteProblem(
@@ -758,7 +743,7 @@ def test_exterior_aggregation_matches_per_node_reference(request, case, rng):
 
 
 def test_exterior_groups_of_a_small_case(iso1):
-    mid = KernelSpec(1.0, 2.0, 1.5, "fixed_midpoint")
+    mid = KernelSpec(1.0, 2.0, 1.5)
     fams = [[lower_rule(mid), checkerboard_rule(mid)], [upper_rule(mid)]]
     prob = DiscreteProblem(iso1, mid, [-1], [1], 1 / 8, indicator_box_rule([1.1], [1.6], 1.0),
                            "isaacs", families=fams)
