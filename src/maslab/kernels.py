@@ -126,6 +126,9 @@ def sym_height(potential: Potential, x, y) -> np.ndarray:
     """wbar_x(y) = sqrt(w_x(y) w_x(-y)); equals w_x exactly for quadratics."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     wp = potential.shifted_height(x, y)
+    if not potential.eps:
+        # a quadratic's w(-y) is w(y) bit for bit, and sqrt(w * w) is w
+        return wp
     wm = potential.shifted_height(x, -y)
     return np.sqrt(wp * wm)
 

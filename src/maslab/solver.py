@@ -61,6 +61,12 @@ KRYLOV_RTOL = 1e-10
 FLOOR_FACTOR = 4.0
 # Policy steps per solve; a solve that ends here reports "step_cap".
 POLICY_STEPS = 40
+# Cells of the dense (rows x lattice points) table that numbers the summed
+# entries of S, one block of rows at a time.  Its 128 kB of flags and 512 kB
+# of int32 ranks stay in cache and set no memory peak: on the pucci_1d
+# problem the slot map took 22 ms, against 31 ms at 2^20 cells and 95 ms for
+# np.unique of the (row, column) pairs.
+SLOT_TABLE = 1 << 17
 
 
 def _join(blocks: list) -> np.ndarray:
@@ -69,6 +75,36 @@ def _join(blocks: list) -> np.ndarray:
     out = np.concatenate(blocks)
     blocks.clear()
     return out
+
+
+def _slot_map(pid, crow, ccol, rowptr, N: int):
+    """Each triplet's place in the summed, sorted CSR pattern of S (rows
+    pid[crow], columns ccol; unknown p's triplets are rowptr[p]:rowptr[p+1]),
+    with that pattern's column indices and row pointers, all int32.  Blocks
+    of rows mark their entries in a dense (rows x N) table and number the
+    marked cells in order: no sort."""
+    P = rowptr.size - 1
+    rows = max(1, SLOT_TABLE // N)
+    slot = np.empty(ccol.size, dtype=np.int32)
+    indptr = np.zeros(P + 1, dtype=np.int32)
+    indices, nnz = [], 0
+    for r0 in range(0, P, rows):
+        r1 = min(P, r0 + rows)
+        t = slice(rowptr[r0], rowptr[r1])
+        key = (pid.take(crow[t]) - r0) * N + ccol[t]
+        occupied = np.zeros((r1 - r0) * N, dtype=bool)
+        occupied[key] = True
+        cells = np.flatnonzero(occupied)
+        del occupied
+        rank = np.empty((r1 - r0) * N, dtype=np.int32)    # read only at the cells
+        rank[cells] = np.arange(nnz, nnz + cells.size, dtype=np.int32)
+        slot[t] = rank.take(key)
+        indptr[r0 + 1:r1 + 1] = nnz + np.searchsorted(cells, np.arange(1, r1 - r0 + 1) * N)
+        indices.append((cells % N).astype(np.int32))
+        nnz += cells.size
+    indices = np.concatenate(indices)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return slot, indices, indptr
 
 
 @dataclass
@@ -94,10 +130,14 @@ class DiscreteProblem:
     so delta = CONST - 2u_p) are folded into one group node per CONST value,
     with summed COEF and coef-weighted mean height and multipliers; each
     block lists its kept nodes, then its groups.  So PID is not nondecreasing,
-    but the triplets are node-major (CROW, hence PID[CROW], is nondecreasing),
-    and ROWPTR[p]:ROWPTR[p+1] are the triplets of unknown p.  node_counts
-    has the node counts before and after the folding; preconditioner is the
-    circulant that every policy solve of the problem uses.
+    but the triplets are node-major: CROW, hence PID[CROW], is nondecreasing.
+    CROW and CCOL are int32.  Two sparse operators, built once from the
+    triplets and sharing CW and CCOL, do every step's work: the
+    interpolation (Jtot x N) gives node_deltas, and the gather sums each
+    triplet into its slot of the canonical CSR pattern of S, so assemble is
+    one sparse product.  node_counts has the node counts before and after
+    the folding and the entries of that pattern (policy_entries);
+    preconditioner is the circulant that every policy solve uses.
     """
 
     def __init__(self, potential: Potential, spec: KernelSpec, box_lo, box_hi,
@@ -179,10 +219,11 @@ class DiscreteProblem:
 
             if ins.any():
                 idx, wts = geom.interp_weights(np.compress(ins, pts, axis=0))
-                rank = np.cumsum(keep) - 1 + j_off
+                rank = np.cumsum(keep, dtype=np.int32) - 1 + j_off
                 crow.append(np.repeat(rank[np.nonzero(ins)[0] // 2], idx.shape[1]))
-                ccol.append(idx.ravel())
+                ccol.append(idx.ravel().astype(np.int32))
                 cw.append(wts.ravel())
+                del idx         # free the int64 indices before the next block
             for m_list, rule in zip(mults, self._rules):
                 m_list.append(fold(rule_multipliers(rule, spec, x, pq.y, pq.wbar)))
             pid.append(np.concatenate([pq.pid[keep], key // vals.size]) + first)
@@ -192,9 +233,6 @@ class DiscreteProblem:
             j_off += coef[-1].size
             quadrature_nodes += J
             exterior_nodes += ce.size
-        self.node_counts = {"quadrature_nodes": quadrature_nodes, "compiled_nodes": j_off,
-                            "exterior_groups": j_off - (quadrature_nodes - exterior_nodes),
-                            "exterior_share": exterior_nodes / quadrature_nodes}
         self.PID = _join(pid)
         self.COEF = _join(coef)
         self.CONST = _join(const)
@@ -203,20 +241,31 @@ class DiscreteProblem:
         self.CROW = _join(crow)
         self.CCOL = _join(ccol)
         self.CW = _join(cw)
-        self.ROWPTR = np.zeros(self.P + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.PID.take(self.CROW), minlength=self.P),
-                  out=self.ROWPTR[1:])
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
             * 2.0 * spec.Lam
         self._mults = group_multipliers(self.equation, self.families,
                                         [_join(m) for m in mults])
+        # node j's triplets are nodeptr[j]:nodeptr[j+1], unknown p's are
+        # rowptr[p]:rowptr[p+1]; both operators share CW and CCOL
+        nodeptr = np.zeros(self.Jtot + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.CROW, minlength=self.Jtot), out=nodeptr[1:])
+        rowptr = np.zeros(self.P + 1, dtype=np.int64)
+        rowptr[1:] = np.cumsum(np.bincount(self.PID, weights=np.diff(nodeptr),
+                                           minlength=self.P))
+        self._interp = sp.csr_matrix((self.CW, self.CCOL, nodeptr), shape=(self.Jtot, self.N))
+        slot, indices, indptr = _slot_map(self.PID, self.CROW, self.CCOL, rowptr, self.N)
+        self._gather = sp.csc_matrix((self.CW, slot, nodeptr),
+                                     shape=(indices.size, self.Jtot))
+        self._pattern = (indices, indptr)
+        self.node_counts = {"quadrature_nodes": quadrature_nodes, "compiled_nodes": j_off,
+                            "exterior_groups": j_off - (quadrature_nodes - exterior_nodes),
+                            "exterior_share": exterior_nodes / quadrature_nodes,
+                            "policy_entries": indices.size}
 
     # -- discrete operator ---------------------------------------------------
 
     def node_deltas(self, u_flat: np.ndarray) -> np.ndarray:
-        S = self.CONST + np.bincount(self.CROW, weights=self.CW * u_flat[self.CCOL],
-                                     minlength=self.Jtot)
-        return S - 2.0 * u_flat[self.unknown[self.PID]]
+        return self.CONST + self._interp @ u_flat - 2.0 * u_flat[self.unknown].take(self.PID)
 
     def apply(self, u_flat: np.ndarray, equation: str | None = None) -> np.ndarray:
         """A u at every unknown point; with equation "extremal_plus" or
@@ -236,16 +285,15 @@ class DiscreteProblem:
     def assemble(self, slopes: np.ndarray):
         """Frozen-policy matrix S + diag(d) in the unknowns, S over all columns.
 
-        S is the CSR matrix of the interpolation triplets weighted by
-        a = COEF * slopes (rows = unknowns, columns = all lattice points,
-        duplicate entries left unsummed) and d = -2 * (sum of a per point)
-        the centre weights; the exterior part of A u is not included.  The
-        triplets are node-major, so S is read off them with no COO stage
-        and no sort.
+        S is the canonical CSR matrix (rows = unknowns, columns = all lattice
+        points, one entry per distinct pair) of the interpolation triplets
+        weighted by a = COEF * slopes, and d = -2 * (sum of a per point) the
+        centre weights; the exterior part of A u is not included.  The
+        pattern is fixed at compile, so S's entries are one sparse gather
+        of a, and every S of the problem shares the read-only pattern.
         """
         a = self.COEF * slopes
-        S = sp.csr_matrix((a.take(self.CROW) * self.CW, self.CCOL, self.ROWPTR),
-                          shape=(self.P, self.N))
+        S = sp.csr_matrix((self._gather @ a, *self._pattern), shape=(self.P, self.N))
         return S, -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
 
     def residual(self, u_flat: np.ndarray, f_vals: np.ndarray) -> float:
@@ -292,15 +340,14 @@ class _Circulant:
         pos = np.array(np.unravel_index(problem.unknown, shape))
         p0 = int(np.argmin(((pos.T - (np.array(shape) - 1) / 2) ** 2).sum(axis=1)))
         mid = 0.5 * (problem.spec.lam + problem.spec.Lam)
-        row = slice(problem.ROWPTR[p0], problem.ROWPTR[p0 + 1])
-        cols = np.array(np.unravel_index(problem.CCOL[row], shape))
-        w = mid * problem.COEF[problem.CROW[row]] * problem.CW[row]
+        S, d = problem.assemble(np.full(problem.Jtot, mid))
+        row = slice(S.indptr[p0], S.indptr[p0 + 1])
+        cols = np.array(np.unravel_index(S.indices[row], shape))
         # (A v)_i = sum_k c_k v_(i+k) is the convolution of v with c_(-k)
         lag = np.ravel_multi_index(np.mod(pos[:, p0, None] - cols,
                                           np.array(self.shape)[:, None]), self.shape)
-        layout = np.bincount(lag, weights=w, minlength=int(np.prod(self.shape)))
-        # the centre weight -2 * mid * (sum of the row's COEF); mass = 2 Lam * that sum
-        layout[0] -= mid * problem.mass[p0] / problem.spec.Lam
+        layout = np.bincount(lag, weights=S.data[row], minlength=int(np.prod(self.shape)))
+        layout[0] += d[p0]          # the centre weight, at the unknown's own column
         self.eig = np.fft.rfftn(layout.reshape(self.shape))
         self.index = np.ravel_multi_index(pos, self.shape)
 

@@ -7,6 +7,7 @@ from maslab.kernels import (KernelSpec, checkerboard_rule, ellipticity_check,
                             evaluate, lower_rule, make_plan, midpoint_rule,
                             point_quadrature, second_difference, sym_height,
                             upper_rule)
+from maslab.potential import make_potential
 from maslab.sections import sphere_measure, unit_directions
 
 
@@ -103,6 +104,22 @@ def test_sym_height_reduces_to_quadratic(aniso2):
     y = np.array([[0.3, 0.5]])
     w = sym_height(aniso2, np.array([0.7, -0.1]), y)[0]
     assert w == pytest.approx(0.5 * (4 * 0.09 + 0.25), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, dim, params, h", [
+    ("iso_quadratic", 1, (), 1 / 64), ("iso_quadratic", 2, (), 1 / 8),
+    ("aniso_quadratic", 2, [4.0, 0.0, 0.0, 1.0], 1 / 8),
+    ("aniso_quadratic", 2, [25.0, 3.0, 3.0, 1.0], 1 / 8)])
+def test_sym_height_of_a_quadratic_is_its_shifted_height(name, dim, params, h, rng):
+    # sym_height returns w_x(y) alone for quadratics: w(-y) equals w(y) bit
+    # for bit and sqrt(w * w) equals w, so the shortcut changes no bit
+    pot = make_potential(name, dim, params)
+    plan = make_plan(pot, KernelSpec(1.0, 2.0, 1.5), h, 2.0 * np.sqrt(dim))
+    pq = point_quadrature(plan, rng.uniform(-1, 1, size=(8, dim)))
+    x = np.vstack([pq.x[pq.pid], rng.uniform(-1, 1, size=(1000, dim))])
+    y = np.vstack([pq.y, rng.normal(size=(1000, dim)) * 10.0 ** rng.uniform(-6, 6, (1000, 1))])
+    want = np.sqrt(pot.shifted_height(x, y) * pot.shifted_height(x, -y))
+    assert np.array_equal(sym_height(pot, x, y), want)
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,69 @@ def test_tolerance_at_the_floor_is_never_a_silent_miss(iso1):
     assert rep.converged or rep.details["stop"] == "floor"
 
 
+def _pattern_cases(request):
+    iso1, spec = request.getfixturevalue("iso1"), KernelSpec(1.0, 2.0, 1.5)
+    return {
+        "1d_hole": lambda: DiscreteProblem(
+            iso1, spec, [-1], [1], 1 / 32, indicator_box_rule([-0.1], [0.1], 2.0),
+            domain=lambda p: np.abs(p[:, 0]) > 0.1),
+        "2d_aniso": lambda: DiscreteProblem(
+            request.getfixturevalue("aniso2"), spec, [-1, -1], [1, 1], 1 / 8,
+            gaussian_rule(1.0, 0.7, [0.3, -0.2]), "extremal_minus"),
+        "isaacs": lambda: DiscreteProblem(
+            iso1, spec, [-1], [1], 1 / 32, indicator_box_rule([1.2], [1.8], 1.0), "isaacs",
+            families=[[lower_rule(spec), checkerboard_rule(spec)], [upper_rule(spec)]]),
+    }
+
+
+@pytest.mark.parametrize("case", ["1d_hole", "2d_aniso", "isaacs"])
+def test_policy_matrix_has_one_entry_per_pair(request, case, rng):
+    # S is canonical CSR: one entry per distinct (unknown, column) pair of
+    # the triplets, each the sum of its triplets' weights
+    prob = _pattern_cases(request)[case]()
+    assert prob.CROW.dtype == prob.CCOL.dtype == np.int32
+    slopes = prob.node_slopes(prob.node_deltas(rng.normal(size=prob.N)))
+    S, _ = prob.assemble(slopes)
+    assert S.indices.dtype == S.indptr.dtype == np.int32
+    assert S.has_canonical_format
+    rows = prob.PID[prob.CROW]
+    pairs = np.unique(rows * prob.N + prob.CCOL).size
+    assert S.nnz == pairs == prob.node_counts["policy_entries"] < prob.CROW.size
+    a = prob.COEF * slopes
+    want = sp.coo_matrix((a[prob.CROW] * prob.CW, (rows, prob.CCOL)),
+                         shape=(prob.P, prob.N)).toarray()
+    assert np.abs(S.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["1d_hole", "2d_aniso", "isaacs"])
+def test_slot_map_does_not_depend_on_its_row_blocks(request, case, rng, monkeypatch):
+    # a table of 3 rows, or of one, splits the rows into many blocks: the
+    # pattern and the summed entries are those of a single block
+    make = _pattern_cases(request)[case]
+    one = make()
+    u = rng.normal(size=one.N)
+    S_one, _ = one.assemble(one.node_slopes(one.node_deltas(u)))
+    assert solver.SLOT_TABLE >= one.P * one.N          # one block
+    for cells in (3 * one.N, 1):
+        monkeypatch.setattr(solver, "SLOT_TABLE", cells)
+        split = make()
+        S, _ = split.assemble(split.node_slopes(split.node_deltas(u)))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, attr), getattr(S_one, attr)), attr
+
+
+@pytest.mark.parametrize("case", ["1d_hole", "2d_aniso", "isaacs"])
+def test_node_deltas_match_the_triplet_sum(request, case, rng):
+    # the interpolation operator gives the pair sums of the triplets
+    prob = _pattern_cases(request)[case]()
+    u = rng.normal(size=prob.N)
+    want = (prob.CONST + np.bincount(prob.CROW, weights=prob.CW * u[prob.CCOL],
+                                     minlength=prob.Jtot)
+            - 2.0 * u[prob.unknown[prob.PID]])
+    got = prob.node_deltas(u)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _nearest_centre(prob):
     pos = np.array(np.unravel_index(prob.unknown, prob.geom.shape)).T
     return pos, int(np.argmin(((pos - (np.array(prob.geom.shape) - 1) / 2) ** 2).sum(axis=1)))
