@@ -164,25 +164,22 @@ class GridFunction:
     # -- evaluation ----------------------------------------------------------
 
     def interp_weights(self, pts: np.ndarray):
-        """Multilinear stencil (flat indices, weights) for in-box points."""
-        rel = (pts - self.lo) / self.h
-        base = np.minimum(np.floor(rel).astype(int), np.array(self.shape) - 2)
-        base = np.maximum(base, 0)
-        frac = rel - base
-        k = pts.shape[0]
-        ncorner = 1 << self.dim
-        idx = np.empty((k, ncorner), dtype=np.int64)
-        wts = np.empty((k, ncorner))
-        strides = np.array([1]) if self.dim == 1 else np.array([self.shape[1], 1])
-        for corner in range(ncorner):
-            offs = np.array([(corner >> (self.dim - 1 - d)) & 1 for d in range(self.dim)])
-            node = base + offs
-            idx[:, corner] = node @ strides
-            w = np.ones(k)
-            for d in range(self.dim):
-                w = w * (frac[:, d] if offs[d] else 1.0 - frac[:, d])
-            wts[:, corner] = w
-        return idx, wts
+        """Multilinear stencil of in-box points: (k, 2^n) int32 flat lattice
+        indices and their weights.  Corner c takes the upper neighbour along
+        axis d when bit n-1-d of c is set.  Built axis by axis on columns."""
+        idx, wts = [None], [None]
+        stride = 1
+        for d in reversed(range(self.dim)):
+            rel = (pts[:, d] - self.lo[d]) / self.h
+            base = np.maximum(np.minimum(np.floor(rel), self.shape[d] - 2), 0)
+            frac = rel - base
+            lower = base.astype(np.int32)
+            lower *= np.int32(stride)
+            upper = lower + np.int32(stride)
+            idx = [c if i is None else i + c for c in (lower, upper) for i in idx]
+            wts = [c if w is None else c * w for c in (1.0 - frac, frac) for w in wts]
+            stride *= self.shape[d]
+        return np.stack(idx, axis=1), np.stack(wts, axis=1)
 
     def eval(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

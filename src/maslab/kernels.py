@@ -30,6 +30,7 @@ NODE_BUDGET nodes at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -111,7 +112,7 @@ def make_kernel_rule(rule_id: str, spec: KernelSpec) -> KernelRule:
 
 
 # ---------------------------------------------------------------------------
-# second difference and heights
+# second difference
 # ---------------------------------------------------------------------------
 
 def second_difference(u, x, y) -> np.ndarray:
@@ -120,17 +121,6 @@ def second_difference(u, x, y) -> np.ndarray:
     x = _as_points(x, u.dim)
     y = _as_points(y, u.dim)
     return u.eval(x + y) + u.eval(x - y) - 2.0 * u.eval(x)
-
-
-def sym_height(potential: Potential, x, y) -> np.ndarray:
-    """wbar_x(y) = sqrt(w_x(y) w_x(-y)); equals w_x exactly for quadratics."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    wp = potential.shifted_height(x, y)
-    if not potential.eps:
-        # a quadratic's w(-y) is w(y) bit for bit, and sqrt(w * w) is w
-        return wp
-    wm = potential.shifted_height(x, -y)
-    return np.sqrt(wp * wm)
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +181,27 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
         tail_radius=float(R_t))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per m (an
+    eigenvalue problem: it cost more than a small block's node pass)."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass
 class PointQuadrature:
     """Increment nodes and kernel-bound coefficients for a batch of base points.
 
-    Node j belongs to base point x[pid[j]].  Each point's nodes are
+    Node j belongs to base point x[pid[j]] = xj[j].  Each point's nodes are
     contiguous: its inner model nodes first (one per angle), then its ring
     nodes angle by angle.
     """
 
     x: np.ndarray            # (k, n) base points
     pid: np.ndarray          # (J,) base-point index of each node, nondecreasing
+    xj: np.ndarray           # (J, n) base point of each node, x[pid]
     y: np.ndarray            # (J, n) increments
     coef: np.ndarray         # (J,) nonnegative; includes (2-sigma) where needed
     wbar: np.ndarray         # (J,) height at the nodes (model value on inner nodes)
@@ -236,7 +236,7 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     lo_mask = np.concatenate([end, inside, ~end], axis=2)
     lo = edges[lo_mask]
     hi = edges[np.concatenate([~end, inside, end], axis=2)]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(plan.ring_nodes)
+    gl_x, gl_w = _gauss_legendre(plan.ring_nodes)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # built (node, panel) and transposed: a long inner loop is much faster
@@ -257,15 +257,18 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     a = np.empty(ring.size, dtype=np.intp)
     a[inner] = np.tile(np.arange(n_ang), k)
     a[ring] = np.repeat(np.nonzero(lo_mask)[1], plan.ring_nodes)
-    y = np.empty((ring.size, n))
+    # (J, n) node arrays are column-major: the passes over them run column
+    # by column
+    y = np.empty((ring.size, n), order="F")
     for d in range(n):
         y[:, d] = t * ang[:, d].take(a)
-    wbar = sym_height(pot, np.repeat(x, per_point, axis=0), y)
+    xj = np.repeat(x.T, per_point, axis=1).T
+    wbar = pot.sym_height(xj, y)
     coef = aw.take(a) * w * t ** (n - 1) * (2.0 - sigma) * wbar ** (-(n + sigma) / 2.0)
     # inner nodes: the quadratic model, whose radial integral is closed form
     wbar[inner] = plan.inner_radius ** 2
     coef[inner] = (aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)).ravel()
-    return PointQuadrature(x=x, pid=np.repeat(np.arange(k), per_point),
+    return PointQuadrature(x=x, pid=np.repeat(np.arange(k), per_point), xj=xj,
                            y=y, coef=coef, wbar=wbar)
 
 
@@ -277,9 +280,8 @@ EQUATIONS = ("extremal_plus", "extremal_minus", "linear", "isaacs")
 
 
 def node_deltas(u, pq: PointQuadrature) -> np.ndarray:
-    xj = pq.x[pq.pid]
-    up = u.eval(xj + pq.y)
-    um = u.eval(xj - pq.y)
+    up = u.eval(pq.xj + pq.y)
+    um = u.eval(pq.xj - pq.y)
     d = up + um - 2.0 * u.eval(pq.x)[pq.pid]
     if not np.all(np.isfinite(d)):
         raise DataError("non-finite u values at quadrature nodes")
@@ -369,12 +371,22 @@ def group_multipliers(equation: str, families, mults: list):
     return [[next(it) for _ in beta] for beta in families]
 
 
-# Nodes compiled per call of point_quadrature: bounds the temporaries of one
-# block (increments, interpolation stencils, exterior values), which would
-# otherwise scale with the whole node set.  Smaller blocks are not leaner:
-# at 2^17-2^18 nodes the per-block arrays fragmented the heap, and repeated
-# 1D linear solves (P = 2047) peaked about 10% higher in RSS than at 2^19.
-NODE_BUDGET = 1 << 19
+# Nodes compiled per call of point_quadrature.  It bounds the temporaries of
+# one block (base points, increments, heights, stencils, exterior values),
+# which would otherwise scale with the whole node set; at 2^16 nodes they
+# stay near cache size.  Each point's nodes stay in one block, so no value
+# depends on the budget.  Compile CPU seconds (median of 9 interleaved
+# builds) / peak RSS in MB (a process that builds and solves 6 times), for
+# perfbench's problems on a shared 2-vCPU host:
+#
+#   budget   perturbed 2D   aniso 2D     pucci_1d     exit_1d
+#   2^14     0.60 / 134     0.82 / 154   0.35 / 168   0.36 / 160
+#   2^15     0.51 / 136     0.70 / 155   0.30 / 167   0.31 / 160
+#   2^16     0.47 / 137     0.65 / 153   0.29 / 167   0.29 / 164
+#   2^17     0.48 / 143     0.65 / 158   0.27 / 171   0.28 / 169
+#   2^18     0.53 / 174     0.67 / 174   0.29 / 180   0.28 / 167
+#   2^19     0.60 / 238     0.74 / 239   0.30 / 194   0.31 / 194
+NODE_BUDGET = 1 << 16
 
 
 def _block_points(plan: QuadraturePlan) -> int:
@@ -396,9 +408,8 @@ def evaluate(u, xs, plan: QuadraturePlan, equation: str = "extremal_plus",
     step = _block_points(plan)
     for first in range(0, x.shape[0], step):
         pq = point_quadrature(plan, x[first:first + step])
-        xj = pq.x[pq.pid]
         mults = group_multipliers(equation, families, [
-            rule_multipliers(rule, plan.spec, xj, pq.y, pq.wbar) for rule in rules])
+            rule_multipliers(rule, plan.spec, pq.xj, pq.y, pq.wbar) for rule in rules])
         out[first:first + step] = operator_values(node_deltas(u, pq), pq.coef, pq.pid,
                                                   pq.x.shape[0], plan.spec, equation, mults)
     return out

@@ -119,7 +119,7 @@ def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray) -> np.nda
         t = eta / np.sqrt(q) * rng.random(rows.size) ** (-1.0 / sigma)
         y = t[:, None] * theta
         xs = x[rows]
-        wbar_true = np.sqrt(pot.shifted_height(xs, y) * pot.shifted_height(xs, -y))
+        wbar_true = pot.sym_height(xs, y)
         model = q * t * t
         ratio = (np.maximum(wbar_true, 1e-300) / model) ** (-(n + sigma) / 2.0) / env
         acc = rng.random(rows.size) < ratio

@@ -31,6 +31,15 @@ def _as_points(x, dim: int) -> np.ndarray:
     return a
 
 
+def _dot(a: list, b: list) -> np.ndarray:
+    """Row-wise dot product of two points given as lists of columns, summed
+    in the order of einsum("ki,ki->k")."""
+    out = a[0] * b[0]
+    for ai, bi in zip(a[1:], b[1:]):
+        out += ai * bi
+    return out
+
+
 @dataclass(frozen=True)
 class Potential:
     """A convex potential from the catalog.
@@ -123,27 +132,62 @@ class Potential:
         for the perturbed entry the difference of square roots is
         rationalized, so small heights keep full relative accuracy.
         """
+        return self._heights(x, y, symmetric=False)
+
+    def sym_height(self, x, y) -> np.ndarray:
+        """wbar_x(y) = sqrt(w_x(y) * w_x(-y)), the symmetrized height, with x
+        as in shifted_height.  Both heights come from one pass that shares
+        the quadratic part, |x|, x.y and |y|^2; each is bit-equal to its
+        shifted_height.  For quadratics w_x(-y) is w_x(y) bit for bit and
+        sqrt(w * w) is w, so wbar is w_x(y)."""
+        return self._heights(x, y, symmetric=True)
+
+    def _heights(self, x, y, symmetric: bool) -> np.ndarray:
         ya = _as_points(y, self.dim)
         xa = _as_points(x, self.dim)
         if xa.shape[0] not in (1, ya.shape[0]):
             raise ConfigurationError("need one base point or one per increment")
-        if self.dim == 1:
-            # elementwise: a (k, 1) @ (1, 1) matmul costs several times more
-            y0 = ya[:, 0]
-            w = 0.5 * (self._A[0, 0] * y0 * y0)
+        # column by column: an einsum over n <= 2 columns costs several
+        # times more than the elementwise products.  The 2D aniso form keeps
+        # its matmul: column arithmetic would change its rounding (BLAS uses
+        # fused multiply-adds) for a non-diagonal A.
+        yc = [ya[:, i] for i in range(self.dim)]
+        yy = _dot(yc, yc)
+        if self.id == "aniso_quadratic":
+            ay = self._A[0, 0] * ya if self.dim == 1 else ya @ self._A
+            w = 0.5 * _dot([ay[:, i] for i in range(self.dim)], yc)
         else:
-            w = 0.5 * np.einsum("ki,ki->k", ya @ self._A, ya)
-        if self.eps:
-            # a single base point broadcasts: s0 is then one value
-            xpy = xa + ya
-            s0 = np.sqrt(1.0 + np.einsum("ki,ki->k", xa, xa))
-            s1 = np.sqrt(1.0 + np.einsum("ki,ki->k", xpy, xpy))
-            xy = np.einsum("ki,ki->k", ya, xa)
-            yy = np.einsum("ki,ki->k", ya, ya)
-            # s1 - s0 - x.y/s0, written without cancellation:
-            bracket = yy / (s0 + s1) - xy * (2.0 * xy + yy) / ((s0 + s1) ** 2 * s0)
-            w = w + self.eps * bracket
-        return np.maximum(w, 0.0)
+            w = 0.5 * yy            # A = I
+        if not self.eps:
+            return np.maximum(w, 0.0)
+        # a single base point broadcasts: s0 is then one value
+        xc = [xa[:, i] for i in range(self.dim)]
+        s0 = np.sqrt(1.0 + _dot(xc, xc))
+        xy = _dot(yc, xc)
+
+        def height(sign):
+            # w_x(sign * y): s1 - s0 - x.y/s0, written without cancellation;
+            # in place where the operands commute, which changes no bit
+            step = np.add if sign > 0 else np.subtract
+            xpy = [step(a, b) for a, b in zip(xc, yc)]
+            s = _dot(xpy, xpy)
+            s += 1.0
+            np.sqrt(s, out=s)
+            s += s0                                   # s0 + s1
+            sxy = xy if sign > 0 else -xy
+            num = 2.0 * sxy
+            num += yy
+            num *= sxy                                # x.y (2 x.y + y.y)
+            num /= np.multiply(np.square(s), s0)
+            w_s = np.divide(yy, s)
+            w_s -= num
+            w_s *= self.eps
+            w_s += w
+            return np.maximum(w_s, 0.0, out=w_s)
+
+        if not symmetric:
+            return height(1)
+        return np.sqrt(height(1) * height(-1))
 
     def hessian_bounds(self) -> tuple[float, float]:
         """Global (lower, upper) eigenvalue bounds of the Hessian."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
 from .grid import ExteriorRule, GridFunction
-from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule, sym_height
+from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule
 from .potential import Potential, _as_points
 from .sections import boundary_radii, contains_many, sphere_measure, unit_directions
 from .solver import DiscreteProblem, solve
@@ -271,7 +271,7 @@ def _shift_integral(potential: Potential, spec: KernelSpec, rule: KernelRule,
     origin = np.zeros(n)
 
     def kernel(pts):
-        wb = sym_height(potential, origin, pts)
+        wb = potential.sym_height(origin, pts)
         m = rule.multipliers(origin, pts, wb)
         return (2.0 - sigma) * m * np.maximum(wb, 1e-300) ** (-(n + sigma) / 2.0)
 

@@ -77,6 +77,12 @@ def _join(blocks: list) -> np.ndarray:
     return out
 
 
+def _rows(mask: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The rows of pts where mask is true, selected column by column and
+    returned column-major (row selection is slow on column-major arrays)."""
+    return np.stack([np.compress(mask, c) for c in pts.T]).T
+
+
 def _slot_map(pid, crow, ccol, rowptr, N: int):
     """Each triplet's place in the summed, sorted CSR pattern of S (rows
     pid[crow], columns ccol; unknown p's triplets are rowptr[p]:rowptr[p+1]),
@@ -184,20 +190,20 @@ class DiscreteProblem:
         for first in range(0, self.P, step):
             pq = point_quadrature(self.plan,
                                   self.grid_pts[self.unknown[first:first + step]])
-            x = np.take(pq.x, pq.pid, axis=0)      # row gather; faster than pq.x[pq.pid]
             J = pq.coef.size
             # row 2j + s holds x_j + y_j (s = 0) or x_j - y_j (s = 1): the
             # in-box triplets come out node-major, so CROW and PID[CROW]
-            # are nondecreasing over the whole node set
-            pts = np.empty((J, 2, self.n))
-            np.add(x, pq.y, out=pts[:, 0])
-            np.subtract(x, pq.y, out=pts[:, 1])
-            pts = pts.reshape(2 * J, self.n)
+            # are nondecreasing over the whole node set.  Column-major, as
+            # the node arrays are.
+            pts = np.empty((self.n, J, 2))
+            np.add(pq.xj.T, pq.y.T, out=pts[:, :, 0])
+            np.subtract(pq.xj.T, pq.y.T, out=pts[:, :, 1])
+            pts = pts.reshape(self.n, 2 * J).T
             ins = geom.inside(pts)
             ext = np.zeros(2 * J)
             if not ins.all():
                 out = ~ins
-                ext[out] = self.exterior(np.compress(out, pts, axis=0))
+                ext[out] = self.exterior(_rows(out, pts))
             cj = ext[0::2] + ext[1::2]
             # the nodes of a (point, CONST) group of fully exterior nodes
             # share delta = CONST - 2u_p, hence one slope: one node each
@@ -218,14 +224,13 @@ class DiscreteProblem:
                 return np.concatenate([v[keep], np.bincount(gid, weights=ce * v[outer]) / gc])
 
             if ins.any():
-                idx, wts = geom.interp_weights(np.compress(ins, pts, axis=0))
+                idx, wts = geom.interp_weights(_rows(ins, pts))
                 rank = np.cumsum(keep, dtype=np.int32) - 1 + j_off
                 crow.append(np.repeat(rank[np.nonzero(ins)[0] // 2], idx.shape[1]))
-                ccol.append(idx.ravel().astype(np.int32))
+                ccol.append(idx.ravel())
                 cw.append(wts.ravel())
-                del idx         # free the int64 indices before the next block
             for m_list, rule in zip(mults, self._rules):
-                m_list.append(fold(rule_multipliers(rule, spec, x, pq.y, pq.wbar)))
+                m_list.append(fold(rule_multipliers(rule, spec, pq.xj, pq.y, pq.wbar)))
             pid.append(np.concatenate([pq.pid[keep], key // vals.size]) + first)
             coef.append(np.concatenate([pq.coef[keep], gc]))
             wbar.append(fold(pq.wbar))

@@ -39,6 +39,46 @@ def test_inside_matches_rowwise_reference(rng):
         assert np.array_equal(u.inside(pts), want)
 
 
+def _per_corner_stencil(u, pts):
+    # the former construction: an int64 base table and a matmul per corner
+    rel = (pts - u.lo) / u.h
+    base = np.maximum(np.minimum(np.floor(rel).astype(int), np.array(u.shape) - 2), 0)
+    frac = rel - base
+    strides = np.array([1]) if u.dim == 1 else np.array([u.shape[1], 1])
+    idx, wts = [], []
+    for corner in range(1 << u.dim):
+        offs = np.array([(corner >> (u.dim - 1 - d)) & 1 for d in range(u.dim)])
+        idx.append((base + offs) @ strides)
+        w = np.ones(pts.shape[0])
+        for d in range(u.dim):
+            w = w * (frac[:, d] if offs[d] else 1.0 - frac[:, d])
+        wts.append(w)
+    return np.stack(idx, axis=1), np.stack(wts, axis=1)
+
+
+@pytest.mark.parametrize("lo, hi, h", [([-1.0], [1.0], 1 / 64),
+                                       ([-1.0, 0.0], [1.0, 0.5], 1 / 16)])
+def test_interp_weights_int32_match_per_corner_formula(lo, hi, h, rng):
+    # column arithmetic in int32 gives the same stencil bit for bit, on a
+    # non-square box too, with points on the lower and upper faces (clamped
+    # into the last cell) and on interior lattice lines
+    u = GridFunction.from_callable(lo, hi, h, lambda p: np.zeros(p.shape[0]), zero_rule())
+    n = len(lo)
+    pts = rng.uniform(lo, hi, size=(5000, n))
+    for d in range(n):
+        pts[100 * d:100 * d + 50, d] = lo[d]
+        pts[100 * d + 50:100 * d + 100, d] = hi[d]
+    pts[400:450] = u.points()[rng.integers(u.values.size, size=50)]
+    idx, wts = u.interp_weights(pts)
+    want_idx, want_wts = _per_corner_stencil(u, pts)
+    assert idx.dtype == np.int32 and idx.shape == (pts.shape[0], 1 << n)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(wts, want_wts)
+    # column-major input, as the compile passes it, changes nothing
+    idx_f, wts_f = u.interp_weights(np.asfortranarray(pts))
+    assert np.array_equal(idx_f, idx) and np.array_equal(wts_f, wts)
+
+
 def test_tensor_points_row_major():
     ax0, ax1 = np.linspace(-1.0, 1.0, 3), np.arange(0.0, 0.5, 0.25)
     assert np.array_equal(tensor_points([ax0]), ax0[:, None])

@@ -5,8 +5,7 @@ from maslab.errors import ConfigurationError, KernelClassError
 from maslab.grid import AnalyticField, GridFunction, gaussian_rule, zero_rule
 from maslab.kernels import (KernelSpec, checkerboard_rule, ellipticity_check,
                             evaluate, lower_rule, make_plan, midpoint_rule,
-                            point_quadrature, second_difference, sym_height,
-                            upper_rule)
+                            point_quadrature, second_difference, upper_rule)
 from maslab.potential import make_potential
 from maslab.sections import sphere_measure, unit_directions
 
@@ -102,7 +101,7 @@ def test_second_difference_gaussian_grid(iso1):
 
 def test_sym_height_reduces_to_quadratic(aniso2):
     y = np.array([[0.3, 0.5]])
-    w = sym_height(aniso2, np.array([0.7, -0.1]), y)[0]
+    w = aniso2.sym_height(np.array([0.7, -0.1]), y)[0]
     assert w == pytest.approx(0.5 * (4 * 0.09 + 0.25), rel=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_sym_height_of_a_quadratic_is_its_shifted_height(name, dim, params, h, r
     x = np.vstack([pq.x[pq.pid], rng.uniform(-1, 1, size=(1000, dim))])
     y = np.vstack([pq.y, rng.normal(size=(1000, dim)) * 10.0 ** rng.uniform(-6, 6, (1000, 1))])
     want = np.sqrt(pot.shifted_height(x, y) * pot.shifted_height(x, -y))
-    assert np.array_equal(sym_height(pot, x, y), want)
+    assert np.array_equal(pot.sym_height(x, y), want)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +359,7 @@ def test_checkerboard_rule_within_class(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
     rule = checkerboard_rule(spec)
     y = np.array([[0.3], [0.7], [2.0]])
-    w = sym_height(iso1, np.zeros(1), y)
+    w = iso1.sym_height(np.zeros(1), y)
     m = rule.multipliers(np.zeros(1), y, w)
     assert np.all((m >= 1.0) & (m <= 2.0))
 
@@ -462,7 +461,7 @@ def _reference_point_quadrature(plan, x):
         t = (mid + half * gl_x[None, :]).ravel()
         w = (half * gl_w[None, :]).ravel()
         y = t[:, None] * ang[a]
-        wb = sym_height(pot, x, y)
+        wb = pot.sym_height(x, y)
         ys.append(y)
         cs.append(aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0))
         ws.append(wb)

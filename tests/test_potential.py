@@ -119,6 +119,23 @@ def test_shifted_height_per_increment_base_points(perturbed2, rng):
         perturbed2.shifted_height(xs[:2], ys)
 
 
+@pytest.mark.parametrize("dim, eps", [(1, 0.1), (2, 0.1), (2, 0.5)])
+def test_sym_height_one_pass_equals_two_shifted_heights(dim, eps, rng):
+    # w(y) and w(-y) from one shared pass equal the two separate calls bit
+    # for bit, per-row and single base points, |y| from 1e-6 to 1e6, and in
+    # the column-major layout the node arrays use
+    pot = make_potential("perturbed_quadratic", dim, [eps])
+    y = rng.normal(size=(3000, dim))
+    y *= (10.0 ** rng.uniform(-6, 6, size=(3000, 1))) / np.linalg.norm(y, axis=1)[:, None]
+    xs = rng.uniform(-3.0, 3.0, size=(3000, dim))
+    for x in (xs, xs[7], np.zeros(dim)):
+        want = np.sqrt(pot.shifted_height(x, y) * pot.shifted_height(x, -y))
+        assert np.array_equal(pot.sym_height(x, y), want)
+        xf = np.asfortranarray(np.atleast_2d(x))
+        assert np.array_equal(pot.sym_height(xf, np.asfortranarray(y)), want)
+    assert pot.sym_height(xs, y).min() > 0.0
+
+
 def test_shifted_height_1d_matches_quadratic_form(rng):
     # 1D heights are computed elementwise; they equal the matrix quadratic
     # form 0.5 * y.A y bitwise

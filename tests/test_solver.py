@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -265,6 +267,48 @@ def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
     for equation in cases:
         assert np.array_equal(blocked[equation][0], whole[equation][0]), equation
         assert np.array_equal(blocked[equation][1], whole[equation][1]), equation
+
+
+@pytest.mark.parametrize("pot_name", ["aniso2", "perturbed2"])
+def test_solution_does_not_depend_on_node_budget(request, pot_name, monkeypatch):
+    # each point's nodes stay in one block, so the solution and the
+    # interpolation triplets are bit-equal at any budget: one point per
+    # block, the default, and 2^19 (one block per 200 points)
+    pot = request.getfixturevalue(pot_name)
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    data = halfspace_rule(0, 1.0)
+    out = []
+    for budget in (5000, kernels.NODE_BUDGET, 1 << 19):
+        monkeypatch.setattr(kernels, "NODE_BUDGET", budget)
+        prob = DiscreteProblem(pot, spec, [-1, -1], [1, 1], 1 / 8, data)
+        u, rep = solve(prob, f=0.0)
+        assert rep.converged
+        out.append((u.values, prob.CW, prob.CCOL))
+    for got in out[1:]:
+        for a, b in zip(got, out[0]):
+            assert np.array_equal(a, b)
+
+
+def test_compile_transients_fall_with_the_budget(aniso2, monkeypatch):
+    # the peak of a compile above what the problem retains is set by one
+    # block's temporaries: at the default budget it is under a quarter of
+    # that at 2^19, and it does not grow with the node set (h = 1/16 has
+    # 3.9 times the nodes of h = 1/8), so a temporary the size of the whole
+    # node set, alive while the blocks run, fails here
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    default, excess = kernels.NODE_BUDGET, {}
+    for budget, h in ((default, 1 / 8), (1 << 19, 1 / 8), (default, 1 / 16)):
+        monkeypatch.setattr(kernels, "NODE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            prob = DiscreteProblem(aniso2, spec, [-1, -1], [1, 1], h, halfspace_rule(0, 1.0))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.node_counts["quadrature_nodes"] > 8 * default
+        excess[budget, h] = peak - retained
+    assert 4 * excess[default, 1 / 8] < excess[1 << 19, 1 / 8]
+    assert excess[default, 1 / 16] <= excess[default, 1 / 8]
 
 
 def test_benchmark_hooks_present(iso1, monkeypatch):
