@@ -80,11 +80,11 @@ class Barrier:
         return AnalyticField("psi_bump", fn, c["c_norm"] * c["a"], n)
 
 
-def boundary_moment(potential: Potential, ray_count: int = 512) -> tuple[float, float]:
-    """(int_{T(bd S_1)} y_1^2 dsigma, |T(bd S_1)|) by boundary quadrature."""
+def boundary_moment(potential: Potential) -> tuple[float, float]:
+    """(int_{T(bd S_1)} y_1^2 dsigma, |T(bd S_1)|) by boundary quadrature on 512 rays."""
     n = potential.dim
-    T = fit_ellipsoid(potential, np.zeros(n), 1.0, ray_count=max(2 * n + 2, ray_count))
-    dirs = unit_directions(n, ray_count)
+    T = fit_ellipsoid(potential, np.zeros(n), 1.0, 512)
+    dirs = unit_directions(n, 512)
     t = boundary_radii(potential, np.zeros(n), 1.0, dirs)
     z = T.apply(t[:, None] * dirs)
     if n == 1:
@@ -173,8 +173,7 @@ def _region_samples(potential: Potential, region: dict, count: int) -> np.ndarra
 
 def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
                        region: dict, sample_count: int = 200,
-                       sigma_scan: bool = True, scan_samples: int = 40,
-                       h_eval: float = 2e-3) -> dict:
+                       sigma_scan: bool = True, scan_samples: int = 40) -> dict:
     """Evaluate M^- barrier on the region; report the minimum and the smallest
     sigma on {1.1, ..., 1.95} whose minimum clears the threshold.
 
@@ -182,6 +181,7 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     psi_bump the negative part must be supported in the closed section
     S_{1/4}, so the threshold applies to samples outside it while the
     measured negative part inside is reported as the bump right-hand side.
+    M^- is evaluated by a quadrature plan for lattice spacing 2e-3.
     """
     fld = barrier.field()
     pts = _region_samples(potential, region, sample_count)
@@ -189,7 +189,7 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     box_diam = 2.0 * float(np.linalg.norm(pts, axis=1).max()) + 4.0
 
     def min_at(sigma: float, sample_pts: np.ndarray):
-        plan = make_plan(potential, KernelSpec(spec.lam, spec.Lam, sigma), h_eval, box_diam, scale)
+        plan = make_plan(potential, KernelSpec(spec.lam, spec.Lam, sigma), 2e-3, box_diam, scale)
         return evaluate(fld, sample_pts, plan, "extremal_minus")
 
     vals = min_at(spec.sigma, pts)

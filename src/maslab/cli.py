@@ -132,6 +132,12 @@ def _domain_from(cfg: dict, potential):
     raise ConfigurationError(f"unknown domain kind {d.get('kind')!r}")
 
 
+def _options(cfg: dict, *keys: str) -> dict:
+    """The keys among `keys` that the config sets, as floats; a key it does
+    not set is not passed, so the library's default applies."""
+    return {k: float(cfg[k]) for k in keys if k in cfg}
+
+
 def _f_from(cfg: dict):
     f = cfg.get("f", 0.0)
     if isinstance(f, (int, float)):
@@ -239,7 +245,7 @@ def _solve_from_config(cfg: dict):
     prob = DiscreteProblem(pot, spec, lo, hi, h, exterior, equation,
                            kernel_rule=rule, families=families,
                            domain=_domain_from(cfg, pot))
-    u, rep = solve(prob, f=_f_from(cfg), tolerance=float(cfg.get("tolerance", 1e-10)))
+    u, rep = solve(prob, f=_f_from(cfg), **_options(cfg, "tolerance"))
     return pot, spec, prob, u, rep
 
 
@@ -300,7 +306,7 @@ def _cmd_leps(cfg: dict, out: str) -> int:
     eps0 = float(cfg.get("eps0", max(10.0 * rep.final_residual, 1e-8)))
     try:
         r = l_eps_tail(u, pot, z, float(tau), eps0, problem=prob,
-                       rho=float(cfg.get("rho", 0.5)))
+                       **_options(cfg, "rho"))
     except MaslabError as e:
         _write_json(os.path.join(out, "leps_report.json"),
                     {"failed": True, "error": str(e)})
@@ -319,17 +325,13 @@ def _cmd_harnack(cfg: dict, out: str) -> int:
     data = [_rule_from(r) for r in cfg.get("data_family", [])]
     if not data:
         raise ConfigurationError("harnack needs a nonempty data_family")
-    tau = cfg.get("tau") or compute_tau(pot)
     rep = harnack_experiment(
         pot, float(k.get("lam", 1.0)), float(k.get("Lam", 1.0)), data,
         sigmas=cfg.get("sigmas", [1.5, 1.7, 1.9]),
         resolutions=cfg.get("resolutions", [_grid_from(cfg)[2]]),
-        box_lo=lo, box_hi=hi, tau=float(tau),
-        rho=float(cfg.get("rho", 0.5)),
-        ratio_cap=float(cfg.get("ratio_cap", 50.0)),
-        drift_tol=float(cfg.get("drift_tol", 0.25)),
-        sigma_trend_cap=float(cfg.get("sigma_trend_cap", 2.0)),
-        tolerance=float(cfg.get("tolerance", 1e-9)))
+        box_lo=lo, box_hi=hi,
+        **_options(cfg, "rho", "ratio_cap", "drift_tol", "sigma_trend_cap",
+                   "tolerance"))
     _write_csv(os.path.join(out, "harnack_ratios.csv"), ["run", "ratio"],
                sorted(rep.constants["per_run"].items()))
     _write_json(os.path.join(out, "harnack_report.json"), rep.to_dict())
@@ -344,8 +346,7 @@ def _cmd_holder(cfg: dict, out: str) -> int:
         sub["grid"] = dict(cfg["grid"], h=h)
         pot, spec, prob, u, rep = _solve_from_config(sub)
         r = holder_estimate(u, pot, cfg.get("x0", [0.0] * pot.dim), spec,
-                            C0=rep.final_residual,
-                            rho=float(cfg.get("rho", 0.5)))
+                            C0=rep.final_residual, **_options(cfg, "rho"))
         results.append(r)
     alphas = [r["alpha_hat"] for r in results if not r.get("grid_artifact")]
     ok = bool(alphas) and min(alphas) > 0 and all(
@@ -381,9 +382,7 @@ def _cmd_c1alpha(cfg: dict, out: str) -> int:
         box_lo=lo, box_hi=hi,
         exterior=_rule_from(cfg.get("exterior", {"id": "zero"})),
         f_rule=_f_from(cfg),
-        refusal_factor=float(cfg.get("refusal_factor", 1.25)),
-        drift_tol=float(cfg.get("drift_tol", 0.25)),
-        tolerance=float(cfg.get("tolerance", 1e-9)))
+        **_options(cfg, "refusal_factor", "drift_tol", "tolerance"))
     _write_json(os.path.join(out, "c1alpha_report.json"), rep.to_dict())
     return 0 if rep.passed else 2
 
@@ -399,7 +398,7 @@ def _cmd_mc_validate(cfg: dict, out: str) -> int:
     r = estimate_exit_payoff(mc_cfg, cfg.get("x0", [0.0] * pot.dim),
                              cfg["domain_box"]["lo"], cfg["domain_box"]["hi"],
                              int(cfg.get("paths", 10000)),
-                             d2_scale=float(cfg.get("d2_scale", 1.0)))
+                             **_options(cfg, "d2_scale"))
     _write_json(os.path.join(out, "mc_report.json"),
                 {"mean": r["mean"], "std_error": r["std_error"],
                  "bias_bound": r["bias_bound"], "paths": r["paths"]})

@@ -25,23 +25,21 @@ from .sections import (besicovitch_cover, boundary_radii, contains_many,
 # tau of the symmetric-increment proposition
 # ---------------------------------------------------------------------------
 
-def estimate_engulfing(potential: Potential, heights=(0.25, 0.5, 1.0),
-                       centers=None, trial_count: int = 32) -> float:
-    """Max engulfing constant over a small (center, height) lattice."""
+def estimate_engulfing(potential: Potential) -> float:
+    """Max engulfing constant over heights 0.25, 0.5 and 1 at the origin (and
+    at +-0.7 per axis for the perturbed potential), 32 trials per probe."""
     n = potential.dim
-    if centers is None:
-        centers = [np.zeros(n)]
-        if potential.id == "perturbed_quadratic":
-            centers += [np.full(n, 0.7), np.full(n, -0.7)]
+    centers = [np.zeros(n)]
+    if potential.id == "perturbed_quadratic":
+        centers += [np.full(n, 0.7), np.full(n, -0.7)]
     g = 1.0
     for c in centers:
-        for r in heights:
-            g = max(g, engulfing_probe(potential, c, r, trial_count))
+        for r in (0.25, 0.5, 1.0):
+            g = max(g, engulfing_probe(potential, c, r, 32))
     return g
 
 
-def compute_tau(potential: Potential, samples: int = 24,
-                gamma_hat: float | None = None) -> float:
+def compute_tau(potential: Potential, samples: int = 24) -> float:
     """Smallest tau in (gamma, 64 gamma] such that for sampled x in S_1(0),
     x + y outside S_tau(0) forces x - y outside S_1(0).
 
@@ -49,8 +47,7 @@ def compute_tau(potential: Potential, samples: int = 24,
     inflation factors, so the returned tau is an empirical bound.
     """
     n = potential.dim
-    if gamma_hat is None:
-        gamma_hat = estimate_engulfing(potential)
+    gamma_hat = estimate_engulfing(potential)
     dirs = unit_directions(n, max(16, samples))
     t1 = boundary_radii(potential, np.zeros(n), 1.0, dirs)
     fracs = np.linspace(0.0, 0.999, samples if n == 1 else max(4, samples // 4))
@@ -194,10 +191,10 @@ def detachment_heights(sigma: float, h: float, a_hi: float) -> np.ndarray:
 
 
 def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
-                        spec: KernelSpec, f_at, M: float,
-                        min_ring_cells: int = 4) -> dict:
+                        spec: KernelSpec, f_at, M: float) -> dict:
     """Ring detachment: for each contact point find the best k with
     |W_k| <= C0 (f/M) |R_k| and report the empirical constant C0_hat.
+    Rings of fewer than 4 lattice cells are skipped.
 
     f_at: callable pts -> values of the right-hand-side scale f.
     """
@@ -223,7 +220,7 @@ def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
             rk1 = rk / 2.0
             ring = (v < rk * rk) & (v >= rk1 * rk1)
             n_ring = int(ring.sum())
-            if n_ring < min_ring_cells:
+            if n_ring < 4:
                 continue
             tangent = ux + (pts[ring] - x[None, :]) @ gr
             w = envelope.u_vals[ring] < tangent - M * rk * rk
@@ -241,10 +238,10 @@ def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
 
 
 def quadratic_detachment_check(envelope: EnvelopeResult, potential: Potential,
-                               x, r: float, level: float,
-                               eps0: float = 0.05) -> dict:
-    """Detachment implication: small detachment measure on the shell
-    (S_r \\ S_{r/2})(x) forces Gamma >= tangent - level on all of S_{r/2}(x)."""
+                               x, r: float, level: float) -> dict:
+    """Detachment implication: a detachment fraction of at most 0.05 on the
+    shell (S_r \\ S_{r/2})(x) forces Gamma >= tangent - level on all of
+    S_{r/2}(x)."""
     pts = envelope.lattice
     x = _as_points(x, potential.dim)[0]
     i = int(np.argmin(np.linalg.norm(pts - x[None, :], axis=1)))
@@ -257,7 +254,7 @@ def quadratic_detachment_check(envelope: EnvelopeResult, potential: Potential,
         raise RefinementNeededError("shell or inner section empty on the lattice")
     tangent_shell = gx + (pts[shell] - x[None, :]) @ gr
     frac = float((envelope.gamma_vals[shell] < tangent_shell - level).mean())
-    applies = frac <= eps0
+    applies = frac <= 0.05
     tangent_inner = gx + (pts[inner] - x[None, :]) @ gr
     slack = envelope.contact_tol + 1e-12
     conclusion = bool(np.all(envelope.gamma_vals[inner]
@@ -267,10 +264,10 @@ def quadratic_detachment_check(envelope: EnvelopeResult, potential: Potential,
 
 
 def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
-                   f_at, tau: float, M: float | None = None,
-                   eps_cover: float = 0.1) -> dict:
+                   f_at, tau: float) -> dict:
     """Full ABP pipeline: envelope -> contact set -> per-contact sections via
-    the ring estimate -> Besicovitch subcover -> empirical ABP constant
+    the ring estimate at detachment slope M = sup|f| / 0.05 -> Besicovitch
+    subcover (epsilon 0.1) -> empirical ABP constant
     C_hat = (sup u)^n / |union of sections|."""
     n = potential.dim
     env = concave_envelope(u, potential, tau)
@@ -279,14 +276,13 @@ def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
         return {"trivial": True, "sup_u": sup_u, "C_hat": 0.0}
 
     f_vals = np.asarray(f_at(env.lattice), dtype=float)
-    if M is None:
-        M = float(np.abs(f_vals).max()) / 0.05
+    M = float(np.abs(f_vals).max()) / 0.05
     rings = ring_estimate_check(env, potential, spec, f_at, M)
 
     centers = np.array([c["x"] for c in rings["contacts"]])
     radii = np.array([c["r"] for c in rings["contacts"]])
     cell = env.gamma.cell_volume()
-    cover = besicovitch_cover(potential, centers, radii, eps_cover,
+    cover = besicovitch_cover(potential, centers, radii, 0.1,
                               test_lattice=env.lattice)
     union = np.zeros(env.lattice.shape[0], dtype=bool)
     grad_bounds = []

@@ -415,11 +415,10 @@ def evaluate(u, xs, plan: QuadraturePlan, equation: str = "extremal_plus",
     return out
 
 
-def ellipticity_check(u, v, x, plan: QuadraturePlan, families=None) -> dict:
-    """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at each point of x, I being the
-    Isaacs operator; every entry holds one value per point."""
-    if families is None:
-        families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
+def ellipticity_check(u, v, x, plan: QuadraturePlan) -> dict:
+    """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at each point of x, I being the Isaacs
+    operator of the families [lower], [upper]; every entry holds one value per point."""
+    families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
     iu = evaluate(u, x, plan, "isaacs", families=families)
     iv = evaluate(v, x, plan, "isaacs", families=families)
     w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)

@@ -83,9 +83,8 @@ def unit_directions(dim: int, count: int, offset: float = 0.0) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray,
-                   rel_tol: float = 1e-10) -> np.ndarray:
-    """t*(d) > 0 with v_x(x + t* d) = r^2, by vectorized bracketed bisection."""
+def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray) -> np.ndarray:
+    """t*(d) > 0 with v_x(x + t* d) = r^2, by vectorized bisection to 1e-10 relative."""
     if r <= 0:
         raise ConfigurationError("section height must be positive")
     x = _as_points(x, potential.dim)[0]
@@ -106,14 +105,14 @@ def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray,
         if np.any(hi > 1e6 * r):
             raise GeometryError("section boundary beyond the 1e6*r search bracket")
     lo = np.zeros_like(hi)
-    # ~60 halvings: interval shrinks below rel_tol for any starting bracket
+    # ~60 halvings: interval shrinks below 1e-10 * hi for any starting bracket
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         vals = potential.shifted_height(x, mid[:, None] * dirs)
         below = vals < r2
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.all((hi - lo) <= rel_tol * hi):
+        if np.all((hi - lo) <= 1e-10 * hi):
             break
     return 0.5 * (lo + hi)
 
@@ -345,10 +344,10 @@ def section_measure(potential: Potential, x, r: float, lattice: np.ndarray,
     return float(contains_many(potential, x, r, lattice).sum()) * cell_volume
 
 
-def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> dict:
+def deformation_checks(potential: Potential, t: float, y) -> dict:
     """Empirical checks of section deformation: shell inclusion, doubling, shells.
 
-    For sampled x in S_{3t/4}(y) \\ S_{t/2}(y), finds the largest delta <= 1
+    For x on 12 rays in S_{3t/4}(y) \\ S_{t/2}(y), finds the largest delta <= 1
     with S_{delta t}(x) inside S_t(y) \\ S_{t/4}(y) on a test lattice; also counts
     the doubling ratio |S_r|/|S_{r/2}| and the shell-volume inequality.
     """
@@ -356,7 +355,7 @@ def deformation_checks(potential: Potential, t: float, y, samples: int = 12) -> 
         raise ConfigurationError("t must be positive")
     n = potential.dim
     y = _as_points(y, n)[0]
-    dirs = unit_directions(n, max(8, samples))
+    dirs = unit_directions(n, 12)
     heights = np.array([0.72, 0.65, 0.58, 0.51]) * t
     xs = []
     for s in heights:

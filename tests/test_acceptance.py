@@ -328,7 +328,7 @@ def test_criterion_9_harnack():
                          (9.1, 0.2))]
     rep = harnack_experiment(ISO1, 1.0, 2.0, data, sigmas=(1.5, 1.7, 1.9),
                              resolutions=(1 / 24, 1 / 48), box_lo=[-9],
-                             box_hi=[9], tau=TAU, ratio_cap=50.0,
+                             box_hi=[9], ratio_cap=50.0,
                              drift_tol=0.25, sigma_trend_cap=2.0)
     ok = rep.passed
     record_criterion(9, ok, f"sup ratio {rep.constants['ratio_max']:.3f} <= 50 "

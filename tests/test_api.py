@@ -1,7 +1,8 @@
 """Guard against dead parameters: every parameter of every module-level
 function and method in the package is read in its body (reads inside
 nested functions and lambdas count; the nested callbacks' own parameters
-are not checked)."""
+are not checked), and every defaulted parameter is passed by some call in
+src/, tests/ or perfbench/, so no default is a knob that nothing turns."""
 
 import ast
 from pathlib import Path
@@ -9,26 +10,32 @@ from pathlib import Path
 import maslab
 
 SRC = Path(maslab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # parameters kept although unread, with the reason
 EXEMPT = {
     "regularity.holder_estimate(spec)": "perfbench/workloads.py passes it positionally",
 }
 
+# defaulted parameters kept although no call passes them, with the reason
+DEFAULT_EXEMPT = {}
+
 
 def _defs(tree):
-    """Module-level functions and the methods of module-level classes."""
+    """Module-level functions and the methods of module-level classes, each
+    with the name a call uses: the class's for __init__."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+            yield from ((node.name if n.name == "__init__" else n.name, n)
+                        for n in node.body if isinstance(n, ast.FunctionDef))
 
 
 def _unread_parameters() -> set:
     out = set()
     for path in sorted(SRC.glob("*.py")):
-        for fn in _defs(ast.parse(path.read_text())):
+        for _, fn in _defs(ast.parse(path.read_text())):
             a = fn.args
             params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
             params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
@@ -46,3 +53,45 @@ def test_every_parameter_is_read():
 def test_exemptions_are_still_needed():
     # an exempt parameter that is read again, or deleted, leaves the list
     assert EXEMPT.keys() <= _unread_parameters()
+
+
+def _passed() -> dict:
+    """Called name -> what its calls pass: keyword names, argument positions,
+    "*" for a starred argument (every position) and "**" for a mapping
+    (every parameter)."""
+    out = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench")
+                       for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                got = out.setdefault(f.id if isinstance(f, ast.Name)
+                                     else getattr(f, "attr", None), set())
+                got |= {"*" if isinstance(x, ast.Starred) else i
+                        for i, x in enumerate(node.args)}
+                got |= {k.arg or "**" for k in node.keywords}
+    return out
+
+
+def _unpassed_defaults() -> set:
+    passed = _passed()
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _defs(ast.parse(path.read_text())):
+            a = fn.args
+            got = passed.get(name, set())
+            pos = [p.arg for p in a.posonlyargs + a.args if p.arg not in ("self", "cls")]
+            first = len(pos) - len(a.defaults)
+            unpassed = [p for i, p in enumerate(pos[first:], first)
+                        if not got & {p, i, "*", "**"}]
+            unpassed += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None and not got & {p.arg, "**"}]
+            out |= {f"{path.stem}.{fn.name}({p})" for p in unpassed}
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call overrides is a constant: write it as one
+    unpassed = _unpassed_defaults()
+    assert unpassed - DEFAULT_EXEMPT.keys() == set()
+    assert DEFAULT_EXEMPT.keys() <= unpassed

@@ -10,6 +10,10 @@ import pytest
 
 import maslab
 from maslab.cli import main, run
+from maslab.grid import zero_rule
+from maslab.kernels import KernelSpec, checkerboard_rule
+from maslab.potential import make_potential
+from maslab.regularity import c1alpha_experiment
 
 POTENTIAL = {"id": "iso_quadratic", "dim": 1, "params": []}
 
@@ -210,6 +214,25 @@ def test_c1alpha_cli_refusal(tmp_path):
     assert code == 2
     rep = json.loads((out / "c1alpha_report.json").read_text())
     assert rep["flags"]["kernel_certified"] is False
+
+
+def test_c1alpha_refuses_the_rough_kernel_on_size(tmp_path):
+    # the checkerboard kernel's shift integral is about 1.34 times the smooth
+    # baseline's, above the default refusal factor, and `maslab c1alpha`
+    # applies the library's factor rather than a value of its own
+    cfg = {"potential": POTENTIAL, "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
+           "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 48},
+           "kernel_rule": "checkerboard", "varrho": 0.5}
+    assert run("c1alpha", cfg, str(tmp_path)) == 2
+    cli = json.loads((tmp_path / "c1alpha_report.json").read_text())
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    rep = c1alpha_experiment(make_potential("iso_quadratic", 1), 1.0, 2.0, 1.5,
+                             0.5, checkerboard_rule(spec), [1 / 48], [-9], [9],
+                             zero_rule(), 0.0)
+    c = rep.constants
+    assert c["Upsilon_hat"] > rep.inputs["refusal_factor"] * c["Upsilon_baseline"]
+    assert cli["inputs"]["refusal_factor"] == rep.inputs["refusal_factor"]
+    assert cli["constants"] == c
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -110,6 +110,8 @@ def test_rules_catalog():
     assert make_rule("constant", [3.0])([[9.0]])[0] == 3.0
     g = make_rule("halfspace", [0, 1.0, 2.0])
     assert g(np.array([[1.5], [0.5]])).tolist() == [2.0, 0.0]
+    neg = make_rule("halfspace", [0, 1.0, -2.0])(np.array([[1.5], [0.5]]))
+    assert neg.tolist() == [-2.0, 0.0] and not np.signbit(neg[1])  # +0.0, not -0.0
     box = indicator_box_rule([0.0], [1.0], 5.0)
     assert box(np.array([[0.5], [2.0]])).tolist() == [5.0, 0.0]
     with pytest.raises(ConfigurationError):

@@ -72,7 +72,7 @@ def test_harnack_constant_function_ratio_one(iso1):
     from maslab.grid import constant_rule
     rep = harnack_experiment(iso1, 1.0, 2.0, [constant_rule(2.0)],
                              sigmas=(1.5,), resolutions=(1 / 16,),
-                             box_lo=[-9], box_hi=[9], tau=TAU)
+                             box_lo=[-9], box_hi=[9])
     ratio = list(rep.constants["per_run"].values())[0]
     assert ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -82,7 +82,7 @@ def test_harnack_scale_invariance(iso1):
     fam1 = [indicator_box_rule([9.3], [9.8], 1.0)]
     fam5 = [indicator_box_rule([9.3], [9.8], 5.0)]
     kw = dict(sigmas=(1.5,), resolutions=(1 / 24,), box_lo=[-9], box_hi=[9],
-              tau=TAU, tolerance=1e-11)
+              tolerance=1e-11)
     r1 = harnack_experiment(iso1, 1.0, 2.0, fam1, **kw)
     r5 = harnack_experiment(iso1, 1.0, 2.0, fam5, **kw)
     a = list(r1.constants["per_run"].values())[0]
@@ -93,7 +93,7 @@ def test_harnack_scale_invariance(iso1):
 def test_harnack_full_matrix(iso1):
     rep = harnack_experiment(iso1, 1.0, 2.0, _harnack_family(),
                              sigmas=(1.5, 1.7, 1.9), resolutions=(1 / 24, 1 / 48),
-                             box_lo=[-9], box_hi=[9], tau=TAU)
+                             box_lo=[-9], box_hi=[9])
     assert rep.passed
     assert rep.constants["ratio_max"] <= 50.0
     assert max(rep.stability["drifts"].values()) <= 0.25
@@ -105,7 +105,7 @@ def test_harnack_aniso_pullback_comparable(iso1):
     aniso = make_potential("aniso_quadratic", 1, [4.0])
     fam_iso = [indicator_box_rule([9.3], [9.8], 1.0)]
     fam_ani = [indicator_box_rule([9.3 / 2], [9.8 / 2], 1.0)]  # x -> x/2
-    kw = dict(sigmas=(1.5,), tau=TAU, tolerance=1e-10)
+    kw = dict(sigmas=(1.5,), tolerance=1e-10)
     r_iso = harnack_experiment(iso1, 1.0, 2.0, fam_iso, resolutions=(1 / 24,),
                                box_lo=[-9], box_hi=[9], **kw)
     r_ani = harnack_experiment(aniso, 1.0, 2.0, fam_ani, resolutions=(1 / 48,),
