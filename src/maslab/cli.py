@@ -34,9 +34,6 @@ from .sections import (boundary_radii, engulfing_probe, fit_ellipsoid,
                        section_measure, sphere_measure, unit_directions)
 from .solver import DiscreteProblem, solve
 
-SUBCOMMANDS = ("sections", "operator", "solve", "abp", "leps", "harnack",
-               "holder", "c1alpha", "mc-validate")
-
 
 def _fnum(x) -> str:
     return format(float(x), ".12g")
@@ -84,66 +81,149 @@ def _load_config(path: str) -> dict:
         raise ConfigurationError(f"config does not parse: {e}") from e
 
 
-def _potential_from(cfg: dict):
-    p = cfg.get("potential")
-    if not p:
-        raise ConfigurationError("config needs a 'potential' section")
-    return make_potential(p.get("id", ""), int(p.get("dim", 1)), p.get("params", ()))
+# ---------------------------------------------------------------------------
+# config keys
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the config must set the key
+ORIGIN = object()    # the origin, in the potential's dimension
 
 
-def _spec_from(cfg: dict) -> KernelSpec:
-    k = cfg.get("kernel")
-    if not k:
-        raise ConfigurationError("config needs a 'kernel' section")
-    for key in ("lam", "Lam", "sigma"):
-        if key not in k:
-            raise ConfigurationError(f"kernel section missing field '{key}'")
-    return KernelSpec(float(k["lam"]), float(k["Lam"]), float(k["sigma"]))
+class Section(dict):
+    """The keys of a nested object, and `default`, the object's when the
+    config leaves it out.  With `many` the value is a list of such objects;
+    with `by` the keys are those listed under the value of key `by`; `make`
+    builds the section's value from its resolved keys."""
+
+    def __init__(self, keys, default=REQUIRED, many=False, by=None, make=None):
+        super().__init__(keys)
+        self.default, self.many, self.by, self.make = default, many, by, make
 
 
-def _rule_from(cfg_rule) -> "ExteriorRule":
-    if cfg_rule is None:
-        raise ConfigurationError("missing exterior/data rule")
-    return make_rule(cfg_rule.get("id", ""), cfg_rule.get("params", ()))
+def _rule(default=REQUIRED, many=False) -> Section:
+    return Section({"id": REQUIRED, "params": []}, default, many,
+                   make=lambda r: make_rule(r["id"], r["params"]))
+
+
+EXTERIOR, F = _rule({"id": "zero"}), _rule(0.0)
+KERNEL = Section({"lam": REQUIRED, "Lam": REQUIRED, "sigma": REQUIRED},
+                 make=lambda k: KernelSpec(float(k["lam"]), float(k["Lam"]), float(k["sigma"])))
+GRID = Section({"box_lo": REQUIRED, "box_hi": REQUIRED, "h": REQUIRED})
+COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": []}, make=lambda p:
+                               make_potential(p["id"], int(p["dim"]), p["params"])),
+          "out_dir": "maslab_out"}
+SOLVE = {**COMMON, "kernel": KERNEL, "grid": GRID, "equation": "extremal_plus",
+         "kernel_rule": "midpoint", "families": [["lower"], ["upper"]],
+         "exterior": EXTERIOR, "f": F, "tolerance": solve,
+         "domain": Section({"section": {"r": 1.0, "center": ORIGIN},
+                            "hole": {"lo": REQUIRED, "hi": REQUIRED}}, None, by="kind")}
+
+# Each subcommand's config keys.  A key is REQUIRED, or has the default
+# written here (None: the subcommand derives it), or names the library
+# function it is passed to, whose own default applies when it is unset.
+KEYS = {
+    "sections": {**COMMON, "probes": Section({"centers": [ORIGIN], "heights": [0.25, 0.5, 1.0],
+                                              "ray_count": 64, "trial_count": 32}, {})},
+    "operator": {**COMMON, "kernel": KERNEL, "input_csv": REQUIRED,
+                 "exterior": EXTERIOR, "max_points": 512},
+    "solve": SOLVE,
+    "abp": {**SOLVE, "tau": None, "resolutions": None},
+    "leps": {**SOLVE, "tau": None, "z": ORIGIN, "eps0": None, "rho": l_eps_tail},
+    "harnack": {**COMMON, "kernel": Section({"lam": REQUIRED, "Lam": REQUIRED}),
+                "grid": GRID, "data_family": _rule(many=True),
+                "sigmas": [1.5, 1.7, 1.9], "resolutions": None, **dict.fromkeys(
+                    ("rho", "ratio_cap", "drift_tol", "sigma_trend_cap", "tolerance"),
+                    harnack_experiment)},
+    "holder": {**SOLVE, "resolutions": None, "x0": ORIGIN, "rho": holder_estimate,
+               "drift_tol": 0.2, "seminorm_cap": None},
+    "c1alpha": {**COMMON, "kernel": KERNEL, "grid": GRID, "kernel_rule": "midpoint",
+                "varrho": 0.5, "resolutions": None, "exterior": EXTERIOR, "f": F, **dict.fromkeys(
+                    ("refusal_factor", "drift_tol", "tolerance"), c1alpha_experiment)},
+    "mc-validate": {**COMMON, "kernel": KERNEL, "payoff": _rule(), "eta": 0.05,
+                    "seed": 0, "x0": ORIGIN, "paths": 10000, "d2_scale": estimate_exit_payoff,
+                    "domain_box": Section({"lo": REQUIRED, "hi": REQUIRED})},
+}
+
+
+def _fill(default, dim: int):
+    """`default`, with each ORIGIN in it as the origin in dimension dim."""
+    if isinstance(default, list):
+        return [_fill(v, dim) for v in default]
+    return [0.0] * dim if default is ORIGIN else default
+
+
+def _resolve(value, spec, name: str = "", dim: int = 1):
+    """Config value `value` of key `name` (its default where the config leaves
+    it out) checked against `spec`, with defaults filled in and sections made.  A
+    key routed to a library function is kept only when set, in a dict under it."""
+    default = spec.default if isinstance(spec, Section) else spec
+    if value is REQUIRED:
+        raise ConfigurationError(f"missing required key '{name}'")
+    if not isinstance(spec, Section) or not isinstance(value, (dict, list)) and not (
+            default is REQUIRED or isinstance(default, dict)):
+        return _fill(value, dim)  # a plain value, an unset `domain` or a numeric `f`
+    if spec.many and isinstance(value, list):
+        return [_resolve(v, Section(spec, make=spec.make), f"{name}[{i}]", dim)
+                for i, v in enumerate(value)]
+    if spec.many or not isinstance(value, dict):
+        raise ConfigurationError(f"'{name or 'config'}' must be a JSON "
+                                 f"{'list' if spec.many else 'object'}")
+    if spec.by and value.get(spec.by) not in spec:
+        raise ConfigurationError(f"'{name}.{spec.by}' must be one of {sorted(spec)}")
+    keys = {spec.by: REQUIRED, **spec[value[spec.by]]} if spec.by else spec
+    where = f"{name}." if name else ""
+    unknown = [where + k for k in sorted(value) if k not in keys]
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) {', '.join(unknown)}; known keys: "
+                                 f"{', '.join(where + k for k in keys)}")
+    out = {}
+    for key, sub in keys.items():
+        got = value.get(key, sub.default if isinstance(sub, Section) else sub)
+        if callable(sub):
+            out.setdefault(sub, {}).update({} if got is sub else {key: float(got)})
+        else:
+            out[key] = _resolve(got, sub, where + key, dim)
+        dim = out[key].dim if key == "potential" else dim
+    return spec.make(out) if spec.make else out
 
 
 def _grid_from(cfg: dict):
-    g = cfg.get("grid")
-    if not g:
-        raise ConfigurationError("config needs a 'grid' section")
-    h = float(g.get("h", 0.0))
-    if h <= 0:
+    g = cfg["grid"]
+    if float(g["h"]) <= 0:
         raise ConfigurationError("grid.h must be positive")
-    return g["box_lo"], g["box_hi"], h
+    return g["box_lo"], g["box_hi"], float(g["h"])
+
+
+def _resolutions(cfg: dict) -> list:
+    """The grid steps to run: `resolutions`, or [grid.h] when it is unset."""
+    steps = [_grid_from(cfg)[2]] if cfg["resolutions"] is None else cfg["resolutions"]
+    if not steps or min(steps) <= 0:
+        raise ConfigurationError("resolutions must be a nonempty list of positive steps")
+    return steps
+
+
+def _tau(cfg: dict) -> float:
+    """`tau`, or compute_tau of the potential when it is unset."""
+    tau = compute_tau(cfg["potential"]) if cfg["tau"] is None else float(cfg["tau"])
+    if tau <= 0:
+        raise ConfigurationError("tau must be positive")
+    return tau
 
 
 def _domain_from(cfg: dict, potential):
-    d = cfg.get("domain")
-    if not d:
+    d = cfg["domain"]
+    if d is None:
         return None
-    if d.get("kind") == "section":
-        r = float(d.get("r", 1.0))
-        center = np.asarray(d.get("center", np.zeros(potential.dim)), dtype=float)
+    if d["kind"] == "section":
+        r, center = float(d["r"]), np.asarray(d["center"], dtype=float)
         return lambda pts: potential.height(center, pts) < r * r
-    if d.get("kind") == "hole":
-        lo = np.asarray(d["lo"], dtype=float)
-        hi = np.asarray(d["hi"], dtype=float)
-        return lambda pts: ~np.all((pts >= lo) & (pts <= hi), axis=1)
-    raise ConfigurationError(f"unknown domain kind {d.get('kind')!r}")
-
-
-def _options(cfg: dict, *keys: str) -> dict:
-    """The keys among `keys` that the config sets, as floats; a key it does
-    not set is not passed, so the library's default applies."""
-    return {k: float(cfg[k]) for k in keys if k in cfg}
+    lo, hi = np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float)
+    return lambda pts: ~np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
 def _f_from(cfg: dict):
-    f = cfg.get("f", 0.0)
-    if isinstance(f, (int, float)):
-        return float(f)
-    rule = _rule_from(f)
-    return lambda pts: rule(pts)
+    f = cfg["f"]
+    return float(f) if isinstance(f, (int, float)) else f
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +231,16 @@ def _f_from(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def _cmd_sections(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    probes = cfg.get("probes", {})
-    centers = probes.get("centers", [[0.0] * pot.dim])
-    heights = probes.get("heights", [0.25, 0.5, 1.0])
-    ray_count = int(probes.get("ray_count", 64 if pot.dim == 2 else 4))
-    trial_count = int(probes.get("trial_count", 32))
+    pot = cfg["potential"]
+    probes = cfg["probes"]
     rows = []
     n = pot.dim
     per_axis = 400 if n == 1 else 80
-    for c in centers:
-        for r in heights:
+    for c in probes["centers"]:
+        for r in probes["heights"]:
             c_arr = np.asarray(c, dtype=float)
-            gamma = engulfing_probe(pot, c_arr, float(r), trial_count)
-            T = fit_ellipsoid(pot, c_arr, float(r), max(ray_count, 2 * n + 2))
+            gamma = engulfing_probe(pot, c_arr, float(r), int(probes["trial_count"]))
+            T = fit_ellipsoid(pot, c_arr, float(r), max(int(probes["ray_count"]), 2 * n + 2))
             volume = sphere_measure(n) / n / abs(T.det)
             dirs = unit_directions(n, 32)
             t = boundary_radii(pot, c_arr, float(r), dirs).max()
@@ -205,17 +281,16 @@ def _read_grid_csv(path: str, exterior) -> GridFunction:
 
 
 def _cmd_operator(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    spec = _spec_from(cfg)
-    exterior = _rule_from(cfg.get("exterior", {"id": "zero"}))
-    u = _read_grid_csv(cfg["input_csv"], exterior)
+    pot = cfg["potential"]
+    spec = cfg["kernel"]
+    u = _read_grid_csv(cfg["input_csv"], cfg["exterior"])
     box_diam = float(np.linalg.norm(u.hi - u.lo))
     plan = make_plan(pot, spec, u.h, box_diam, u.sup_bound)
     pts = u.points()
     margin = 2.0 * u.h
     interior = np.all((pts >= u.lo + margin) & (pts <= u.hi - margin), axis=1)
     eval_pts = pts[interior]
-    stride = max(1, eval_pts.shape[0] // int(cfg.get("max_points", 512)))
+    stride = max(1, eval_pts.shape[0] // int(cfg["max_points"]))
     eval_pts = eval_pts[::stride]
     fams = [[lower_rule(spec)], [upper_rule(spec)]]
     mminus = evaluate(u, eval_pts, plan, "extremal_minus")
@@ -229,23 +304,20 @@ def _cmd_operator(cfg: dict, out: str) -> int:
     return 0
 
 
-def _solve_from_config(cfg: dict):
-    pot = _potential_from(cfg)
-    equation = cfg.get("equation", "extremal_plus")
-    spec = _spec_from(cfg)
-    lo, hi, h = _grid_from(cfg)
-    exterior = _rule_from(cfg.get("exterior", {"id": "zero"}))
-    rule = None
-    families = None
-    if equation == "linear":
-        rule = make_kernel_rule(cfg.get("kernel_rule", "midpoint"), spec)
-    if equation == "isaacs":
-        families = [[make_kernel_rule(rid, spec) for rid in beta]
-                    for beta in cfg.get("families", [["lower"], ["upper"]])]
-    prob = DiscreteProblem(pot, spec, lo, hi, h, exterior, equation,
+def _solve_from_config(cfg: dict, h: float | None = None):
+    """The configured solve, at grid step h (grid.h when None)."""
+    pot = cfg["potential"]
+    equation = cfg["equation"]
+    spec = cfg["kernel"]
+    lo, hi, grid_h = _grid_from(cfg)
+    rule = make_kernel_rule(cfg["kernel_rule"], spec) if equation == "linear" else None
+    families = ([[make_kernel_rule(rid, spec) for rid in beta] for beta in cfg["families"]]
+                if equation == "isaacs" else None)
+    prob = DiscreteProblem(pot, spec, lo, hi, grid_h if h is None else h,
+                           cfg["exterior"], equation,
                            kernel_rule=rule, families=families,
                            domain=_domain_from(cfg, pot))
-    u, rep = solve(prob, f=_f_from(cfg), **_options(cfg, "tolerance"))
+    u, rep = solve(prob, f=_f_from(cfg), **cfg[solve])
     return pot, spec, prob, u, rep
 
 
@@ -262,22 +334,15 @@ def _cmd_solve(cfg: dict, out: str) -> int:
 
 
 def _cmd_abp(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    tau = cfg.get("tau")
-    if tau is None:
-        tau = compute_tau(pot)
-    resolutions = cfg.get("resolutions")
-    if not resolutions:
-        resolutions = [_grid_from(cfg)[2]]
+    tau = _tau(cfg)
+    resolutions = _resolutions(cfg)
     f = _f_from(cfg)
     f_at = (lambda p, fv=f: np.full(p.shape[0], fv)) if np.isscalar(f) else f
     reports = []
     for h in resolutions:
-        sub = dict(cfg)
-        sub["grid"] = dict(cfg["grid"], h=h)
-        pot_, spec, prob, u, rep = _solve_from_config(sub)
-        reports.append(abp_experiment(u, pot_, spec, f_at, float(tau)))
-    summary = {"tau": float(tau), "reports": reports,
+        pot, spec, prob, u, rep = _solve_from_config(cfg, h)
+        reports.append(abp_experiment(u, pot, spec, f_at, tau))
+    summary = {"tau": tau, "reports": reports,
                "resolutions": list(resolutions)}
     ok = True
     if len(reports) >= 2 and not any(r.get("trivial") for r in reports):
@@ -300,13 +365,12 @@ def _cmd_abp(cfg: dict, out: str) -> int:
 
 
 def _cmd_leps(cfg: dict, out: str) -> int:
+    tau = _tau(cfg)
     pot, spec, prob, u, rep = _solve_from_config(cfg)
-    tau = cfg.get("tau") or compute_tau(pot)
-    z = cfg.get("z", [0.0] * pot.dim)
-    eps0 = float(cfg.get("eps0", max(10.0 * rep.final_residual, 1e-8)))
+    eps0 = (max(10.0 * rep.final_residual, 1e-8) if cfg["eps0"] is None
+            else float(cfg["eps0"]))
     try:
-        r = l_eps_tail(u, pot, z, float(tau), eps0, problem=prob,
-                       **_options(cfg, "rho"))
+        r = l_eps_tail(u, pot, cfg["z"], tau, eps0, problem=prob, **cfg[l_eps_tail])
     except MaslabError as e:
         _write_json(os.path.join(out, "leps_report.json"),
                     {"failed": True, "error": str(e)})
@@ -319,19 +383,14 @@ def _cmd_leps(cfg: dict, out: str) -> int:
 
 
 def _cmd_harnack(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    k = cfg.get("kernel", {})
+    k = cfg["kernel"]
     lo, hi, _ = _grid_from(cfg)
-    data = [_rule_from(r) for r in cfg.get("data_family", [])]
-    if not data:
+    if not cfg["data_family"]:
         raise ConfigurationError("harnack needs a nonempty data_family")
     rep = harnack_experiment(
-        pot, float(k.get("lam", 1.0)), float(k.get("Lam", 1.0)), data,
-        sigmas=cfg.get("sigmas", [1.5, 1.7, 1.9]),
-        resolutions=cfg.get("resolutions", [_grid_from(cfg)[2]]),
-        box_lo=lo, box_hi=hi,
-        **_options(cfg, "rho", "ratio_cap", "drift_tol", "sigma_trend_cap",
-                   "tolerance"))
+        cfg["potential"], float(k["lam"]), float(k["Lam"]), cfg["data_family"],
+        sigmas=cfg["sigmas"], resolutions=_resolutions(cfg), box_lo=lo, box_hi=hi,
+        **cfg[harnack_experiment])
     _write_csv(os.path.join(out, "harnack_ratios.csv"), ["run", "ratio"],
                sorted(rep.constants["per_run"].items()))
     _write_json(os.path.join(out, "harnack_report.json"), rep.to_dict())
@@ -339,22 +398,19 @@ def _cmd_harnack(cfg: dict, out: str) -> int:
 
 
 def _cmd_holder(cfg: dict, out: str) -> int:
-    resolutions = cfg.get("resolutions") or [_grid_from(cfg)[2]]
+    resolutions = _resolutions(cfg)
     results = []
     for h in resolutions:
-        sub = dict(cfg)
-        sub["grid"] = dict(cfg["grid"], h=h)
-        pot, spec, prob, u, rep = _solve_from_config(sub)
-        r = holder_estimate(u, pot, cfg.get("x0", [0.0] * pot.dim), spec,
-                            C0=rep.final_residual, **_options(cfg, "rho"))
-        results.append(r)
+        pot, spec, prob, u, rep = _solve_from_config(cfg, h)
+        results.append(holder_estimate(u, pot, cfg["x0"], spec, C0=rep.final_residual,
+                                       **cfg[holder_estimate]))
     alphas = [r["alpha_hat"] for r in results if not r.get("grid_artifact")]
     ok = bool(alphas) and min(alphas) > 0 and all(
         r["r2"] >= 0.9 for r in results if not r.get("grid_artifact"))
     if len(alphas) >= 2:
         drift = abs(alphas[0] - alphas[-1]) / max(alphas)
-        ok = ok and drift <= float(cfg.get("drift_tol", 0.2))
-    cap = cfg.get("seminorm_cap")
+        ok = ok and drift <= float(cfg["drift_tol"])
+    cap = cfg["seminorm_cap"]
     if cap is not None:
         ok = ok and all(r["seminorm_constant"] <= float(cap) for r in results)
     rows = []
@@ -369,61 +425,43 @@ def _cmd_holder(cfg: dict, out: str) -> int:
 
 
 def _cmd_c1alpha(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    k = cfg.get("kernel", {})
-    sigma = float(k.get("sigma", 1.5))
-    spec = KernelSpec(float(k.get("lam", 1.0)), float(k.get("Lam", 1.0)), sigma)
-    rule = make_kernel_rule(cfg.get("kernel_rule", "midpoint"), spec)
-    lo, hi, h = _grid_from(cfg)
+    spec = cfg["kernel"]
+    lo, hi, _ = _grid_from(cfg)
     rep = c1alpha_experiment(
-        pot, spec.lam, spec.Lam, sigma,
-        varrho=float(cfg.get("varrho", 0.5)), rule=rule,
-        resolutions=cfg.get("resolutions", [h]),
-        box_lo=lo, box_hi=hi,
-        exterior=_rule_from(cfg.get("exterior", {"id": "zero"})),
-        f_rule=_f_from(cfg),
-        **_options(cfg, "refusal_factor", "drift_tol", "tolerance"))
+        cfg["potential"], spec, float(cfg["varrho"]),
+        make_kernel_rule(cfg["kernel_rule"], spec), _resolutions(cfg), lo, hi,
+        cfg["exterior"], _f_from(cfg), **cfg[c1alpha_experiment])
     _write_json(os.path.join(out, "c1alpha_report.json"), rep.to_dict())
     return 0 if rep.passed else 2
 
 
 def _cmd_mc_validate(cfg: dict, out: str) -> int:
-    pot = _potential_from(cfg)
-    k = cfg.get("kernel", {})
-    spec = KernelSpec(float(k.get("lam", 1.0)), float(k.get("Lam", k.get("lam", 1.0))),
-                      float(k.get("sigma", 1.5)))
-    payoff = _rule_from(cfg.get("payoff"))
-    mc_cfg = JumpProcessConfig(pot, spec, float(cfg.get("eta", 0.05)), payoff,
-                               int(cfg.get("seed", 0)))
-    r = estimate_exit_payoff(mc_cfg, cfg.get("x0", [0.0] * pot.dim),
-                             cfg["domain_box"]["lo"], cfg["domain_box"]["hi"],
-                             int(cfg.get("paths", 10000)),
-                             **_options(cfg, "d2_scale"))
+    mc_cfg = JumpProcessConfig(cfg["potential"], cfg["kernel"], float(cfg["eta"]),
+                               cfg["payoff"], int(cfg["seed"]))
+    box = cfg["domain_box"]
+    r = estimate_exit_payoff(mc_cfg, cfg["x0"], box["lo"], box["hi"], int(cfg["paths"]),
+                             **cfg[estimate_exit_payoff])
     _write_json(os.path.join(out, "mc_report.json"),
                 {"mean": r["mean"], "std_error": r["std_error"],
                  "bias_bound": r["bias_bound"], "paths": r["paths"]})
     return 0
 
 
-_DISPATCH = {
-    "sections": _cmd_sections,
-    "operator": _cmd_operator,
-    "solve": _cmd_solve,
-    "abp": _cmd_abp,
-    "leps": _cmd_leps,
-    "harnack": _cmd_harnack,
-    "holder": _cmd_holder,
-    "c1alpha": _cmd_c1alpha,
-    "mc-validate": _cmd_mc_validate,
-}
+_DISPATCH = {"sections": _cmd_sections, "operator": _cmd_operator, "solve": _cmd_solve,
+             "abp": _cmd_abp, "leps": _cmd_leps, "harnack": _cmd_harnack,
+             "holder": _cmd_holder, "c1alpha": _cmd_c1alpha,
+             "mc-validate": _cmd_mc_validate}
 
 
-def run(subcommand: str, config: dict, out_dir: str, verbose: bool = False) -> int:
-    """Dispatch a parsed config; returns the process exit code."""
+def run(subcommand: str, config: dict, out_dir: str | None, verbose: bool = False) -> int:
+    """Dispatch a parsed config; returns the process exit code.  The config
+    is checked against KEYS[subcommand] before the output directory is made."""
     t0 = time.time()
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        code = _DISPATCH[subcommand](config, out_dir)
+        cfg = _resolve(config, Section(KEYS[subcommand]))
+        out_dir = out_dir or cfg["out_dir"]
+        os.makedirs(out_dir, exist_ok=True)
+        code = _DISPATCH[subcommand](cfg, out_dir)
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
@@ -449,7 +487,7 @@ def run(subcommand: str, config: dict, out_dir: str, verbose: bool = False) -> i
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="maslab",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=KEYS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None,
                         help="output directory (overridden by MASLAB_OUT)")
@@ -460,8 +498,8 @@ def main(argv=None) -> int:
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
-    out_dir = os.environ.get("MASLAB_OUT") or args.out or cfg.get("out_dir", "maslab_out")
-    return run(args.subcommand, cfg, out_dir, args.verbose)
+    return run(args.subcommand, cfg, os.environ.get("MASLAB_OUT") or args.out,
+               args.verbose)
 
 
 if __name__ == "__main__":

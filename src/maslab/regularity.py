@@ -324,11 +324,10 @@ def _gradient_field(u: GridFunction) -> np.ndarray:
     return np.stack([c.ravel() for c in g], axis=-1)
 
 
-def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: float,
-                       varrho: float, rule: KernelRule, resolutions,
-                       box_lo, box_hi, exterior: ExteriorRule, f_rule,
-                       refusal_factor: float = 1.25, drift_tol: float = 0.25,
-                       tolerance: float = 1e-9) -> ExperimentReport:
+def c1alpha_experiment(potential: Potential, spec: KernelSpec, varrho: float,
+                       rule: KernelRule, resolutions, box_lo, box_hi,
+                       exterior: ExteriorRule, f_rule, refusal_factor: float = 1.25,
+                       drift_tol: float = 0.25, tolerance: float = 1e-9) -> ExperimentReport:
     """Gradient-oscillation exponent for Iu = f under a shift-regular kernel.
 
     The kernel is certified against the smooth-bound baseline first, at shifts
@@ -337,14 +336,13 @@ def c1alpha_experiment(potential: Potential, lam: float, Lam: float, sigma: floa
     exponent is asserted.
     """
     n = potential.dim
-    spec = KernelSpec(lam, Lam, sigma)
     shifts = [varrho * f * unit_directions(n, 2)[0] for f in (0.05, 0.1, 0.2)]
     baseline = kernel_shift_check(potential, spec, midpoint_rule(spec), varrho, shifts)
     candidate = kernel_shift_check(potential, spec, rule, varrho, shifts)
     refused = (not candidate["stable"]
                or candidate["Upsilon_hat"] > refusal_factor * baseline["Upsilon_hat"])
-    inputs = {"potential": potential.id, "dim": n, "lam": lam, "Lam": Lam,
-              "sigma": sigma, "varrho": varrho, "rule": rule.name,
+    inputs = {"potential": potential.id, "dim": n, "lam": spec.lam, "Lam": spec.Lam,
+              "sigma": spec.sigma, "varrho": varrho, "rule": rule.name,
               "resolutions": list(resolutions), "refusal_factor": refusal_factor,
               "drift_tol": drift_tol}
     if refused:

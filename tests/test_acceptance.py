@@ -397,9 +397,9 @@ def test_criterion_12_c1alpha():
     kw = dict(varrho=0.5, box_lo=[-9], box_hi=[9],
               exterior=gaussian_rule(1.0, 2.0, center=[10.0]),
               f_rule=lambda p: -np.exp(-p[:, 0] ** 2))
-    rep = c1alpha_experiment(ISO1, 1.0, 2.0, 1.5, rule=midpoint_rule(spec),
+    rep = c1alpha_experiment(ISO1, spec, rule=midpoint_rule(spec),
                              resolutions=[1 / 96, 1 / 192], **kw)
-    neg = c1alpha_experiment(ISO1, 1.0, 2.0, 1.5, rule=checkerboard_rule(spec),
+    neg = c1alpha_experiment(ISO1, spec, rule=checkerboard_rule(spec),
                              resolutions=[1 / 96], **kw)
     ok = rep.passed and not neg.passed and not neg.flags["kernel_certified"]
     gam = rep.constants["gamma_hats"]
@@ -440,7 +440,7 @@ CLI_CONFIGS = {
                 "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 16},
                 "data_family": [{"id": "indicator_box",
                                  "params": [1, 9.3, 9.8, 1.0]}],
-                "sigmas": [1.5], "resolutions": [1 / 16], "tau": 3.0},
+                "sigmas": [1.5], "resolutions": [1 / 16]},
     "holder": {"potential": {"id": "iso_quadratic", "dim": 1, "params": []},
                "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
                "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 128},

@@ -1,19 +1,22 @@
 import filecmp
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import maslab
-from maslab.cli import main, run
+from maslab.cli import KEYS, ORIGIN, REQUIRED, Section, main, run
 from maslab.grid import zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule
 from maslab.potential import make_potential
 from maslab.regularity import c1alpha_experiment
+from test_acceptance import CLI_CONFIGS
 
 POTENTIAL = {"id": "iso_quadratic", "dim": 1, "params": []}
 
@@ -34,7 +37,7 @@ def _run_twice(tmp_path, sub, cfg):
 
 
 def test_solve_cli(tmp_path):
-    cfg = {"seed": 0, "potential": POTENTIAL,
+    cfg = {"potential": POTENTIAL,
            "kernel": {"lam": 1.0, "Lam": 1.0, "sigma": 1.5},
            "grid": {"box_lo": [-1], "box_hi": [1], "h": 1 / 32},
            "exterior": {"id": "halfspace", "params": [0, 1.0, 1.0]},
@@ -79,6 +82,7 @@ def test_solve_cli_bad_sigma(tmp_path):
            "grid": {"box_lo": [-1], "box_hi": [1], "h": 0.5},
            "exterior": {"id": "zero"}}
     assert run("solve", cfg, str(tmp_path / "x")) == 1
+    assert not (tmp_path / "x").exists()  # the kernel is built with the config
 
 
 def test_sections_cli(tmp_path):
@@ -175,7 +179,7 @@ def test_harnack_cli(tmp_path):
            "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 16},
            "data_family": [{"id": "indicator_box", "params": [1, 9.3, 9.8, 1.0]},
                            {"id": "indicator_box", "params": [1, -10.2, -9.6, 1.0]}],
-           "sigmas": [1.5, 1.9], "resolutions": [1 / 16, 1 / 32], "tau": 3.0}
+           "sigmas": [1.5, 1.9], "resolutions": [1 / 16, 1 / 32]}
     code, out = _run_twice(tmp_path, "harnack", cfg)
     assert code == 0
     rep = json.loads((out / "harnack_report.json").read_text())
@@ -187,8 +191,7 @@ def test_harnack_cli_negative_control(tmp_path):
     cfg = {"potential": POTENTIAL, "kernel": {"lam": 1.0, "Lam": 2.0},
            "grid": {"box_lo": [-9], "box_hi": [9], "h": 1 / 16},
            "data_family": [{"id": "indicator_box", "params": [1, 9.3, 9.8, 1.0]}],
-           "sigmas": [1.5], "resolutions": [1 / 16], "tau": 3.0,
-           "ratio_cap": 1e-9}
+           "sigmas": [1.5], "resolutions": [1 / 16], "ratio_cap": 1e-9}
     assert run("harnack", cfg, str(tmp_path / "neg")) == 2
 
 
@@ -226,9 +229,8 @@ def test_c1alpha_refuses_the_rough_kernel_on_size(tmp_path):
     assert run("c1alpha", cfg, str(tmp_path)) == 2
     cli = json.loads((tmp_path / "c1alpha_report.json").read_text())
     spec = KernelSpec(1.0, 2.0, 1.5)
-    rep = c1alpha_experiment(make_potential("iso_quadratic", 1), 1.0, 2.0, 1.5,
-                             0.5, checkerboard_rule(spec), [1 / 48], [-9], [9],
-                             zero_rule(), 0.0)
+    rep = c1alpha_experiment(make_potential("iso_quadratic", 1), spec, 0.5,
+                             checkerboard_rule(spec), [1 / 48], [-9], [9], zero_rule(), 0.0)
     c = rep.constants
     assert c["Upsilon_hat"] > rep.inputs["refusal_factor"] * c["Upsilon_baseline"]
     assert cli["inputs"]["refusal_factor"] == rep.inputs["refusal_factor"]
@@ -274,3 +276,116 @@ def test_operator_cli_2d(tmp_path):
     assert rows.shape[1] == 5  # x, y, M-, M+, isaacs
     assert np.all(rows[:, 2] <= rows[:, 4] + 1e-9)
     assert np.all(rows[:, 4] <= rows[:, 3] + 1e-9)
+
+
+# every criterion-13 config; operator's CSV is never read when the keys fail
+CONFIGS = dict(CLI_CONFIGS, operator={
+    "potential": POTENTIAL, "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
+    "input_csv": "u.csv", "exterior": {"id": "zero"}, "max_points": 16})
+
+
+def _config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    return err
+
+
+@pytest.mark.parametrize("sub, patch, key", [
+    *[(sub, {"refusal_factr": 1.0}, "refusal_factr") for sub in KEYS],
+    ("harnack", {"kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5}}, "kernel.sigma"),
+    ("solve", {"grid": {"box_lo": [-1], "box_hi": [1], "h": 0.25, "hh": 0.5}}, "grid.hh"),
+    ("harnack", {"data_family": [{"id": "zero", "parms": []}]}, "data_family[0].parms"),
+    ("leps", {"domain": {"kind": "section", "lo": [-1]}}, "domain.lo"),
+    ("sections", {"probes": {"ray_cont": 8}}, "probes.ray_cont")])
+def test_unknown_key_exits_1_before_any_output(tmp_path, capsys, sub, patch, key):
+    out = tmp_path / "out"
+    assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
+    err = _config_error(capsys)
+    assert f"unknown key(s) {key};" in err and "known keys:" in err
+    assert not out.exists()
+
+
+def test_unknown_key_exits_1_from_the_entrypoint(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CONFIGS["c1alpha"], refusal_factr=1.0)))
+    out = tmp_path / "out"
+    assert main(["c1alpha", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "refusal_factr" in _config_error(capsys) and not out.exists()
+
+
+def _without(cfg: dict, key: str) -> dict:
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize("sub, cfg, key", [
+    ("operator", _without(CONFIGS["operator"], "input_csv"), "'input_csv'"),
+    ("mc-validate", _without(CONFIGS["mc-validate"], "domain_box"), "'domain_box'"),
+    ("abp", _without(CONFIGS["abp"], "grid"), "'grid'"),
+    ("solve", dict(CONFIGS["solve"], grid={"box_lo": [-1], "h": 0.25}), "'grid.box_hi'"),
+    ("harnack", _without(CONFIGS["harnack"], "data_family"), "'data_family'"),
+    ("leps", dict(CONFIGS["leps"], domain={"kind": "hole", "lo": [0]}), "'domain.hi'")])
+def test_missing_required_key_exits_1_before_any_output(tmp_path, capsys, sub, cfg, key):
+    out = tmp_path / "out"
+    assert run(sub, cfg, str(out)) == 1
+    assert f"missing required key {key}" in _config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, patch, key", [
+    ("leps", {"tau": 0.0}, "tau"),
+    ("abp", {"tau": -1.0}, "tau"),
+    ("holder", {"resolutions": []}, "resolutions"),
+    ("abp", {"resolutions": [1 / 32, 0.0]}, "resolutions"),
+    ("solve", {"grid": {"box_lo": [-1], "box_hi": [1], "h": 0.0}}, "grid.h"),
+    ("solve", {"domain": {"kind": "disc", "r": 1.0}}, "domain.kind"),
+    ("harnack", {"data_family": {"id": "zero"}}, "data_family")])
+def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
+    assert run(sub, dict(CONFIGS[sub], **patch), str(tmp_path / "out")) == 1
+    assert key in _config_error(capsys)
+
+
+def _default_cell(value) -> str:
+    if value is REQUIRED:
+        return "required"
+    if value is None:
+        return "unset"
+    if value is ORIGIN:
+        return "`origin`"
+    return "`[origin]`" if value == [ORIGIN] else f"`{json.dumps(value)}`"
+
+
+def _key_rows(keys: dict, prefix: str = "", when: str = ""):
+    """(key, default) for every key of a table, nested ones as `section.key`.
+    A key passed to a library function shows that function's own default."""
+    for key, spec in keys.items():
+        name = prefix + key
+        if callable(spec):
+            default = inspect.signature(spec).parameters[key].default
+            yield name, f"{_default_cell(default)} (`{spec.__name__}`)"
+            continue
+        yield name, _default_cell(getattr(spec, "default", spec)) + when
+        if isinstance(spec, Section) and spec.by:
+            yield f"{name}.{spec.by}", "required: " + " or ".join(_default_cell(k) for k in spec)
+            for kind, sub in spec.items():
+                yield from _key_rows(sub, f"{name}.", f" if {spec.by} is `{kind}`")
+        elif isinstance(spec, Section):
+            yield from _key_rows(spec, f"{name}[]." if spec.many else f"{name}.")
+
+
+def key_table() -> list[str]:
+    """The README's key table, row by row, generated from KEYS."""
+    subs = {}
+    for sub, keys in KEYS.items():
+        for row in _key_rows(keys):
+            subs.setdefault(row, []).append(sub)
+    return [f"| `{key}` | {default} | "
+            f"{'all' if len(s) == len(KEYS) else ', '.join(f'`{x}`' for x in s)} |"
+            for (key, default), s in subs.items()]
+
+
+def test_readme_key_table_matches_the_cli():
+    # the README lists every key with its default, from the table and from
+    # the signature of the library function a key is passed to
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if re.match(r"\| `[^`]+` \| ", line)]
+    assert rows == key_table()

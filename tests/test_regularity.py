@@ -210,7 +210,7 @@ def _c1a_kwargs(h_list):
 
 def test_c1alpha_smooth_kernel(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
-    rep = c1alpha_experiment(iso1, 1.0, 2.0, 1.5, rule=midpoint_rule(spec),
+    rep = c1alpha_experiment(iso1, spec, rule=midpoint_rule(spec),
                              **_c1a_kwargs([1 / 96, 1 / 192]))
     assert rep.passed
     assert min(rep.constants["gamma_hats"]) > 0
@@ -219,7 +219,7 @@ def test_c1alpha_smooth_kernel(iso1):
 
 def test_c1alpha_rough_kernel_refused(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
-    rep = c1alpha_experiment(iso1, 1.0, 2.0, 1.5, rule=checkerboard_rule(spec),
+    rep = c1alpha_experiment(iso1, spec, rule=checkerboard_rule(spec),
                              **_c1a_kwargs([1 / 96]))
     assert not rep.passed
     assert not rep.flags["kernel_certified"]
