@@ -30,7 +30,9 @@ from .kernels import KernelSpec, evaluate, make_plan
 from .potential import Potential
 from .sections import AffineMap, boundary_radii, fit_ellipsoid, unit_directions
 
-BARRIER_KINDS = ("F_power", "g_normalized", "psi_bump")
+# each barrier kind's required parameters; every kind may also set "m"
+BARRIER_KINDS = {"F_power": (), "g_normalized": ("r",), "psi_bump": ("tau",)}
+REGION_KINDS = {"annulus": ("kind", "r_in", "r_out"), "outside_section": ("kind", "r", "r_out")}
 
 
 @dataclass
@@ -95,15 +97,25 @@ def boundary_moment(potential: Potential) -> tuple[float, float]:
     return float((midy1 ** 2 * ds).sum()), float(ds.sum())
 
 
+def _check_keys(given: dict, required: tuple, optional: tuple = ()) -> None:
+    """ConfigurationError unless `given` sets every required key and no other but optional ones."""
+    unknown, missing = set(given) - set(required + optional), set(required) - set(given)
+    if unknown or missing:
+        raise ConfigurationError(f"unknown key(s) {sorted(unknown)}, "
+                                 f"missing key(s) {sorted(missing)}")
+
+
 def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
                   params: dict | None = None) -> Barrier:
-    """Construct a barrier with m validated by the boundary-moment margin."""
+    """Construct a barrier with m (default: 1 above the admissible minimum,
+    itself at least 0) validated by the boundary-moment margin."""
     if kind not in BARRIER_KINDS:
         raise ConfigurationError(f"unknown barrier kind {kind!r}")
-    params = dict(params or {})
+    params = params or {}
+    _check_keys(params, BARRIER_KINDS[kind], ("m",))
     i_y1, bd = boundary_moment(potential)
     m_min = spec.Lam * bd / (spec.lam * i_y1) - 2.0
-    m = float(params.get("m", max(m_min, 0.0) + 1.0))
+    m = float(params["m"]) if "m" in params else max(m_min, 0.0) + 1.0
     delta0 = (m + 2.0) * spec.lam * i_y1 - spec.Lam * bd
     if delta0 <= 0.0:
         raise BarrierError(
@@ -113,28 +125,24 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
         return Barrier(kind, m, 0.5, potential, delta0=delta0, m_min=m_min)
 
     if kind == "g_normalized":
-        r = float(params.get("r", 0.25))
-        s = float(params.get("s", 0.5))
-        T = fit_ellipsoid(potential, np.zeros(potential.dim), r)
-        return Barrier(kind, m, s, potential, anchor=T, delta0=delta0, m_min=m_min)
+        T = fit_ellipsoid(potential, np.zeros(potential.dim), float(params["r"]))
+        return Barrier(kind, m, 0.5, potential, anchor=T, delta0=delta0, m_min=m_min)
 
-    tau = float(params.get("tau", 0.0))
+    # cap height s = 1/8; the outer taper starts at 0.8 of the support radius 2 tau
+    tau = float(params["tau"])
     if tau <= 1.0:
         raise ConfigurationError("psi_bump needs tau > 1 from the tau estimate")
-    s = float(params.get("s", 0.125))
-    paste_frac = float(params.get("paste_frac", 0.8))
+    s = 0.125
     two_tau = 2.0 * tau
-    rho_t = paste_frac * two_tau
-    if not s < 0.25 < rho_t:
-        raise ConfigurationError("need cap height s < 1/4 < outer paste radius")
+    rho_t = 0.8 * two_tau
     A = m * rho_t ** (-m - 1.0) / (2.0 * (two_tau - rho_t))
     c_off = rho_t ** (-m) - A * (two_tau - rho_t) ** 2
     b = 0.5 * m * s ** (-m - 2.0)
     a = s ** (-m) - c_off + b * s * s
     chi_tau = tau ** (-m) - c_off if tau <= rho_t else A * (two_tau - tau) ** 2
     if chi_tau <= 0:
-        raise BarrierError("bump profile not positive at tau: decrease paste_frac")
-    c_norm = float(params.get("margin", 2.2)) / chi_tau
+        raise BarrierError("bump profile not positive at tau")
+    c_norm = 2.2 / chi_tau
     coeffs = {"m": m, "s": s, "rho_t": rho_t, "two_tau": two_tau,
               "A": A, "c_off": c_off, "a": a, "b": b, "c_norm": c_norm}
     return Barrier(kind, m, s, potential, tau=tau, coeffs=coeffs,
@@ -148,6 +156,9 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
 def _region_samples(potential: Potential, region: dict, count: int) -> np.ndarray:
     n = potential.dim
     kind = region.get("kind")
+    if kind not in REGION_KINDS:
+        raise ConfigurationError(f"unknown verification region {kind!r}")
+    _check_keys(region, REGION_KINDS[kind])
     if kind == "annulus":
         r_in, r_out = float(region["r_in"]), float(region["r_out"])
         if n == 1:
@@ -158,17 +169,14 @@ def _region_samples(potential: Potential, region: dict, count: int) -> np.ndarra
         r = r_in + (r_out - r_in) * (k + 0.5) / count
         ang = 2.0 * math.pi * ((k * 0.6180339887498949) % 1.0)
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    if kind == "outside_section":
-        r = float(region["r"])
-        r_out = float(region.get("r_out", 8.0 * r))
-        dirs = unit_directions(n, max(8, count // 8))
-        heights = np.geomspace(r * 1.02, r_out, max(count // dirs.shape[0], 2))
-        pts = []
-        for s in heights:
-            t = boundary_radii(potential, np.zeros(n), s, dirs)
-            pts.append(t[:, None] * dirs)
-        return np.vstack(pts)
-    raise ConfigurationError(f"unknown verification region {kind!r}")
+    r = float(region["r"])
+    dirs = unit_directions(n, max(8, count // 8))
+    heights = np.geomspace(r * 1.02, float(region["r_out"]), max(count // dirs.shape[0], 2))
+    pts = []
+    for s in heights:
+        t = boundary_radii(potential, np.zeros(n), s, dirs)
+        pts.append(t[:, None] * dirs)
+    return np.vstack(pts)
 
 
 def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
@@ -185,6 +193,13 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     """
     fld = barrier.field()
     pts = _region_samples(potential, region, sample_count)
+
+    def checked(p: np.ndarray) -> np.ndarray:
+        """The samples the threshold applies to: for psi_bump, those outside S_{1/4}."""
+        if barrier.kind != "psi_bump":
+            return np.ones(p.shape[0], dtype=bool)
+        return potential.height(np.zeros(potential.dim), p) >= 0.25 ** 2
+
     scale = fld.sup_bound
     box_diam = 2.0 * float(np.linalg.norm(pts, axis=1).max()) + 4.0
 
@@ -195,8 +210,7 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
     vals = min_at(spec.sigma, pts)
     threshold = -1e-8 * scale
     if barrier.kind == "psi_bump":
-        v_quarter = potential.height(np.zeros(potential.dim), pts)
-        outside = v_quarter >= 0.25 ** 2
+        outside = checked(pts)
         min_out = float(vals[outside].min()) if outside.any() else np.inf
         bump_rhs = float(np.maximum(-vals[~outside], 0.0).max()) if (~outside).any() else 0.0
         passed = min_out >= threshold
@@ -210,15 +224,12 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
 
     if sigma_scan:
         scan_pts = pts[:: max(1, pts.shape[0] // scan_samples)]
+        scan_checked = checked(scan_pts)
         sigma0 = None
         scan = {}
         for sg in (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 1.95):
-            v = min_at(sg, scan_pts)
-            if barrier.kind == "psi_bump":
-                out = potential.height(np.zeros(potential.dim), scan_pts) >= 0.0625
-                mv = float(v[out].min()) if out.any() else np.inf
-            else:
-                mv = float(v.min())
+            v = min_at(sg, scan_pts)[scan_checked]
+            mv = float(v.min()) if v.size else np.inf
             scan[sg] = mv
             if sigma0 is None and mv >= threshold:
                 sigma0 = sg

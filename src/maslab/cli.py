@@ -5,7 +5,7 @@ summary into the output directory, and drops a manifest (config hash,
 version, runtime, timestamp) beside them.  Reruns with the same config and
 seed produce byte-identical CSV/JSON; wall-clock data lives only in the
 manifest.  Exit codes: 0 success, 1 configuration error, 2 experiment
-assertion failure.
+assertion failure, an unconverged solve among them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .kernels import (KernelSpec, evaluate, lower_rule, make_kernel_rule,
                       make_plan, upper_rule)
 from .mc import JumpProcessConfig, estimate_exit_payoff
 from .potential import make_potential
-from .regularity import (c1alpha_experiment, harnack_experiment,
-                         holder_estimate, l_eps_tail)
+from .regularity import (c1alpha_experiment, converged_solve, drift,
+                         harnack_experiment, holder_estimate, l_eps_tail)
 from .sections import (boundary_radii, engulfing_probe, fit_ellipsoid,
                        section_measure, sphere_measure, unit_directions)
 from .solver import DiscreteProblem, solve
@@ -155,13 +155,16 @@ def _fill(default, dim: int):
 def _resolve(value, spec, name: str = "", dim: int = 1):
     """Config value `value` of key `name` (its default where the config leaves
     it out) checked against `spec`, with defaults filled in and sections made.  A
-    key routed to a library function is kept only when set, in a dict under it."""
-    default = spec.default if isinstance(spec, Section) else spec
+    key routed to a library function is kept only when set, in a dict under it;
+    its value, like that of a key with a numeric default, must be a number."""
     if value is REQUIRED:
         raise ConfigurationError(f"missing required key '{name}'")
-    if not isinstance(spec, Section) or not isinstance(value, (dict, list)) and not (
-            default is REQUIRED or isinstance(default, dict)):
-        return _fill(value, dim)  # a plain value, an unset `domain` or a numeric `f`
+    if not isinstance(spec, Section):
+        return _fill(value, dim)
+    if value is None is spec.default:  # an unset `domain`
+        return None
+    if isinstance(spec.default, float) and isinstance(value, (int, float)):
+        return float(value)  # a numeric `f`
     if spec.many and isinstance(value, list):
         return [_resolve(v, Section(spec, make=spec.make), f"{name}[{i}]", dim)
                 for i, v in enumerate(value)]
@@ -179,6 +182,9 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
     out = {}
     for key, sub in keys.items():
         got = value.get(key, sub.default if isinstance(sub, Section) else sub)
+        numeric = callable(sub) and got is not sub or isinstance(sub, (int, float))
+        if numeric and not isinstance(got, (int, float)):
+            raise ConfigurationError(f"'{where + key}' must be a number, not {got!r}")
         if callable(sub):
             out.setdefault(sub, {}).update({} if got is sub else {key: float(got)})
         else:
@@ -219,11 +225,6 @@ def _domain_from(cfg: dict, potential):
         return lambda pts: potential.height(center, pts) < r * r
     lo, hi = np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float)
     return lambda pts: ~np.all((pts >= lo) & (pts <= hi), axis=1)
-
-
-def _f_from(cfg: dict):
-    f = cfg["f"]
-    return float(f) if isinstance(f, (int, float)) else f
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,8 @@ def _cmd_operator(cfg: dict, out: str) -> int:
     return 0
 
 
-def _solve_from_config(cfg: dict, h: float | None = None):
-    """The configured solve, at grid step h (grid.h when None)."""
+def _problem_from_config(cfg: dict, h: float | None = None) -> DiscreteProblem:
+    """The configured problem, at grid step h (grid.h when None)."""
     pot = cfg["potential"]
     equation = cfg["equation"]
     spec = cfg["kernel"]
@@ -313,19 +314,23 @@ def _solve_from_config(cfg: dict, h: float | None = None):
     rule = make_kernel_rule(cfg["kernel_rule"], spec) if equation == "linear" else None
     families = ([[make_kernel_rule(rid, spec) for rid in beta] for beta in cfg["families"]]
                 if equation == "isaacs" else None)
-    prob = DiscreteProblem(pot, spec, lo, hi, grid_h if h is None else h,
+    return DiscreteProblem(pot, spec, lo, hi, grid_h if h is None else h,
                            cfg["exterior"], equation,
                            kernel_rule=rule, families=families,
                            domain=_domain_from(cfg, pot))
-    u, rep = solve(prob, f=_f_from(cfg), **cfg[solve])
-    return pot, spec, prob, u, rep
+
+
+def _solve_from_config(cfg: dict, h: float | None = None):
+    """The configured problem at grid step h, and its converged solve."""
+    prob = _problem_from_config(cfg, h)
+    return (prob, *converged_solve(prob, cfg["f"], **cfg[solve]))
 
 
 def _cmd_solve(cfg: dict, out: str) -> int:
-    pot, spec, prob, u, rep = _solve_from_config(cfg)
+    u, rep = solve(_problem_from_config(cfg), f=cfg["f"], **cfg[solve])
     pts = u.points()
     rows = [list(p) + [v] for p, v in zip(pts, u.values.ravel())]
-    head = [f"x{i}" for i in range(pot.dim)] + ["u"]
+    head = [f"x{i}" for i in range(u.dim)] + ["u"]
     _write_csv(os.path.join(out, "solution.csv"), head, rows)
     _write_json(os.path.join(out, "solve_report.json"),
                 {"iterations": rep.iterations, "final_residual": rep.final_residual,
@@ -336,12 +341,12 @@ def _cmd_solve(cfg: dict, out: str) -> int:
 def _cmd_abp(cfg: dict, out: str) -> int:
     tau = _tau(cfg)
     resolutions = _resolutions(cfg)
-    f = _f_from(cfg)
+    f = cfg["f"]
     f_at = (lambda p, fv=f: np.full(p.shape[0], fv)) if np.isscalar(f) else f
     reports = []
     for h in resolutions:
-        pot, spec, prob, u, rep = _solve_from_config(cfg, h)
-        reports.append(abp_experiment(u, pot, spec, f_at, tau))
+        _, u, _ = _solve_from_config(cfg, h)
+        reports.append(abp_experiment(u, cfg["potential"], cfg["kernel"], f_at, tau))
     summary = {"tau": tau, "reports": reports,
                "resolutions": list(resolutions)}
     ok = True
@@ -350,27 +355,22 @@ def _cmd_abp(cfg: dict, out: str) -> int:
         summary["refinement_ratio"] = ratio
         ok = 0.5 <= ratio <= 2.0
         summary["stable_within_factor_2"] = ok
-    rows = []
-    for h, r in zip(resolutions, reports):
-        rows.append([h, r.get("sup_u", 0.0), r.get("C_hat", 0.0),
-                     r.get("n_contacts", 0), r.get("n_selected", 0),
-                     r.get("overlap_max", 0)])
-    _write_csv(os.path.join(out, "abp_contacts.csv"),
-               ["h", "sup_u", "C_hat", "n_contacts", "n_selected", "overlap_max"],
-               rows)
-    for r in reports:
-        r.pop("grad_bounds", None)
+    # a trivial report has sup_u and C_hat only
+    head = ["sup_u", "C_hat", "n_contacts", "n_selected", "overlap_max"]
+    rows = [[h] + [r.get(k, 0) for k in head] for h, r in zip(resolutions, reports)]
+    _write_csv(os.path.join(out, "abp_contacts.csv"), ["h"] + head, rows)
     _write_json(os.path.join(out, "abp_report.json"), summary)
     return 0 if ok else 2
 
 
 def _cmd_leps(cfg: dict, out: str) -> int:
     tau = _tau(cfg)
-    pot, spec, prob, u, rep = _solve_from_config(cfg)
+    prob, u, rep = _solve_from_config(cfg)
     eps0 = (max(10.0 * rep.final_residual, 1e-8) if cfg["eps0"] is None
             else float(cfg["eps0"]))
     try:
-        r = l_eps_tail(u, pot, cfg["z"], tau, eps0, problem=prob, **cfg[l_eps_tail])
+        r = l_eps_tail(u, cfg["potential"], cfg["z"], tau, eps0, problem=prob,
+                       **cfg[l_eps_tail])
     except MaslabError as e:
         _write_json(os.path.join(out, "leps_report.json"),
                     {"failed": True, "error": str(e)})
@@ -401,22 +401,18 @@ def _cmd_holder(cfg: dict, out: str) -> int:
     resolutions = _resolutions(cfg)
     results = []
     for h in resolutions:
-        pot, spec, prob, u, rep = _solve_from_config(cfg, h)
-        results.append(holder_estimate(u, pot, cfg["x0"], spec, C0=rep.final_residual,
-                                       **cfg[holder_estimate]))
-    alphas = [r["alpha_hat"] for r in results if not r.get("grid_artifact")]
-    ok = bool(alphas) and min(alphas) > 0 and all(
-        r["r2"] >= 0.9 for r in results if not r.get("grid_artifact"))
-    if len(alphas) >= 2:
-        drift = abs(alphas[0] - alphas[-1]) / max(alphas)
-        ok = ok and drift <= float(cfg["drift_tol"])
+        _, u, rep = _solve_from_config(cfg, h)
+        results.append(holder_estimate(u, cfg["potential"], cfg["x0"], cfg["kernel"],
+                                       C0=rep.final_residual, **cfg[holder_estimate]))
+    fits = [r for r in results if not r["grid_artifact"]]
+    ok = bool(fits) and all(r["alpha_hat"] > 0 and r["r2"] >= 0.9 for r in fits)
+    if len(fits) >= 2:
+        ok = ok and drift(fits[0]["alpha_hat"], fits[-1]["alpha_hat"]) <= float(cfg["drift_tol"])
     cap = cfg["seminorm_cap"]
     if cap is not None:
-        ok = ok and all(r["seminorm_constant"] <= float(cap) for r in results)
-    rows = []
-    for h, r in zip(resolutions, results):
-        for rad, osc in zip(r.get("radii", []), r.get("oscs", [])):
-            rows.append([h, rad, osc])
+        ok = ok and all(r["seminorm_constant"] <= float(cap) for r in fits)
+    rows = [[h, rad, osc] for h, r in zip(resolutions, results)
+            for rad, osc in zip(r["radii"], r["oscs"])]
     _write_csv(os.path.join(out, "holder_osc.csv"), ["h", "r", "osc"], rows)
     _write_json(os.path.join(out, "holder_report.json"),
                 {"resolutions": list(resolutions), "results": results,
@@ -430,7 +426,7 @@ def _cmd_c1alpha(cfg: dict, out: str) -> int:
     rep = c1alpha_experiment(
         cfg["potential"], spec, float(cfg["varrho"]),
         make_kernel_rule(cfg["kernel_rule"], spec), _resolutions(cfg), lo, hi,
-        cfg["exterior"], _f_from(cfg), **cfg[c1alpha_experiment])
+        cfg["exterior"], cfg["f"], **cfg[c1alpha_experiment])
     _write_json(os.path.join(out, "c1alpha_report.json"), rep.to_dict())
     return 0 if rep.passed else 2
 

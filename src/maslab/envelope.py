@@ -137,35 +137,26 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
         d2 = max(d2, float(np.abs(np.diff(vals, n=2, axis=ax)).max()))
     contact_tol = max(0.25 * d2, 1e-12 * scale)
 
-    if up[in_tau].max() <= 0.0:
-        contact = in_tau & (np.abs(u_vals) <= contact_tol) & (u_vals >= -contact_tol)
-        contact &= up > 0  # empty: trivial case, envelope identically zero
-        return EnvelopeResult(
-            gamma=GridFunction(lo_ext, hi_ext, gamma_vals.reshape(shape), zero_rule()),
-            lattice=pts, gamma_vals=gamma_vals, u_vals=u_vals,
-            contact_mask=contact, supergradients=grads, in_tau=in_tau, tau=tau,
-            contact_tol=contact_tol, details={"trivial": True})
-
-    P = pts[in_tau]
-    Z = up[in_tau]
-    hull = ConvexHull(np.column_stack([P, Z]))
-    eq = hull.equations  # outward normal: a.x + b*z + d <= 0 inside
-    upper = eq[:, n] > 1e-12
-    a, b, d = eq[upper, :n], eq[upper, n], eq[upper, n + 1]
-    # plane z = -(a.x + d)/b; min over upper facets = concave envelope
-    planes = -(P @ a.T + d[None, :]) / b[None, :]
-    which = planes.argmin(axis=1)
-    g_in = planes[np.arange(P.shape[0]), which]
-    grads_in = -(a / b[:, None])[which]
-    gamma_vals[in_tau] = np.maximum(g_in, 0.0)
-    grads[in_tau] = grads_in
+    # trivial case: u <= 0 on S_tau, the envelope and the contact set vanish
+    trivial = bool(up[in_tau].max() <= 0.0)
+    if not trivial:
+        P = pts[in_tau]
+        hull = ConvexHull(np.column_stack([P, up[in_tau]]))
+        eq = hull.equations  # outward normal: a.x + b*z + d <= 0 inside
+        upper = eq[:, n] > 1e-12
+        a, b, d = eq[upper, :n], eq[upper, n], eq[upper, n + 1]
+        # plane z = -(a.x + d)/b; min over upper facets = concave envelope
+        planes = -(P @ a.T + d[None, :]) / b[None, :]
+        which = planes.argmin(axis=1)
+        gamma_vals[in_tau] = np.maximum(planes[np.arange(P.shape[0]), which], 0.0)
+        grads[in_tau] = -(a / b[:, None])[which]
 
     contact = in_tau & (np.abs(u_vals - gamma_vals) <= contact_tol) & (up > 0)
     return EnvelopeResult(
         gamma=GridFunction(lo_ext, hi_ext, gamma_vals.reshape(shape), zero_rule()),
         lattice=pts, gamma_vals=gamma_vals, u_vals=u_vals,
         contact_mask=contact, supergradients=grads, in_tau=in_tau, tau=tau,
-        contact_tol=contact_tol, details={"trivial": False})
+        contact_tol=contact_tol, details={"trivial": trivial})
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +266,8 @@ def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
     if env.details.get("trivial") or sup_u <= 0:
         return {"trivial": True, "sup_u": sup_u, "C_hat": 0.0}
 
-    f_vals = np.asarray(f_at(env.lattice), dtype=float)
-    M = float(np.abs(f_vals).max()) / 0.05
+    f_sup = float(np.abs(np.asarray(f_at(env.lattice), dtype=float)).max())
+    M = f_sup / 0.05
     rings = ring_estimate_check(env, potential, spec, f_at, M)
 
     centers = np.array([c["x"] for c in rings["contacts"]])
@@ -285,30 +276,12 @@ def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
     cover = besicovitch_cover(potential, centers, radii, 0.1,
                               test_lattice=env.lattice)
     union = np.zeros(env.lattice.shape[0], dtype=bool)
-    grad_bounds = []
     for s in cover.selected:
-        c = np.array(s.center)
-        union |= contains_many(potential, c, s.r, env.lattice)
-        quarter = contains_many(potential, c, s.r / 4.0, env.lattice) & env.in_tau
-        if quarter.sum() >= 2:
-            g = env.supergradients[quarter]
-            if n == 1:
-                img = float(g.max() - g.min())
-            else:
-                spread = g - g.mean(axis=0, keepdims=True)
-                if np.linalg.matrix_rank(spread, tol=1e-12) < 2:
-                    img = 0.0
-                else:
-                    img = float(ConvexHull(g).volume)
-            fx = float(np.atleast_1d(f_at(c[None, :]))[0])
-            m_quarter = float(quarter.sum()) * cell
-            grad_bounds.append({
-                "center": s.center, "r": s.r, "grad_image": img,
-                "bound_constant": img / max(fx ** n * m_quarter, 1e-300)})
+        union |= contains_many(potential, np.array(s.center), s.r, env.lattice)
     union_measure = float(union.sum()) * cell
     c_hat = sup_u ** n / union_measure if union_measure > 0 else np.inf
-    return {"trivial": False, "sup_u": sup_u, "f_sup": float(np.abs(f_vals).max()),
+    return {"trivial": False, "sup_u": sup_u, "f_sup": f_sup,
             "union_measure": union_measure, "C_hat": float(c_hat),
             "n_contacts": len(rings["contacts"]), "C0_hat": rings["C0_hat"],
             "n_selected": len(cover.selected), "overlap_max": cover.overlap_max,
-            "grad_bounds": grad_bounds, "M": M}
+            "M": M}

@@ -2,8 +2,9 @@
 
 All constants in the underlying theory are existential, so every experiment
 reports empirical constants together with pass/fail flags at recorded
-tolerances and two-resolution stability ratios.  Fits are least squares in
-log-log with an R^2 gate.
+tolerances and their drift between the coarsest and finest resolution.
+Every solve must converge, or the experiment raises.  Fits are least squares
+in log-log with an R^2 gate.
 """
 
 from __future__ import annotations
@@ -40,14 +41,32 @@ class ExperimentReport:
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray):
-    """slope, intercept, R^2 of a least-squares line through (log x, log y)."""
-    lx, ly = np.log(x), np.log(y)
+    """slope, intercept, R^2 of a least-squares line through (log x, log y)
+    over the points with y > 0."""
+    lx, ly = np.log(x[y > 0]), np.log(y[y > 0])
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
     ss_res = float(((ly - pred) ** 2).sum())
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), float(r2)
+
+
+def drift(first: float, last: float) -> float:
+    """|first - last| / max(|first|, |last|): the relative change of a
+    constant from the first resolution to the last (0 when both are 0)."""
+    scale = max(abs(first), abs(last))
+    return abs(first - last) / scale if scale > 0 else 0.0
+
+
+def converged_solve(prob: DiscreteProblem, f, **options):
+    """solve(prob, f, **options); DataError, naming the stop and the
+    residual, unless it converged."""
+    u, rep = solve(prob, f=f, **options)
+    if not rep.converged:
+        raise DataError(f"solve did not converge: stop {rep.details['stop']!r}, "
+                        f"residual {rep.final_residual:g}")
+    return u, rep
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +80,8 @@ def l_eps_tail(u: GridFunction, potential: Potential, z, tau: float, eps0: float
     u is divided by its infimum over S_1(z) (reported as inf_S_1), so that
     the normalized function has infimum 1 there.  It measures
     |{u > t} cap S_rho(z)| for t = 1, 2, 4, ..., 256, fits the tail exponent, and
-    also reports the finite level M_hat with |{u <= M_hat} cap S_1(z)| > 0.
+    reports eta_hat = |{u <= M_hat} cap S_1(z)| at the level M_hat = 1 (None
+    when S_1(z) holds no lattice point).
     With the solved problem, the hypothesis M^- u <= eps0 on S_2tau(z) is
     checked on u as solved, and its margin reported.
     """
@@ -93,24 +113,19 @@ def l_eps_tail(u: GridFunction, potential: Potential, z, tau: float, eps0: float
     if int(nonempty.sum()) < 4:
         raise RefinementNeededError(
             f"only {int(nonempty.sum())} nonempty superlevels: insufficient range")
-    slope, intercept, r2 = _loglog_fit(levels[nonempty], meas[nonempty])
+    slope, intercept, r2 = _loglog_fit(levels, meas)
     eps_hat = -slope
     meas_1 = float(in_1.sum()) * cell
     c_hat = math.exp(intercept) / meas_1
 
-    m_hat, eta_hat = None, 0.0
-    for mj in 2.0 ** np.arange(0, 40):
-        # values within 1e-12 relative of the level count as at it: mirror
-        # points of a symmetric problem differ in the last bits, and whether
-        # both count must not depend on that roundoff
-        cnt = float(((vals <= mj * (1 + 1e-12)) & in_1).sum()) * cell
-        if cnt > 0:
-            m_hat, eta_hat = float(mj), cnt
-            break
+    # values within 1e-12 relative of the level count as at it: mirror
+    # points of a symmetric problem differ in the last bits, and whether
+    # both count must not depend on that roundoff
+    eta_hat = float(((vals <= 1.0 + 1e-12) & in_1).sum()) * cell
     return {"eps_hat": float(eps_hat), "C_hat": float(c_hat), "r2": r2,
             "levels": levels.tolist(), "measures": meas.tolist(),
             "nonempty_levels": int(nonempty.sum()),
-            "M_hat": m_hat, "eta_hat": eta_hat,
+            "M_hat": 1.0 if eta_hat > 0 else None, "eta_hat": eta_hat,
             "inf_S_1": inf_1, "hypothesis_margin": hyp_margin}
 
 
@@ -126,41 +141,32 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
                        tolerance: float = 1e-9) -> ExperimentReport:
     """sup over S_{rho/2} of u against u(0) for solves M+ u = 0, u >= 0.
 
-    Asserts a single recorded cap across exterior data, sigma values and two
-    resolutions, drift below drift_tol between resolutions, and a bounded
-    trend of the constant as sigma grows.
+    Asserts a single recorded cap across exterior data, sigma values and
+    resolutions, drift below drift_tol from the first resolution to the last,
+    and a bounded trend of the constant as sigma grows.
     """
     n = potential.dim
     zero = np.zeros(n)
-    per_run = {}
-    for sigma in sigmas:
-        spec = KernelSpec(lam, Lam, sigma)
-        for g in data_family:
-            for h in resolutions:
-                prob = DiscreteProblem(potential, spec, box_lo, box_hi, h, g)
-                u, rep = solve(prob, f=0.0, tolerance=tolerance)
-                if not rep.converged:
-                    raise DataError(f"harnack solve failed to converge (sigma={sigma})")
+    ratios = np.empty((len(sigmas), len(data_family), len(resolutions)))
+    for i, sigma in enumerate(sigmas):
+        for j, g in enumerate(data_family):
+            for k, h in enumerate(resolutions):
+                prob = DiscreteProblem(potential, KernelSpec(lam, Lam, sigma),
+                                       box_lo, box_hi, h, g)
+                u, rep = converged_solve(prob, 0.0, tolerance=tolerance)
                 vals = u.values.ravel()
                 if vals.min() < -1e-10 * max(1.0, vals.max()):
                     raise DataError("harnack solution not nonnegative")
-                pts = u.points()
-                half = contains_many(potential, zero, rho / 2.0, pts)
-                u0 = float(u.eval(zero[None, :])[0])
-                c0 = rep.final_residual
-                ratio = float(vals[half].max()) / (u0 + c0) if u0 + c0 > 0 else np.inf
-                per_run[f"sigma={sigma:g}|g={g.name}|h={h:g}"] = ratio
-    ratios = np.array(list(per_run.values()))
-    h0, h1 = resolutions[0], resolutions[-1]
-    drifts = {}
-    for sigma in sigmas:
-        for g in data_family:
-            a = per_run[f"sigma={sigma:g}|g={g.name}|h={h0:g}"]
-            b = per_run[f"sigma={sigma:g}|g={g.name}|h={h1:g}"]
-            drifts[f"sigma={sigma:g}|g={g.name}"] = abs(a - b) / max(a, b)
-    smin, smax = min(sigmas), max(sigmas)
-    trend = (max(per_run[f"sigma={smax:g}|g={g.name}|h={h1:g}"] for g in data_family)
-             / max(per_run[f"sigma={smin:g}|g={g.name}|h={h1:g}"] for g in data_family))
+                half = contains_many(potential, zero, rho / 2.0, u.points())
+                u0_c0 = float(u.eval(zero[None, :])[0]) + rep.final_residual
+                ratios[i, j, k] = float(vals[half].max()) / u0_c0 if u0_c0 > 0 else np.inf
+    runs = [(f"sigma={s:g}|g={g.name}", i, j) for i, s in enumerate(sigmas)
+            for j, g in enumerate(data_family)]
+    per_run = {f"{run}|h={h:g}": ratios[i, j, k] for run, i, j in runs
+               for k, h in enumerate(resolutions)}
+    drifts = {run: drift(ratios[i, j, 0], ratios[i, j, -1]) for run, i, j in runs}
+    trend = (ratios[int(np.argmax(sigmas)), :, -1].max()
+             / ratios[int(np.argmin(sigmas)), :, -1].max())
     flags = {
         "ratio_bounded": bool(ratios.max() <= ratio_cap),
         "resolution_stable": bool(max(drifts.values()) <= drift_tol),
@@ -183,18 +189,26 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
 # Hoelder
 # ---------------------------------------------------------------------------
 
-def _osc_radii(potential: Potential, rho: float, h: float):
-    """Section heights rho/2, rho/4, ..., rho/128, dropping radii under ~8 lattice cells."""
+def _section_oscs(potential: Potential, x0, rho: float, h: float, pts: np.ndarray,
+                  field: list):
+    """Section heights r = rho/2, rho/4, ..., rho/128, dropping radii under ~8
+    lattice cells h, and the oscillation over S_r(x0) of the vector field with
+    components `field` (arrays over the lattice points pts): the Euclidean
+    norm of the componentwise spread."""
     a_lo, _ = potential.hessian_bounds()
-    radii = []
+    radii, oscs = [], []
     for j in range(7):
         r = (rho / 2.0) * 2.0 ** (-j)
         if r * math.sqrt(2.0 / a_lo) < 8.0 * h:
             break
+        m = contains_many(potential, x0, r, pts)
+        if np.count_nonzero(m) < 2:
+            raise RefinementNeededError("empty oscillation window")
         radii.append(r)
+        oscs.append(math.hypot(*(float(c[m].max() - c[m].min()) for c in field)))
     if len(radii) < 3:
         raise RefinementNeededError("fewer than 3 usable oscillation radii")
-    return np.array(radii)
+    return np.array(radii), np.array(oscs)
 
 
 def _pair_heights(potential: Potential, pts: np.ndarray) -> np.ndarray:
@@ -220,19 +234,11 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     x0 = _as_points(x0, potential.dim)[0]
     pts = u.points()
     vals = u.values.ravel()
-    radii = _osc_radii(potential, rho, u.h)
-    oscs = []
-    for r in radii:
-        m = contains_many(potential, x0, r, pts)
-        if m.sum() < 2:
-            raise RefinementNeededError("empty oscillation window")
-        oscs.append(float(vals[m].max() - vals[m].min()))
-    oscs = np.array(oscs)
+    radii, oscs = _section_oscs(potential, x0, rho, u.h, pts, [vals])
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     if np.any(np.diff(oscs[::-1]) < -tol):
         return {"grid_artifact": True, "radii": radii.tolist(), "oscs": oscs.tolist()}
-    good = oscs > 0
-    alpha_hat, _, r2 = _loglog_fit(radii[good], oscs[good])
+    alpha_hat, _, r2 = _loglog_fit(radii, oscs)
 
     half = contains_many(potential, x0, rho / 2.0, pts)
     P = pts[half]
@@ -317,11 +323,10 @@ def kernel_shift_check(potential: Potential, spec: KernelSpec, rule: KernelRule,
 # C^{1,alpha}
 # ---------------------------------------------------------------------------
 
-def _gradient_field(u: GridFunction) -> np.ndarray:
+def _gradient_field(u: GridFunction) -> list:
+    """The components of the finite-difference gradient, over u's points."""
     g = np.gradient(u.values, u.h)
-    if u.dim == 1:
-        return np.asarray(g)[:, None]
-    return np.stack([c.ravel() for c in g], axis=-1)
+    return [g] if u.dim == 1 else [c.ravel() for c in g]
 
 
 def c1alpha_experiment(potential: Potential, spec: KernelSpec, varrho: float,
@@ -357,31 +362,19 @@ def c1alpha_experiment(potential: Potential, spec: KernelSpec, varrho: float,
     for h in resolutions:
         prob = DiscreteProblem(potential, spec, box_lo, box_hi, h, exterior,
                                equation="linear", kernel_rule=rule)
-        u, rep = solve(prob, f=f_rule, tolerance=tolerance)
-        if not rep.converged:
-            raise DataError("c1alpha solve failed to converge")
-        grad = _gradient_field(u)
-        pts = u.points()
-        radii = _osc_radii(potential, 0.5, h)
-        oscs = []
-        x0 = np.zeros(n)
-        for r in radii:
-            m = contains_many(potential, x0, r, pts)
-            gm = grad[m]
-            spread = gm.max(axis=0) - gm.min(axis=0)
-            oscs.append(float(np.linalg.norm(spread)))
-        oscs = np.array(oscs)
-        good = oscs > 0
-        gamma_hat, _, r2 = _loglog_fit(radii[good], oscs[good])
+        u, _ = converged_solve(prob, f_rule, tolerance=tolerance)
+        radii, oscs = _section_oscs(potential, np.zeros(n), 0.5, h, u.points(),
+                                    _gradient_field(u))
+        gamma_hat, _, r2 = _loglog_fit(radii, oscs)
         gammas.append(gamma_hat)
         r2s.append(r2)
         sup_u = max(sup_u, float(np.abs(u.values).max()))
-        semis.append(float((oscs[good] / radii[good] ** gamma_hat).max()))
-    drift = abs(gammas[0] - gammas[-1]) / max(gammas[-1], 1e-300)
+        semis.append(float((oscs / radii ** gamma_hat).max()))
+    gamma_drift = drift(gammas[0], gammas[-1])
     flags = {"kernel_certified": True,
              "gamma_positive": bool(min(gammas) > 0),
              "fit_r2": bool(min(r2s) >= 0.9),
-             "resolution_stable": bool(drift <= drift_tol)}
+             "resolution_stable": bool(gamma_drift <= drift_tol)}
     return ExperimentReport(
         "c1alpha", inputs=inputs,
         constants={"gamma_hats": gammas, "r2s": r2s,
@@ -389,4 +382,4 @@ def c1alpha_experiment(potential: Potential, spec: KernelSpec, varrho: float,
                    "Upsilon_hat": candidate["Upsilon_hat"],
                    "Upsilon_baseline": baseline["Upsilon_hat"], "sup_u": sup_u},
         flags=flags,
-        stability={"gamma_drift": drift})
+        stability={"gamma_drift": gamma_drift})

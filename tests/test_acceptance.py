@@ -350,6 +350,7 @@ def test_criterion_10_holder():
         spec = KernelSpec(1.0, 2.0, 1.5)
         prob = DiscreteProblem(ISO1, spec, [-9], [9], h, g)
         u, rep = solve(prob, f=0.0)
+        assert rep.converged
         r = holder_estimate(u, ISO1, [0.0], spec, C0=rep.final_residual)
         alphas.append(r["alpha_hat"])
         results.append(r)

@@ -2,7 +2,9 @@
 function and method in the package is read in its body (reads inside
 nested functions and lambdas count; the nested callbacks' own parameters
 are not checked), and every defaulted parameter is passed by some call in
-src/, tests/ or perfbench/, so no default is a knob that nothing turns."""
+src/, tests/ or perfbench/, so no default is a knob that nothing turns.
+No option hides in a dict parameter either: `param.get("key", default)`
+does not occur in src/."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,31 @@ def test_every_default_is_passed_somewhere():
     unpassed = _unpassed_defaults()
     assert unpassed - DEFAULT_EXEMPT.keys() == set()
     assert DEFAULT_EXEMPT.keys() <= unpassed
+
+
+def _dict_options() -> set:
+    """Every `<parameter>.get("<literal>", <default>)` in src/, with the
+    function whose parameter it reads."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            params |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+            for call in ast.walk(fn):
+                f = call.func if isinstance(call, ast.Call) else None
+                if (isinstance(f, ast.Attribute) and f.attr == "get"
+                        and isinstance(f.value, ast.Name) and f.value.id in params
+                        and len(call.args) == 2 and isinstance(call.args[0], ast.Constant)
+                        and isinstance(call.args[0].value, str)):
+                    out.add(f"{path.stem}.{getattr(fn, 'name', '<lambda>')}: "
+                            f"{f.value.id}.get({call.args[0].value!r}, ...)")
+    return out
+
+
+def test_no_option_hides_in_a_dict():
+    # an option read with a default out of a dict parameter is a keyword
+    # that no signature shows and no check rejects when misspelt
+    assert _dict_options() == set()

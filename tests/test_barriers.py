@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,28 @@ def test_psi_bump_needs_tau(iso1):
     spec = KernelSpec(1.0, 2.0, 1.9)
     with pytest.raises(ConfigurationError):
         build_barrier("psi_bump", iso1, spec, {"m": 1.0})
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("F_power", {"m": 1.0, "r": 0.25}, "unknown key(s) ['r']"),
+    ("psi_bump", {"m": 1.0, "tau": 3.0, "paste_frac": 0.8}, "unknown key(s) ['paste_frac']"),
+    ("psi_bump", {"m": 1.0, "tau": 3.0, "past_frac": 0.7}, "unknown key(s) ['past_frac']"),
+    ("g_normalized", {"m": 1.0}, "missing key(s) ['r']")])
+def test_barrier_parameters_are_checked(iso1, kind, params, key):
+    # a misspelt or retired option raises instead of running with a default
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        build_barrier(kind, iso1, KernelSpec(1.0, 2.0, 1.9), params)
+
+
+@pytest.mark.parametrize("region, key", [
+    ({"kind": "outside_section", "r": 0.25}, "missing key(s) ['r_out']"),
+    ({"kind": "annulus", "r_in": 1.0, "r_out": 4.0, "r": 2.0}, "unknown key(s) ['r']"),
+    ({"kind": "disc", "r": 1.0}, "unknown verification region 'disc'")])
+def test_verification_region_keys_are_checked(iso1, region, key):
+    spec = KernelSpec(1.0, 2.0, 1.9)
+    b = build_barrier("F_power", iso1, spec, {"m": 1.0})
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        verify_subsolution(b, iso1, spec, region, sample_count=8, sigma_scan=False)
 
 
 def test_unknown_kind(iso1):

@@ -344,6 +344,31 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
     assert key in _config_error(capsys)
 
 
+@pytest.mark.parametrize("sub, patch, key", [
+    ("solve", {"tolerance": "abc"}, "'tolerance' must be a number"),
+    ("solve", {"domain": 5}, "'domain' must be a JSON object"),
+    ("solve", {"f": "x"}, "'f' must be a JSON object"),
+    ("holder", {"drift_tol": "x"}, "'drift_tol' must be a number"),
+    ("sections", {"probes": {"ray_count": [8]}}, "'probes.ray_count' must be a number")])
+def test_wrong_value_type_exits_1_before_any_output(tmp_path, capsys, sub, patch, key):
+    # these raised a traceback, or (holder's unused drift_tol) ran and passed
+    out = tmp_path / "out"
+    assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
+    assert key in _config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["abp", "holder", "leps"])
+def test_unconverged_solve_exits_2_naming_the_stop(tmp_path, capsys, sub):
+    # a tolerance below the residual floor cannot be met: the experiment
+    # reports the failed solve instead of measuring its iterate
+    assert run(sub, dict(CONFIGS[sub], tolerance=1e-30), str(tmp_path)) == 2
+    assert "stop 'floor'" in capsys.readouterr().err
+    failure = json.loads((tmp_path / f"{sub}_failure.json").read_text())
+    assert failure["failed"] is True and "stop 'floor'" in failure["error"]
+    assert sorted(os.listdir(tmp_path)) == [f"{sub}_failure.json"]
+
+
 def _default_cell(value) -> str:
     if value is REQUIRED:
         return "required"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maslab import regularity
-from maslab.errors import ConfigurationError, RefinementNeededError
+from maslab.errors import ConfigurationError, DataError, RefinementNeededError
 from maslab.grid import GridFunction, box_lattice, indicator_box_rule, zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule, midpoint_rule
 from maslab.potential import make_potential
@@ -60,6 +60,27 @@ def test_leps_refinement_stability(iso1):
         r = l_eps_tail(u, iso1, [0.0], TAU, eps0=1e-6, problem=prob)
         vals.append(r["eps_hat"])
     assert abs(vals[0] - vals[1]) <= 0.2 * max(vals)
+
+
+def test_drift_is_relative_to_the_larger_end():
+    assert regularity.drift(1.0, 0.8) == regularity.drift(0.8, 1.0) == pytest.approx(0.2)
+    assert regularity.drift(-1.0, 0.5) == 1.5
+    assert regularity.drift(0.0, 0.0) == 0.0
+
+
+def test_unconverged_experiment_solve_raises(iso1):
+    with pytest.raises(DataError, match="stop 'floor'"):
+        harnack_experiment(iso1, 1.0, 2.0, [indicator_box_rule([9.3], [9.8], 1.0)],
+                           sigmas=(1.5,), resolutions=(1 / 16,), box_lo=[-9],
+                           box_hi=[9], tolerance=1e-30)
+
+
+def test_c1alpha_empty_oscillation_window(iso1):
+    # the box misses S_r(0) at every radius: no oscillation to measure
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    with pytest.raises(RefinementNeededError, match="empty oscillation window"):
+        c1alpha_experiment(iso1, spec, 0.5, midpoint_rule(spec), [1 / 128], [1.0],
+                           [3.0], zero_rule(), 0.0)
 
 
 def _harnack_family():
