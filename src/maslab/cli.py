@@ -1,11 +1,11 @@
 """Command-line laboratory: config parsing, orchestration, report emission.
 
-Every subcommand reads one JSON config, writes CSV traces plus a JSON
-summary into the output directory, and drops a manifest (config hash,
-version, runtime, timestamp) beside them.  Reruns with the same config and
-seed produce byte-identical CSV/JSON; wall-clock data lives only in the
-manifest.  Exit codes: 0 success, 1 configuration error, 2 experiment
-assertion failure, an unconverged solve among them.
+Every subcommand reads one JSON config and computes its CSV traces and JSON
+summary; `run` alone writes them into the output directory, with a manifest
+(config hash, version, runtime, timestamp) beside them.  Reruns with the same
+config and seed produce byte-identical CSV/JSON; wall-clock data lives only
+in the manifest.  Exit codes: 0 success, 1 configuration error (nothing is
+written), 2 experiment assertion failure, an unconverged solve among them.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(_sanitize(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write(path: str, content) -> None:
+    """A JSON object, or a CSV (header, rows) where the file name ends in .csv."""
     with open(path, "w", newline="") as fh:
+        if not path.endswith(".csv"):
+            json.dump(_sanitize(content), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+            return
+        header, rows = content
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -93,7 +93,8 @@ class Section(dict):
     """The keys of a nested object, and `default`, the object's when the
     config leaves it out.  With `many` the value is a list of such objects;
     with `by` the keys are those listed under the value of key `by`; `make`
-    builds the section's value from its resolved keys."""
+    builds the section's value from its resolved keys.  A section without
+    keys is a number (with `many`, a list of numbers)."""
 
     def __init__(self, keys, default=REQUIRED, many=False, by=None, make=None):
         super().__init__(keys)
@@ -105,10 +106,12 @@ def _rule(default=REQUIRED, many=False) -> Section:
                    make=lambda r: make_rule(r["id"], r["params"]))
 
 
+NUMBER, DERIVED = Section({}), Section({}, None)  # a number: required, or derived when unset
+STEPS = Section({}, None, many=True)  # `resolutions`: grid steps, derived when unset
 EXTERIOR, F = _rule({"id": "zero"}), _rule(0.0)
-KERNEL = Section({"lam": REQUIRED, "Lam": REQUIRED, "sigma": REQUIRED},
-                 make=lambda k: KernelSpec(float(k["lam"]), float(k["Lam"]), float(k["sigma"])))
-GRID = Section({"box_lo": REQUIRED, "box_hi": REQUIRED, "h": REQUIRED})
+KERNEL = Section({"lam": NUMBER, "Lam": NUMBER, "sigma": NUMBER},
+                 make=lambda k: KernelSpec(k["lam"], k["Lam"], k["sigma"]))
+GRID = Section({"box_lo": REQUIRED, "box_hi": REQUIRED, "h": NUMBER})
 COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": []}, make=lambda p:
                                make_potential(p["id"], int(p["dim"]), p["params"])),
           "out_dir": "maslab_out"}
@@ -118,26 +121,27 @@ SOLVE = {**COMMON, "kernel": KERNEL, "grid": GRID, "equation": "extremal_plus",
          "domain": Section({"section": {"r": 1.0, "center": ORIGIN},
                             "hole": {"lo": REQUIRED, "hi": REQUIRED}}, None, by="kind")}
 
-# Each subcommand's config keys.  A key is REQUIRED, or has the default
-# written here (None: the subcommand derives it), or names the library
-# function it is passed to, whose own default applies when it is unset.
+# Each subcommand's config keys.  A key is REQUIRED (NUMBER: a number), or
+# has the default written here (DERIVED, STEPS: the subcommand derives it), or
+# names the library function it is passed to, whose own default applies when
+# it is unset.
 KEYS = {
     "sections": {**COMMON, "probes": Section({"centers": [ORIGIN], "heights": [0.25, 0.5, 1.0],
                                               "ray_count": 64, "trial_count": 32}, {})},
     "operator": {**COMMON, "kernel": KERNEL, "input_csv": REQUIRED,
                  "exterior": EXTERIOR, "max_points": 512},
     "solve": SOLVE,
-    "abp": {**SOLVE, "tau": None, "resolutions": None},
-    "leps": {**SOLVE, "tau": None, "z": ORIGIN, "eps0": None, "rho": l_eps_tail},
-    "harnack": {**COMMON, "kernel": Section({"lam": REQUIRED, "Lam": REQUIRED}),
+    "abp": {**SOLVE, "tau": DERIVED, "resolutions": STEPS},
+    "leps": {**SOLVE, "tau": DERIVED, "z": ORIGIN, "eps0": DERIVED, "rho": l_eps_tail},
+    "harnack": {**COMMON, "kernel": Section({"lam": NUMBER, "Lam": NUMBER}),
                 "grid": GRID, "data_family": _rule(many=True),
-                "sigmas": [1.5, 1.7, 1.9], "resolutions": None, **dict.fromkeys(
+                "sigmas": [1.5, 1.7, 1.9], "resolutions": STEPS, **dict.fromkeys(
                     ("rho", "ratio_cap", "drift_tol", "sigma_trend_cap", "tolerance"),
                     harnack_experiment)},
-    "holder": {**SOLVE, "resolutions": None, "x0": ORIGIN, "rho": holder_estimate,
-               "drift_tol": 0.2, "seminorm_cap": None},
+    "holder": {**SOLVE, "resolutions": STEPS, "x0": ORIGIN, "rho": holder_estimate,
+               "drift_tol": 0.2, "seminorm_cap": DERIVED},
     "c1alpha": {**COMMON, "kernel": KERNEL, "grid": GRID, "kernel_rule": "midpoint",
-                "varrho": 0.5, "resolutions": None, "exterior": EXTERIOR, "f": F, **dict.fromkeys(
+                "varrho": 0.5, "resolutions": STEPS, "exterior": EXTERIOR, "f": F, **dict.fromkeys(
                     ("refusal_factor", "drift_tol", "tolerance"), c1alpha_experiment)},
     "mc-validate": {**COMMON, "kernel": KERNEL, "payoff": _rule(), "eta": 0.05,
                     "seed": 0, "x0": ORIGIN, "paths": 10000, "d2_scale": estimate_exit_payoff,
@@ -156,21 +160,24 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
     """Config value `value` of key `name` (its default where the config leaves
     it out) checked against `spec`, with defaults filled in and sections made.  A
     key routed to a library function is kept only when set, in a dict under it;
-    its value, like that of a key with a numeric default, must be a number."""
+    its value, like that of a key with a numeric default, is a NUMBER."""
     if value is REQUIRED:
         raise ConfigurationError(f"missing required key '{name}'")
+    if callable(spec) or isinstance(spec, (int, float)):
+        spec = NUMBER
     if not isinstance(spec, Section):
         return _fill(value, dim)
-    if value is None is spec.default:  # an unset `domain`
+    if value is None is spec.default:  # an unset `domain` or derived number
         return None
-    if isinstance(spec.default, float) and isinstance(value, (int, float)):
-        return float(value)  # a numeric `f`
     if spec.many and isinstance(value, list):
         return [_resolve(v, Section(spec, make=spec.make), f"{name}[{i}]", dim)
                 for i, v in enumerate(value)]
-    if spec.many or not isinstance(value, dict):
-        raise ConfigurationError(f"'{name or 'config'}' must be a JSON "
-                                 f"{'list' if spec.many else 'object'}")
+    if (isinstance(value, (int, float)) and not spec.many
+            and (not spec or isinstance(spec.default, float))):
+        return float(value)  # a number, or a numeric `f`
+    if spec.many or not spec or not isinstance(value, dict):
+        kind = "a JSON list" if spec.many else "a JSON object" if spec else "a number"
+        raise ConfigurationError(f"'{name or 'config'}' must be {kind}, not {value!r}")
     if spec.by and value.get(spec.by) not in spec:
         raise ConfigurationError(f"'{name}.{spec.by}' must be one of {sorted(spec)}")
     keys = {spec.by: REQUIRED, **spec[value[spec.by]]} if spec.by else spec
@@ -182,11 +189,9 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
     out = {}
     for key, sub in keys.items():
         got = value.get(key, sub.default if isinstance(sub, Section) else sub)
-        numeric = callable(sub) and got is not sub or isinstance(sub, (int, float))
-        if numeric and not isinstance(got, (int, float)):
-            raise ConfigurationError(f"'{where + key}' must be a number, not {got!r}")
         if callable(sub):
-            out.setdefault(sub, {}).update({} if got is sub else {key: float(got)})
+            out.setdefault(sub, {}).update({} if got is sub else
+                                           {key: _resolve(got, sub, where + key)})
         else:
             out[key] = _resolve(got, sub, where + key, dim)
         dim = out[key].dim if key == "potential" else dim
@@ -195,9 +200,9 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
 
 def _grid_from(cfg: dict):
     g = cfg["grid"]
-    if float(g["h"]) <= 0:
+    if g["h"] <= 0:
         raise ConfigurationError("grid.h must be positive")
-    return g["box_lo"], g["box_hi"], float(g["h"])
+    return g["box_lo"], g["box_hi"], g["h"]
 
 
 def _resolutions(cfg: dict) -> list:
@@ -210,7 +215,7 @@ def _resolutions(cfg: dict) -> list:
 
 def _tau(cfg: dict) -> float:
     """`tau`, or compute_tau of the potential when it is unset."""
-    tau = compute_tau(cfg["potential"]) if cfg["tau"] is None else float(cfg["tau"])
+    tau = compute_tau(cfg["potential"]) if cfg["tau"] is None else cfg["tau"]
     if tau <= 0:
         raise ConfigurationError("tau must be positive")
     return tau
@@ -221,7 +226,7 @@ def _domain_from(cfg: dict, potential):
     if d is None:
         return None
     if d["kind"] == "section":
-        r, center = float(d["r"]), np.asarray(d["center"], dtype=float)
+        r, center = d["r"], np.asarray(d["center"], dtype=float)
         return lambda pts: potential.height(center, pts) < r * r
     lo, hi = np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float)
     return lambda pts: ~np.all((pts >= lo) & (pts <= hi), axis=1)
@@ -231,7 +236,7 @@ def _domain_from(cfg: dict, potential):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_sections(cfg: dict, out: str) -> int:
+def _cmd_sections(cfg: dict) -> tuple[bool, dict]:
     pot = cfg["potential"]
     probes = cfg["probes"]
     rows = []
@@ -255,13 +260,11 @@ def _cmd_sections(cfg: dict, out: str) -> int:
             rows.append(list(c_arr) + [r, gamma, T.inner_radius, volume, doubling])
     head = [f"c{i}" for i in range(n)] + ["r", "gamma_hat", "c_inner", "volume",
                                           "doubling_ratio"]
-    _write_csv(os.path.join(out, "sections.csv"), head, rows)
     summary = {"gamma_hat_max": max(r[n + 1] for r in rows),
                "c_inner_min": min(r[n + 2] for r in rows),
                "doubling_max": max(r[n + 4] for r in rows),
                "n_probes": len(rows)}
-    _write_json(os.path.join(out, "sections_summary.json"), summary)
-    return 0
+    return True, {"sections.csv": (head, rows), "sections_summary.json": summary}
 
 
 def _read_grid_csv(path: str, exterior) -> GridFunction:
@@ -281,7 +284,7 @@ def _read_grid_csv(path: str, exterior) -> GridFunction:
     return GridFunction(lo, hi, values, exterior)
 
 
-def _cmd_operator(cfg: dict, out: str) -> int:
+def _cmd_operator(cfg: dict) -> tuple[bool, dict]:
     pot = cfg["potential"]
     spec = cfg["kernel"]
     u = _read_grid_csv(cfg["input_csv"], cfg["exterior"])
@@ -299,10 +302,8 @@ def _cmd_operator(cfg: dict, out: str) -> int:
     isc = evaluate(u, eval_pts, plan, "isaacs", families=fams)
     rows = [list(x) + [a, b, c] for x, a, b, c in zip(eval_pts, mminus, mplus, isc)]
     head = [f"x{i}" for i in range(pot.dim)] + ["M_minus", "M_plus", "isaacs"]
-    _write_csv(os.path.join(out, "operator.csv"), head, rows)
-    _write_json(os.path.join(out, "operator_summary.json"),
-                {"points": len(rows), "sigma": spec.sigma})
-    return 0
+    return True, {"operator.csv": (head, rows),
+                  "operator_summary.json": {"points": len(rows), "sigma": spec.sigma}}
 
 
 def _problem_from_config(cfg: dict, h: float | None = None) -> DiscreteProblem:
@@ -326,78 +327,62 @@ def _solve_from_config(cfg: dict, h: float | None = None):
     return (prob, *converged_solve(prob, cfg["f"], **cfg[solve]))
 
 
-def _cmd_solve(cfg: dict, out: str) -> int:
+def _cmd_solve(cfg: dict) -> tuple[bool, dict]:
     u, rep = solve(_problem_from_config(cfg), f=cfg["f"], **cfg[solve])
     pts = u.points()
     rows = [list(p) + [v] for p, v in zip(pts, u.values.ravel())]
     head = [f"x{i}" for i in range(u.dim)] + ["u"]
-    _write_csv(os.path.join(out, "solution.csv"), head, rows)
-    _write_json(os.path.join(out, "solve_report.json"),
-                {"iterations": rep.iterations, "final_residual": rep.final_residual,
-                 "converged": rep.converged, "details": rep.details})
-    return 0 if rep.converged else 2
+    return rep.converged, {
+        "solution.csv": (head, rows),
+        "solve_report.json": {"iterations": rep.iterations, "final_residual": rep.final_residual,
+                              "converged": rep.converged, "details": rep.details}}
 
 
-def _cmd_abp(cfg: dict, out: str) -> int:
+def _cmd_abp(cfg: dict) -> tuple[bool, dict]:
     tau = _tau(cfg)
     resolutions = _resolutions(cfg)
-    f = cfg["f"]
-    f_at = (lambda p, fv=f: np.full(p.shape[0], fv)) if np.isscalar(f) else f
     reports = []
     for h in resolutions:
         _, u, _ = _solve_from_config(cfg, h)
-        reports.append(abp_experiment(u, cfg["potential"], cfg["kernel"], f_at, tau))
+        reports.append(abp_experiment(u, cfg["potential"], cfg["kernel"], cfg["f"], tau))
     summary = {"tau": tau, "reports": reports,
                "resolutions": list(resolutions)}
     ok = True
     if len(reports) >= 2 and not any(r.get("trivial") for r in reports):
-        ratio = reports[0]["C_hat"] / reports[-1]["C_hat"]
-        summary["refinement_ratio"] = ratio
-        ok = 0.5 <= ratio <= 2.0
-        summary["stable_within_factor_2"] = ok
+        summary["drift"] = drift(reports[0]["C_hat"], reports[-1]["C_hat"])
+        ok = summary["stable_within_factor_2"] = summary["drift"] <= 0.5
     # a trivial report has sup_u and C_hat only
     head = ["sup_u", "C_hat", "n_contacts", "n_selected", "overlap_max"]
     rows = [[h] + [r.get(k, 0) for k in head] for h, r in zip(resolutions, reports)]
-    _write_csv(os.path.join(out, "abp_contacts.csv"), ["h"] + head, rows)
-    _write_json(os.path.join(out, "abp_report.json"), summary)
-    return 0 if ok else 2
+    return ok, {"abp_contacts.csv": (["h"] + head, rows), "abp_report.json": summary}
 
 
-def _cmd_leps(cfg: dict, out: str) -> int:
+def _cmd_leps(cfg: dict) -> tuple[bool, dict]:
     tau = _tau(cfg)
     prob, u, rep = _solve_from_config(cfg)
-    eps0 = (max(10.0 * rep.final_residual, 1e-8) if cfg["eps0"] is None
-            else float(cfg["eps0"]))
-    try:
-        r = l_eps_tail(u, cfg["potential"], cfg["z"], tau, eps0, problem=prob,
-                       **cfg[l_eps_tail])
-    except MaslabError as e:
-        _write_json(os.path.join(out, "leps_report.json"),
-                    {"failed": True, "error": str(e)})
-        return 2
-    _write_csv(os.path.join(out, "leps_levels.csv"), ["t", "measure"],
-               list(zip(r["levels"], r["measures"])))
-    _write_json(os.path.join(out, "leps_report.json"), r)
+    eps0 = max(10.0 * rep.final_residual, 1e-8) if cfg["eps0"] is None else cfg["eps0"]
+    r = l_eps_tail(u, cfg["potential"], cfg["z"], tau, eps0, problem=prob,
+                   **cfg[l_eps_tail])
     ok = r["eps_hat"] > 0 and r["r2"] >= 0.9 and r["M_hat"] is not None
-    return 0 if ok else 2
+    return ok, {"leps_levels.csv": (["t", "measure"], list(zip(r["levels"], r["measures"]))),
+                "leps_report.json": r}
 
 
-def _cmd_harnack(cfg: dict, out: str) -> int:
+def _cmd_harnack(cfg: dict) -> tuple[bool, dict]:
     k = cfg["kernel"]
     lo, hi, _ = _grid_from(cfg)
     if not cfg["data_family"]:
         raise ConfigurationError("harnack needs a nonempty data_family")
     rep = harnack_experiment(
-        cfg["potential"], float(k["lam"]), float(k["Lam"]), cfg["data_family"],
+        cfg["potential"], k["lam"], k["Lam"], cfg["data_family"],
         sigmas=cfg["sigmas"], resolutions=_resolutions(cfg), box_lo=lo, box_hi=hi,
         **cfg[harnack_experiment])
-    _write_csv(os.path.join(out, "harnack_ratios.csv"), ["run", "ratio"],
-               sorted(rep.constants["per_run"].items()))
-    _write_json(os.path.join(out, "harnack_report.json"), rep.to_dict())
-    return 0 if rep.passed else 2
+    return rep.passed, {"harnack_ratios.csv": (["run", "ratio"],
+                                               sorted(rep.constants["per_run"].items())),
+                        "harnack_report.json": rep.to_dict()}
 
 
-def _cmd_holder(cfg: dict, out: str) -> int:
+def _cmd_holder(cfg: dict) -> tuple[bool, dict]:
     resolutions = _resolutions(cfg)
     results = []
     for h in resolutions:
@@ -407,40 +392,35 @@ def _cmd_holder(cfg: dict, out: str) -> int:
     fits = [r for r in results if not r["grid_artifact"]]
     ok = bool(fits) and all(r["alpha_hat"] > 0 and r["r2"] >= 0.9 for r in fits)
     if len(fits) >= 2:
-        ok = ok and drift(fits[0]["alpha_hat"], fits[-1]["alpha_hat"]) <= float(cfg["drift_tol"])
+        ok = ok and drift(fits[0]["alpha_hat"], fits[-1]["alpha_hat"]) <= cfg["drift_tol"]
     cap = cfg["seminorm_cap"]
     if cap is not None:
-        ok = ok and all(r["seminorm_constant"] <= float(cap) for r in fits)
+        ok = ok and all(r["seminorm_constant"] <= cap for r in fits)
     rows = [[h, rad, osc] for h, r in zip(resolutions, results)
             for rad, osc in zip(r["radii"], r["oscs"])]
-    _write_csv(os.path.join(out, "holder_osc.csv"), ["h", "r", "osc"], rows)
-    _write_json(os.path.join(out, "holder_report.json"),
-                {"resolutions": list(resolutions), "results": results,
-                 "passed": ok})
-    return 0 if ok else 2
+    return ok, {"holder_osc.csv": (["h", "r", "osc"], rows),
+                "holder_report.json": {"resolutions": list(resolutions), "results": results,
+                                       "passed": ok}}
 
 
-def _cmd_c1alpha(cfg: dict, out: str) -> int:
+def _cmd_c1alpha(cfg: dict) -> tuple[bool, dict]:
     spec = cfg["kernel"]
     lo, hi, _ = _grid_from(cfg)
     rep = c1alpha_experiment(
-        cfg["potential"], spec, float(cfg["varrho"]),
+        cfg["potential"], spec, cfg["varrho"],
         make_kernel_rule(cfg["kernel_rule"], spec), _resolutions(cfg), lo, hi,
         cfg["exterior"], cfg["f"], **cfg[c1alpha_experiment])
-    _write_json(os.path.join(out, "c1alpha_report.json"), rep.to_dict())
-    return 0 if rep.passed else 2
+    return rep.passed, {"c1alpha_report.json": rep.to_dict()}
 
 
-def _cmd_mc_validate(cfg: dict, out: str) -> int:
-    mc_cfg = JumpProcessConfig(cfg["potential"], cfg["kernel"], float(cfg["eta"]),
+def _cmd_mc_validate(cfg: dict) -> tuple[bool, dict]:
+    mc_cfg = JumpProcessConfig(cfg["potential"], cfg["kernel"], cfg["eta"],
                                cfg["payoff"], int(cfg["seed"]))
     box = cfg["domain_box"]
     r = estimate_exit_payoff(mc_cfg, cfg["x0"], box["lo"], box["hi"], int(cfg["paths"]),
                              **cfg[estimate_exit_payoff])
-    _write_json(os.path.join(out, "mc_report.json"),
-                {"mean": r["mean"], "std_error": r["std_error"],
-                 "bias_bound": r["bias_bound"], "paths": r["paths"]})
-    return 0
+    return True, {"mc_report.json": {"mean": r["mean"], "std_error": r["std_error"],
+                                     "bias_bound": r["bias_bound"], "paths": r["paths"]}}
 
 
 _DISPATCH = {"sections": _cmd_sections, "operator": _cmd_operator, "solve": _cmd_solve,
@@ -450,23 +430,22 @@ _DISPATCH = {"sections": _cmd_sections, "operator": _cmd_operator, "solve": _cmd
 
 
 def run(subcommand: str, config: dict, out_dir: str | None, verbose: bool = False) -> int:
-    """Dispatch a parsed config; returns the process exit code.  The config
-    is checked against KEYS[subcommand] before the output directory is made."""
+    """Dispatch a parsed config; returns the process exit code.  A subcommand
+    returns whether it passed and its files, each a JSON object or a CSV
+    (header, rows) by name.  Exit 1, a configuration error, writes nothing;
+    exits 0 and 2 write the files, or `<subcommand>_failure.json` for any
+    other MaslabError, and the manifest."""
     t0 = time.time()
     try:
         cfg = _resolve(config, Section(KEYS[subcommand]))
-        out_dir = out_dir or cfg["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        code = _DISPATCH[subcommand](cfg, out_dir)
+        passed, files = _DISPATCH[subcommand](cfg)
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
     except MaslabError as e:
         print(f"experiment failure: {e}", file=sys.stderr)
-        _write_json(os.path.join(out_dir, f"{subcommand}_failure.json"),
-                    {"failed": True, "error": str(e)})
-        return 2
-    manifest = {
+        passed, files = False, {f"{subcommand}_failure.json": {"failed": True, "error": str(e)}}
+    files["manifest.json"] = {
         "subcommand": subcommand,
         "config_sha256": hashlib.sha256(
             json.dumps(_sanitize(config), sort_keys=True).encode()).hexdigest(),
@@ -474,7 +453,11 @@ def run(subcommand: str, config: dict, out_dir: str | None, verbose: bool = Fals
         "runtime_sec": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    out_dir = out_dir or cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        _write(os.path.join(out_dir, name), content)
+    code = 0 if passed else 2
     if verbose:
         print(f"{subcommand}: exit {code}, artifacts in {out_dir}", file=sys.stderr)
     return code

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import ConfigurationError, RefinementNeededError
+from .errors import DataError, GeometryError, RefinementNeededError
 from .grid import GridFunction, tensor_points, zero_rule
 from .kernels import KernelSpec
 from .potential import Potential, _as_points
 from .sections import (besicovitch_cover, boundary_radii, contains_many,
                        engulfing_probe, unit_directions)
+from .solver import _f_values
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ def compute_tau(potential: Potential, samples: int = 24) -> float:
 
     lo, hi = gamma_hat, 64.0 * gamma_hat
     if not predicate(hi):
-        raise ConfigurationError("no tau <= 64*gamma passed: geometry pathology")
+        raise GeometryError("no tau <= 64*gamma passed: geometry pathology")
     for _ in range(20):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -123,7 +124,7 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
 
     scale = max(1.0, float(np.abs(u_vals).max()))
     if np.any(u_vals[in_tau & ~in_one] > 1e-9 * scale):
-        raise ConfigurationError("u > 0 somewhere outside S_1: envelope precondition")
+        raise DataError("u > 0 somewhere outside S_1: envelope precondition")
 
     up = np.maximum(u_vals, 0.0)
     gamma_vals = np.zeros(pts.shape[0])
@@ -182,12 +183,12 @@ def detachment_heights(sigma: float, h: float, a_hi: float) -> np.ndarray:
 
 
 def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
-                        spec: KernelSpec, f_at, M: float) -> dict:
+                        spec: KernelSpec, f, M: float) -> dict:
     """Ring detachment: for each contact point find the best k with
     |W_k| <= C0 (f/M) |R_k| and report the empirical constant C0_hat.
     Rings of fewer than 4 lattice cells are skipped.
 
-    f_at: callable pts -> values of the right-hand-side scale f.
+    f: the right-hand side, a number or a callable pts -> values.
     """
     pts = envelope.lattice
     contact_idx = np.nonzero(envelope.contact_mask
@@ -205,7 +206,7 @@ def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
         ux = envelope.u_vals[ci]
         gr = envelope.supergradients[ci]
         v = potential.height(x, pts)
-        fx = float(np.atleast_1d(f_at(x[None, :]))[0])
+        fx = float(_f_values(f, x[None, :])[0])
         best = None
         for k, rk in enumerate(rks):
             rk1 = rk / 2.0
@@ -255,7 +256,7 @@ def quadratic_detachment_check(envelope: EnvelopeResult, potential: Potential,
 
 
 def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
-                   f_at, tau: float) -> dict:
+                   f, tau: float) -> dict:
     """Full ABP pipeline: envelope -> contact set -> per-contact sections via
     the ring estimate at detachment slope M = sup|f| / 0.05 -> Besicovitch
     subcover (epsilon 0.1) -> empirical ABP constant
@@ -266,9 +267,9 @@ def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,
     if env.details.get("trivial") or sup_u <= 0:
         return {"trivial": True, "sup_u": sup_u, "C_hat": 0.0}
 
-    f_sup = float(np.abs(np.asarray(f_at(env.lattice), dtype=float)).max())
+    f_sup = float(np.abs(_f_values(f, env.lattice)).max())
     M = f_sup / 0.05
-    rings = ring_estimate_check(env, potential, spec, f_at, M)
+    rings = ring_estimate_check(env, potential, spec, f, M)
 
     centers = np.array([c["x"] for c in rings["contacts"]])
     radii = np.array([c["r"] for c in rings["contacts"]])

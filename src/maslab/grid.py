@@ -136,6 +136,8 @@ class GridFunction:
         lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
         hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
         counts = np.rint((hi - lo) / h).astype(int) + 1
+        if np.any(counts < 2) or np.any(np.abs((counts - 1) * h - (hi - lo)) > 1e-9 * (hi - lo)):
+            raise ConfigurationError(f"grid step {h:g} does not divide the box sides {hi - lo}")
         pts = box_lattice(lo, hi, counts)
         vals = np.asarray(fn(pts), dtype=float).reshape(counts)
         return cls(lo, hi, vals, exterior)

@@ -97,7 +97,7 @@ def l_eps_tail(u: GridFunction, potential: Potential, z, tau: float, eps0: float
         in_2tau = potential.height(z, upts) < (2.0 * tau) ** 2
         hyp_margin = float(mm[in_2tau].max()) if in_2tau.any() else None
         if hyp_margin is not None and hyp_margin > eps0:
-            raise ConfigurationError(
+            raise DataError(
                 f"M^- u = {hyp_margin:g} > eps0 = {eps0:g} on S_2tau(z)")
     v_z = potential.height(z, pts)
     in_1 = v_z < 1.0

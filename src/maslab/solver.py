@@ -469,7 +469,7 @@ def comparison_check(problem_sub: DiscreteProblem, u_sub: GridFunction,
     pre_sub = float((au - fs).min())
     pre_super = float((fg - av).min())
     if pre_sub < -slack or pre_super < -slack:
-        raise ConfigurationError(
+        raise DataError(
             f"discrete sub/supersolution precondition violated "
             f"(margins {pre_sub:g}, {pre_super:g} below -{slack:g})")
     if problem_sub.data_idx.size:
@@ -477,7 +477,7 @@ def comparison_check(problem_sub: DiscreteProblem, u_sub: GridFunction,
     else:
         gap_ext = 0.0
     if gap_ext < -tolerance:
-        raise ConfigurationError("u > v at exterior/data points: precondition violated")
+        raise DataError("u > v at exterior/data points: precondition violated")
 
     diff = uf - vf
     worst = float(diff[problem_sub.unknown].max())

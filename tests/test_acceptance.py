@@ -17,7 +17,7 @@ from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
                             upper_rule)
 from maslab.mc import JumpProcessConfig, estimate_exit_payoff
 from maslab.potential import make_potential
-from maslab.regularity import (c1alpha_experiment, harnack_experiment,
+from maslab.regularity import (c1alpha_experiment, drift, harnack_experiment,
                                holder_estimate, l_eps_tail)
 from maslab.sections import (besicovitch_cover, contains_many, cz_decompose,
                              engulfing_probe, fit_ellipsoid, section_measure,
@@ -354,12 +354,12 @@ def test_criterion_10_holder():
         r = holder_estimate(u, ISO1, [0.0], spec, C0=rep.final_residual)
         alphas.append(r["alpha_hat"])
         results.append(r)
-    drift = abs(alphas[0] - alphas[1]) / max(alphas)
+    alpha_drift = drift(alphas[0], alphas[1])
     ok = (min(alphas) > 0 and all(r["r2"] >= 0.9 for r in results)
-          and drift <= 0.2
+          and alpha_drift <= 0.2
           and all(r["seminorm_constant"] <= seminorm_cap for r in results))
     record_criterion(10, ok, f"alpha_hat {alphas[0]:.3f}/{alphas[1]:.3f} > 0, "
-                             f"R2 >= 0.9, drift {drift:.3f} <= 0.2, seminorm <= "
+                             f"R2 >= 0.9, drift {alpha_drift:.3f} <= 0.2, seminorm <= "
                              f"{seminorm_cap}*(sup|u|+C0)")
     assert ok
 

@@ -4,7 +4,8 @@ nested functions and lambdas count; the nested callbacks' own parameters
 are not checked), and every defaulted parameter is passed by some call in
 src/, tests/ or perfbench/, so no default is a knob that nothing turns.
 No option hides in a dict parameter either: `param.get("key", default)`
-does not occur in src/."""
+does not occur in src/.  And the CLI's subcommands compute while `run`
+alone writes: no `_cmd_*` takes more than its config or touches a file."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,29 @@ def test_no_option_hides_in_a_dict():
     # an option read with a default out of a dict parameter is a keyword
     # that no signature shows and no check rejects when misspelt
     assert _dict_options() == set()
+
+
+def _command_writes() -> dict:
+    """Each `_cmd_*` of cli.py -> what breaks the outcome contract in it: a
+    parameter other than `cfg`, or a use of `open`, `os` or a `_write*` writer."""
+    out = {}
+    for fn in ast.parse((SRC / "cli.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            out[fn.name] = sorted({p for p in params if p != "cfg"}
+                                  | {n for n in names if n in ("open", "os")
+                                     or n.startswith("_write")})
+    return out
+
+
+def test_commands_compute_and_run_alone_writes():
+    # a subcommand returns (passed, files); a second write path, say one that
+    # writes a report on its own failure, would bypass exit 1's "nothing
+    # written" and the manifest of exits 0 and 2
+    from maslab.cli import _DISPATCH
+    found = _command_writes()
+    assert sorted(found) == sorted(f.__name__ for f in _DISPATCH.values())
+    assert {name: got for name, got in found.items() if got} == {}

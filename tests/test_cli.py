@@ -26,6 +26,7 @@ def _run_twice(tmp_path, sub, cfg):
     for tag in ("a", "b"):
         out = tmp_path / f"{sub.replace('-', '_')}_{tag}"
         code = run(sub, cfg, str(out))
+        assert (out / "manifest.json").exists()  # on exit 0 and 2 alike
         outs.append((code, out))
     (code1, PA), (code2, PB) = outs
     assert code1 == code2
@@ -136,6 +137,8 @@ def test_abp_cli(tmp_path):
     assert code == 0
     rep = json.loads((out / "abp_report.json").read_text())
     assert rep["stable_within_factor_2"] is True
+    # the one drift rule: C_hat within a factor 2 is drift <= 0.5
+    assert 0 <= rep["drift"] <= 0.5 and "refinement_ratio" not in rep
 
 
 def test_leps_cli(tmp_path):
@@ -154,7 +157,7 @@ def test_leps_cli(tmp_path):
     assert isinstance(rep["hypothesis_margin"], float)
     # negative control: an eps0 below the solve's own residual fails it
     assert run("leps", dict(cfg, eps0=1e-14), str(tmp_path / "neg")) == 2
-    neg = json.loads((tmp_path / "neg" / "leps_report.json").read_text())
+    neg = json.loads((tmp_path / "neg" / "leps_failure.json").read_text())
     assert neg["failed"] is True
 
 
@@ -168,7 +171,7 @@ def test_leps_cli_checks_the_hypothesis_on_u_as_solved(tmp_path):
            "exterior": {"id": "indicator_box", "params": [1, 9.0, 12.0, 1.0]},
            "equation": "extremal_minus", "f": 0.0, "tau": 3.0, "eps0": 1e-13}
     assert run("leps", cfg, str(tmp_path)) == 2
-    rep = json.loads((tmp_path / "leps_report.json").read_text())
+    rep = json.loads((tmp_path / "leps_failure.json").read_text())
     assert rep["failed"] is True
     margin = re.fullmatch(r"M\^- u = (\S+) > eps0 = 1e-13 on S_2tau\(z\)", rep["error"])
     assert margin and 1e-12 < float(margin.group(1)) < 1e-11
@@ -340,8 +343,11 @@ def test_missing_required_key_exits_1_before_any_output(tmp_path, capsys, sub, c
     ("solve", {"domain": {"kind": "disc", "r": 1.0}}, "domain.kind"),
     ("harnack", {"data_family": {"id": "zero"}}, "data_family")])
 def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
-    assert run(sub, dict(CONFIGS[sub], **patch), str(tmp_path / "out")) == 1
+    # rejected by the key table or by the subcommand: nothing is written
+    out = tmp_path / "out"
+    assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
     assert key in _config_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub, patch, key", [
@@ -349,7 +355,13 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
     ("solve", {"domain": 5}, "'domain' must be a JSON object"),
     ("solve", {"f": "x"}, "'f' must be a JSON object"),
     ("holder", {"drift_tol": "x"}, "'drift_tol' must be a number"),
-    ("sections", {"probes": {"ray_count": [8]}}, "'probes.ray_count' must be a number")])
+    ("sections", {"probes": {"ray_count": [8]}}, "'probes.ray_count' must be a number"),
+    ("leps", {"tau": "abc"}, "'tau' must be a number"),
+    ("leps", {"eps0": "x"}, "'eps0' must be a number"),
+    ("solve", {"grid": {"box_lo": [-1], "box_hi": [1], "h": "x"}}, "'grid.h' must be a number"),
+    ("solve", {"kernel": {"lam": "x", "Lam": 1.0, "sigma": 1.5}}, "'kernel.lam' must be a number"),
+    ("holder", {"resolutions": [1 / 128, "x"]}, "'resolutions[1]' must be a number"),
+    ("holder", {"resolutions": 0.5}, "'resolutions' must be a JSON list")])
 def test_wrong_value_type_exits_1_before_any_output(tmp_path, capsys, sub, patch, key):
     # these raised a traceback, or (holder's unused drift_tol) ran and passed
     out = tmp_path / "out"
@@ -366,7 +378,27 @@ def test_unconverged_solve_exits_2_naming_the_stop(tmp_path, capsys, sub):
     assert "stop 'floor'" in capsys.readouterr().err
     failure = json.loads((tmp_path / f"{sub}_failure.json").read_text())
     assert failure["failed"] is True and "stop 'floor'" in failure["error"]
-    assert sorted(os.listdir(tmp_path)) == [f"{sub}_failure.json"]
+    assert sorted(os.listdir(tmp_path)) == [f"{sub}_failure.json", "manifest.json"]
+
+
+@pytest.mark.parametrize("sub, cfg", [
+    # the solution is positive outside S_1: the envelope's precondition fails
+    ("abp", _without(CONFIGS["abp"], "domain")),
+    # the solve's own residual exceeds eps0: the L^eps hypothesis fails
+    ("leps", dict(CONFIGS["leps"], eps0=1e-14)),
+    ("holder", dict(CONFIGS["holder"], tolerance=1e-30))])
+def test_experiment_failure_exits_2_with_a_failure_file_and_manifest(tmp_path, capsys,
+                                                                    sub, cfg):
+    # one outcome path: a failure measured on the solution is no
+    # configuration error, whichever subcommand or library call raised it
+    assert run(sub, cfg, str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failure:")
+    assert sorted(os.listdir(tmp_path)) == [f"{sub}_failure.json", "manifest.json"]
+    failure = json.loads((tmp_path / f"{sub}_failure.json").read_text())
+    assert failure == {"failed": True, "error": err.removeprefix("experiment failure: ").strip()}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["subcommand"] == sub
 
 
 def _default_cell(value) -> str:

@@ -4,7 +4,7 @@ import pytest
 from maslab.envelope import (abp_experiment, compute_tau, concave_envelope,
                              estimate_engulfing, quadratic_detachment_check,
                              ring_estimate_check)
-from maslab.errors import ConfigurationError
+from maslab.errors import DataError
 from maslab.grid import GridFunction, zero_rule
 from maslab.kernels import KernelSpec
 from maslab.solver import DiscreteProblem, solve
@@ -97,7 +97,7 @@ def test_envelope_matches_plane_minimization_oracle(iso1):
 def test_envelope_precondition(iso1):
     u = GridFunction.from_callable([-3], [3], 1 / 16,
                                    lambda p: np.ones(p.shape[0]), zero_rule())
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DataError):  # measured on u, not a configuration error
         concave_envelope(u, iso1, TAU)
 
 

@@ -95,6 +95,20 @@ def test_exterior_rule_applies_outside():
     assert u.eval([[0.5]])[0] == 0.0
 
 
+@pytest.mark.parametrize("lo, hi, h", [([-1], [1], 0.3), ([-1], [1], 4.0),
+                                       ([-1, 0], [1, 1], 0.4), ([-1], [1], -0.5)])
+def test_from_callable_needs_a_step_that_divides_every_side(lo, hi, h):
+    # h = 0.3 on [-1, 1] would build spacing 2/7, and h = 4 one point per side
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        GridFunction.from_callable(lo, hi, h, lambda p: np.zeros(len(p)), zero_rule())
+
+
+def test_from_callable_keeps_a_step_that_divides_every_side():
+    u = GridFunction.from_callable([-1, 0], [1, 1], 1 / 3, lambda p: np.zeros(len(p)),
+                                   zero_rule())
+    assert u.shape == (7, 4) and u.h == pytest.approx(1 / 3, rel=1e-12)
+
+
 def test_sup_bound_covers_exterior():
     u = GridFunction.from_callable([-1], [1], 0.5, lambda p: np.zeros(len(p)),
                                    constant_rule(7.0))

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maslab import kernels, solver
-from maslab.errors import ConfigurationError
+from maslab.errors import ConfigurationError, DataError
 from maslab.grid import (GridFunction, callable_rule, constant_rule, gaussian_rule,
                          halfspace_rule, indicator_box_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
@@ -162,7 +162,7 @@ def test_comparison_detects_exterior_violation(iso1):
     dom = lambda pts: np.abs(pts[:, 0]) < 0.5
     prob_masked = DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, g, domain=dom)
     hi = GridFunction(u.lo, u.hi, u.values + 1.0, u.exterior)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DataError):  # measured on u and v, not a configuration error
         comparison_check(prob_masked, hi, u, 0.0, 0.0)
 
 
