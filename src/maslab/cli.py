@@ -91,10 +91,11 @@ ORIGIN = object()    # the origin, in the potential's dimension
 
 class Section(dict):
     """The keys of a nested object, and `default`, the object's when the
-    config leaves it out.  With `many` the value is a list of such objects;
-    with `by` the keys are those listed under the value of key `by`; `make`
-    builds the section's value from its resolved keys.  A section without
-    keys is a number (with `many`, a list of numbers)."""
+    config leaves it out.  With `many` the value is a list of such objects
+    (many=2: a list of such lists); with `by` the keys are those listed
+    under the value of key `by`; `make` builds the section's value from its
+    resolved keys.  A section without keys is a number (with `many`, a list
+    of numbers)."""
 
     def __init__(self, keys, default=REQUIRED, many=False, by=None, make=None):
         super().__init__(keys)
@@ -108,44 +109,47 @@ def _rule(default=REQUIRED, many=False) -> Section:
 
 NUMBER, DERIVED = Section({}), Section({}, None)  # a number: required, or derived when unset
 STEPS = Section({}, None, many=True)  # `resolutions`: grid steps, derived when unset
+POINT, AT_ORIGIN = Section({}, many=True), Section({}, ORIGIN, many=True)  # a point, or the origin
 EXTERIOR, F = _rule({"id": "zero"}), _rule(0.0)
 KERNEL = Section({"lam": NUMBER, "Lam": NUMBER, "sigma": NUMBER},
                  make=lambda k: KernelSpec(k["lam"], k["Lam"], k["sigma"]))
-GRID = Section({"box_lo": REQUIRED, "box_hi": REQUIRED, "h": NUMBER})
+GRID = Section({"box_lo": POINT, "box_hi": POINT, "h": NUMBER})
 COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": []}, make=lambda p:
                                make_potential(p["id"], int(p["dim"]), p["params"])),
           "out_dir": "maslab_out"}
 SOLVE = {**COMMON, "kernel": KERNEL, "grid": GRID, "equation": "extremal_plus",
          "kernel_rule": "midpoint", "families": [["lower"], ["upper"]],
          "exterior": EXTERIOR, "f": F, "tolerance": solve,
-         "domain": Section({"section": {"r": 1.0, "center": ORIGIN},
-                            "hole": {"lo": REQUIRED, "hi": REQUIRED}}, None, by="kind")}
+         "domain": Section({"section": {"r": 1.0, "center": AT_ORIGIN},
+                            "hole": {"lo": POINT, "hi": POINT}}, None, by="kind")}
 
 # Each subcommand's config keys.  A key is REQUIRED (NUMBER: a number), or
 # has the default written here (DERIVED, STEPS: the subcommand derives it), or
 # names the library function it is passed to, whose own default applies when
 # it is unset.
 KEYS = {
-    "sections": {**COMMON, "probes": Section({"centers": [ORIGIN], "heights": [0.25, 0.5, 1.0],
-                                              "ray_count": 64, "trial_count": 32}, {})},
+    "sections": {**COMMON, "probes": Section({
+        "centers": Section({}, [ORIGIN], many=2),
+        "heights": Section({}, [0.25, 0.5, 1.0], many=True),
+        "ray_count": 64, "trial_count": 32}, {})},
     "operator": {**COMMON, "kernel": KERNEL, "input_csv": REQUIRED,
                  "exterior": EXTERIOR, "max_points": 512},
     "solve": SOLVE,
     "abp": {**SOLVE, "tau": DERIVED, "resolutions": STEPS},
-    "leps": {**SOLVE, "tau": DERIVED, "z": ORIGIN, "eps0": DERIVED, "rho": l_eps_tail},
+    "leps": {**SOLVE, "tau": DERIVED, "z": AT_ORIGIN, "eps0": DERIVED, "rho": l_eps_tail},
     "harnack": {**COMMON, "kernel": Section({"lam": NUMBER, "Lam": NUMBER}),
                 "grid": GRID, "data_family": _rule(many=True),
-                "sigmas": [1.5, 1.7, 1.9], "resolutions": STEPS, **dict.fromkeys(
-                    ("rho", "ratio_cap", "drift_tol", "sigma_trend_cap", "tolerance"),
-                    harnack_experiment)},
-    "holder": {**SOLVE, "resolutions": STEPS, "x0": ORIGIN, "rho": holder_estimate,
+                "sigmas": Section({}, [1.5, 1.7, 1.9], many=True), "resolutions": STEPS,
+                **dict.fromkeys(("rho", "ratio_cap", "drift_tol", "sigma_trend_cap", "tolerance"),
+                                harnack_experiment)},
+    "holder": {**SOLVE, "resolutions": STEPS, "x0": AT_ORIGIN, "rho": holder_estimate,
                "drift_tol": 0.2, "seminorm_cap": DERIVED},
     "c1alpha": {**COMMON, "kernel": KERNEL, "grid": GRID, "kernel_rule": "midpoint",
                 "varrho": 0.5, "resolutions": STEPS, "exterior": EXTERIOR, "f": F, **dict.fromkeys(
                     ("refusal_factor", "drift_tol", "tolerance"), c1alpha_experiment)},
     "mc-validate": {**COMMON, "kernel": KERNEL, "payoff": _rule(), "eta": 0.05,
-                    "seed": 0, "x0": ORIGIN, "paths": 10000, "d2_scale": estimate_exit_payoff,
-                    "domain_box": Section({"lo": REQUIRED, "hi": REQUIRED})},
+                    "seed": 0, "x0": AT_ORIGIN, "paths": 10000, "d2_scale": estimate_exit_payoff,
+                    "domain_box": Section({"lo": POINT, "hi": POINT})},
 }
 
 
@@ -165,13 +169,14 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
         raise ConfigurationError(f"missing required key '{name}'")
     if callable(spec) or isinstance(spec, (int, float)):
         spec = NUMBER
+    value = _fill(value, dim)
     if not isinstance(spec, Section):
-        return _fill(value, dim)
+        return value
     if value is None is spec.default:  # an unset `domain` or derived number
         return None
     if spec.many and isinstance(value, list):
-        return [_resolve(v, Section(spec, make=spec.make), f"{name}[{i}]", dim)
-                for i, v in enumerate(value)]
+        each = Section(spec, many=spec.many - 1, make=spec.make)
+        return [_resolve(v, each, f"{name}[{i}]", dim) for i, v in enumerate(value)]
     if (isinstance(value, (int, float)) and not spec.many
             and (not spec or isinstance(spec.default, float))):
         return float(value)  # a number, or a numeric `f`
@@ -245,17 +250,17 @@ def _cmd_sections(cfg: dict) -> tuple[bool, dict]:
     for c in probes["centers"]:
         for r in probes["heights"]:
             c_arr = np.asarray(c, dtype=float)
-            gamma = engulfing_probe(pot, c_arr, float(r), int(probes["trial_count"]))
-            T = fit_ellipsoid(pot, c_arr, float(r), max(int(probes["ray_count"]), 2 * n + 2))
+            gamma = engulfing_probe(pot, c_arr, r, int(probes["trial_count"]))
+            T = fit_ellipsoid(pot, c_arr, r, max(int(probes["ray_count"]), 2 * n + 2))
             volume = sphere_measure(n) / n / abs(T.det)
             dirs = unit_directions(n, 32)
-            t = boundary_radii(pot, c_arr, float(r), dirs).max()
+            t = boundary_radii(pot, c_arr, r, dirs).max()
             lo = c_arr - 1.3 * t
             hi = c_arr + 1.3 * t
             lattice = box_lattice(lo, hi, per_axis)
             cell = ((hi[0] - lo[0]) / (per_axis - 1)) ** n
-            m_r = section_measure(pot, c_arr, float(r), lattice, cell)
-            m_half = section_measure(pot, c_arr, float(r) / 2.0, lattice, cell)
+            m_r = section_measure(pot, c_arr, r, lattice, cell)
+            m_half = section_measure(pot, c_arr, r / 2.0, lattice, cell)
             doubling = m_r / m_half if m_half > 0 else float("nan")
             rows.append(list(c_arr) + [r, gamma, T.inner_radius, volume, doubling])
     head = [f"c{i}" for i in range(n)] + ["r", "gamma_hat", "c_inner", "volume",
@@ -268,9 +273,13 @@ def _cmd_sections(cfg: dict) -> tuple[bool, dict]:
 
 
 def _read_grid_csv(path: str, exterior) -> GridFunction:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    try:
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    except (OSError, ValueError) as e:  # missing, or rows of unequal length
+        raise ConfigurationError(f"input_csv {path!r} does not read: {e}") from e
+    if data.shape[0] == 0 or data.shape[1] < 2 or not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"input_csv {path!r} is not rows of numbers "
+                                 "(coordinates, then the value) under one header line")
     n = data.shape[1] - 1
     pts, vals = data[:, :n], data[:, n]
     axes = [np.unique(pts[:, i]) for i in range(n)]

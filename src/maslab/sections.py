@@ -6,7 +6,10 @@ boundary parametrization, normalization of a section by its own moments
 (the inertia ellipsoid, in closed form from the boundary radii), the
 engulfing probe, two covering algorithms and the section-deformation
 checks.  The normalization, the engulfing constant and the deformation
-radii are closed forms in the bisected boundary radii or in heights v_x(y).
+radii are closed forms in the boundary radii or in heights v_x(y); the
+radii come from a safeguarded Newton iteration started at the quadratic
+model, which is exact for a quadratic potential, whose sections are
+ellipsoids.
 """
 
 from __future__ import annotations
@@ -84,7 +87,19 @@ def unit_directions(dim: int, count: int, offset: float = 0.0) -> np.ndarray:
 
 
 def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray) -> np.ndarray:
-    """t*(d) > 0 with v_x(x + t* d) = r^2, by vectorized bisection to 1e-10 relative."""
+    """t*(d) > 0 with v_x(x + t* d) = r^2, by bracket-safeguarded Newton.
+
+    g(t) = w_x(t d) - r^2 is convex in t, with g(0) = -r^2 and slope
+    g'(t) = (grad phi(x + t d) - grad phi(x)).d.  Newton starts from the
+    quadratic model t0 = r sqrt(2 / d.D^2 phi(x) d), which is the root for a
+    quadratic potential, so one height evaluation ends the call there.  It
+    stops when the step is at most 1e-11 t or g = 0 and returns the stepped t.
+    That test comes before the safeguard, so a sub-ulp step is never read as
+    one that leaves the bracket [lo, hi] kept from the signs of g; a step
+    that does leave it is replaced by doubling t while hi is unknown and by
+    bisection after.  A boundary beyond 1e6 r, or no stop within 100 steps,
+    raises GeometryError.
+    """
     if r <= 0:
         raise ConfigurationError("section height must be positive")
     x = _as_points(x, potential.dim)[0]
@@ -95,26 +110,29 @@ def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray) -> np.nd
     dirs = dirs / norms[:, None]
     r2 = r * r
 
-    hi = np.full(dirs.shape[0], r, dtype=float)
-    for _ in range(80):
-        vals = potential.shifted_height(x, hi[:, None] * dirs)
-        grow = vals < r2
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-        if np.any(hi > 1e6 * r):
-            raise GeometryError("section boundary beyond the 1e6*r search bracket")
-    lo = np.zeros_like(hi)
-    # ~60 halvings: interval shrinks below 1e-10 * hi for any starting bracket
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        vals = potential.shifted_height(x, mid[:, None] * dirs)
-        below = vals < r2
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all((hi - lo) <= 1e-10 * hi):
-            break
-    return 0.5 * (lo + hi)
+    grad_x = potential.gradient(x)
+    t = r * np.sqrt(2.0 / np.einsum("ki,ij,kj->k", dirs, potential.hessian(x)[0], dirs))
+    lo, hi = np.zeros_like(t), np.full_like(t, np.inf)
+    out = np.empty_like(t)
+    act = np.arange(t.size)  # the directions still iterating, t, lo, hi aligned
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope leaves the bracket
+        for _ in range(100):
+            y = t[:, None] * dirs[act]
+            g = potential.shifted_height(x, y) - r2
+            slope = np.einsum("ki,ki->k", potential.gradient(x + y) - grad_x, dirs[act])
+            step = np.where(g == 0, 0.0, -g / slope)
+            done = np.abs(step) <= 1e-11 * t
+            out[act[done]] = t[done] + step[done]
+            if done.all():
+                return out
+            keep = ~done
+            lo, hi = np.where(g < 0, t, lo)[keep], np.where(g > 0, t, hi)[keep]
+            t, newton, act = t[keep], (t + step)[keep], act[keep]
+            t = np.where((newton > lo) & (newton < hi), newton,
+                         np.where(np.isinf(hi), 2.0 * t, 0.5 * (lo + hi)))
+            if np.any(t > 1e6 * r):
+                raise GeometryError("section boundary beyond the 1e6*r search bracket")
+    raise GeometryError("section boundary radii not converged in 100 safeguarded Newton steps")
 
 
 def quasi_distance(potential: Potential, x, y) -> np.ndarray:

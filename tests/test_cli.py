@@ -261,6 +261,23 @@ def test_cli_missing_config_exit_1(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "does not read"),
+    ("x,u\n0,1\n1,abc\n", "is not rows of numbers"),
+    ("x,u\n0,1\n1,2,3\n", "does not read"),
+    ("x\n0\n1\n", "is not rows of numbers")])
+def test_operator_input_csv_that_does_not_parse_exits_1(tmp_path, capsys, content, message):
+    # like a config file that is missing or does not parse
+    csv = tmp_path / "u.csv"
+    if content is not None:
+        csv.write_text(content)
+    out = tmp_path / "out"
+    cfg = {"potential": POTENTIAL, "kernel": {"lam": 1.0, "Lam": 2.0, "sigma": 1.5},
+           "input_csv": str(csv)}
+    assert run("operator", cfg, str(out)) == 1
+    assert message in _config_error(capsys) and not out.exists()
+
+
 def test_operator_cli_2d(tmp_path):
     ax = np.linspace(-1, 1, 33)
     csv = tmp_path / "u2.csv"
@@ -361,7 +378,19 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
     ("solve", {"grid": {"box_lo": [-1], "box_hi": [1], "h": "x"}}, "'grid.h' must be a number"),
     ("solve", {"kernel": {"lam": "x", "Lam": 1.0, "sigma": 1.5}}, "'kernel.lam' must be a number"),
     ("holder", {"resolutions": [1 / 128, "x"]}, "'resolutions[1]' must be a number"),
-    ("holder", {"resolutions": 0.5}, "'resolutions' must be a JSON list")])
+    ("holder", {"resolutions": 0.5}, "'resolutions' must be a JSON list"),
+    # list leaves: a point, a list of numbers, a list of points
+    ("solve", {"grid": {"box_lo": ["a"], "box_hi": [1], "h": 0.25}},
+     "'grid.box_lo[0]' must be a number"),
+    ("holder", {"x0": "x"}, "'x0' must be a JSON list"),
+    ("leps", {"domain": {"kind": "hole", "lo": [-0.1], "hi": [None]}},
+     "'domain.hi[0]' must be a number"),
+    ("mc-validate", {"domain_box": {"lo": [-1], "hi": 1}}, "'domain_box.hi' must be a JSON list"),
+    ("sections", {"probes": {"heights": ["x"]}}, "'probes.heights[0]' must be a number"),
+    ("harnack", {"sigmas": ["x"]}, "'sigmas[0]' must be a number"),
+    ("sections", {"probes": {"centers": [0.5]}}, "'probes.centers[0]' must be a JSON list"),
+    ("sections", {"probes": {"centers": [[0.0, "a"]]}},
+     "'probes.centers[0][1]' must be a number")])
 def test_wrong_value_type_exits_1_before_any_output(tmp_path, capsys, sub, patch, key):
     # these raised a traceback, or (holder's unused drift_tol) ran and passed
     out = tmp_path / "out"

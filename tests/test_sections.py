@@ -3,7 +3,7 @@ import pytest
 
 from maslab.errors import ConfigurationError, GeometryError
 from maslab.grid import tensor_points
-from maslab.potential import make_potential
+from maslab.potential import Potential, make_potential
 from maslab.sections import (AffineMap, besicovitch_cover, boundary_radii,
                              contains_many, cz_decompose, deformation_checks,
                              engulfing_probe, fit_ellipsoid, quasi_distance,
@@ -29,13 +29,36 @@ def test_section_monotone_and_convex(perturbed2, rng):
 
 
 def test_boundary_radius_closed_forms(iso2, aniso2):
-    assert boundary_radii(iso2, [0, 0], 1.0, [[1, 0]]) == pytest.approx([np.sqrt(2)], rel=1e-9)
+    assert boundary_radii(iso2, [0, 0], 1.0, [[1, 0]]) == pytest.approx([np.sqrt(2)], rel=1e-14)
     t = boundary_radii(aniso2, [0, 0], 1.0, [[0, 1], [1, 0]])
-    assert t == pytest.approx([np.sqrt(2), np.sqrt(0.5)], rel=1e-9)
+    assert t == pytest.approx([np.sqrt(2), np.sqrt(0.5)], rel=1e-14)
+    # non-diagonal, off-centre and 1D: t*(d) = r sqrt(2 / d.A d) at every centre
+    for entries, x in (([25.0, 3.0, 3.0, 1.0], [0.0, 0.0]), ([25.0, 3.0, 3.0, 1.0], [0.7, -0.4]),
+                       ([7.0], [0.3])):
+        n = len(x)
+        pot = make_potential("aniso_quadratic", n, entries)
+        A = np.asarray(entries).reshape(n, n)
+        dirs = np.array([[1.0], [-1.0]]) if n == 1 else unit_directions(2, 16, 0.3)
+        curvature = np.einsum("ki,ij,kj->k", dirs, A, dirs)
+        for r in (1e-3, 1.0, 5.0):
+            t = boundary_radii(pot, x, r, dirs)
+            assert t == pytest.approx(r * np.sqrt(2.0 / curvature), rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_boundary_radius_hits_the_height_perturbed(eps, n):
+    pot = make_potential("perturbed_quadratic", n, [eps])
+    x = np.array([0.8]) if n == 1 else np.array([0.6, -0.5])
+    dirs = np.array([[1.0], [-1.0]]) if n == 1 else unit_directions(2, 32, 0.25)
+    for r in (1e-4, 0.5, 20.0):
+        t = boundary_radii(pot, x, r, dirs)
+        v = pot.shifted_height(x, t[:, None] * dirs)
+        assert np.abs(v / r ** 2 - 1.0).max() <= 1e-13
 
 
 def test_boundary_radius_independent_bisection_oracle(perturbed2):
-    # scalar-brentq-style oracle at 1e-12 tolerance
+    # a scalar brentq oracle, to the rounding of the height
     from scipy.optimize import brentq
     x = np.array([1.0, 0.0])
     d = np.array([1.0, 0.0])
@@ -44,9 +67,62 @@ def test_boundary_radius_independent_bisection_oracle(perturbed2):
     def fn(t):
         return float(perturbed2.height(x, x + t * d)[0]) - r * r
 
-    t_oracle = brentq(fn, 1e-9, 10.0, xtol=1e-12)
+    t_oracle = brentq(fn, 1e-9, 10.0, xtol=1e-15)
     t_pkg = boundary_radii(perturbed2, x, r, d)[0]
-    assert t_pkg == pytest.approx(t_oracle, abs=1e-8)
+    assert t_pkg == pytest.approx(t_oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("pot, most", [
+    (make_potential("iso_quadratic", 1), 2),
+    (make_potential("iso_quadratic", 2), 2),
+    (make_potential("aniso_quadratic", 2, [100.0, 3.0, 3.0, 1.2]), 2),
+    (make_potential("perturbed_quadratic", 1, [0.5]), 8),
+    (make_potential("perturbed_quadratic", 2, [0.1]), 8),
+    (make_potential("perturbed_quadratic", 2, [0.5]), 8),
+])
+def test_boundary_radius_height_evaluations(pot, most, monkeypatch):
+    # the quadratic model is the root for a quadratic, and Newton from it
+    # takes 4-5 steps on the perturbed entry
+    calls = []
+    original = Potential.shifted_height
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(Potential, "shifted_height", counted)
+    x = [0.4] if pot.dim == 1 else [0.5, -0.3]
+    dirs = unit_directions(pot.dim, 64, 0.5)
+    for r in (1e-4, 0.5, 20.0):
+        calls.clear()
+        boundary_radii(pot, x, r, dirs)
+        assert len(calls) <= most
+
+
+def test_boundary_radius_never_returns_unconverged(perturbed2, monkeypatch):
+    # with a useless slope every Newton step leaves the bracket: the call
+    # either converges by doubling and bisection or raises
+    x = np.array([0.5, -0.3])
+    dirs = unit_directions(2, 8)
+    grad_x = perturbed2.gradient(x)
+    monkeypatch.setattr(Potential, "gradient",
+                        lambda self, y: np.repeat(grad_x, np.atleast_2d(y).shape[0], axis=0))
+    try:
+        t = boundary_radii(perturbed2, x, 0.5, dirs)
+    except GeometryError as e:
+        assert "not converged" in str(e)
+    else:
+        v = perturbed2.shifted_height(x, t[:, None] * dirs)
+        assert np.abs(v / 0.25 - 1.0).max() <= 1e-13
+
+
+def test_boundary_radius_beyond_the_search_bracket(iso2, monkeypatch):
+    # phi = 1e-14 |x|^2 / 2 has S_1(0) of radius 1.4e7, past the 1e6 r bracket
+    monkeypatch.setattr(Potential, "shifted_height",
+                        lambda self, x, y: 0.5e-14 * np.sum(np.square(y), axis=1))
+    monkeypatch.setattr(Potential, "gradient", lambda self, y: 1e-14 * np.atleast_2d(y))
+    with pytest.raises(GeometryError, match="1e6"):
+        boundary_radii(iso2, [0.0, 0.0], 1.0, unit_directions(2, 4))
 
 
 def test_boundary_radius_rejects_zero_direction(iso1):
