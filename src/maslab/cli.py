@@ -30,8 +30,8 @@ from .mc import JumpProcessConfig, estimate_exit_payoff
 from .potential import make_potential
 from .regularity import (c1alpha_experiment, converged_solve, drift,
                          harnack_experiment, holder_estimate, l_eps_tail)
-from .sections import (boundary_radii, engulfing_probe, fit_ellipsoid,
-                       section_measure, sphere_measure, unit_directions)
+from .sections import (boundary_radii, engulfing_probe, fit_ellipsoid, sphere_measure,
+                       unit_directions)
 from .solver import DiscreteProblem, solve
 
 
@@ -94,17 +94,25 @@ class Section(dict):
     config leaves it out.  With `many` the value is a list of such objects
     (many=2: a list of such lists); with `by` the keys are those listed
     under the value of key `by`; `make` builds the section's value from its
-    resolved keys.  A section without keys is a number (with `many`, a list
-    of numbers)."""
+    resolved keys and the potential's dimension.  A section without keys is
+    a number (with `many`, a list of numbers: a point, of one number per
+    dimension, when its default is REQUIRED or ORIGIN)."""
 
     def __init__(self, keys, default=REQUIRED, many=False, by=None, make=None):
         super().__init__(keys)
         self.default, self.many, self.by, self.make = default, many, by, make
 
 
+def _make_rule(r: dict, dim: int):
+    """The rule of section r, tried at the origin: params unfit for dim raise."""
+    rule = make_rule(r["id"], r["params"])
+    rule(np.zeros((1, dim)))
+    return rule
+
+
 def _rule(default=REQUIRED, many=False) -> Section:
-    return Section({"id": REQUIRED, "params": []}, default, many,
-                   make=lambda r: make_rule(r["id"], r["params"]))
+    return Section({"id": REQUIRED, "params": Section({}, [], many=True)}, default, many,
+                   make=_make_rule)
 
 
 NUMBER, DERIVED = Section({}), Section({}, None)  # a number: required, or derived when unset
@@ -112,10 +120,11 @@ STEPS = Section({}, None, many=True)  # `resolutions`: grid steps, derived when 
 POINT, AT_ORIGIN = Section({}, many=True), Section({}, ORIGIN, many=True)  # a point, or the origin
 EXTERIOR, F = _rule({"id": "zero"}), _rule(0.0)
 KERNEL = Section({"lam": NUMBER, "Lam": NUMBER, "sigma": NUMBER},
-                 make=lambda k: KernelSpec(k["lam"], k["Lam"], k["sigma"]))
+                 make=lambda k, _: KernelSpec(k["lam"], k["Lam"], k["sigma"]))
 GRID = Section({"box_lo": POINT, "box_hi": POINT, "h": NUMBER})
-COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": []}, make=lambda p:
-                               make_potential(p["id"], int(p["dim"]), p["params"])),
+COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": Section({}, [], many=True)},
+                               make=lambda p, _: make_potential(p["id"], int(p["dim"]),
+                                                                p["params"])),
           "out_dir": "maslab_out"}
 SOLVE = {**COMMON, "kernel": KERNEL, "grid": GRID, "equation": "extremal_plus",
          "kernel_rule": "midpoint", "families": [["lower"], ["upper"]],
@@ -175,6 +184,8 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
     if value is None is spec.default:  # an unset `domain` or derived number
         return None
     if spec.many and isinstance(value, list):
+        if spec.many == 1 and not spec and spec.default in (REQUIRED, ORIGIN) and len(value) != dim:
+            raise ConfigurationError(f"'{name}' must be a point in dimension {dim}, not {value!r}")
         each = Section(spec, many=spec.many - 1, make=spec.make)
         return [_resolve(v, each, f"{name}[{i}]", dim) for i, v in enumerate(value)]
     if (isinstance(value, (int, float)) and not spec.many
@@ -200,7 +211,10 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
         else:
             out[key] = _resolve(got, sub, where + key, dim)
         dim = out[key].dim if key == "potential" else dim
-    return spec.make(out) if spec.make else out
+    try:
+        return spec.make(out, dim) if spec.make else out
+    except ConfigurationError as e:
+        raise ConfigurationError(f"'{name}': {e}") from e
 
 
 def _grid_from(cfg: dict):
@@ -253,14 +267,12 @@ def _cmd_sections(cfg: dict) -> tuple[bool, dict]:
             gamma = engulfing_probe(pot, c_arr, r, int(probes["trial_count"]))
             T = fit_ellipsoid(pot, c_arr, r, max(int(probes["ray_count"]), 2 * n + 2))
             volume = sphere_measure(n) / n / abs(T.det)
-            dirs = unit_directions(n, 32)
-            t = boundary_radii(pot, c_arr, r, dirs).max()
-            lo = c_arr - 1.3 * t
-            hi = c_arr + 1.3 * t
+            t = boundary_radii(pot, c_arr, r, unit_directions(n, 32)).max()
+            lo, hi = c_arr - 1.3 * t, c_arr + 1.3 * t
             lattice = box_lattice(lo, hi, per_axis)
             cell = ((hi[0] - lo[0]) / (per_axis - 1)) ** n
-            m_r = section_measure(pot, c_arr, r, lattice, cell)
-            m_half = section_measure(pot, c_arr, r / 2.0, lattice, cell)
+            v = pot.height(c_arr, lattice)
+            m_r, m_half = (float(np.count_nonzero(v < s ** 2)) * cell for s in (r, r / 2.0))
             doubling = m_r / m_half if m_half > 0 else float("nan")
             rows.append(list(c_arr) + [r, gamma, T.inner_radius, volume, doubling])
     head = [f"c{i}" for i in range(n)] + ["r", "gamma_hat", "c_inner", "volume",

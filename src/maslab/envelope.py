@@ -55,14 +55,12 @@ def compute_tau(potential: Potential, samples: int = 24) -> float:
     xs = (fracs[:, None, None] * t1[None, :, None] * dirs[None, :, :]).reshape(-1, n)
 
     def predicate(tau: float) -> bool:
-        for scale in (1.0 + 1e-9, 1.5, 4.0):
-            tz = boundary_radii(potential, np.zeros(n), tau * scale, dirs)
-            zs = (1.0 + 1e-9) * tz[:, None] * dirs
-            for x in xs:
-                mirrored = 2.0 * x[None, :] - zs
-                if np.any(potential.height(np.zeros(n), mirrored) < 1.0):
-                    return False
-        return True
+        # the mirrored points 2x - z of every sample x and every z, in one call
+        zs = np.vstack([(1.0 + 1e-9) * boundary_radii(potential, np.zeros(n), tau * scale,
+                                                       dirs)[:, None] * dirs
+                        for scale in (1.0 + 1e-9, 1.5, 4.0)])
+        mirrored = (2.0 * xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
+        return not np.any(potential.height(np.zeros(n), mirrored) < 1.0)
 
     lo, hi = gamma_hat, 64.0 * gamma_hat
     if not predicate(hi):
@@ -168,18 +166,14 @@ def detachment_heights(sigma: float, h: float, a_hi: float) -> np.ndarray:
     """r_k = 2^{-1/(2-sigma)-k}, k = 0.., truncated where sections shrink
     below about four lattice cells."""
     r0 = 2.0 ** (-1.0 / (2.0 - sigma))
-    rs = []
-    k = 0
-    while True:
-        rk = r0 * 2.0 ** (-k)
-        # euclidean scale of S_r is ~ r * sqrt(2/a_hi)
-        if rk * np.sqrt(2.0 / a_hi) < 4.0 * h or k > 60:
-            break
-        rs.append(rk)
-        k += 1
-    if not rs:
+    # euclidean scale of S_r is ~ r * sqrt(2/a_hi); log2 sizes the candidates
+    # with one to spare, the comparison keeps exactly the admissible ones
+    scale = np.sqrt(2.0 / a_hi)
+    rs = r0 * 2.0 ** -np.arange(max(0, int(np.log2(r0 * scale / (4.0 * h))) + 2))
+    rs = rs[rs * scale >= 4.0 * h]
+    if not rs.size:
         raise RefinementNeededError("grid too coarse for any admissible ring")
-    return np.array(rs)
+    return rs
 
 
 def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,

@@ -43,6 +43,9 @@ def indicator_box_rule(lo, hi, height: float = 1.0) -> ExteriorRule:
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
 
     def fn(p):
+        if p.shape[1] != lo.size:
+            raise ConfigurationError(f"indicator_box of dimension {lo.size} on points "
+                                     f"of dimension {p.shape[1]}")
         inside = np.all((p >= lo) & (p <= hi), axis=1)
         return np.where(inside, float(height), 0.0)
 
@@ -50,7 +53,13 @@ def indicator_box_rule(lo, hi, height: float = 1.0) -> ExteriorRule:
 
 
 def halfspace_rule(axis: int, threshold: float, height: float = 1.0) -> ExteriorRule:
+    if axis != int(axis) or axis < 0:
+        raise ConfigurationError(f"halfspace axis must be an integer >= 0, not {axis!r}")
+    axis = int(axis)
+
     def fn(p):
+        if axis >= p.shape[1]:
+            raise ConfigurationError(f"halfspace axis {axis} on points of dimension {p.shape[1]}")
         return np.where(p[:, axis] > threshold, float(height), 0.0)
 
     return ExteriorRule(f"halfspace(x{axis}>{threshold:g},{height:g})", fn, abs(float(height)))
@@ -71,27 +80,32 @@ def callable_rule(name: str, fn, sup_bound: float) -> ExteriorRule:
 
 
 RULE_FACTORIES = {
-    "zero": lambda params: zero_rule(),
+    "zero": lambda params: zero_rule(*params),
     "constant": lambda params: constant_rule(*params),
-    "indicator_box": lambda params: _indicator_from_flat(params),
-    "halfspace": lambda params: halfspace_rule(int(params[0]), params[1], *params[2:]),
+    "indicator_box": lambda params: _indicator_from_flat(*params),
+    "halfspace": lambda params: halfspace_rule(*params),
     "gaussian": lambda params: gaussian_rule(*params),
 }
 
 
-def _indicator_from_flat(params):
-    # flat layout: n, lo..., hi..., height
-    n = int(params[0])
-    lo = params[1:1 + n]
-    hi = params[1 + n:1 + 2 * n]
-    height = params[1 + 2 * n] if len(params) > 1 + 2 * n else 1.0
-    return indicator_box_rule(lo, hi, height)
+def _indicator_from_flat(n, *bounds):
+    # flat layout: n, lo..., hi..., height (optional)
+    if n != int(n) or n < 1 or len(bounds) not in (2 * n, 2 * n + 1):
+        raise ConfigurationError("indicator_box params are n >= 1, n lows, n highs "
+                                 f"and an optional height, not {[n, *bounds]}")
+    n = int(n)
+    return indicator_box_rule(bounds[:n], bounds[n:2 * n], *bounds[2 * n:])
 
 
 def make_rule(rule_id: str, params=()) -> ExteriorRule:
+    """The rule `rule_id` with its flat params; a count of params the rule
+    does not take raises ConfigurationError."""
     if rule_id not in RULE_FACTORIES:
         raise ConfigurationError(f"unknown exterior/data rule {rule_id!r}")
-    return RULE_FACTORIES[rule_id](list(params))
+    try:
+        return RULE_FACTORIES[rule_id](list(params))
+    except TypeError as e:
+        raise ConfigurationError(f"rule {rule_id!r} does not take params {list(params)}") from e
 
 
 def tensor_points(axes) -> np.ndarray:

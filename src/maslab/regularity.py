@@ -189,19 +189,18 @@ def harnack_experiment(potential: Potential, lam: float, Lam: float,
 # Hoelder
 # ---------------------------------------------------------------------------
 
-def _section_oscs(potential: Potential, x0, rho: float, h: float, pts: np.ndarray,
-                  field: list):
+def _section_oscs(potential: Potential, v: np.ndarray, rho: float, h: float, field: list):
     """Section heights r = rho/2, rho/4, ..., rho/128, dropping radii under ~8
     lattice cells h, and the oscillation over S_r(x0) of the vector field with
-    components `field` (arrays over the lattice points pts): the Euclidean
-    norm of the componentwise spread."""
+    components `field` (arrays over the lattice points): the Euclidean norm of
+    the componentwise spread.  v holds the heights v_x0 of the lattice points."""
     a_lo, _ = potential.hessian_bounds()
     radii, oscs = [], []
     for j in range(7):
         r = (rho / 2.0) * 2.0 ** (-j)
         if r * math.sqrt(2.0 / a_lo) < 8.0 * h:
             break
-        m = contains_many(potential, x0, r, pts)
+        m = v < r ** 2
         if np.count_nonzero(m) < 2:
             raise RefinementNeededError("empty oscillation window")
         radii.append(r)
@@ -234,13 +233,14 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     x0 = _as_points(x0, potential.dim)[0]
     pts = u.points()
     vals = u.values.ravel()
-    radii, oscs = _section_oscs(potential, x0, rho, u.h, pts, [vals])
+    v = potential.height(x0, pts)
+    radii, oscs = _section_oscs(potential, v, rho, u.h, [vals])
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     if np.any(np.diff(oscs[::-1]) < -tol):
         return {"grid_artifact": True, "radii": radii.tolist(), "oscs": oscs.tolist()}
     alpha_hat, _, r2 = _loglog_fit(radii, oscs)
 
-    half = contains_many(potential, x0, rho / 2.0, pts)
+    half = v < (rho / 2.0) ** 2
     P = pts[half]
     V = vals[half]
     dv = np.abs(V[:, None] - V[None, :])
@@ -363,8 +363,8 @@ def c1alpha_experiment(potential: Potential, spec: KernelSpec, varrho: float,
         prob = DiscreteProblem(potential, spec, box_lo, box_hi, h, exterior,
                                equation="linear", kernel_rule=rule)
         u, _ = converged_solve(prob, f_rule, tolerance=tolerance)
-        radii, oscs = _section_oscs(potential, np.zeros(n), 0.5, h, u.points(),
-                                    _gradient_field(u))
+        radii, oscs = _section_oscs(potential, potential.height(np.zeros(n), u.points()),
+                                    0.5, h, _gradient_field(u))
         gamma_hat, _, r2 = _loglog_fit(radii, oscs)
         gammas.append(gamma_hat)
         r2s.append(r2)

@@ -241,24 +241,18 @@ def besicovitch_cover(potential: Potential, A: np.ndarray, radii, epsilon: float
         raise ConfigurationError("A must be nonempty")
     order = np.lexsort(A.T[::-1])
     A = A[order]
-    if np.isscalar(radii) or isinstance(radii, float):
-        rad = np.full(A.shape[0], float(radii))
-    else:
-        rad = np.asarray(radii, dtype=float)[order]
+    rad = np.broadcast_to(np.asarray(radii, dtype=float), order.shape)[order]
 
     covered = np.zeros(A.shape[0], dtype=bool)
     selected: list[Section] = []
-    sel_r = []
     for i in range(A.shape[0]):
         if covered[i]:
             continue
-        xk, rk = A[i], rad[i]
-        selected.append(Section(tuple(xk), float(rk)))
-        sel_r.append(rk)
-        covered |= contains_many(potential, xk, rk, A)
+        selected.append(Section(tuple(A[i]), float(rad[i])))
+        covered |= contains_many(potential, A[i], rad[i], A)
 
     if test_lattice is None:
-        pad = 3.0 * max(sel_r)
+        pad = 3.0 * max(s.r for s in selected)
         per_axis = 1000 if potential.dim == 1 else 120
         test_lattice = box_lattice(A.min(axis=0) - pad, A.max(axis=0) + pad, per_axis)
 
@@ -266,13 +260,11 @@ def besicovitch_cover(potential: Potential, A: np.ndarray, radii, epsilon: float
     for s in selected:
         counts += contains_many(potential, np.array(s.center), (1.0 - epsilon) * s.r,
                                 test_lattice).astype(int)
-    cov = np.zeros(A.shape[0], dtype=bool)
-    for s in selected:
-        cov |= contains_many(potential, np.array(s.center), s.r, A)
-        cov |= np.all(np.isclose(A, np.array(s.center)), axis=1)
+    # each point is covered by the sections before it or selected, and a
+    # centre lies in its own section (v_x(x) = 0 < r^2)
     return CoverReport(selected=selected,
                        overlap_max=int(counts.max()),
-                       measure_ratio=float(cov.mean()),
+                       measure_ratio=float(covered.mean()),
                        details={"epsilon": epsilon, "n_selected": len(selected)})
 
 
@@ -280,75 +272,70 @@ def cz_decompose(potential: Potential, lattice: np.ndarray, mask: np.ndarray,
                  theta: float, cell_volume: float) -> CoverReport:
     """Calderon-Zygmund-type selection: sections of lattice density theta covering A.
 
-    For each uncovered point of A (lexicographic scan) the height is found by
-    bisection until the counted density |A n S| / |S| is theta within a
-    2-cell tolerance.
+    Each point of A = lattice[mask] not yet covered (lexicographic scan)
+    becomes a centre x.  The lattice sorted by v_x gives every S_r(x) at
+    once: points of equal height enter together, and prefix sums count #S
+    and #(A n S).  The first group at height >= (0.75 h)^2, h =
+    cell_volume^(1/n), whose inclusion takes the density below theta is the
+    drop; the section just before it is selected, r^2 midway between the
+    drop's height and the next lower one, so membership never rests on how
+    r^2 rounds (r = 0.75 h when S_{0.75h}(x) is below theta already).  Where
+    a large group leaves that section more than 2 cells off theta, the one
+    that includes the drop is taken if it is within.  RefinementNeededError
+    when no group takes the density below theta, when the drop height
+    reaches a corner of the lattice's box, or when neither is within 2 cells.
     """
     if not 0.1 < theta < 0.9:
         raise ConfigurationError("theta must lie in (0.1, 0.9)")
+    if cell_volume <= 0:
+        raise ConfigurationError("cell_volume must be positive")
     lattice = np.atleast_2d(np.asarray(lattice, dtype=float))
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ConfigurationError("A must be nonempty")
-    apts = lattice[mask]
-    order = np.lexsort(apts.T[::-1])
-    apts = apts[order]
+    a_idx = np.flatnonzero(mask)[np.lexsort(lattice[mask].T[::-1])]  # A, lexicographic
 
-    h = cell_volume ** (1.0 / potential.dim)
-    covered = np.zeros(apts.shape[0], dtype=bool)
-    selected = []
-    densities = []
+    r2_min = (0.75 * cell_volume ** (1.0 / potential.dim)) ** 2
+    selected, densities = [], []
     union = np.zeros(lattice.shape[0], dtype=bool)
-    lo_b, hi_b = lattice.min(axis=0), lattice.max(axis=0)
-    corners = tensor_points(list(zip(lo_b, hi_b)))
+    corners = tensor_points(list(zip(lattice.min(axis=0), lattice.max(axis=0))))
 
-    def density(center, r):
-        ins = contains_many(potential, center, r, lattice)
-        n_s = int(ins.sum())
-        n_a = int((ins & mask).sum())
-        return n_a, n_s
-
-    for i in range(apts.shape[0]):
-        if covered[i]:
+    for i in a_idx:
+        if union[i]:
             continue
-        xk = apts[i]
-        r_lo, r_hi = 0.75 * h, 0.75 * h
-        for _ in range(80):
-            n_a, n_s = density(xk, r_hi)
-            if n_s > 0 and n_a < theta * n_s:
-                break
-            if contains_many(potential, xk, r_hi, corners).any():
-                raise RefinementNeededError(
-                    f"counting lattice exhausted before density {theta} at {xk}: "
-                    "enlarge the lattice")
-            r_hi *= 2.0
-        else:
+        xk = lattice[i]
+        v = potential.height(xk, lattice)
+        order = np.argsort(v)
+        vs = v[order]
+        last = np.flatnonzero(np.append(vs[1:] != vs[:-1], True))  # each group's last point
+        heights, n_s = vs[last], last + 1
+        n_a = np.cumsum(mask[order])[last]
+        inner = int(np.searchsorted(heights, r2_min))  # the groups in S_{0.75h}(x)
+        below = n_a < theta * n_s
+        below[:inner - 1] = False
+        j = int(np.argmax(below))
+        if not below[j]:
             raise RefinementNeededError(f"density {theta} unreachable at center {xk}")
-        for _ in range(60):
-            mid = 0.5 * (r_lo + r_hi)
-            n_a, n_s = density(xk, mid)
-            if n_s > 0 and n_a < theta * n_s:
-                r_hi = mid
-            else:
-                r_lo = mid
-        rk = 0.5 * (r_lo + r_hi)
-        n_a, n_s = density(xk, rk)
-        if n_s == 0 or abs(n_a - theta * n_s) > 2.0:
+        if potential.height(xk, corners).min() <= heights[j]:
+            raise RefinementNeededError(
+                f"counting lattice exhausted before density {theta} at {xk}: "
+                "enlarge the lattice")
+        k = max(j - 1, inner - 1)  # the last group of the selected section
+        if abs(n_a[k] - theta * n_s[k]) > 2.0 and inner <= j < heights.size - 1:
+            k = j  # a large drop group: its far side, if that is within 2 cells
+        r2 = r2_min if j < inner else 0.5 * (heights[k] + heights[k + 1])
+        if abs(n_a[k] - theta * n_s[k]) > 2.0:
             raise RefinementNeededError(
                 f"density {theta} unreachable within 2 cells at center {xk} "
-                f"(got {n_a}/{n_s})")
-        selected.append(Section(tuple(xk), float(rk)))
-        densities.append(n_a / n_s)
-        ins = contains_many(potential, xk, rk, lattice)
-        union |= ins
-        covered |= contains_many(potential, xk, rk, apts)
-        covered[i] = True
+                f"(got {n_a[k]}/{n_s[k]})")
+        selected.append(Section(tuple(xk), float(np.sqrt(r2))))
+        densities.append(int(n_a[k]) / int(n_s[k]))
+        union[order[:n_s[k]]] = True
 
-    measure_a = float(mask.sum()) * cell_volume
-    measure_union = float((union | mask).sum()) * cell_volume
     return CoverReport(selected=selected,
                        overlap_max=len(selected),
-                       measure_ratio=measure_a / measure_union,
+                       measure_ratio=(float(mask.sum()) * cell_volume
+                                      / (float((union | mask).sum()) * cell_volume)),
                        details={"theta": theta, "densities": densities,
                                 "n_selected": len(selected)})
 
@@ -374,12 +361,8 @@ def deformation_checks(potential: Potential, t: float, y) -> dict:
     n = potential.dim
     y = _as_points(y, n)[0]
     dirs = unit_directions(n, 12)
-    heights = np.array([0.72, 0.65, 0.58, 0.51]) * t
-    xs = []
-    for s in heights:
-        tt = boundary_radii(potential, y, s, dirs)
-        xs.append(y[None, :] + tt[:, None] * dirs)
-    xs = np.vstack(xs)
+    xs = np.vstack([y[None, :] + boundary_radii(potential, y, s, dirs)[:, None] * dirs
+                    for s in np.array([0.72, 0.65, 0.58, 0.51]) * t])
 
     tmax = boundary_radii(potential, y, t, dirs).max()
     per_axis = 600 if n == 1 else 90
@@ -387,9 +370,13 @@ def deformation_checks(potential: Potential, t: float, y) -> dict:
     lattice = box_lattice(ends.min(axis=0) - 1.3 * tmax, ends.max(axis=0) + 1.3 * tmax, per_axis)
     cell = ((lattice[:, 0].max() - lattice[:, 0].min()) / (per_axis - 1)) ** n
 
-    in_outer = contains_many(potential, y, t, lattice)
-    in_hole = contains_many(potential, y, t / 4.0, lattice)
-    ring_ok = in_outer & ~in_hole
+    # every section about y is read off one height array
+    v_y = potential.height(y, lattice)
+
+    def measure(r):
+        return float(np.count_nonzero(v_y < r ** 2)) * cell
+
+    ring_ok = (v_y < t ** 2) & (v_y >= (t / 4.0) ** 2)
 
     # S_{delta t}(x) holds the lattice points p with v_x(p) < (delta t)^2, so
     # the largest delta keeping it inside the ring is the smallest sqrt(v_x(p))
@@ -401,19 +388,10 @@ def deformation_checks(potential: Potential, t: float, y) -> dict:
         delta_hats.append(min(1.0, float(np.sqrt(v_min)) / t))
     delta_hats = np.array(delta_hats)
 
-    doubling = []
-    for r in (t, t / 2.0):
-        m_r = section_measure(potential, y, r, lattice, cell)
-        m_half = section_measure(potential, y, r / 2.0, lattice, cell)
-        if m_half > 0:
-            doubling.append(m_r / m_half)
-    shell_ok = []
-    m_t = section_measure(potential, y, t, lattice, cell)
-    for eps in (0.3, 0.6, 0.9):
-        m_eps = section_measure(potential, y, eps * t, lattice, cell)
-        lhs = m_t - m_eps
-        rhs = n * (1.0 - eps) * m_t
-        shell_ok.append(bool(lhs <= rhs + max(0.05 * m_t, 2 * cell)))
+    doubling = [measure(r) / measure(r / 2.0) for r in (t, t / 2.0) if measure(r / 2.0) > 0]
+    m_t = measure(t)
+    shell_ok = [bool(m_t - measure(eps * t) <= n * (1.0 - eps) * m_t + max(0.05 * m_t, 2 * cell))
+                for eps in (0.3, 0.6, 0.9)]
 
     return {
         "delta_hat_min": float(delta_hats.min()),

@@ -399,6 +399,53 @@ def test_wrong_value_type_exits_1_before_any_output(tmp_path, capsys, sub, patch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, patch, key", [
+    ("solve", {"grid": {"box_lo": [-1, 0], "box_hi": [1], "h": 0.25}}, "'grid.box_lo'"),
+    ("solve", {"grid": {"box_lo": [-1], "box_hi": [1, 1], "h": 0.25}}, "'grid.box_hi'"),
+    ("holder", {"x0": [0.0, 0.0]}, "'x0'"),
+    ("leps", {"z": []}, "'z'"),
+    ("sections", {"potential": {"id": "iso_quadratic", "dim": 2},
+                  "probes": {"centers": [[0.0, 0.0], [0.5]]}}, "'probes.centers[1]'"),
+    ("leps", {"domain": {"kind": "hole", "lo": [-0.1, 0.0], "hi": [0.1]}}, "'domain.lo'"),
+    ("abp", {"domain": {"kind": "section", "r": 1.0, "center": [0.0, 0.0]}},
+     "'domain.center'"),
+    ("mc-validate", {"domain_box": {"lo": [-1], "hi": [1, 1]}}, "'domain_box.hi'")])
+def test_point_of_the_wrong_dimension_exits_1(tmp_path, capsys, sub, patch, key):
+    # grid.box_lo [-1, 0] on a 1D potential raised IndexError in the grid set-up
+    out = tmp_path / "out"
+    assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
+    assert f"{key} must be a point in dimension" in _config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, patch, key", [
+    ("solve", {"exterior": {"id": "halfspace", "params": ["x", 1.0, 1.0]}},
+     "'exterior.params[0]' must be a number"),
+    ("solve", {"potential": {"id": "perturbed_quadratic", "params": ["x"]}},
+     "'potential.params[0]' must be a number"),
+    ("solve", {"exterior": {"id": "halfspace", "params": [3, 1.0, 1.0]}},
+     "'exterior': halfspace axis 3 on points of dimension 1"),
+    ("solve", {"exterior": {"id": "halfspace", "params": [0.5, 1.0]}},
+     "'exterior': halfspace axis must be an integer"),
+    # n = 1 without bounds ran with exterior data 1 everywhere and exited 0
+    ("solve", {"exterior": {"id": "indicator_box", "params": [1]}},
+     "'exterior': indicator_box params are n >= 1"),
+    ("leps", {"exterior": {"id": "indicator_box", "params": [2, 0, 0, 1, 1]}},
+     "'exterior': indicator_box of dimension 2 on points of dimension 1"),
+    ("solve", {"f": {"id": "constant", "params": []}}, "'f': rule 'constant' does not take"),
+    ("mc-validate", {"payoff": {"id": "zero", "params": [1.0]}},
+     "'payoff': rule 'zero' does not take"),
+    ("harnack", {"data_family": [{"id": "gaussian", "params": [1, 2, 3, 4]}]},
+     "'data_family[0]': rule 'gaussian' does not take"),
+    ("solve", {"potential": {"id": "aniso_quadratic", "params": [1.0, 2.0]}},
+     "'potential': aniso_quadratic needs 1 matrix entries")])
+def test_params_that_do_not_fit_exit_1(tmp_path, capsys, sub, patch, key):
+    out = tmp_path / "out"
+    assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
+    assert key in _config_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["abp", "holder", "leps"])
 def test_unconverged_solve_exits_2_naming_the_stop(tmp_path, capsys, sub):
     # a tolerance below the residual floor cannot be met: the experiment

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from maslab.envelope import (abp_experiment, compute_tau, concave_envelope,
-                             estimate_engulfing, quadratic_detachment_check,
-                             ring_estimate_check)
-from maslab.errors import DataError
+                             detachment_heights, estimate_engulfing,
+                             quadratic_detachment_check, ring_estimate_check)
+from maslab.errors import DataError, RefinementNeededError
 from maslab.grid import GridFunction, zero_rule
 from maslab.kernels import KernelSpec
+from maslab.potential import Potential, make_potential
 from maslab.solver import DiscreteProblem, solve
 
 TAU = 3.0
@@ -39,6 +40,38 @@ def test_tau_perturbed_stable(perturbed1):
     t2 = compute_tau(perturbed1, samples=32)
     assert np.isfinite(t1) and np.isfinite(t2)
     assert abs(t1 - t2) <= 0.25 * max(t1, t2)
+
+
+@pytest.mark.parametrize("pot, want", [
+    (make_potential("iso_quadratic", 1), 2.9980284771158896),
+    (make_potential("iso_quadratic", 2), 2.9980284771158896),
+    (make_potential("perturbed_quadratic", 2, [0.1]), 2.947480934096548)])
+def test_tau_values_and_one_height_call_per_predicate(pot, want, monkeypatch):
+    # the bisection evaluates the predicate 21 times (at 64 gamma, then 20
+    # steps), each with one height call over every mirrored point
+    calls = []
+    original = Potential.height
+    monkeypatch.setattr(Potential, "height",
+                        lambda self, x, y: calls.append(1) or original(self, x, y))
+    assert compute_tau(pot) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert len(calls) == 21
+
+
+@pytest.mark.parametrize("sigma, h, a_hi", [
+    (1.5, 1 / 32, 1.0), (0.5, 1 / 128, 25.0), (1.9, 1e-4, 1.0), (1.2, 1e-9, 3.0),
+    (0.3, 0.005, 100.0), (1.0, 0.125 / 2.0 ** 0.5, 1.0)])
+def test_detachment_heights_match_the_halving_loop(sigma, h, a_hi):
+    # r0 2^-k while the section's euclidean scale r sqrt(2/a_hi) is >= 4 h;
+    # the last case puts 4 h exactly on r_2 sqrt(2/a_hi), which is kept
+    r0, want = 2.0 ** (-1.0 / (2.0 - sigma)), []
+    while r0 * 2.0 ** -len(want) * np.sqrt(2.0 / a_hi) >= 4.0 * h:
+        want.append(r0 * 2.0 ** -len(want))
+    assert detachment_heights(sigma, h, a_hi).tolist() == want
+
+
+def test_detachment_heights_grid_too_coarse():
+    with pytest.raises(RefinementNeededError, match="too coarse"):
+        detachment_heights(1.5, 0.3, 1.0)
 
 
 def test_engulfing_estimate_bounded(perturbed2):

@@ -5,7 +5,7 @@ from maslab import regularity
 from maslab.errors import ConfigurationError, DataError, RefinementNeededError
 from maslab.grid import GridFunction, box_lattice, indicator_box_rule, zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule, midpoint_rule
-from maslab.potential import make_potential
+from maslab.potential import Potential, make_potential
 from maslab.regularity import (ExperimentReport, c1alpha_experiment,
                                harnack_experiment, holder_estimate,
                                kernel_shift_check, l_eps_tail)
@@ -174,6 +174,21 @@ def test_holder_affine_slope_one(iso1):
     r = holder_estimate(u, iso1, [0.0], spec, C0=0.0)
     assert r["alpha_hat"] >= 0.95
     assert r["r2"] >= 0.99
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "perturbed1"])
+def test_holder_one_height_pass_about_x0(request, pot_name, monkeypatch):
+    # the half section and every oscillation window come from one height
+    # array about x0; the pair distances use shifted_height
+    pot = request.getfixturevalue(pot_name)
+    u = GridFunction.from_callable([-3], [3], 1 / 256, lambda p: np.cos(2 * p[:, 0]),
+                                   zero_rule())
+    calls = []
+    original = Potential.height
+    monkeypatch.setattr(Potential, "height",
+                        lambda self, x, y: calls.append(1) or original(self, x, y))
+    holder_estimate(u, pot, [0.1], KernelSpec(1.0, 2.0, 1.5), C0=0.0)
+    assert len(calls) == 1
 
 
 def test_holder_solved_fixture(iso1):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from maslab.errors import ConfigurationError, GeometryError
-from maslab.grid import tensor_points
+from maslab.errors import ConfigurationError, GeometryError, RefinementNeededError
+from maslab.grid import box_lattice, tensor_points
 from maslab.potential import Potential, make_potential
 from maslab.sections import (AffineMap, besicovitch_cover, boundary_radii,
                              contains_many, cz_decompose, deformation_checks,
@@ -289,6 +289,11 @@ def test_besicovitch_2d_overlap_bound(iso2):
     m_hat = rep.overlap_max / np.log(1.0 / 0.1)
     assert m_hat <= 8.0
     assert rep.measure_ratio == 1.0
+    # the ratio is the greedy scan's own union: count it afresh
+    union = np.zeros(A.shape[0], dtype=bool)
+    for s in rep.selected:
+        union |= contains_many(iso2, np.array(s.center), s.r, A)
+    assert union.all()
 
 
 def test_cz_density_and_cover(iso1):
@@ -323,6 +328,105 @@ def test_cz_empty_rejected(iso1):
     lattice = np.linspace(-1, 1, 101)[:, None]
     with pytest.raises(ConfigurationError):
         cz_decompose(iso1, lattice, np.zeros(101, dtype=bool), 0.5, 0.02)
+
+
+def _cz_reference(potential, lattice, mask, theta, cell_volume, x):
+    """The section cz_decompose should select at x, by a scan: the distinct
+    heights of the lattice upward from (0.75 h)^2, each section counted with
+    contains_many, until the density first drops below theta.  Returns the
+    membership of the last section before the drop (S_{0.75h}(x) when that
+    is below theta already), or of the first one after it when only that
+    one has the density theta within 2 cells."""
+    r_min = 0.75 * cell_volume ** (1.0 / potential.dim)
+    inside = contains_many(potential, x, r_min, lattice)
+    if (inside & mask).sum() < theta * inside.sum():
+        return inside
+    levels = np.unique(potential.height(x, lattice))
+    levels = levels[levels >= r_min ** 2]
+    for g, g_next in zip(levels, np.append(levels[1:], 2.0 * levels[-1])):
+        grown = contains_many(potential, x, np.sqrt(0.5 * (g + g_next)), lattice)
+        if (grown & mask).sum() < theta * grown.sum():
+            off = abs((inside & mask).sum() - theta * inside.sum()) > 2.0
+            return grown if off and g_next != 2.0 * levels[-1] else inside
+        inside = grown
+    raise AssertionError("the density never drops below theta")
+
+
+def _cz_cases():
+    box = box_lattice([-2.0, -2.0], [2.0, 2.0], 81)
+    disc = np.linalg.norm(box, axis=1) < 0.5
+    return [
+        ("iso1", np.linspace(-4, 4, 1601)[:, None], lambda p: np.abs(p[:, 0]) < 1 / np.sqrt(2),
+         8 / 1600),
+        ("iso2", box, lambda p: disc, 0.05 ** 2),
+        ("aniso2", box, lambda p: disc & (p[:, 0] > 0), 0.05 ** 2),
+        ("perturbed2", box, lambda p: np.all(np.abs(p - 0.2) < 0.4, axis=1), 0.05 ** 2),
+    ]
+
+
+@pytest.mark.parametrize("pot_name, lattice, mask, cell", _cz_cases())
+def test_cz_selects_the_last_section_before_the_drop(pot_name, lattice, mask, cell, request):
+    pot = request.getfixturevalue(pot_name)
+    mask = mask(lattice)
+    rep = cz_decompose(pot, lattice, mask, 0.5, cell)
+    covered = np.zeros(lattice.shape[0], dtype=bool)
+    for s, d in zip(rep.selected, rep.details["densities"]):
+        x = np.array(s.center)
+        ins = contains_many(pot, x, s.r, lattice)
+        assert np.array_equal(ins, _cz_reference(pot, lattice, mask, 0.5, cell, x))
+        assert d == (ins & mask).sum() / ins.sum()
+        assert abs((ins & mask).sum() - 0.5 * ins.sum()) <= 2.0
+        covered |= ins
+    assert covered[mask].all()
+    assert rep.measure_ratio == pytest.approx(mask.sum() / (covered | mask).sum(), rel=1e-14)
+
+
+def test_cz_density_unreachable(iso1):
+    # A is the whole lattice: every section has density 1
+    lattice = np.linspace(-1, 1, 201)[:, None]
+    with pytest.raises(RefinementNeededError, match="unreachable"):
+        cz_decompose(iso1, lattice, np.ones(201, dtype=bool), 0.5, 0.01)
+
+
+def test_cz_lattice_exhausted(iso1):
+    # from the centre -0.5 the density stays near 1/2 until the section
+    # reaches the corner -1, and drops below 0.45 only past t = 1.7
+    lattice = np.linspace(-1, 2, 601)[:, None]
+    mask = np.abs(lattice[:, 0]) <= 0.5
+    with pytest.raises(RefinementNeededError, match="exhausted"):
+        cz_decompose(iso1, lattice, mask, 0.45, 3 / 600)
+
+
+def _count_heights(monkeypatch):
+    """Record (base point, number of probes) of every Potential.height call."""
+    calls = []
+    original = Potential.height
+
+    def counted(self, x, y):
+        calls.append((np.atleast_1d(np.asarray(x, dtype=float)).tolist(),
+                      np.atleast_2d(np.asarray(y)).shape[0]))
+        return original(self, x, y)
+
+    monkeypatch.setattr(Potential, "height", counted)
+    return calls
+
+
+def test_cz_one_height_pass_per_centre(perturbed2, monkeypatch):
+    lattice = box_lattice([-2.0, -2.0], [2.0, 2.0], 81)
+    mask = np.all(np.abs(lattice - 0.2) < 0.4, axis=1)
+    calls = _count_heights(monkeypatch)
+    rep = cz_decompose(perturbed2, lattice, mask, 0.5, 0.05 ** 2)
+    centres = [list(s.center) for s in rep.selected]
+    assert [x for x, k in calls if k == lattice.shape[0]] == centres
+    assert [x for x, k in calls if k == 4] == centres   # the box's corners
+    assert len(calls) == 2 * len(centres)
+
+
+def test_deformation_one_height_pass_about_y(perturbed2, monkeypatch):
+    y = [0.6, -0.3]
+    calls = _count_heights(monkeypatch)
+    deformation_checks(perturbed2, 1.0, y)
+    assert [x for x, _ in calls].count(y) == 1
 
 
 def test_deformation_ball_case(iso1):
