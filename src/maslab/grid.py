@@ -8,6 +8,7 @@ under the same evaluation interface (used for barriers and oracles).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,13 +67,23 @@ def halfspace_rule(axis: int, threshold: float, height: float = 1.0) -> Exterior
 
 
 def gaussian_rule(amp: float = 1.0, width: float = 1.0, center=None) -> ExteriorRule:
-    def fn(p, c=center):
-        q = p if c is None else p - np.atleast_1d(np.asarray(c, dtype=float))
+    """amp * exp(-|p - center|^2 / width^2), center one number per dimension
+    (default the origin); a width that is not finite and positive raises."""
+    if not (math.isfinite(width) and width > 0):
+        raise ConfigurationError(f"gaussian width must be finite and > 0, not {width!r}")
+    c = None if center is None else np.atleast_1d(np.asarray(center, dtype=float))
+
+    def fn(p):
+        if c is not None and c.size != p.shape[1]:
+            raise ConfigurationError(f"rule 'gaussian' does not take a {c.size}-dimensional "
+                                     f"centre on points of dimension {p.shape[1]}")
+        q = p if c is None else p - c
         r2 = np.einsum("ki,ki->k", q, q)
         with np.errstate(under="ignore"):
             return float(amp) * np.exp(-r2 / float(width) ** 2)
 
-    return ExteriorRule(f"gaussian({amp:g},{width:g})", fn, abs(float(amp)))
+    where = "" if c is None else f",{c.tolist()}"
+    return ExteriorRule(f"gaussian({amp:g},{width:g}{where})", fn, abs(float(amp)))
 
 
 def callable_rule(name: str, fn, sup_bound: float) -> ExteriorRule:
@@ -84,7 +95,7 @@ RULE_FACTORIES = {
     "constant": lambda params: constant_rule(*params),
     "indicator_box": lambda params: _indicator_from_flat(*params),
     "halfspace": lambda params: halfspace_rule(*params),
-    "gaussian": lambda params: gaussian_rule(*params),
+    "gaussian": lambda params: _gaussian_from_flat(*params),
 }
 
 
@@ -95,6 +106,11 @@ def _indicator_from_flat(n, *bounds):
                                  f"and an optional height, not {[n, *bounds]}")
     n = int(n)
     return indicator_box_rule(bounds[:n], bounds[n:2 * n], *bounds[2 * n:])
+
+
+def _gaussian_from_flat(amp=1.0, width=1.0, *center):
+    # flat layout: amp, width, then the centre's coordinates (all optional)
+    return gaussian_rule(amp, width, center or None)
 
 
 def make_rule(rule_id: str, params=()) -> ExteriorRule:

@@ -18,6 +18,11 @@ Quadrature decomposes increment space into
       quadratic-growth lower bound of wbar; the tail radius is pushed out
       until that bound is below tolerance.
 
+delta, wbar and the bounds are even in y, as every KernelRule must be, so a
+node y and its antipode -y carry the same pair x +- y, coefficient and
+slope.  The plan therefore casts one ray per antipodal pair of directions,
+with the pair's summed angular weight.
+
 The kernel at x follows the sections of phi at x, so every base point has
 its own node set.  point_quadrature builds the sets of a whole batch of
 points in one pass; operator_values reduces node second differences to
@@ -70,7 +75,8 @@ class KernelRule:
     """Multiplier rule: K(y) = (2-sigma)*mult(x,y)/wbar^{(n+sigma)/2}, mult in [lam,Lam].
 
     mult(x, y, wbar) is called with one row of x per node: the node's base
-    point (or a single base point shared by all nodes).
+    point (or a single base point shared by all nodes).  A rule is read at y
+    only, never at -y, and the node stands for both: mult must be even in y.
     """
 
     name: str
@@ -150,8 +156,12 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     wider core keeps the interpolation bias on the curvature model small);
     the ring ladder r_k doubles from r_0 = 2^{-1/(2-sigma)} in both
     directions; the tail radius is chosen so the analytic tail bound is
-    below 1e-9 * max(1, sup_scale).  Rays run along 2 directions in 1D and
-    16 in 2D, with 8 Gauss-Legendre nodes per ring panel in 1D and 5 in 2D.
+    below 1e-9 * max(1, sup_scale).  The angular rule is that of 2
+    directions in 1D and 16 in 2D (half-step angles), with 8 Gauss-Legendre
+    nodes per ring panel in 1D and 5 in 2D.  Rays run along the first
+    direction of each antipodal pair only: 1 in 1D, 8 over (0, pi) in 2D,
+    each with the pair's weight.  The integrand delta * K is even in y, so
+    the ray along -e would repeat the ray along e node for node.
     """
     if h <= 0 or box_diam <= 0:
         raise ConfigurationError("h and box_diam must be positive")
@@ -173,7 +183,9 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     j_hi = math.ceil(math.log2(h_max / r0)) + 1
     ladder = r0 * (2.0 ** np.arange(j_lo, j_hi + 1, dtype=float))
 
-    angles = unit_directions(n, 16, 0.5)    # half-step angles
+    # half-step angles, whose second half negates the first
+    dirs = unit_directions(n, 16, 0.5)
+    angles = dirs[:len(dirs) // 2]
     return QuadraturePlan(
         potential=potential, spec=spec, inner_radius=rho0,
         ring_heights=ladder, ring_nodes=8 if n == 1 else 5, angles=angles,
@@ -379,13 +391,13 @@ def group_multipliers(equation: str, families, mults: list):
 # builds) / peak RSS in MB (a process that builds and solves 6 times), for
 # perfbench's problems on a shared 2-vCPU host:
 #
-#   budget   perturbed 2D   aniso 2D     pucci_1d     exit_1d
-#   2^14     0.60 / 134     0.82 / 154   0.35 / 168   0.36 / 160
-#   2^15     0.51 / 136     0.70 / 155   0.30 / 167   0.31 / 160
-#   2^16     0.47 / 137     0.65 / 153   0.29 / 167   0.29 / 164
-#   2^17     0.48 / 143     0.65 / 158   0.27 / 171   0.28 / 169
-#   2^18     0.53 / 174     0.67 / 174   0.29 / 180   0.28 / 167
-#   2^19     0.60 / 238     0.74 / 239   0.30 / 194   0.31 / 194
+#   budget   perturbed 2D    aniso 2D        pucci_1d        exit_1d
+#   2^14     0.118 / 110     0.166 / 122     0.117 / 128     0.083 / 124
+#   2^15     0.103 / 111     0.166 / 121     0.092 / 126     0.088 / 123
+#   2^16     0.109 / 115     0.150 / 123     0.088 / 127     0.081 / 127
+#   2^17     0.122 / 131     0.173 / 130     0.083 / 130     0.083 / 127
+#   2^18     0.149 / 163     0.221 / 159     0.093 / 139     0.090 / 139
+#   2^19     0.179 / 196     0.265 / 214     0.109 / 155     0.102 / 154
 NODE_BUDGET = 1 << 16
 
 

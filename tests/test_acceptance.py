@@ -10,7 +10,7 @@ from conftest import record_criterion
 from maslab.barriers import build_barrier, verify_subsolution
 from maslab.cli import run as cli_run
 from maslab.envelope import abp_experiment
-from maslab.grid import (GridFunction, callable_rule, halfspace_rule,
+from maslab.grid import (GridFunction, box_lattice, callable_rule, halfspace_rule,
                          indicator_box_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
                             make_plan, midpoint_rule, second_difference,
@@ -294,6 +294,36 @@ def test_criterion_7_covering():
                             f"CZ density 0.5 within 2 cells per section, "
                             f"|A|/|union| = {rep3.measure_ratio:.3f} < 1")
     assert ok
+
+
+def test_criterion_7_besicovitch_recounted():
+    # criterion 7's measure_ratio is the greedy scan's own union and its
+    # overlap bound is read off the report, so recount both from the selected
+    # sections: every centre lies outside the sections before it, the union
+    # covers A, and the shrunk family's overlap on the cover's test lattice
+    # is the reported one, below 8 log(1/eps)
+    eps = 0.1
+    iso2 = make_potential("iso_quadratic", 2)
+    ax = np.linspace(0, 1, 32)
+    gm = np.meshgrid(ax, ax, indexing="ij")
+    cases = [(ISO1, np.linspace(0, 1, 11)[:, None], 0.3, np.linspace(-1, 2, 1000)[:, None]),
+             (iso2, np.stack([a.ravel() for a in gm], axis=-1), 0.2, None)]
+    for pot, A, r, lattice in cases:
+        rep = besicovitch_cover(pot, A, r, eps, test_lattice=lattice)
+        if lattice is None:         # the cover's default test lattice
+            lattice = box_lattice(A.min(axis=0) - 3 * r, A.max(axis=0) + 3 * r, 120)
+        union = np.zeros(A.shape[0], dtype=bool)
+        counts = np.zeros(lattice.shape[0], dtype=int)
+        for k, s in enumerate(rep.selected):
+            c = np.array(s.center)
+            assert s.r == r
+            assert not any(contains_many(pot, np.array(t.center), t.r, c[None])[0]
+                           for t in rep.selected[:k])
+            union |= contains_many(pot, c, s.r, A)
+            counts += contains_many(pot, c, (1.0 - eps) * s.r, lattice)
+        assert union.all() and rep.measure_ratio == 1.0
+        assert counts.max() == rep.overlap_max
+        assert counts.max() <= 8.0 * np.log(1.0 / eps)
 
 
 # ---------------------------------------------------------------------------

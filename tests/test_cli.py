@@ -438,7 +438,15 @@ def test_point_of_the_wrong_dimension_exits_1(tmp_path, capsys, sub, patch, key)
     ("harnack", {"data_family": [{"id": "gaussian", "params": [1, 2, 3, 4]}]},
      "'data_family[0]': rule 'gaussian' does not take"),
     ("solve", {"potential": {"id": "aniso_quadratic", "params": [1.0, 2.0]}},
-     "'potential': aniso_quadratic needs 1 matrix entries")])
+     "'potential': aniso_quadratic needs 1 matrix entries"),
+    # a width of 0 ran as zero data and exited 0
+    ("solve", {"exterior": {"id": "gaussian", "params": [1.0, 0.0]}},
+     "'exterior': gaussian width must be finite and > 0"),
+    ("solve", {"potential": {"id": "iso_quadratic", "dim": 2},
+               "grid": {"box_lo": [-1, -1], "box_hi": [1, 1], "h": 0.25},
+               "exterior": {"id": "gaussian", "params": [1.0, 2.0, 0.5]}},
+     "'exterior': rule 'gaussian' does not take a 1-dimensional centre on points of "
+     "dimension 2")])
 def test_params_that_do_not_fit_exit_1(tmp_path, capsys, sub, patch, key):
     out = tmp_path / "out"
     assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1

@@ -138,6 +138,22 @@ def test_gaussian_rule_bounded():
     assert g.sup_bound == 2.0
 
 
+def test_gaussian_rule_centre_and_width():
+    # the flat params are amp, width and one centre coordinate per dimension
+    g = make_rule("gaussian", [2.0, 1.0, 0.5, -0.5])
+    assert g(np.array([[0.5, -0.5], [1.5, -0.5]])).tolist() == [2.0, 2.0 * np.exp(-1.0)]
+    with pytest.raises(ConfigurationError, match="2-dimensional centre"):
+        g(np.zeros((1, 1)))
+    with pytest.raises(ConfigurationError, match="1-dimensional centre"):
+        gaussian_rule(1.0, 1.0, [0.5])(np.zeros((1, 2)))
+    # the centre is in the name, which harnack reports key their runs by
+    assert g.name == "gaussian(2,1,[0.5, -0.5])"
+    assert gaussian_rule(2.0, 1.0).name == "gaussian(2,1)"
+    for width in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="width"):
+            gaussian_rule(1.0, width)
+
+
 def test_analytic_field_eval():
     f = AnalyticField("sq", lambda p: p[:, 0] ** 2, 4.0, 1)
     assert f.eval([[1.5]])[0] == 2.25

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from maslab import kernels, solver
 from maslab.errors import ConfigurationError, KernelClassError
-from maslab.grid import AnalyticField, GridFunction, gaussian_rule, zero_rule
+from maslab.grid import (AnalyticField, GridFunction, gaussian_rule, halfspace_rule,
+                         zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, ellipticity_check,
                             evaluate, lower_rule, make_plan, midpoint_rule,
                             point_quadrature, second_difference, upper_rule)
 from maslab.potential import make_potential
 from maslab.sections import sphere_measure, unit_directions
+from maslab.solver import DiscreteProblem
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +286,82 @@ def test_evaluate_rejects_non_operator_equations(iso1, rng):
 
 
 def test_plan_rays_follow_the_shared_sphere_rule(iso1, iso2):
-    # the scheme's rays are unit_directions at half-step angles, each
-    # weighted by its share of the sphere
+    # the scheme's rays are the first half of unit_directions at half-step
+    # angles, one per antipodal pair: with their negatives they are the whole
+    # rule, and each carries its pair's share of the sphere
     spec = KernelSpec(1.0, 2.0, 1.5)
-    for pot in (iso1, iso2):
+    for pot, rays in ((iso1, 1), (iso2, 8)):
         n = pot.dim
         plan = make_plan(pot, spec, 1 / 16, 4.0)
-        assert np.array_equal(plan.angles, unit_directions(n, 16, 0.5))
+        full = unit_directions(n, 16, 0.5)
+        assert plan.angles.shape == (rays, n)
+        assert np.array_equal(plan.angles, full[:rays])
+        np.testing.assert_allclose(np.vstack([plan.angles, -plan.angles]), full,
+                                   rtol=0.0, atol=1e-15)
         assert plan.ang_weights.sum() == pytest.approx(sphere_measure(n), rel=1e-15)
         assert np.all(plan.ang_weights == plan.ang_weights[0])
+
+
+def _full_ray_plan(plan):
+    """The plan with a ray along every direction of the rule, antipodes
+    included, each with half a pair's weight."""
+    n = plan.potential.dim
+    dirs = unit_directions(n, 16, 0.5)
+    return dataclasses.replace(plan, angles=dirs,
+                               ang_weights=np.full(len(dirs), sphere_measure(n) / len(dirs)))
+
+
+def _operator_cases(spec):
+    rough = checkerboard_rule(spec)
+    families = [[lower_rule(spec), rough], [upper_rule(spec), midpoint_rule(spec)]]
+    return {"extremal_plus": {}, "extremal_minus": {},
+            "linear": {"kernel_rule": rough}, "isaacs": {"families": families}}
+
+
+@pytest.mark.parametrize("pot_id, dim, params", [
+    ("iso_quadratic", 1, []), ("perturbed_quadratic", 1, [0.1]),
+    ("iso_quadratic", 2, []), ("aniso_quadratic", 2, [25.0, 3.0, 3.0, 1.0]),
+    ("perturbed_quadratic", 2, [0.1])])
+def test_half_ray_plan_equals_the_antipodal_sum(pot_id, dim, params, rng):
+    # the integrand is even in y, so one ray per antipodal pair with the
+    # pair's weight gives every operator of the rule with both rays cast
+    pot = make_potential(pot_id, dim, params)
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    h = 1 / 32 if dim == 1 else 1 / 8
+    values = rng.normal(size=(round(2 / h) + 1,) * dim)
+    u = GridFunction([-1] * dim, [1] * dim, values, gaussian_rule(1.0, 0.7, [0.3] * dim))
+    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim), u.sup_bound)
+    full = _full_ray_plan(plan)
+    xs = rng.uniform(-0.9, 0.9, size=(20, dim))
+    for equation, kw in _operator_cases(spec).items():
+        half_vals = evaluate(u, xs, plan, equation, **kw)
+        full_vals = evaluate(u, xs, full, equation, **kw)
+        np.testing.assert_allclose(half_vals, full_vals, rtol=1e-13,
+                                   atol=1e-13 * np.abs(full_vals).max(), err_msg=equation)
+
+
+def test_half_ray_plan_compiles_the_antipodal_sum(monkeypatch, rng):
+    # the same for the compiled grid operator: twins share their pair points,
+    # so they are kept or folded together, and with piecewise constant data
+    # into the same exterior groups
+    pot = make_potential("aniso_quadratic", 2, [25.0, 3.0, 3.0, 1.0])
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    data = halfspace_rule(0, 1.0)
+    values = rng.normal(size=17 * 17)
+    for equation, kw in _operator_cases(spec).items():
+        problems = []
+        for wrap in (lambda plan: plan, _full_ray_plan):
+            monkeypatch.setattr(solver, "make_plan",
+                                lambda *a, _w=wrap: _w(kernels.make_plan(*a)))
+            problems.append(DiscreteProblem(pot, spec, [-1, -1], [1, 1], 1 / 8, data,
+                                            equation, **kw))
+        half, full = problems
+        assert 2 * half.node_counts["quadrature_nodes"] == full.node_counts["quadrature_nodes"]
+        for key in ("exterior_groups", "policy_entries"):
+            assert half.node_counts[key] == full.node_counts[key], key
+        want = full.apply(values)
+        np.testing.assert_allclose(half.apply(values), want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max(), err_msg=equation)
 
 
 def test_isaacs_empty_family_rejected(iso1):

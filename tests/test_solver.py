@@ -259,7 +259,7 @@ def test_batched_operators_equal_single_point_calls(request, pot_name, h, rng,
             return _f(*args)
 
         monkeypatch.setattr(module, "point_quadrature", counted)
-    monkeypatch.setattr(kernels, "NODE_BUDGET", 5000)
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 2500)
     blocked = run()
     # every equation blocks alike: at least 3 blocks each for the 25 points
     # (kernels) and for the unknowns (solver)
@@ -292,12 +292,12 @@ def test_solution_does_not_depend_on_node_budget(request, pot_name, monkeypatch)
 def test_compile_transients_fall_with_the_budget(aniso2, monkeypatch):
     # the peak of a compile above what the problem retains is set by one
     # block's temporaries: at the default budget it is under a quarter of
-    # that at 2^19, and it does not grow with the node set (h = 1/16 has
-    # 3.9 times the nodes of h = 1/8), so a temporary the size of the whole
+    # that at 2^19, and it does not grow with the node set (h = 1/20 has
+    # 2.7 times the nodes of h = 1/12), so a temporary the size of the whole
     # node set, alive while the blocks run, fails here
     spec = KernelSpec(1.0, 2.0, 1.5)
     default, excess = kernels.NODE_BUDGET, {}
-    for budget, h in ((default, 1 / 8), (1 << 19, 1 / 8), (default, 1 / 16)):
+    for budget, h in ((default, 1 / 12), (1 << 19, 1 / 12), (default, 1 / 20)):
         monkeypatch.setattr(kernels, "NODE_BUDGET", budget)
         tracemalloc.start()
         try:
@@ -307,8 +307,8 @@ def test_compile_transients_fall_with_the_budget(aniso2, monkeypatch):
             tracemalloc.stop()
         assert prob.node_counts["quadrature_nodes"] > 8 * default
         excess[budget, h] = peak - retained
-    assert 4 * excess[default, 1 / 8] < excess[1 << 19, 1 / 8]
-    assert excess[default, 1 / 16] <= excess[default, 1 / 8]
+    assert 4 * excess[default, 1 / 12] < excess[1 << 19, 1 / 12]
+    assert excess[default, 1 / 20] <= excess[default, 1 / 12]
 
 
 def test_benchmark_hooks_present(iso1, monkeypatch):
@@ -855,9 +855,9 @@ def test_exterior_groups_of_a_small_case(iso1):
     prob = DiscreteProblem(iso1, mid, [-1], [1], 1 / 8, indicator_box_rule([1.1], [1.6], 1.0),
                            "isaacs", families=fams)
     c = prob.node_counts
-    # 17 unknowns: 5940 fully exterior nodes fold into 28 groups
+    # 17 unknowns: 2984 fully exterior nodes fold into 28 groups
     assert (c["quadrature_nodes"], c["compiled_nodes"], c["exterior_groups"]) == \
-        (6834, 894, 28)
+        (3417, 461, 28)
     grouped = np.ones(prob.Jtot, dtype=bool)
     grouped[prob.CROW] = False                  # a group has no in-box triplet
     assert grouped.sum() == c["exterior_groups"]
