@@ -21,6 +21,16 @@ it returns its last finite iterate and names its exit -- the tolerance, the
 roundoff floor eps * mass.max() * sup|u| (within FLOOR_FACTOR), a stalled
 step, a correction that is not finite, or POLICY_STEPS.
 
+Policy steps are inexact Newton steps (Eisenstat and Walker 1996): while
+the policy may still change, the next step will move the slopes anyway, so
+GMRES stops at the forcing term max(KRYLOV_RTOL, min(FORCING_MAX,
+res_k / res_0)) relative to the step's right-hand side, res_k the max-norm
+residual before step k.  The steps of a linear equation and of an extremal
+one with lam == Lam, whose policy cannot change, and the final step, whose
+slopes equal the previous step's, solve to KRYLOV_RTOL.  On the
+criterion-10 problem this cuts the GMRES iterations from 61 to 35 in the
+same 5 policy steps.
+
 The node set is compiled by kernels.point_quadrature over blocks of unknowns
 (each point gets the nodes of its own sections), and operator values and
 policies come from kernels.operator_values and kernels.policy_slopes, the
@@ -52,8 +62,14 @@ KRYLOV_RESTART = 60
 # Cycles per policy step; a step that ends at the cap is reported.
 KRYLOV_CYCLES = 2
 # Inner stop relative to the step's right-hand side (the absolute stop is
-# 0.1 * tolerance): one at the roundoff floor made GMRES stagnate.
+# 0.1 * tolerance) for linear equations, for policies that cannot change and
+# for the final step, whose slopes equal the previous step's; the floor of
+# every other step's forcing term.  One at the roundoff floor made GMRES
+# stagnate.
 KRYLOV_RTOL = 1e-10
+# Ceiling of the forcing term res_k / res_0 of a policy step whose policy
+# may still change.
+FORCING_MAX = 1e-2
 # The policy loop stops within FLOOR_FACTOR of the roundoff floor
 # eps * mass.max() * sup|u| of its linear systems, which no policy step gets
 # below: on the pucci_1d problem (P = 2305) the policy residuals stalled at
@@ -258,6 +274,7 @@ class DiscreteProblem:
         rowptr[1:] = np.cumsum(np.bincount(self.PID, weights=np.diff(nodeptr),
                                            minlength=self.P))
         self._interp = sp.csr_matrix((self.CW, self.CCOL, nodeptr), shape=(self.Jtot, self.N))
+        self._rowptr = rowptr
         slot, indices, indptr = _slot_map(self.PID, self.CROW, self.CCOL, rowptr, self.N)
         self._gather = sp.csc_matrix((self.CW, slot, nodeptr),
                                      shape=(indices.size, self.Jtot))
@@ -345,14 +362,16 @@ class _Circulant:
         pos = np.array(np.unravel_index(problem.unknown, shape))
         p0 = int(np.argmin(((pos.T - (np.array(shape) - 1) / 2) ** 2).sum(axis=1)))
         mid = 0.5 * (problem.spec.lam + problem.spec.Lam)
-        S, d = problem.assemble(np.full(problem.Jtot, mid))
-        row = slice(S.indptr[p0], S.indptr[p0 + 1])
-        cols = np.array(np.unravel_index(S.indices[row], shape))
+        # the row is p0's own triplets, weighted by COEF * mid: no assembly
+        t = slice(problem._rowptr[p0], problem._rowptr[p0 + 1])
+        weights = problem.CW[t] * problem.COEF.take(problem.CROW[t]) * mid
+        cols = np.array(np.unravel_index(problem.CCOL[t], shape))
         # (A v)_i = sum_k c_k v_(i+k) is the convolution of v with c_(-k)
         lag = np.ravel_multi_index(np.mod(pos[:, p0, None] - cols,
                                           np.array(self.shape)[:, None]), self.shape)
-        layout = np.bincount(lag, weights=S.data[row], minlength=int(np.prod(self.shape)))
-        layout[0] += d[p0]          # the centre weight, at the unknown's own column
+        layout = np.bincount(lag, weights=weights, minlength=int(np.prod(self.shape)))
+        # the centre weight, at the unknown's own column
+        layout[0] -= 2.0 * mid * problem.COEF[problem.PID == p0].sum()
         self.eig = np.fft.rfftn(layout.reshape(self.shape))
         self.index = np.ravel_multi_index(pos, self.shape)
 
@@ -364,10 +383,10 @@ class _Circulant:
         return buf.ravel()[self.index]
 
 
-def _krylov(problem: DiscreteProblem, slopes, r, atol: float):
+def _krylov(problem: DiscreteProblem, slopes, r, rtol: float, atol: float):
     """Correction dx with (S + diag(d)) dx = r, the policy system of `slopes`,
-    by GMRES right-preconditioned so that max(atol, KRYLOV_RTOL * |r|) bounds
-    the true residual; also the iteration count and whether it hit the cap."""
+    by GMRES right-preconditioned so that max(atol, rtol * |r|) bounds the
+    true residual; also the iteration count and whether it hit the cap."""
     S, d = problem.assemble(slopes)
     precond, z = problem.preconditioner, np.zeros(problem.N)
 
@@ -378,7 +397,7 @@ def _krylov(problem: DiscreteProblem, slopes, r, atol: float):
 
     AM = spla.LinearOperator((r.size, r.size), matvec=matvec, dtype=float)
     steps = []
-    y, info = spla.gmres(AM, r, rtol=KRYLOV_RTOL, atol=atol, restart=KRYLOV_RESTART,
+    y, info = spla.gmres(AM, r, rtol=rtol, atol=atol, restart=KRYLOV_RESTART,
                          maxiter=KRYLOV_CYCLES, callback=steps.append,
                          callback_type="pr_norm")
     return precond.solve(y), len(steps), info > 0
@@ -402,29 +421,38 @@ def solve(problem: DiscreteProblem, f=None,
     the tolerance), "stalled" (a step after the third cut the residual by
     less than half), "not_finite" (a correction that is not finite, not
     applied) or "step_cap" (POLICY_STEPS steps).  iterations counts policy
-    steps, each with its GMRES iterations in details["krylov_steps"] and
-    its residual in details["policy_residuals"]; details["krylov_capped"]
-    counts the GMRES solves that ended at the cycle cap, and the problem's
-    node_counts are there too.
+    steps, each with its GMRES iterations in details["krylov_steps"], its
+    relative GMRES stop in details["krylov_rtols"] and its residual in
+    details["policy_residuals"]; details["krylov_capped"] counts the GMRES
+    solves that ended at the cycle cap, and the problem's node_counts are
+    there too.  Each stop is KRYLOV_RTOL or the forcing term of the module
+    docstring.
     """
     unk = problem.unknown
     f_vals = _f_values(f, problem.grid_pts[unk])
     u = problem.data_values()
     slopes, g = _linearize(problem, u, f_vals)
-    res = float(np.abs(g).max())
+    res = res0 = float(np.abs(g).max())
+    fixed = problem.equation == "linear" or (problem.equation != "isaacs"
+                                             and problem.spec.lam == problem.spec.Lam)
     krylov_capped = 0
-    policy_residuals, krylov_steps = [], []
-    stop, prev = "step_cap", np.inf
+    policy_residuals, krylov_steps, krylov_rtols = [], [], []
+    stop, prev, last = "step_cap", np.inf, None
     for step in range(1, POLICY_STEPS + 1):
+        rtol = KRYLOV_RTOL
+        if not (fixed or res0 == 0.0 or np.array_equal(slopes, last)):
+            rtol = max(KRYLOV_RTOL, min(FORCING_MAX, res / res0))
         # the policy system for the correction dx has the right-hand side
         # -g: exterior and data-column parts are already in g
-        dx, k, capped = _krylov(problem, slopes, -g, 0.1 * tolerance)
+        dx, k, capped = _krylov(problem, slopes, -g, rtol, 0.1 * tolerance)
         krylov_steps.append(k)
+        krylov_rtols.append(rtol)
         krylov_capped += capped
         if not np.all(np.isfinite(dx)):
             stop = "not_finite"
             break
         u[unk] += dx
+        last = slopes
         slopes, g = _linearize(problem, u, f_vals)
         res = float(np.abs(g).max())
         policy_residuals.append(res)
@@ -445,6 +473,7 @@ def solve(problem: DiscreteProblem, f=None,
                                   "unknowns": int(problem.P),
                                   "stop": stop,
                                   "krylov_steps": krylov_steps,
+                                  "krylov_rtols": krylov_rtols,
                                   "krylov_capped": krylov_capped,
                                   "policy_residuals": policy_residuals,
                                   **problem.node_counts})
