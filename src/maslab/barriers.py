@@ -42,7 +42,6 @@ class Barrier:
     s: float                      # cap radius / inner paste height
     potential: Potential
     anchor: AffineMap | None = None
-    tau: float = 0.0
     coeffs: dict = field(default_factory=dict)
     delta0: float = 0.0
     m_min: float = 0.0
@@ -145,8 +144,7 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
     c_norm = 2.2 / chi_tau
     coeffs = {"m": m, "s": s, "rho_t": rho_t, "two_tau": two_tau,
               "A": A, "c_off": c_off, "a": a, "b": b, "c_norm": c_norm}
-    return Barrier(kind, m, s, potential, tau=tau, coeffs=coeffs,
-                   delta0=delta0, m_min=m_min)
+    return Barrier(kind, m, s, potential, coeffs=coeffs, delta0=delta0, m_min=m_min)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull
 from .errors import DataError, GeometryError, RefinementNeededError
 from .grid import GridFunction, tensor_points, zero_rule
 from .kernels import KernelSpec
-from .potential import Potential, _as_points
+from .potential import Potential
 from .sections import (besicovitch_cover, boundary_radii, contains_many,
                        engulfing_probe, unit_directions)
 from .solver import _f_values
@@ -28,10 +28,11 @@ from .solver import _f_values
 
 def estimate_engulfing(potential: Potential) -> float:
     """Max engulfing constant over heights 0.25, 0.5 and 1 at the origin (and
-    at +-0.7 per axis for the perturbed potential), 32 trials per probe."""
+    at +-0.7 per axis for a potential that is not quadratic), 32 trials per
+    probe."""
     n = potential.dim
     centers = [np.zeros(n)]
-    if potential.id == "perturbed_quadratic":
+    if not potential.quadratic:
         centers += [np.full(n, 0.7), np.full(n, -0.7)]
     g = 1.0
     for c in centers:
@@ -87,7 +88,6 @@ class EnvelopeResult:
     contact_mask: np.ndarray     # (N,) bool
     supergradients: np.ndarray   # (N, n); rows valid where in_tau
     in_tau: np.ndarray           # (N,) bool
-    tau: float
     contact_tol: float
     details: dict = field(default_factory=dict)
 
@@ -154,7 +154,7 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
     return EnvelopeResult(
         gamma=GridFunction(lo_ext, hi_ext, gamma_vals.reshape(shape), zero_rule()),
         lattice=pts, gamma_vals=gamma_vals, u_vals=u_vals,
-        contact_mask=contact, supergradients=grads, in_tau=in_tau, tau=tau,
+        contact_mask=contact, supergradients=grads, in_tau=in_tau,
         contact_tol=contact_tol, details={"trivial": trivial})
 
 
@@ -221,32 +221,6 @@ def ring_estimate_check(envelope: EnvelopeResult, potential: Potential,
             c0_hat = max(c0_hat, (M / fx) * best[2])
     return {"contacts": per_contact, "C0_hat": c0_hat,
             "ring_heights": rks.tolist(), "M": M}
-
-
-def quadratic_detachment_check(envelope: EnvelopeResult, potential: Potential,
-                               x, r: float, level: float) -> dict:
-    """Detachment implication: a detachment fraction of at most 0.05 on the
-    shell (S_r \\ S_{r/2})(x) forces Gamma >= tangent - level on all of
-    S_{r/2}(x)."""
-    pts = envelope.lattice
-    x = _as_points(x, potential.dim)[0]
-    i = int(np.argmin(np.linalg.norm(pts - x[None, :], axis=1)))
-    x = pts[i]
-    gx, gr = envelope.gamma_vals[i], envelope.supergradients[i]
-    v = potential.height(x, pts)
-    shell = (v < r * r) & (v >= 0.25 * r * r) & envelope.in_tau
-    inner = (v < 0.25 * r * r) & envelope.in_tau
-    if not shell.any() or not inner.any():
-        raise RefinementNeededError("shell or inner section empty on the lattice")
-    tangent_shell = gx + (pts[shell] - x[None, :]) @ gr
-    frac = float((envelope.gamma_vals[shell] < tangent_shell - level).mean())
-    applies = frac <= 0.05
-    tangent_inner = gx + (pts[inner] - x[None, :]) @ gr
-    slack = envelope.contact_tol + 1e-12
-    conclusion = bool(np.all(envelope.gamma_vals[inner]
-                             >= tangent_inner - level - slack))
-    return {"fraction": frac, "applies": bool(applies),
-            "conclusion_ok": conclusion if applies else None}
 
 
 def abp_experiment(u: GridFunction, potential: Potential, spec: KernelSpec,

@@ -13,10 +13,6 @@ class ConfigurationError(MaslabError):
     """Unknown catalog id, invalid parameter range, malformed config."""
 
 
-class CatalogViolationError(MaslabError):
-    """A catalog potential violated one of its declared bounds."""
-
-
 class GeometryError(MaslabError):
     """Degenerate geometry input (rank-deficient point set, unbounded section)."""
 

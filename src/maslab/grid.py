@@ -86,10 +86,6 @@ def gaussian_rule(amp: float = 1.0, width: float = 1.0, center=None) -> Exterior
     return ExteriorRule(f"gaussian({amp:g},{width:g}{where})", fn, abs(float(amp)))
 
 
-def callable_rule(name: str, fn, sup_bound: float) -> ExteriorRule:
-    return ExteriorRule(name, fn, float(sup_bound))
-
-
 RULE_FACTORIES = {
     "zero": lambda params: zero_rule(*params),
     "constant": lambda params: constant_rule(*params),

@@ -43,7 +43,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError
-from .grid import AnalyticField
 from .potential import Potential, _as_points
 from .sections import sphere_measure, unit_directions
 
@@ -426,18 +425,3 @@ def evaluate(u, xs, plan: QuadraturePlan, equation: str = "extremal_plus",
                                                   pq.x.shape[0], plan.spec, equation, mults)
     return out
 
-
-def ellipticity_check(u, v, x, plan: QuadraturePlan) -> dict:
-    """Checks M-(u-v) <= Iu - Iv <= M+(u-v) at each point of x, I being the Isaacs
-    operator of the families [lower], [upper]; every entry holds one value per point."""
-    families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
-    iu = evaluate(u, x, plan, "isaacs", families=families)
-    iv = evaluate(v, x, plan, "isaacs", families=families)
-    w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)
-    mplus = evaluate(w, x, plan, "extremal_plus")
-    mminus = evaluate(w, x, plan, "extremal_minus")
-    scale = np.maximum(1.0, np.abs([iu, iv, mplus, mminus]).max(axis=0))
-    tol = 1e-6 * scale
-    ok = (mminus - tol <= iu - iv) & (iu - iv <= mplus + tol)
-    return {"I_u": iu, "I_v": iv, "M_plus_diff": mplus, "M_minus_diff": mminus,
-            "tolerance": tol, "ok": ok}

@@ -149,7 +149,7 @@ def estimate_exit_payoff(config: JumpProcessConfig, x0, box_lo, box_hi,
         raise ConfigurationError("x0 must lie inside the domain box")
 
     intensity = total_truncated_mass(config)
-    quad = config.potential.id in ("iso_quadratic", "aniso_quadratic")
+    quad = config.potential.quadratic
     block = _BLOCK if quad else 1
     payoffs = np.empty(paths)
     total_jumps = 0

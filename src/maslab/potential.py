@@ -1,6 +1,6 @@
 """Catalog of convex potentials with exact derivatives.
 
-Each entry provides closed-form value/gradient/Hessian and the height
+Each entry provides closed-form gradient/Hessian and the height
 function v_x(y) = phi(y) - phi(x) - grad(x).(y - x), which is the deviation
 of phi from its supporting hyperplane at x and drives all section geometry.
 Dimensions 1 and 2 are supported.
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CatalogViolationError, ConfigurationError
-from .grid import box_lattice
+from .errors import ConfigurationError
 
 CATALOG_IDS = ("iso_quadratic", "aniso_quadratic", "perturbed_quadratic")
 
@@ -89,14 +88,13 @@ class Potential:
     def eps(self) -> float:
         return self.params[0] if self.id == "perturbed_quadratic" else 0.0
 
-    # -- closed forms -------------------------------------------------------
+    @property
+    def quadratic(self) -> bool:
+        """True for the exactly quadratic entries, whose sections are
+        ellipsoids of one shape at every centre."""
+        return self.id in ("iso_quadratic", "aniso_quadratic")
 
-    def value(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        quad = 0.5 * np.einsum("ki,ij,kj->k", p, self._A, p)
-        if self.eps:
-            quad = quad + self.eps * np.sqrt(1.0 + np.einsum("ki,ki->k", p, p))
-        return quad
+    # -- closed forms -------------------------------------------------------
 
     def gradient(self, x) -> np.ndarray:
         p = _as_points(x, self.dim)
@@ -197,31 +195,7 @@ class Potential:
             hi += self.eps  # eigenvalues of the perturbation lie in [0, eps]
         return lo, hi
 
-    def ma_band(self) -> tuple[float, float]:
-        """Declared global bounds on det D^2 phi for this catalog entry."""
-        det = float(np.linalg.det(self._A))
-        if self.eps:
-            return det, det * (1.0 + self.eps) ** self.dim
-        return det, det
-
 
 def make_potential(id: str, dim: int, params=()) -> Potential:
     return Potential(id=id, dim=dim, params=tuple(params))
 
-
-def verify_ma_bounds(potential: Potential, box_lo, box_hi, samples: int) -> tuple[float, float]:
-    """Min/max of det D^2 phi over a deterministic lattice in the box.
-
-    Raises CatalogViolationError naming the offending point if a nonpositive
-    determinant shows up (impossible for catalog entries, but checked).
-    """
-    if samples < 1:
-        raise ConfigurationError("samples must be >= 1")
-    pts = box_lattice(box_lo, box_hi, samples)
-    H = potential.hessian(pts)
-    det = np.linalg.det(H)
-    bad = np.nonzero(det <= 0.0)[0]
-    if bad.size:
-        raise CatalogViolationError(
-            f"det D^2 phi = {det[bad[0]]:g} <= 0 at point {pts[bad[0]]}")
-    return float(det.min()), float(det.max())

@@ -135,11 +135,6 @@ def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray) -> np.nd
     raise GeometryError("section boundary radii not converged in 100 safeguarded Newton steps")
 
 
-def quasi_distance(potential: Potential, x, y) -> np.ndarray:
-    """d(x, y) = inf{r : y in S_r(x)} = sqrt(v_x(y)), exact by definition."""
-    return np.sqrt(potential.height(x, y))
-
-
 # ---------------------------------------------------------------------------
 # ellipsoid normalization
 # ---------------------------------------------------------------------------

@@ -184,7 +184,6 @@ class DiscreteProblem:
             dom = np.asarray(domain, dtype=bool).ravel()
         if not dom.any():
             raise ConfigurationError("empty solve domain")
-        self.mask = dom
         self.unknown = np.nonzero(dom)[0]
         self.data_idx = np.nonzero(~dom)[0]
         self.P = self.unknown.size
@@ -317,9 +316,6 @@ class DiscreteProblem:
         a = self.COEF * slopes
         S = sp.csr_matrix((self._gather @ a, *self._pattern), shape=(self.P, self.N))
         return S, -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
-
-    def residual(self, u_flat: np.ndarray, f_vals: np.ndarray) -> float:
-        return float(np.abs(self.apply(u_flat) - f_vals).max())
 
     def data_values(self) -> np.ndarray:
         """Lattice values at non-domain points (exterior data inside the box)."""

@@ -10,7 +10,7 @@ from conftest import record_criterion
 from maslab.barriers import build_barrier, verify_subsolution
 from maslab.cli import run as cli_run
 from maslab.envelope import abp_experiment
-from maslab.grid import (GridFunction, box_lattice, callable_rule, halfspace_rule,
+from maslab.grid import (ExteriorRule, GridFunction, box_lattice, halfspace_rule,
                          indicator_box_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
                             make_plan, midpoint_rule, second_difference,
@@ -96,18 +96,18 @@ def test_criterion_2_algebraic_invariants():
     fn = lambda p: sum(c * np.cos((k + 1) * p[:, 0] + 0.3 * k)
                        for k, c in enumerate(coef))
     sup = float(np.abs(coef).sum())
-    ext = callable_rule("trig", fn, sup)
+    ext = ExteriorRule("trig", fn, sup)
     u = GridFunction.from_callable([-2], [2], 1 / 64, fn, ext)
     spec = KernelSpec(1.0, 2.0, 1.5)
     plan = make_plan(ISO1, spec, u.h, 4.0, sup)
     neg = GridFunction(u.lo, u.hi, -u.values,
-                       callable_rule("neg", lambda p: -fn(p), sup))
+                       ExteriorRule("neg", lambda p: -fn(p), sup))
     cu = GridFunction(u.lo, u.hi, 2.5 * u.values,
-                      callable_rule("sc", lambda p: 2.5 * fn(p), 2.5 * sup))
+                      ExteriorRule("sc", lambda p: 2.5 * fn(p), 2.5 * sup))
     aff = GridFunction(u.lo, u.hi,
                        u.values + 3.0 + 2.0 * u.points()[:, 0].reshape(u.shape),
-                       callable_rule("af", lambda p: fn(p) + 3.0 + 2.0 * p[:, 0],
-                                     sup + 10.0))
+                       ExteriorRule("af", lambda p: fn(p) + 3.0 + 2.0 * p[:, 0],
+                                    sup + 10.0))
     fams = [[lower_rule(spec), midpoint_rule(spec)], [upper_rule(spec)]]
 
     xs = rng.uniform(-1.5, 1.5, size=1000)

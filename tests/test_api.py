@@ -5,9 +5,12 @@ are not checked), and every defaulted parameter is passed by some call in
 src/, tests/ or perfbench/, so no default is a knob that nothing turns.
 No option hides in a dict parameter either: `param.get("key", default)`
 does not occur in src/.  And the CLI's subcommands compute while `run`
-alone writes: no `_cmd_*` takes more than its config or touches a file."""
+alone writes: no `_cmd_*` takes more than its config or touches a file.
+Every public function, class and method has a program caller: a module of
+the package or a perfbench workload refers to it; a test alone does not."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import maslab
@@ -22,6 +25,15 @@ EXEMPT = {
 
 # defaulted parameters kept although no call passes them, with the reason
 DEFAULT_EXEMPT = {}
+
+# public names kept although no module or perfbench workload refers to them,
+# with the reason
+CALLER_EXEMPT = {
+    "kernels.second_difference": "acceptance criterion 2 checks its symmetry and invariances",
+    "barriers.build_barrier": "acceptance criterion 3 builds the barriers it verifies",
+    "barriers.verify_subsolution": "acceptance criterion 3 is its subsolution check",
+    "solver.comparison_check": "acceptance criterion 5 is its comparison principle",
+}
 
 
 def _defs(tree):
@@ -152,3 +164,76 @@ def test_commands_compute_and_run_alone_writes():
     found = _command_writes()
     assert sorted(found) == sorted(f.__name__ for f in _DISPATCH.values())
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def _public_defs(tree):
+    """Module-level public functions and classes and the public methods of
+    those classes: (qualified name, node, is a method)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m, True) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _references(tree) -> Counter:
+    """("name", id) per ast.Name and per name a `from ... import` binds,
+    ("attr", attr) per ast.Attribute."""
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out["name", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out["attr", n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(("name", a.name) for a in n.names)
+    return out
+
+
+def _uncalled(src: Path, callers) -> set:
+    """The public names of src/*.py that no file of callers refers to outside
+    their own definition.  A function or class is referred to by name, by
+    attribute or by import; a method by attribute only."""
+    total = Counter()
+    for path in callers:
+        total += _references(ast.parse(path.read_text()))
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for name, node, method in _public_defs(ast.parse(path.read_text())):
+            own, bare = _references(node), name.rpartition(".")[2]
+            keys = [("attr", bare)] if method else [("name", bare), ("attr", bare)]
+            if not any(total[k] > own[k] for k in keys):
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def _program_uncalled() -> set:
+    callers = sorted(SRC.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").rglob("*.py") if not p.name.startswith("test_"))
+    return _uncalled(SRC, callers)
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public function that only tests call is an API nothing uses: delete
+    # it, or exempt it above with the reason it stays
+    assert _program_uncalled() - CALLER_EXEMPT.keys() == set()
+
+
+def test_caller_exemptions_are_still_needed():
+    # an exempt name that gains a program caller, or is deleted, leaves the list
+    assert CALLER_EXEMPT.keys() <= _program_uncalled()
+
+
+def test_uncalled_scanner_reports_an_unreferenced_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return used()\n\n\n"
+        "def loop(k):\n    return loop(k - 1) if k else 0\n\n\n"
+        "def _private():\n    return 0\n\n\n"
+        "class Thing:\n    def run(self):\n        return 0\n")
+    (tmp_path / "caller.py").write_text(
+        "from mod import Thing\n\nThing().run()\n")
+    found = _uncalled(tmp_path, [tmp_path / "mod.py", tmp_path / "caller.py"])
+    # loop refers only to itself; used, Thing and Thing.run have callers
+    assert found == {"mod.orphan", "mod.loop"}

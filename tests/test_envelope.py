@@ -3,7 +3,7 @@ import pytest
 
 from maslab.envelope import (abp_experiment, compute_tau, concave_envelope,
                              detachment_heights, estimate_engulfing,
-                             quadratic_detachment_check, ring_estimate_check)
+                             ring_estimate_check)
 from maslab.errors import DataError, RefinementNeededError
 from maslab.grid import GridFunction, zero_rule
 from maslab.kernels import KernelSpec
@@ -215,17 +215,6 @@ def test_abp_perturbed_order_of_magnitude(perturbed1):
     u, rep = solve(prob, f=-1.0)
     r = abp_experiment(u, perturbed1, spec, _ones, TAU)
     assert np.isfinite(r["C_hat"]) and r["C_hat"] > 0
-
-
-def test_quadratic_detachment(iso1):
-    u, spec = _solved_abp_fixture(iso1, 1 / 64)
-    env = concave_envelope(u, iso1, TAU)
-    ci = np.nonzero(env.contact_mask)[0][0]
-    x = env.lattice[ci]
-    rep = quadratic_detachment_check(env, iso1, x, r=0.5, level=0.05)
-    assert rep["fraction"] <= 1.0
-    if rep["applies"]:
-        assert rep["conclusion_ok"]
 
 
 def test_contact_avoids_negative_rhs_region(iso1):

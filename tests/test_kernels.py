@@ -5,11 +5,11 @@ import pytest
 
 from maslab import kernels, solver
 from maslab.errors import ConfigurationError, KernelClassError
-from maslab.grid import (AnalyticField, GridFunction, gaussian_rule, halfspace_rule,
-                         zero_rule)
-from maslab.kernels import (KernelSpec, checkerboard_rule, ellipticity_check,
-                            evaluate, lower_rule, make_plan, midpoint_rule,
-                            point_quadrature, second_difference, upper_rule)
+from maslab.grid import (AnalyticField, ExteriorRule, GridFunction, gaussian_rule,
+                         halfspace_rule, zero_rule)
+from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
+                            make_plan, midpoint_rule, point_quadrature,
+                            second_difference, upper_rule)
 from maslab.potential import make_potential
 from maslab.sections import sphere_measure, unit_directions
 from maslab.solver import DiscreteProblem
@@ -74,8 +74,7 @@ def gauss_d4(t):
 # ---------------------------------------------------------------------------
 
 def test_second_difference_affine_zero(iso1):
-    from maslab.grid import callable_rule
-    aff = callable_rule("aff", lambda p: 3 * p[:, 0] - 1, 100.0)
+    aff = ExteriorRule("aff", lambda p: 3 * p[:, 0] - 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 3 * p[:, 0] - 1, aff)
     assert second_difference(u, [0.25], [0.5])[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -181,11 +180,10 @@ def _random_grid_function(rng, h=1 / 64):
 
 
 def test_affine_invariance(iso1, rng):
-    from maslab.grid import callable_rule
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    ext = callable_rule("aff", lambda p: u.exterior(p) + 3.0 + 2.0 * p[:, 0],
-                        u.exterior.sup_bound + 3.0)
+    ext = ExteriorRule("aff", lambda p: u.exterior(p) + 3.0 + 2.0 * p[:, 0],
+                       u.exterior.sup_bound + 3.0)
     shifted = GridFunction(u.lo, u.hi,
                            u.values + 3.0 + 2.0 * u.points()[:, 0].reshape(u.shape),
                            ext)
@@ -197,14 +195,13 @@ def test_affine_invariance(iso1, rng):
 
 
 def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
-    from maslab.grid import callable_rule
     u = _random_grid_function(rng)
     plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 4.0, u.sup_bound)
     xs = np.linspace(-1.0, 1.0, 11)
 
     def scaled(c):
-        ext = callable_rule("s", lambda p, c=c: c * u.exterior(p),
-                            abs(c) * u.exterior.sup_bound)
+        ext = ExteriorRule("s", lambda p, c=c: c * u.exterior(p),
+                           abs(c) * u.exterior.sup_bound)
         return GridFunction(u.lo, u.hi, c * u.values, ext)
 
     for equation, c in (("extremal_plus", 2.5), ("extremal_minus", 0.3)):
@@ -261,9 +258,8 @@ def test_isaacs_single_family_equals_linear(iso1, rng):
 
 
 def test_isaacs_affine_zero(iso1):
-    from maslab.grid import callable_rule
     spec = KernelSpec(1.0, 2.0, 1.5)
-    aff = callable_rule("aff", lambda p: 2 * p[:, 0] + 1, 100.0)
+    aff = ExteriorRule("aff", lambda p: 2 * p[:, 0] + 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 2 * p[:, 0] + 1, aff)
     plan = make_plan(iso1, spec, u.h, 2.0, 3.0)
     val = evaluate(u, [0.0], plan, "isaacs", families=[[midpoint_rule(spec)]])[0]
@@ -382,36 +378,46 @@ def test_kernel_class_violation_detected(iso1, rng):
         evaluate(u, [0.0], plan, "linear", kernel_rule=bad)
 
 
+def _isaacs_and_extremal_of_difference(u, v, xs, plan):
+    """I u, I v, M-(u - v) and M+(u - v) at xs, I being the Isaacs operator
+    of the families [lower], [upper] over plan.spec."""
+    families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
+    w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)
+    return (evaluate(u, xs, plan, "isaacs", families=families),
+            evaluate(v, xs, plan, "isaacs", families=families),
+            evaluate(w, xs, plan, "extremal_minus"), evaluate(w, xs, plan, "extremal_plus"))
+
+
 def test_ellipticity_sandwich(iso1, perturbed1, rng):
+    # M-(u - v) <= I u - I v <= M+(u - v) for two unrelated fields
     for pot in (iso1, perturbed1):
         spec = KernelSpec(1.0, 2.0, 1.5)
         u = _random_grid_function(rng)
         v = _random_grid_function(rng)
         plan = make_plan(pot, spec, u.h, 4.0, u.sup_bound + v.sup_bound)
-        rep = ellipticity_check(u, v, np.linspace(-1.0, 1.0, 7), plan)
-        assert rep["ok"].shape == (7,)
-        assert rep["ok"].all()
+        iu, iv, mminus, mplus = _isaacs_and_extremal_of_difference(
+            u, v, np.linspace(-1.0, 1.0, 7), plan)
+        tol = 1e-6 * np.maximum(1.0, np.abs([iu, iv, mminus, mplus]).max(axis=0))
+        assert np.all(mminus - tol <= iu - iv)
+        assert np.all(iu - iv <= mplus + tol)
 
 
 def test_ellipticity_affine_shift_zero(iso1, rng):
-    from maslab.grid import callable_rule
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    ext = callable_rule("af", lambda p: u.exterior(p) + 1.0 + 0.5 * p[:, 0],
-                        u.exterior.sup_bound + 5.0)
+    ext = ExteriorRule("af", lambda p: u.exterior(p) + 1.0 + 0.5 * p[:, 0],
+                       u.exterior.sup_bound + 5.0)
     v = GridFunction(u.lo, u.hi,
                      u.values + 1.0 + 0.5 * u.points()[:, 0].reshape(u.shape), ext)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
-    rep = ellipticity_check(u, v, [0.3], plan)
-    assert rep["ok"][0]
-    assert rep["I_u"][0] - rep["I_v"][0] == pytest.approx(0.0, abs=1e-9)
-    assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-9)
-    assert rep["M_minus_diff"][0] == pytest.approx(0.0, abs=1e-9)
+    iu, iv, mminus, mplus = _isaacs_and_extremal_of_difference(u, v, [0.3], plan)
+    assert iu[0] - iv[0] == pytest.approx(0.0, abs=1e-9)
+    assert mplus[0] == pytest.approx(0.0, abs=1e-9)
+    assert mminus[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extremal_affine_zero(iso1):
-    from maslab.grid import callable_rule
-    aff = callable_rule("aff", lambda p: 4.0 - 3.0 * p[:, 0], 1000.0)
+    aff = ExteriorRule("aff", lambda p: 4.0 - 3.0 * p[:, 0], 1000.0)
     u = GridFunction.from_callable([-1], [1], 1 / 32, lambda p: 4.0 - 3.0 * p[:, 0], aff)
     plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 2.0, 7.0)
     for equation in ("extremal_plus", "extremal_minus"):
@@ -422,9 +428,9 @@ def test_ellipticity_equal_fields_zero(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
     plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
-    rep = ellipticity_check(u, u, [0.2], plan)
-    assert rep["M_plus_diff"][0] == pytest.approx(0.0, abs=1e-12)
-    assert rep["I_u"][0] == rep["I_v"][0]
+    iu, iv, _, mplus = _isaacs_and_extremal_of_difference(u, u, [0.2], plan)
+    assert mplus[0] == pytest.approx(0.0, abs=1e-12)
+    assert iu[0] == iv[0]
 
 
 def test_checkerboard_rule_within_class(iso1):

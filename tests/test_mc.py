@@ -85,9 +85,9 @@ def test_aniso_2d_mirror_symmetry(aniso2):
     # exits through the y-sides carry payoff 0, so the mean is below 1/2;
     # mirrored payoffs must agree within noise by x-symmetry
     spec = KernelSpec(1.0, 1.0, 1.2)
-    from maslab.grid import callable_rule
+    from maslab.grid import ExteriorRule
     right = halfspace_rule(0, 1.0)
-    left = callable_rule("left", lambda p: (p[:, 0] < -1.0).astype(float), 1.0)
+    left = ExteriorRule("left", lambda p: (p[:, 0] < -1.0).astype(float), 1.0)
     args = ([0.0, 0.0], [-1, -1], [1, 1], 2000)
     r1 = estimate_exit_payoff(JumpProcessConfig(aniso2, spec, 0.1, right, 5), *args)
     r2 = estimate_exit_payoff(JumpProcessConfig(aniso2, spec, 0.1, left, 6), *args)
@@ -122,8 +122,8 @@ def test_runaway_path_guard(iso1, monkeypatch):
 
 
 def test_cross_validation_2d(iso2):
-    from maslab.grid import callable_rule
-    g = callable_rule("right", lambda p: (p[:, 0] >= 1.0).astype(float), 1.0)
+    from maslab.grid import ExteriorRule
+    g = ExteriorRule("right", lambda p: (p[:, 0] >= 1.0).astype(float), 1.0)
     spec = KernelSpec(1.0, 1.0, 1.2)
     prob = DiscreteProblem(iso2, spec, [-1, -1], [1, 1], 1 / 16, g)
     u, rep = solve(prob)

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from maslab.errors import ConfigurationError
-from maslab.potential import make_potential, verify_ma_bounds
+from maslab.grid import box_lattice
+from maslab.potential import make_potential
 
 
 def test_eval_iso_quadratic():
     pot = make_potential("iso_quadratic", 2)
     x = [1.0, 0.0]
-    assert pot.value(x)[0] == pytest.approx(0.5)
     assert np.allclose(pot.gradient(x)[0], [1.0, 0.0])
     assert np.allclose(pot.hessian(x)[0], np.eye(2))
 
 
 def test_eval_aniso_quadratic(aniso2):
     x = [1.0, 1.0]
-    assert aniso2.value(x)[0] == pytest.approx(2.5)
     assert np.allclose(aniso2.gradient(x)[0], [4.0, 1.0])
     assert np.allclose(aniso2.hessian(x)[0], np.diag([4.0, 1.0]))
 
@@ -30,6 +29,13 @@ def test_hessian_symmetric_everywhere(perturbed2, rng):
     pts = rng.normal(size=(200, 2))
     H = perturbed2.hessian(pts)
     assert np.allclose(H, np.swapaxes(H, 1, 2))
+
+
+def test_quadratic_entries():
+    # the exactly quadratic entries; eps = 0 alone does not make an entry one
+    assert make_potential("iso_quadratic", 1).quadratic
+    assert make_potential("aniso_quadratic", 2, [4.0, 1.0, 1.0, 1.0]).quadratic
+    assert not make_potential("perturbed_quadratic", 2, [0.1]).quadratic
 
 
 def test_unknown_id_rejected():
@@ -147,31 +153,13 @@ def test_shifted_height_1d_matches_quadratic_form(rng):
         assert np.array_equal(pot.shifted_height(x, y), want)
 
 
-def test_ma_bounds_iso(iso2):
-    assert verify_ma_bounds(iso2, [-2, -2], [2, 2], 8) == (1.0, 1.0)
-
-
-def test_ma_bounds_aniso(aniso2):
-    lo, hi = verify_ma_bounds(aniso2, [-1, -1], [1, 1], 8)
-    assert lo == pytest.approx(4.0)
-    assert hi == pytest.approx(4.0)
-
-
-def test_ma_bounds_perturbed_in_band(perturbed2):
-    lo, hi = verify_ma_bounds(perturbed2, [-2, -2], [2, 2], 64)
-    assert 1.0 < lo <= hi < 1.5
-
-
-def test_ma_bounds_within_declared_band():
-    for pot in (make_potential("iso_quadratic", 2),
-                make_potential("aniso_quadratic", 2, [4.0, 0.0, 0.0, 1.0]),
-                make_potential("perturbed_quadratic", 2, [0.3])):
-        g_lo, g_hi = pot.ma_band()
-        lo, hi = verify_ma_bounds(pot, [-3, -3], [3, 3], 48)
-        assert g_lo - 1e-12 <= lo <= hi <= g_hi + 1e-12
-        assert 0.0 < g_lo <= g_hi < np.inf
-
-
-def test_ma_bounds_rejects_bad_samples(iso1):
-    with pytest.raises(ConfigurationError):
-        verify_ma_bounds(iso1, [-1], [1], 0)
+@pytest.mark.parametrize("pot, lo, hi", [
+    (make_potential("iso_quadratic", 2), 1.0, 1.0),
+    (make_potential("aniso_quadratic", 2, [4.0, 1.0, 1.0, 1.0]), 3.0, 3.0),
+    (make_potential("perturbed_quadratic", 2, [0.3]), 1.0, 1.3 ** 2),
+], ids=["iso", "aniso", "perturbed"])
+def test_ma_bounds(pot, lo, hi):
+    # det D^2 phi on a lattice stays in the entry's closed-form band: 1, det A,
+    # and [1, (1 + eps)^2] for the perturbed entry
+    det = np.linalg.det(pot.hessian(box_lattice([-3, -3], [3, 3], 48)))
+    assert np.all((lo - 1e-12 <= det) & (det <= hi + 1e-12))

@@ -167,8 +167,8 @@ def test_pair_heights_equal_the_per_point_loop(request, pot_name, monkeypatch):
 
 
 def test_holder_affine_slope_one(iso1):
-    from maslab.grid import callable_rule
-    aff = callable_rule("aff", lambda p: p[:, 0], 20.0)
+    from maslab.grid import ExteriorRule
+    aff = ExteriorRule("aff", lambda p: p[:, 0], 20.0)
     u = GridFunction.from_callable([-9], [9], 1 / 128, lambda p: p[:, 0], aff)
     spec = KernelSpec(1.0, 2.0, 1.5)
     r = holder_estimate(u, iso1, [0.0], spec, C0=0.0)

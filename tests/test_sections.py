@@ -6,8 +6,7 @@ from maslab.grid import box_lattice, tensor_points
 from maslab.potential import Potential, make_potential
 from maslab.sections import (AffineMap, besicovitch_cover, boundary_radii,
                              contains_many, cz_decompose, deformation_checks,
-                             engulfing_probe, fit_ellipsoid, quasi_distance,
-                             unit_directions)
+                             engulfing_probe, fit_ellipsoid, unit_directions)
 
 
 def test_contains_quadratic(iso2, aniso2):
@@ -128,11 +127,6 @@ def test_boundary_radius_beyond_the_search_bracket(iso2, monkeypatch):
 def test_boundary_radius_rejects_zero_direction(iso1):
     with pytest.raises(ConfigurationError):
         boundary_radii(iso1, [0.0], 1.0, [[0.0]])
-
-
-def test_quasi_distance_closed_form(iso2):
-    d = quasi_distance(iso2, [0.0, 0.0], [[1.0, 0.0]])[0]
-    assert d == pytest.approx(np.sqrt(0.5))
 
 
 def test_fit_ellipsoid_ball(iso2):
