@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import betainc
 
 import maslab.mc as mc_mod
@@ -10,6 +11,7 @@ from maslab.grid import constant_rule, halfspace_rule
 from maslab.kernels import KernelSpec
 from maslab.mc import (JumpProcessConfig, estimate_exit_payoff,
                        generator_truncation_bound, total_truncated_mass)
+from maslab.potential import make_potential
 from maslab.solver import DiscreteProblem, solve
 
 
@@ -157,25 +159,37 @@ def test_chunk_boundary_writes_every_payoff(iso1):
 
 
 def _per_path_reference(config, x0, lo, hi, paths):
-    """The former estimator: one Generator and one Python loop per path,
-    with the perturbed rejection sampler in scalar form.
+    """An independent estimator: one Generator and one Python loop per path,
+    one scalar draw per jump.  Quadratic increments come by inverse CDF in
+    the Cholesky frame of A (A = R^T R, y = sqrt(2) R^{-1} z, so y.A.y / 2 =
+    |z|^2), not in the estimator's frame A^{-1/2}; the two differ by a
+    rotation, under which a uniform direction stays uniform.  The perturbed
+    entry uses the rejection sampler in scalar form.
 
     Returns the per-path payoffs and jump counts.
     """
     pot, spec, eta = config.potential, config.spec, config.eta
     n, sigma = pot.dim, spec.sigma
-    quad = pot.id in ("iso_quadratic", "aniso_quadratic")
     a_lo, a_hi = pot.hessian_bounds()
     env = (a_hi / a_lo) ** ((n + sigma) / 2.0)
+
+    def direction(rng):
+        if n == 1:
+            return np.array([-1.0 if rng.random() < 0.5 else 1.0])
+        ang = 2.0 * math.pi * rng.random()
+        return np.array([math.cos(ang), math.sin(ang)])
+
+    if pot.quadratic:
+        frame = math.sqrt(2.0) * np.linalg.inv(np.linalg.cholesky(pot._A).T)
+
+    def draw_quadratic(rng):
+        radius = eta * (1.0 - rng.random()) ** (-1.0 / sigma)
+        return frame @ (radius * direction(rng))
 
     def draw_generic(rng, x):
         G = pot.hessian(x)[0]
         while True:
-            if n == 1:
-                theta = np.array([-1.0 if rng.random() < 0.5 else 1.0])
-            else:
-                ang = 2.0 * math.pi * rng.random()
-                theta = np.array([math.cos(ang), math.sin(ang)])
+            theta = direction(rng)
             q = 0.5 * theta @ G @ theta
             if rng.random() >= (0.5 * a_lo / q) ** (n / 2.0):
                 continue
@@ -192,31 +206,30 @@ def _per_path_reference(config, x0, lo, hi, paths):
         rng = np.random.default_rng(seeds[i])
         x = np.array(x0, dtype=float)
         while True:
-            if quad:  # blocks of _BLOCK jumps, cut at the first exit
-                block = mc_mod._draw_jumps(rng, config, (mc_mod._BLOCK,))
-                pos = x + np.cumsum(block, axis=0)
-            else:
-                pos = (x + draw_generic(rng, x))[None, :]
-            outside = np.any((pos <= lo) | (pos >= hi), axis=1)
-            if outside.any():
-                k = int(np.argmax(outside))
-                jumps[i] += k + 1
-                payoffs[i] = config.payoff(pos[k:k + 1])[0]
+            x = x + (draw_quadratic(rng) if pot.quadratic else draw_generic(rng, x))
+            jumps[i] += 1
+            if np.any(x <= lo) or np.any(x >= hi):
+                payoffs[i] = config.payoff(x[None, :])[0]
                 break
-            jumps[i] += pos.shape[0]
-            x = pos[-1]
     return payoffs, jumps
 
 
-@pytest.mark.parametrize("case", ["iso1", "perturbed2"])
+# a non-diagonal A: a frame applied in the wrong basis changes the law,
+# which a diagonal A would hide
+_OFFDIAG = [2.0, 0.8, 0.8, 1.0]
+
+
+@pytest.mark.parametrize("case", ["iso1", "perturbed2", "aniso2_offdiag"])
 def test_parity_with_per_path_reference(case, iso1, perturbed2):
     if case == "iso1":
         cfg = _cfg(iso1, sigma=1.5, eta=0.05, payoff=halfspace_rule(0, 1.0), seed=17)
         args = ([0.4], [-1.0], [1.0], 3000)
     else:
+        pot = perturbed2 if case == "perturbed2" else make_potential(
+            "aniso_quadratic", 2, _OFFDIAG)
         spec = KernelSpec(1.0, 1.0, 1.2)
-        cfg = JumpProcessConfig(perturbed2, spec, 0.1, halfspace_rule(0, 1.0), 17)
-        args = ([0.3, 0.0], [-1.0, -1.0], [1.0, 1.0], 600)
+        cfg = JumpProcessConfig(pot, spec, 0.1, halfspace_rule(0, 1.0), 17)
+        args = ([0.3, 0.0], [-1.0, -1.0], [1.0, 1.0], 600 if case == "perturbed2" else 2000)
     paths = args[-1]
     ref_pay, ref_jumps = _per_path_reference(cfg, *args)
     r = estimate_exit_payoff(cfg, *args)
@@ -226,3 +239,54 @@ def test_parity_with_per_path_reference(case, iso1, perturbed2):
     # count stands for both
     se_jumps = ref_jumps.std(ddof=1) / math.sqrt(paths)
     assert abs(r["mean_jumps"] - ref_jumps.mean()) <= 4 * math.sqrt(2) * se_jumps
+
+
+@pytest.mark.parametrize("case", ["iso1", "aniso2_offdiag"])
+def test_quadratic_jump_law(case, iso1):
+    # in the frame z = A^{1/2} y / sqrt(2), where the model height is |z|^2,
+    # P(|z| > r) = (eta / r)^sigma and the direction is uniform and
+    # independent of |z|; Kolmogorov-Smirnov tests at a fixed seed
+    pot = iso1 if case == "iso1" else make_potential("aniso_quadratic", 2, _OFFDIAG)
+    sigma, eta, m = 1.3, 0.05, 20_000
+    y = np.stack(mc_mod._draw_jumps(np.random.default_rng(2024), sigma,
+                                    mc_mod._frame(pot, eta), (m,)), axis=1)
+    ev, V = np.linalg.eigh(pot._A)
+    z = y @ (V * np.sqrt(ev)) @ V.T / math.sqrt(2.0)
+    radius = np.linalg.norm(z, axis=1)
+    assert radius.min() >= eta * (1 - 1e-12)
+
+    def radius_cdf(r):
+        return 1.0 - (eta / np.maximum(r, eta)) ** sigma
+
+    if pot.dim == 1:
+        angle = np.where(z[:, 0] > 0, 0.5, 0.0)   # two directions
+        halves = [z[:, 0] > 0, z[:, 0] < 0]
+        assert stats.binomtest(int(halves[0].sum()), m).pvalue > 0.01
+    else:
+        angle = (np.arctan2(z[:, 1], z[:, 0]) / (2 * math.pi)) % 1.0
+        assert stats.kstest(angle, "uniform").pvalue > 0.01
+        halves = [angle < 0.5, angle >= 0.5]
+    assert stats.kstest(radius, radius_cdf).pvalue > 0.01
+    for half in halves:  # the radius does not depend on the direction
+        assert stats.kstest(radius[half], radius_cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("arg", ["x0", "box_lo", "box_hi"])
+def test_point_of_wrong_dimension_rejected(arg, iso1, iso2):
+    # 1D increments would broadcast over both coordinates of a 2D point
+    for pot, good, bad in ((iso1, [0.1], [0.1, 0.2]), (iso2, [0.1, 0.0], [0.1])):
+        lo, hi = [-1.0] * pot.dim, [1.0] * pot.dim
+        points = {"x0": good, "box_lo": lo, "box_hi": hi}
+        points[arg] = [v * (1 if arg == "x0" else 10) for v in bad]
+        with pytest.raises(ConfigurationError, match=arg):
+            estimate_exit_payoff(_cfg(pot), points["x0"], points["box_lo"],
+                                 points["box_hi"], 200)
+
+
+def test_drawn_increments_stay_near_the_jumps_taken(iso1):
+    # the exit_1d kind of start: a path stops at its first exit, so the rest
+    # of its last block is drawn for nothing; the count is exact per seed
+    r = estimate_exit_payoff(_cfg(iso1, eta=0.025, payoff=halfspace_rule(0, 1.0), seed=31),
+                             [0.4], [-1], [1], 10_000)
+    taken = r["mean_jumps"] * r["paths"]
+    assert taken <= r["drawn_jumps"] <= 1.25 * taken

@@ -551,17 +551,65 @@ def test_inexact_policy_steps_on_the_criterion_10_kind_of_solve(iso1):
     assert all(solver.KRYLOV_RTOL <= r <= solver.FORCING_MAX for r in rtols)
 
 
-def test_fixed_policies_solve_every_step_to_the_krylov_rtol(iso1):
-    # a linear equation and an extremal one with lam == Lam cannot change
-    # their policy: no step takes the forcing term
+def _fixed_policy_problems(iso1):
     box = indicator_box_rule([1.1], [1.5], 1.0)
     mid = KernelSpec(1.0, 2.0, 1.5)
-    for prob in (DiscreteProblem(iso1, KernelSpec(1.0, 1.0, 1.5), [-1], [1], 1 / 64, box),
-                 DiscreteProblem(iso1, mid, [-1], [1], 1 / 64, box, "linear",
-                                 kernel_rule=midpoint_rule(mid))):
-        _, rep = solve(prob)
-        assert rep.converged
-        assert rep.details["krylov_rtols"] == [solver.KRYLOV_RTOL] * rep.iterations
+    exit_spec = KernelSpec(1.0, 1.0, 1.5, "fixed_midpoint")
+    return [(DiscreteProblem(iso1, KernelSpec(1.0, 1.0, 1.5), [-1], [1], 1 / 64, box), 1e-10),
+            (DiscreteProblem(iso1, mid, [-1], [1], 1 / 64, box, "linear",
+                             kernel_rule=midpoint_rule(mid)), 1e-10),
+            # the benchmark's exit problem, whose stop is the floor's
+            (DiscreteProblem(iso1, exit_spec, [-1], [1], 1 / 1024, halfspace_rule(0, 1.0),
+                             "linear", kernel_rule=midpoint_rule(exit_spec)), 1e-9)]
+
+
+def test_fixed_policies_solve_in_one_step_to_the_tolerance_or_floor(iso1):
+    # a linear equation and an extremal one with lam == Lam cannot change
+    # their policy: one GMRES solve stops at the tolerance or at the 2-norm
+    # roundoff floor FLOOR_FACTOR eps |mass|_2 sup|u|, whichever is larger,
+    # sup|u| estimated by the data's bound when f = 0
+    eps = np.finfo(float).eps
+    stops = []
+    for prob, tol in _fixed_policy_problems(iso1):
+        u0 = prob.data_values()
+        _, g = solver._linearize(prob, u0, np.zeros(prob.P))
+        _, rep = solve(prob, tolerance=tol)
+        d = rep.details
+        assert rep.converged and d["stop"] == "tolerance"
+        assert rep.iterations == 1 and d["krylov_capped"] == 0
+        sup_u = max(np.abs(u0).max(), prob.exterior.sup_bound)
+        floor = solver.FLOOR_FACTOR * eps * np.linalg.norm(prob.mass) * sup_u
+        target = max(tol, floor)
+        assert d["krylov_rtols"][0] * np.linalg.norm(g) == pytest.approx(target, rel=1e-12)
+        stops.append(target == floor)
+    assert stops == [False, False, True]
+
+
+@pytest.mark.parametrize("sigma, h, f", [(1.9, 1 / 256, 0.0), (1.9, 1 / 64, 100.0)])
+def test_fixed_policy_second_step_refines_without_a_cap(iso1, sigma, h, f):
+    # where the first step's floor stop leaves the max-norm residual above
+    # the tolerance, a second step refines it at KRYLOV_RTOL; f = 100 drives
+    # sup|u| to 9 (data bound 1), which the first stop must allow for
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 1.0, sigma), [-1], [1], h,
+                           halfspace_rule(0, 1.0))
+    _, rep = solve(prob, f=f, tolerance=1e-10)
+    d = rep.details
+    assert rep.converged and d["stop"] == "tolerance"
+    assert d["krylov_capped"] == 0
+    assert rep.iterations == 2 and d["krylov_rtols"][1] == solver.KRYLOV_RTOL
+
+
+def test_capped_fixed_policy_gmres_is_reported(iso1, monkeypatch):
+    # with no floor, a stop below roundoff runs GMRES to its cap, which the
+    # report counts
+    monkeypatch.setattr(solver, "FLOOR_FACTOR", 0.0)
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 1.0, 1.5), [-1], [1], 1 / 64,
+                           halfspace_rule(0, 1.0))
+    _, rep = solve(prob, tolerance=1e-30)
+    d = rep.details
+    assert not rep.converged
+    assert d["krylov_capped"] >= 1
+    assert solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES in d["krylov_steps"]
 
 
 def test_solve_above_6000_unknowns_matches_a_dense_solve(iso1):
