@@ -25,10 +25,15 @@ with the pair's summed angular weight.
 
 The kernel at x follows the sections of phi at x, so every base point has
 its own node set.  point_quadrature builds the sets of a whole batch of
-points in one pass; operator_values reduces node second differences to
-M+, M-, linear or Isaacs values, with the slopes of policy_slopes.  The
-kernel class (lam, Lam, sigma) is the plan's spec and the operator over it
-is named by `equation`, as in solver.DiscreteProblem: evaluate (k points in,
+points in one pass, laid out [near | far]: the far slice holds the ring
+panels whose lower edge lies at or beyond the plan's far_radius, just past
+the box diameter, so for a base point in the box both pair points x +- y of
+a far node lie outside the box (on the benchmark's problems, 81-84% of the
+nodes in 2D and 62-65% in 1D).  The solver compiles the far slice without
+a box test.  operator_values reduces node second differences to M+, M-,
+linear or Isaacs values, with the slopes of policy_slopes.  The kernel
+class (lam, Lam, sigma) is the plan's spec and the operator over it is
+named by `equation`, as in solver.DiscreteProblem: evaluate (k points in,
 k values out) and the compiled grid operator both evaluate through these,
 NODE_BUDGET nodes at a time.
 """
@@ -144,6 +149,7 @@ class QuadraturePlan:
     angles: np.ndarray             # (n_ang, n) unit directions
     ang_weights: np.ndarray        # (n_ang,) angular weights
     tail_radius: float             # Euclidean radius where rings stop
+    far_radius: float              # beyond the box diameter: see make_plan
 
 
 def make_plan(potential: Potential, spec: KernelSpec, h: float,
@@ -161,6 +167,11 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     direction of each antipodal pair only: 1 in 1D, 8 over (0, pi) in 2D,
     each with the pair's weight.  The integrand delta * K is even in y, so
     the ray along -e would repeat the ray along e node for node.
+
+    far_radius = box_diam * (1 + 1e-9) + 1e-9 is derived from the box: an
+    increment longer than the box diameter takes every point of the box
+    outside it, and the margin covers rounding in x +- y.  Ring panels from
+    there on form the far slice of point_quadrature.
     """
     if h <= 0 or box_diam <= 0:
         raise ConfigurationError("h and box_diam must be positive")
@@ -189,7 +200,7 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
         potential=potential, spec=spec, inner_radius=rho0,
         ring_heights=ladder, ring_nodes=8 if n == 1 else 5, angles=angles,
         ang_weights=np.full(len(angles), sphere_measure(n) / len(angles)),
-        tail_radius=float(R_t))
+        tail_radius=float(R_t), far_radius=box_diam * (1 + 1e-9) + 1e-9)
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,17 +216,22 @@ def _gauss_legendre(m: int) -> tuple:
 class PointQuadrature:
     """Increment nodes and kernel-bound coefficients for a batch of base points.
 
-    Node j belongs to base point x[pid[j]] = xj[j].  Each point's nodes are
-    contiguous: its inner model nodes first (one per angle), then its ring
-    nodes angle by angle.
+    Node j belongs to base point x[pid[j]] = xj[j].  The nodes form two
+    slices, each point-major: [:near] holds each point's inner model nodes
+    (one per angle), then its ring panels with lower edge below the plan's
+    far_radius, angle by angle; [near:] holds each point's remaining ring
+    panels, angle by angle.  Selected stably by pid, a point's nodes are
+    those of its single-point call, in the same order.
     """
 
     x: np.ndarray            # (k, n) base points
     pid: np.ndarray          # (J,) base-point index of each node, nondecreasing
+                             # within each slice
     xj: np.ndarray           # (J, n) base point of each node, x[pid]
     y: np.ndarray            # (J, n) increments
     coef: np.ndarray         # (J,) nonnegative; includes (2-sigma) where needed
     wbar: np.ndarray         # (J,) height at the nodes (model value on inner nodes)
+    near: int                # nodes in the near slice; the far slice follows
 
 
 def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
@@ -247,6 +263,12 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     lo_mask = np.concatenate([end, inside, ~end], axis=2)
     lo = edges[lo_mask]
     hi = edges[np.concatenate([~end, inside, end], axis=2)]
+    p_pan, a_pan = np.nonzero(lo_mask)[:2]
+    # near panels first, then far ones (lower edge >= far_radius); each
+    # half stays point-major and angle by angle
+    far = lo >= plan.far_radius
+    order = np.argsort(far, kind="stable")
+    lo, hi, p_pan, a_pan = lo[order], hi[order], p_pan[order], a_pan[order]
     gl_x, gl_w = _gauss_legendre(plan.ring_nodes)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -254,12 +276,17 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     t_ring = (mid + half * gl_x[:, None]).T.ravel()
     w_ring = (half * gl_w[:, None]).T.ravel()
 
-    # node order per point: one inner model node per angle, then the ring
-    # nodes angle by angle.  Radii, weights and angle indices are placed in
-    # that order first; increments, heights and coefficients follow per node.
-    per_point = n_ang + plan.ring_nodes * np.count_nonzero(lo_mask.reshape(k, -1), axis=1)
-    inner = ((np.cumsum(per_point) - per_point)[:, None] + np.arange(n_ang)).ravel()
-    ring = np.ones(int(per_point.sum()), dtype=bool)
+    # node order: [near | far].  Near holds each point's inner model nodes
+    # (one per angle), then its near ring nodes angle by angle; far holds
+    # each point's far ring nodes angle by angle.  Radii, weights and angle
+    # indices are placed in that order first; increments, heights and
+    # coefficients follow per node.
+    n_near = lo.size - int(far.sum())
+    near_pp = n_ang + plan.ring_nodes * np.bincount(p_pan[:n_near], minlength=k)
+    far_pp = plan.ring_nodes * np.bincount(p_pan[n_near:], minlength=k)
+    counts = np.concatenate([near_pp, far_pp])
+    inner = ((np.cumsum(near_pp) - near_pp)[:, None] + np.arange(n_ang)).ravel()
+    ring = np.ones(int(counts.sum()), dtype=bool)
     ring[inner] = False
     t = np.empty(ring.size)
     t[inner], t[ring] = t_in.ravel(), t_ring
@@ -267,20 +294,21 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     w[ring] = w_ring
     a = np.empty(ring.size, dtype=np.intp)
     a[inner] = np.tile(np.arange(n_ang), k)
-    a[ring] = np.repeat(np.nonzero(lo_mask)[1], plan.ring_nodes)
+    a[ring] = np.repeat(a_pan, plan.ring_nodes)
     # (J, n) node arrays are column-major: the passes over them run column
     # by column
     y = np.empty((ring.size, n), order="F")
     for d in range(n):
         y[:, d] = t * ang[:, d].take(a)
-    xj = np.repeat(x.T, per_point, axis=1).T
+    pid = np.repeat(np.tile(np.arange(k), 2), counts)
+    xj = np.repeat(np.tile(x.T, 2), counts, axis=1).T
     wbar = pot.sym_height(xj, y)
     coef = aw.take(a) * w * t ** (n - 1) * (2.0 - sigma) * wbar ** (-(n + sigma) / 2.0)
     # inner nodes: the quadratic model, whose radial integral is closed form
     wbar[inner] = plan.inner_radius ** 2
     coef[inner] = (aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)).ravel()
-    return PointQuadrature(x=x, pid=np.repeat(np.arange(k), per_point), xj=xj,
-                           y=y, coef=coef, wbar=wbar)
+    return PointQuadrature(x=x, pid=pid, xj=xj, y=y, coef=coef, wbar=wbar,
+                           near=int(near_pp.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +416,16 @@ def group_multipliers(equation: str, families, mults: list):
 # stay near cache size.  Each point's nodes stay in one block, so no value
 # depends on the budget.  Compile CPU seconds (median of 9 interleaved
 # builds) / peak RSS in MB (a process that builds and solves 6 times), for
-# perfbench's problems on a shared 2-vCPU host:
+# perfbench's problems on a shared 2-vCPU host, with the far slice compiled
+# without the box test:
 #
 #   budget   perturbed 2D    aniso 2D        pucci_1d        exit_1d
-#   2^14     0.118 / 110     0.166 / 122     0.117 / 128     0.083 / 124
-#   2^15     0.103 / 111     0.166 / 121     0.092 / 126     0.088 / 123
-#   2^16     0.109 / 115     0.150 / 123     0.088 / 127     0.081 / 127
-#   2^17     0.122 / 131     0.173 / 130     0.083 / 130     0.083 / 127
-#   2^18     0.149 / 163     0.221 / 159     0.093 / 139     0.090 / 139
-#   2^19     0.179 / 196     0.265 / 214     0.109 / 155     0.102 / 154
+#   2^14     0.117 / 109     0.172 / 120     0.086 / 128     0.083 / 124
+#   2^15     0.110 / 109     0.132 / 119     0.078 / 127     0.084 / 122
+#   2^16     0.102 / 110     0.118 / 119     0.075 / 126     0.081 / 125
+#   2^17     0.117 / 124     0.138 / 127     0.072 / 129     0.079 / 124
+#   2^18     0.142 / 154     0.167 / 150     0.091 / 133     0.093 / 133
+#   2^19     0.159 / 177     0.349 / 194     0.144 / 140     0.095 / 140
 NODE_BUDGET = 1 << 16
 
 
@@ -411,8 +440,9 @@ def evaluate(u, xs, plan: QuadraturePlan, equation: str = "extremal_plus",
              kernel_rule: KernelRule | None = None, families=None) -> np.ndarray:
     """The equation's operator over the class plan.spec (M+, M-, "linear" for
     kernel_rule, "isaacs" over families) of u at every point of xs, from
-    blocks of at most NODE_BUDGET nodes.  Each point's nodes are its own and
-    contiguous, so its value does not depend on the batch."""
+    blocks of at most NODE_BUDGET nodes.  Each point's nodes are its own,
+    in the order of its single-point call, so its value does not depend on
+    the batch."""
     rules = equation_rules(equation, kernel_rule, families)
     x = _as_points(xs, plan.potential.dim)
     out = np.empty(x.shape[0])

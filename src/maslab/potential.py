@@ -150,12 +150,11 @@ class Potential:
         # its matmul: column arithmetic would change its rounding (BLAS uses
         # fused multiply-adds) for a non-diagonal A.
         yc = [ya[:, i] for i in range(self.dim)]
-        yy = _dot(yc, yc)
-        if self.id == "aniso_quadratic":
+        if self.id == "aniso_quadratic":      # never perturbed
             ay = self._A[0, 0] * ya if self.dim == 1 else ya @ self._A
-            w = 0.5 * _dot([ay[:, i] for i in range(self.dim)], yc)
-        else:
-            w = 0.5 * yy            # A = I
+            return np.maximum(0.5 * _dot([ay[:, i] for i in range(self.dim)], yc), 0.0)
+        yy = _dot(yc, yc)
+        w = 0.5 * yy                # A = I
         if not self.eps:
             return np.maximum(w, 0.0)
         # a single base point broadcasts: s0 is then one value

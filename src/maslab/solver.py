@@ -39,16 +39,23 @@ data's bound (the maximum principle when f = 0) plus the sup of the
 preconditioned f.  The 2-norm stop bounds the max-norm residual that the
 outer loop tests: on the exit problem of the benchmark (P = 2049,
 tolerance 1e-9, floor 5.9e-9 in the 2-norm) one step of 9 GMRES iterations
-ends at a max-norm residual of 6.7e-10.  Where a 2-norm floor stop leaves
+ends at a max-norm residual of 6.5e-10.  Where a 2-norm floor stop leaves
 the max-norm residual above the tolerance, a second step, whose slopes
-equal the first's, refines it at KRYLOV_RTOL.
+equal the first's, refines it at KRYLOV_RTOL.  That step is taken even when
+the first residual already lies within FLOOR_FACTOR of the floor: the first
+GMRES stopped at a bound on the floor, not at the floor itself.
 
 The node set is compiled by kernels.point_quadrature over blocks of unknowns
 (each point gets the nodes of its own sections), and operator values and
 policies come from kernels.operator_values and kernels.policy_slopes, the
 same reduction the pointwise operators use.  Nodes whose pair points both
 fall outside the box see u only through 2u_p, so each point's such nodes
-are compiled, exactly, as one node per distinct exterior value.
+are compiled, exactly, as one node per distinct exterior value.  Only the
+near slice of each block, [:near] of point_quadrature's [near | far]
+layout, goes through the box test and the interpolation; a far node is
+longer than the box diameter (the plan's far_radius), so its pair points
+are exterior by construction and go straight to the exterior rule and the
+fold.
 """
 
 from __future__ import annotations
@@ -162,14 +169,20 @@ class DiscreteProblem:
     fully exterior nodes of a point (x_p + y_j and x_p - y_j outside the box,
     so delta = CONST - 2u_p) are folded into one group node per CONST value,
     with summed COEF and coef-weighted mean height and multipliers; each
-    block lists its kept nodes, then its groups.  So PID is not nondecreasing,
-    but the triplets are node-major: CROW, hence PID[CROW], is nondecreasing.
-    CROW and CCOL are int32.  Two sparse operators, built once from the
-    triplets and sharing CW and CCOL, do every step's work: the
-    interpolation (Jtot x N) gives node_deltas, and the gather sums each
-    triplet into its slot of the canonical CSR pattern of S, so assemble is
-    one sparse product.  node_counts has the node counts before and after
-    the folding and the entries of that pattern (policy_entries);
+    block lists its kept nodes, then its groups.  So PID is not
+    nondecreasing, but the triplets are node-major: CROW, hence PID[CROW],
+    is nondecreasing.  CROW and CCOL are int32.  The box test, the
+    interpolation and the kept-node selection see only the block's near
+    slice: every far node (kernels.point_quadrature's [near | far] layout,
+    |y| beyond the plan's far_radius) is fully exterior by construction.
+    Group sums are taken over runs of equal (point, CONST), and no run
+    crosses the near/far seam, so no value depends on the block size.  Two
+    sparse operators, built once from the triplets and sharing CW and CCOL,
+    do every step's work: the interpolation (Jtot x N) gives node_deltas,
+    and the gather sums each triplet into its slot of the canonical CSR
+    pattern of S, so assemble is one sparse product.  node_counts has the
+    node counts before and after the folding, the far slices' total
+    (far_nodes) and the entries of that pattern (policy_entries);
     preconditioner is the circulant that every policy solve uses.
     """
 
@@ -211,43 +224,62 @@ class DiscreteProblem:
         pid, coef, const, wbar = [], [], [], []
         crow, ccol, cw = [], [], []
         mults = [[] for _ in self._rules]
-        j_off = quadrature_nodes = exterior_nodes = 0
+        j_off = quadrature_nodes = exterior_nodes = far_nodes = 0
         step = _block_points(self.plan)
         for first in range(0, self.P, step):
             pq = point_quadrature(self.plan,
                                   self.grid_pts[self.unknown[first:first + step]])
-            J = pq.coef.size
-            # row 2j + s holds x_j + y_j (s = 0) or x_j - y_j (s = 1): the
-            # in-box triplets come out node-major, so CROW and PID[CROW]
-            # are nondecreasing over the whole node set.  Column-major, as
-            # the node arrays are.
-            pts = np.empty((self.n, J, 2))
-            np.add(pq.xj.T, pq.y.T, out=pts[:, :, 0])
-            np.subtract(pq.xj.T, pq.y.T, out=pts[:, :, 1])
-            pts = pts.reshape(self.n, 2 * J).T
+            J, nr = pq.coef.size, pq.near
+            # near slice: row 2j + s holds x_j + y_j (s = 0) or x_j - y_j
+            # (s = 1): the in-box triplets come out node-major, so CROW and
+            # PID[CROW] are nondecreasing over the whole node set.
+            # Column-major, as the node arrays are.
+            pts = np.empty((self.n, nr, 2))
+            np.add(pq.xj[:nr].T, pq.y[:nr].T, out=pts[:, :, 0])
+            np.subtract(pq.xj[:nr].T, pq.y[:nr].T, out=pts[:, :, 1])
+            pts = pts.reshape(self.n, 2 * nr).T
             ins = geom.inside(pts)
-            ext = np.zeros(2 * J)
+            ext = np.zeros(2 * nr)
             if not ins.all():
                 out = ~ins
                 ext[out] = self.exterior(_rows(out, pts))
             cj = ext[0::2] + ext[1::2]
-            # the nodes of a (point, CONST) group of fully exterior nodes
-            # share delta = CONST - 2u_p, hence one slope: one node each
             keep = ins[0::2] | ins[1::2]
             outer = ~keep
-            # the sorts see only the heads of runs of equal (point, CONST):
-            # along a ray the data are mostly constant
-            pe, ec = pq.pid[outer], cj[outer]
-            head = np.ones(ec.size, dtype=bool)
-            head[1:] = (pe[1:] != pe[:-1]) | (ec[1:] != ec[:-1])
-            vals, code = np.unique(ec[head], return_inverse=True)
-            key, gid = np.unique(pe[head] * vals.size + code, return_inverse=True)
-            gid = gid[np.cumsum(head) - 1]
-            ce = pq.coef[outer]
-            gc = np.bincount(gid, weights=ce)
+            # far slice: |y| > box diameter, so both pair points of every
+            # far node lie outside the box, whatever its base point
+            xf, yf = pq.xj[nr:], pq.y[nr:]
+            cf = self.exterior(xf + yf) + self.exterior(xf - yf)
+
+            def parts(v):
+                # the fully exterior nodes: the near slice's, then the far slice
+                return v[:nr][outer], v[nr:]
+
+            # the nodes of a (point, CONST) group of fully exterior nodes
+            # share delta = CONST - 2u_p, hence one slope: one node each.
+            # Groups are summed over runs of equal (point, CONST), which are
+            # long along a ray; runs are found in each part, so none crosses
+            # the near/far seam and each point's runs do not depend on its block
+            runs, pe, ec = [], [], []
+            for p, c in zip(parts(pq.pid), (cj[outer], cf)):
+                head = np.ones(c.size, dtype=bool)
+                head[1:] = (p[1:] != p[:-1]) | (c[1:] != c[:-1])
+                runs.append(np.flatnonzero(head))
+                pe.append(p[runs[-1]])
+                ec.append(c[runs[-1]])
+            vals, code = np.unique(np.concatenate(ec), return_inverse=True)
+            key, gid = np.unique(np.concatenate(pe) * vals.size + code, return_inverse=True)
+            ce = parts(pq.coef)
+
+            def group_sums(terms):
+                return np.bincount(gid, weights=np.concatenate(
+                    [np.add.reduceat(x, r) for x, r in zip(terms, runs)]))
+
+            gc = group_sums(ce)
 
             def fold(v):
-                return np.concatenate([v[keep], np.bincount(gid, weights=ce * v[outer]) / gc])
+                sums = group_sums([c * x for c, x in zip(ce, parts(v))])
+                return np.concatenate([v[:nr][keep], sums / gc])
 
             if ins.any():
                 idx, wts = geom.interp_weights(_rows(ins, pts))
@@ -257,13 +289,14 @@ class DiscreteProblem:
                 cw.append(wts.ravel())
             for m_list, rule in zip(mults, self._rules):
                 m_list.append(fold(rule_multipliers(rule, spec, pq.xj, pq.y, pq.wbar)))
-            pid.append(np.concatenate([pq.pid[keep], key // vals.size]) + first)
-            coef.append(np.concatenate([pq.coef[keep], gc]))
+            pid.append(np.concatenate([pq.pid[:nr][keep], key // vals.size]) + first)
+            coef.append(np.concatenate([pq.coef[:nr][keep], gc]))
             wbar.append(fold(pq.wbar))
             const.append(np.concatenate([cj[keep], vals[key % vals.size]]))
             j_off += coef[-1].size
             quadrature_nodes += J
-            exterior_nodes += ce.size
+            exterior_nodes += ce[0].size + ce[1].size
+            far_nodes += J - nr
         self.PID = _join(pid)
         self.COEF = _join(coef)
         self.CONST = _join(const)
@@ -292,6 +325,7 @@ class DiscreteProblem:
         self.node_counts = {"quadrature_nodes": quadrature_nodes, "compiled_nodes": j_off,
                             "exterior_groups": j_off - (quadrature_nodes - exterior_nodes),
                             "exterior_share": exterior_nodes / quadrature_nodes,
+                            "far_nodes": far_nodes,
                             "policy_entries": indices.size}
 
     # -- discrete operator ---------------------------------------------------
@@ -425,11 +459,12 @@ def solve(problem: DiscreteProblem, f=None,
     Returns the last finite policy iterate.  details["stop"] says why the
     loop ended: "tolerance" (residual <= tolerance; the only stop that is
     converged), "floor" (within FLOOR_FACTOR of the roundoff floor, above
-    the tolerance), "stalled" (a step after the third cut the residual by
-    less than half), "not_finite" (a correction that is not finite, not
-    applied) or "step_cap" (POLICY_STEPS steps).  iterations counts policy
-    steps, each with its GMRES iterations in details["krylov_steps"], its
-    relative GMRES stop in details["krylov_rtols"] and its residual in
+    the tolerance; for a fixed policy, not before its refinement step),
+    "stalled" (a step after the third cut the residual by less than half),
+    "not_finite" (a correction that is not finite, not applied) or
+    "step_cap" (POLICY_STEPS steps).  iterations counts policy steps, each
+    with its GMRES iterations in details["krylov_steps"], its relative GMRES
+    stop in details["krylov_rtols"] and its residual in
     details["policy_residuals"]; details["krylov_capped"] counts the GMRES
     solves that ended at the cycle cap, and the problem's node_counts are
     there too.  Each stop is KRYLOV_RTOL, the forcing term or, for a policy
@@ -474,7 +509,9 @@ def solve(problem: DiscreteProblem, f=None,
         res = float(np.abs(g).max())
         policy_residuals.append(res)
         floor = float(np.finfo(float).eps * problem.mass.max() * np.abs(u).max())
-        if res <= max(tolerance, FLOOR_FACTOR * floor):
+        # a fixed policy's first step stopped GMRES at a floor estimate, so
+        # the floor is accepted only after its refinement step
+        if res <= tolerance or (res <= FLOOR_FACTOR * floor and (step > 1 or not fixed)):
             stop = "tolerance" if res <= tolerance else "floor"
             break
         if res >= 0.5 * prev and step > 3:

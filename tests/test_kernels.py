@@ -517,33 +517,35 @@ def test_nonfinite_field_rejected(iso1):
 # ---------------------------------------------------------------------------
 
 def _reference_point_quadrature(plan, x):
-    """One point's (y, coef, wbar), built angle by angle (the scheme's node
-    order: inner model nodes, then each angle's ring panels)."""
+    """One point's (y, coef, wbar) and near-slice size, built angle by angle
+    (the scheme's node order: inner model nodes, then each angle's ring
+    panels with lower edge below far_radius; then each angle's remaining
+    panels)."""
     pot, sigma = plan.potential, plan.spec.sigma
     n = pot.dim
     G = pot.hessian(x)[0]
     ang, aw = plan.angles, plan.ang_weights
     q = 0.5 * np.einsum("ai,ij,aj->a", ang, G, ang)
     t_in = plan.inner_radius / np.sqrt(q)
-    ys = [t_in[:, None] * ang]
-    cs = [aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)]
-    ws = [np.full(ang.shape[0], plan.inner_radius ** 2)]
+    near = [(t_in[:, None] * ang, aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma),
+             np.full(ang.shape[0], plan.inner_radius ** 2))]
+    far = []
     gl_x, gl_w = np.polynomial.legendre.leggauss(plan.ring_nodes)
     for a in range(ang.shape[0]):
         knots = plan.ring_heights / np.sqrt(q[a])
         knots = knots[(knots > t_in[a] * (1 + 1e-12)) & (knots < plan.tail_radius)]
         knots = np.concatenate([[t_in[a]], knots, [plan.tail_radius]])
-        lo, hi = knots[:-1], knots[1:]
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        t = (mid + half * gl_x[None, :]).ravel()
-        w = (half * gl_w[None, :]).ravel()
-        y = t[:, None] * ang[a]
-        wb = pot.sym_height(x, y)
-        ys.append(y)
-        cs.append(aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0))
-        ws.append(wb)
-    return np.vstack(ys), np.concatenate(cs), np.concatenate(ws)
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = mid + half * gl_x
+            w = half * gl_w
+            y = t[:, None] * ang[a]
+            wb = pot.sym_height(x, y)
+            c = aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0)
+            (far if lo >= plan.far_radius else near).append((y, c, wb))
+    ys, cs, ws = zip(*near, *far)
+    return np.vstack(ys), np.concatenate(cs), np.concatenate(ws), \
+        sum(c.size for _, c, _ in near)
 
 
 _BATCH_POINTS = {1: np.array([[-0.9], [0.0], [0.35], [1.0]]),
@@ -559,18 +561,29 @@ def test_batched_node_sets_match_single_points(request, pot_name):
     pts = _BATCH_POINTS[pot.dim]
     batch = point_quadrature(plan, pts)
     singles = [point_quadrature(plan, x) for x in pts]
-    sizes = [s.coef.size for s in singles]
-    assert np.array_equal(batch.pid, np.repeat(np.arange(len(pts)), sizes))
+    # [near | far], each slice point-major
+    near = [s.near for s in singles]
+    far = [s.coef.size - s.near for s in singles]
+    assert min(near) > 0 and min(far) > 0
+    assert batch.near == sum(near)
+    idx = np.arange(len(pts))
+    assert np.array_equal(batch.pid, np.concatenate([np.repeat(idx, near),
+                                                     np.repeat(idx, far)]))
     assert np.array_equal(batch.x, pts)
-    for name in ("y", "coef", "wbar"):
-        assert np.array_equal(getattr(batch, name),
-                              np.concatenate([getattr(s, name) for s in singles])), name
+    assert np.array_equal(batch.xj, pts[batch.pid])
+    # each point's nodes, selected stably by pid, are its single-point call's
+    for i, s in enumerate(singles):
+        mine = np.flatnonzero(batch.pid == i)
+        for name in ("y", "coef", "wbar"):
+            assert np.array_equal(getattr(batch, name)[mine], getattr(s, name)), name
     # exact against the per-angle construction for quadratics; the perturbed
     # height differs only by rounding in its base-point terms
     rtol = 1e-14 if pot.eps else 0.0
     for x, s in zip(pts, singles):
-        for got, want in zip((s.y, s.coef, s.wbar), _reference_point_quadrature(plan, x)):
-            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+        *want, want_near = _reference_point_quadrature(plan, x)
+        assert s.near == want_near
+        for got, w in zip((s.y, s.coef, s.wbar), want):
+            np.testing.assert_allclose(got, w, rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("pot_name", ["iso1", "iso2", "aniso2"])
@@ -580,8 +593,11 @@ def test_quadratic_node_sets_shift_invariant(request, pot_name):
     plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
     pts = _BATCH_POINTS[pot.dim]
     pq = point_quadrature(plan, pts)
-    counts = np.bincount(pq.pid)
-    assert np.all(counts == counts[0])
-    for arr in (pq.y, pq.coef, pq.wbar):
-        per_point = arr.reshape(len(pts), counts[0], -1)
-        assert np.array_equal(per_point, np.broadcast_to(per_point[:1], per_point.shape))
+    # every point has the same near and far nodes, slice by slice
+    for part in (slice(None, pq.near), slice(pq.near, None)):
+        counts = np.bincount(pq.pid[part], minlength=len(pts))
+        assert np.all(counts == counts[0]) and counts[0] > 0
+        assert np.array_equal(pq.pid[part], np.repeat(np.arange(len(pts)), counts[0]))
+        for arr in (pq.y, pq.coef, pq.wbar):
+            per_point = arr[part].reshape(len(pts), counts[0], -1)
+            assert np.array_equal(per_point, np.broadcast_to(per_point[:1], per_point.shape))

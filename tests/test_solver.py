@@ -599,6 +599,20 @@ def test_fixed_policy_second_step_refines_without_a_cap(iso1, sigma, h, f):
     assert rep.iterations == 2 and d["krylov_rtols"][1] == solver.KRYLOV_RTOL
 
 
+def test_fixed_policy_refines_before_accepting_the_floor(iso1):
+    # the first step's residual lies between the tolerance and FLOOR_FACTOR
+    # times the floor (sup|u| 681): "floor" is not accepted there, and the
+    # refinement step at KRYLOV_RTOL reaches the tolerance
+    prob = DiscreteProblem(iso1, KernelSpec(1.0, 1.0, 0.8), [-1], [1], 1 / 64,
+                           halfspace_rule(0, 1.0))
+    u, rep = solve(prob, f=-1e4, tolerance=1e-10)
+    d = rep.details
+    assert rep.converged and d["stop"] == "tolerance"
+    assert rep.iterations == 2 and d["krylov_rtols"][1] == solver.KRYLOV_RTOL
+    floor = np.finfo(float).eps * prob.mass.max() * np.abs(u.values).max()
+    assert 1e-10 < d["policy_residuals"][0] <= solver.FLOOR_FACTOR * floor
+
+
 def test_capped_fixed_policy_gmres_is_reported(iso1, monkeypatch):
     # with no floor, a stop below roundoff runs GMRES to its cap, which the
     # report counts
@@ -892,11 +906,19 @@ def _aggregation_cases(request):
         "gaussian_2d": lambda: DiscreteProblem(
             request.getfixturevalue("aniso2"), spec, [-1, -1], [1, 1], 1 / 4,
             gaussian_rule(1.0, 0.7, [0.3, -0.2])),
+        # a long, thin box with a hole: the far slice starts past its diameter
+        "masked_2d": lambda: DiscreteProblem(
+            request.getfixturevalue("perturbed2"), spec, [-1, 0], [3, 0.5], 1 / 8,
+            halfspace_rule(0, 2.0), domain=_off_disc),
     }
 
 
+def _off_disc(p):
+    return np.hypot(p[:, 0] - 1.0, p[:, 1] - 0.25) > 0.2
+
+
 @pytest.mark.parametrize("case", ["plus", "minus", "linear", "isaacs", "hole",
-                                  "gaussian_2d"])
+                                  "gaussian_2d", "masked_2d"])
 def test_exterior_aggregation_matches_per_node_reference(request, case, rng):
     prob = _aggregation_cases(request)[case]()
     u = rng.normal(size=prob.N)
@@ -949,3 +971,65 @@ def test_exterior_groups_of_a_small_case(iso1):
     assert np.any((rough > mid.lam) & (rough < mid.Lam))
     _, rep = solve(prob)
     assert {k: rep.details[k] for k in c} == c
+
+
+def _far_cases(request):
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    pot = request.getfixturevalue
+    data = halfspace_rule(0, 1.0)
+    return {
+        "iso_1d": lambda: DiscreteProblem(pot("iso1"), spec, [-1], [1], 1 / 32, data),
+        "perturbed_1d_hole": lambda: DiscreteProblem(
+            pot("perturbed1"), spec, [-2], [0.5], 1 / 16, data,
+            domain=lambda p: np.abs(p[:, 0] + 1.0) > 0.2),
+        "iso_2d": lambda: DiscreteProblem(pot("iso2"), spec, [-1, -1], [1, 1], 1 / 4, data),
+        "aniso_2d_thin": lambda: DiscreteProblem(pot("aniso2"), spec, [-1, 0], [3, 0.5],
+                                                 1 / 8, data),
+        "perturbed_2d_thin_masked": lambda: DiscreteProblem(
+            pot("perturbed2"), spec, [-1, 0], [3, 0.5], 1 / 8, data, domain=_off_disc),
+    }
+
+
+@pytest.mark.parametrize("case", ["iso_1d", "perturbed_1d_hole", "iso_2d", "aniso_2d_thin",
+                                  "perturbed_2d_thin_masked"])
+def test_far_nodes_leave_the_box_on_both_sides(request, case):
+    # the compile skips the box test on the far slice: both pair points of
+    # every far node must fail it, for every unknown of the box
+    prob = _far_cases(request)[case]()
+    pq = solver.point_quadrature(prob.plan, prob.grid_pts[prob.unknown])
+    far = slice(pq.near, None)
+    assert 0 < pq.near < pq.coef.size
+    assert prob.node_counts["far_nodes"] == pq.coef.size - pq.near
+    assert np.linalg.norm(pq.y[far], axis=1).min() > prob.plan.far_radius
+    for sign in (1.0, -1.0):
+        assert not prob.geom.inside(pq.xj[far] + sign * pq.y[far]).any()
+
+
+def test_compile_box_tests_only_the_near_slice(perturbed2, monkeypatch):
+    # a work count, not a time: the box test sees the pair points of the
+    # near slice alone, and the exterior rule the near slice's exterior pair
+    # points plus both pair points of every far node
+    rows = {"inside": 0, "exterior": 0}
+    inside = GridFunction.inside
+
+    def counted_inside(self, pts):
+        rows["inside"] += pts.shape[0]
+        return inside(self, pts)
+
+    def data(p):
+        rows["exterior"] += p.shape[0]
+        return (p[:, 0] > 1.0).astype(float)
+
+    monkeypatch.setattr(GridFunction, "inside", counted_inside)
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 20000)     # several blocks
+    prob = DiscreteProblem(perturbed2, KernelSpec(1.0, 2.0, 1.5), [-1, 0], [3, 0.5], 1 / 8,
+                           ExteriorRule("halfspace", data, 1.0), domain=_off_disc)
+    got = dict(rows)
+    pq = solver.point_quadrature(prob.plan, prob.grid_pts[prob.unknown])
+    near = slice(None, pq.near)
+    outside = sum(np.count_nonzero(~inside(prob.geom, pq.xj[near] + sign * pq.y[near]))
+                  for sign in (1.0, -1.0))
+    far = pq.coef.size - pq.near
+    assert far > pq.near
+    assert got["inside"] == 2 * pq.near
+    assert got["exterior"] == outside + 2 * far
