@@ -23,19 +23,22 @@ node y and its antipode -y carry the same pair x +- y, coefficient and
 slope.  The plan therefore casts one ray per antipodal pair of directions,
 with the pair's summed angular weight.
 
-The kernel at x follows the sections of phi at x, so every base point has
-its own node set.  point_quadrature builds the sets of a whole batch of
-points in one pass, laid out [near | far]: the far slice holds the ring
-panels whose lower edge lies at or beyond the plan's far_radius, just past
-the box diameter, so for a base point in the box both pair points x +- y of
-a far node lie outside the box (on the benchmark's problems, 81-84% of the
-nodes in 2D and 62-65% in 1D).  The solver compiles the far slice without
-a box test.  operator_values reduces node second differences to M+, M-,
-linear or Isaacs values, with the slopes of policy_slopes.  The kernel
-class (lam, Lam, sigma) is the plan's spec and the operator over it is
-named by `equation`, as in solver.DiscreteProblem: evaluate (k points in,
-k values out) and the compiled grid operator both evaluate through these,
-NODE_BUDGET nodes at a time.
+The kernel at x follows the sections of phi at x, so in general every base
+point has its own node set.  A quadratic potential's sections are
+ellipsoids of one shape at every centre, so its node set is the same
+numbers at every point: point_quadrature builds it once per batch and
+repeats it.  Otherwise it builds the sets of a whole batch of points in one
+pass.  Either way the nodes are laid out [near | far]: the far slice holds
+the ring panels whose lower edge lies at or beyond the plan's far_radius,
+just past the box diameter, so for a base point in the box both pair
+points x +- y of a far node lie outside the box (on the benchmark's
+problems, 81-84% of the nodes in 2D and 62-65% in 1D).  The solver
+compiles the far slice without a box test.  operator_values reduces node
+second differences to M+, M-, linear or Isaacs values, with the slopes of
+policy_slopes.  The kernel class (lam, Lam, sigma) is the plan's spec and
+the operator over it is named by `equation`, as in solver.DiscreteProblem:
+evaluate (k points in, k values out) and the compiled grid operator both
+evaluate through these, NODE_BUDGET nodes at a time.
 """
 
 from __future__ import annotations
@@ -239,12 +242,17 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
 
     Every point's set is a function of that point alone: the angles are
     shared, while the inner radii and ring knots follow D2phi(x) and the
-    ring coefficients the true wbar at x.
+    ring coefficients the true wbar at x.  A quadratic potential's set is
+    the same numbers at every point (its Hessian is constant and its
+    heights never read x), so for a batch of several points it is built at
+    the first point and repeated, bit for bit the per-point construction.
     """
     pot, spec = plan.potential, plan.spec
     n, sigma = pot.dim, spec.sigma
     x = _as_points(xs, n)
     k = x.shape[0]
+    if pot.quadratic and k > 1:
+        return _repeat_node_set(point_quadrature(plan, x[:1]), x)
     ang, aw = plan.angles, plan.ang_weights
     n_ang = ang.shape[0]
     q = 0.5 * np.einsum("ai,kij,aj->ka", ang, pot.hessian(x), ang)     # (k, n_ang)
@@ -309,6 +317,31 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     coef[inner] = (aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)).ravel()
     return PointQuadrature(x=x, pid=pid, xj=xj, y=y, coef=coef, wbar=wbar,
                            near=int(near_pp.sum()))
+
+
+def _repeat_node_set(one: PointQuadrature, x: np.ndarray) -> PointQuadrature:
+    """The [near | far] layout of the points x, each carrying the node set
+    `one` of a single point: its near slice k times, then its far slice k
+    times."""
+    k, n = x.shape
+    near, far = one.near, one.coef.size - one.near
+
+    def tiled(near_part, far_part, out):
+        # out is contiguous, so the reshapes are views that take the writes
+        out[:k * near].reshape(k, near)[...] = near_part
+        out[k * near:].reshape(k, far)[...] = far_part
+        return out
+
+    size = k * (near + far)
+    idx = np.arange(k)[:, None]
+    pid = tiled(idx, idx, np.empty(size, dtype=np.intp))
+    # (J, n) node arrays are column-major, as in the per-point construction
+    xj, y = np.empty((size, n), order="F"), np.empty((size, n), order="F")
+    for d in range(n):
+        tiled(x[:, d:d + 1], x[:, d:d + 1], xj[:, d])
+        tiled(one.y[:near, d], one.y[near:, d], y[:, d])
+    coef, wbar = (tiled(a[:near], a[near:], np.empty(size)) for a in (one.coef, one.wbar))
+    return PointQuadrature(x=x, pid=pid, xj=xj, y=y, coef=coef, wbar=wbar, near=k * near)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +450,19 @@ def group_multipliers(equation: str, families, mults: list):
 # depends on the budget.  Compile CPU seconds (median of 9 interleaved
 # builds) / peak RSS in MB (a process that builds and solves 6 times), for
 # perfbench's problems on a shared 2-vCPU host, with the far slice compiled
-# without the box test:
+# without the box test and one node set per batch for the quadratics (all
+# but perturbed 2D):
 #
 #   budget   perturbed 2D    aniso 2D        pucci_1d        exit_1d
-#   2^14     0.117 / 109     0.172 / 120     0.086 / 128     0.083 / 124
-#   2^15     0.110 / 109     0.132 / 119     0.078 / 127     0.084 / 122
-#   2^16     0.102 / 110     0.118 / 119     0.075 / 126     0.081 / 125
-#   2^17     0.117 / 124     0.138 / 127     0.072 / 129     0.079 / 124
-#   2^18     0.142 / 154     0.167 / 150     0.091 / 133     0.093 / 133
-#   2^19     0.159 / 177     0.349 / 194     0.144 / 140     0.095 / 140
+#   2^14     0.120 / 110     0.131 / 121     0.089 / 128     0.082 / 123
+#   2^15     0.107 / 110     0.096 / 119     0.075 / 125     0.074 / 123
+#   2^16     0.103 / 111     0.082 / 119     0.065 / 126     0.067 / 123
+#   2^17     0.119 / 123     0.081 / 119     0.064 / 129     0.069 / 125
+#   2^18     0.152 / 152     0.090 / 129     0.069 / 125     0.070 / 123
+#   2^19     0.170 / 176     0.118 / 153     0.081 / 134     0.072 / 133
+#
+# The quadratic columns are flat from 2^16 to 2^17; the perturbed one, which
+# still builds every point's set, is fastest and smallest at 2^16.
 NODE_BUDGET = 1 << 16
 
 

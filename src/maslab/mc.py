@@ -142,15 +142,22 @@ def _draw_jumps(rng, sigma: float, frame: np.ndarray, shape: tuple) -> list:
     return [frame[i, 0] * z[0] + frame[i, 1] * z[1] for i in range(n)]
 
 
-def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray) -> np.ndarray:
+def _envelope(config: JumpProcessConfig) -> tuple[float, float]:
+    """The Hessian's lower bound a_lo and the rejection envelope
+    (a_hi / a_lo)^{(n+sigma)/2} of _draw_jumps_generic: constants of the
+    potential, computed once per estimate."""
+    a_lo, a_hi = config.potential.hessian_bounds()
+    return a_lo, (a_hi / a_lo) ** ((config.potential.dim + config.spec.sigma) / 2.0)
+
+
+def _draw_jumps_generic(rng, config: JumpProcessConfig, x: np.ndarray, a_lo: float,
+                        env: float) -> np.ndarray:
     """Perturbed entry: one increment per row of x, by rejection against
-    the local quadratic model.  Each round redraws only the rows not yet
-    accepted."""
+    the local quadratic model, with a_lo and env from _envelope.  Each
+    round redraws only the rows not yet accepted."""
     pot, spec, eta = config.potential, config.spec, config.eta
     n, sigma = pot.dim, spec.sigma
-    a_lo, a_hi = pot.hessian_bounds()
     G = pot.hessian(x)
-    env = (a_hi / a_lo) ** ((n + sigma) / 2.0)
     out = np.empty_like(x)
     pending = np.ones(x.shape[0], dtype=bool)
     while pending.any():
@@ -208,6 +215,7 @@ def estimate_exit_payoff(config: JumpProcessConfig, x0, box_lo, box_hi,
     intensity = total_truncated_mass(config)
     quad = config.potential.quadratic
     frame = _frame(config.potential, config.eta) if quad else None
+    a_lo, env = (None, None) if quad else _envelope(config)
     block = _BLOCK if quad else 1
     exits = np.empty((paths, n))
     total_jumps = drawn = 0
@@ -221,7 +229,7 @@ def estimate_exit_payoff(config: JumpProcessConfig, x0, box_lo, box_hi,
             if quad:
                 steps = _draw_jumps(rng, config.spec.sigma, frame, (block, ids.size))
             else:
-                y = _draw_jumps_generic(rng, config, np.stack(x, axis=1))
+                y = _draw_jumps_generic(rng, config, np.stack(x, axis=1), a_lo, env)
                 steps = list(y.T[:, None, :])
             drawn += block * ids.size
             outside = np.zeros((block, ids.size), dtype=bool)

@@ -91,7 +91,9 @@ class Potential:
     @property
     def quadratic(self) -> bool:
         """True for the exactly quadratic entries, whose sections are
-        ellipsoids of one shape at every centre."""
+        ellipsoids of one shape at every centre.  Their heights never read
+        the base point, so kernels.point_quadrature builds one node set per
+        batch and repeats it."""
         return self.id in ("iso_quadratic", "aniso_quadratic")
 
     # -- closed forms -------------------------------------------------------

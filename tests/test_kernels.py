@@ -588,16 +588,55 @@ def test_batched_node_sets_match_single_points(request, pot_name):
 
 @pytest.mark.parametrize("pot_name", ["iso1", "iso2", "aniso2"])
 def test_quadratic_node_sets_shift_invariant(request, pot_name):
+    # single-point calls take the general per-point construction: a
+    # quadratic's node set is the same numbers at every point, slice by
+    # slice, which is what lets a batch repeat its first point's set
     pot = request.getfixturevalue(pot_name)
     spec = KernelSpec(1.0, 2.0, 1.5)
     plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
+    first, *rest = [point_quadrature(plan, x) for x in _BATCH_POINTS[pot.dim]]
+    assert 0 < first.near < first.coef.size
+    for s in rest:
+        assert s.near == first.near
+        for part in (slice(None, s.near), slice(s.near, None)):
+            for name in ("y", "coef", "wbar"):
+                assert np.array_equal(getattr(s, name)[part], getattr(first, name)[part])
+
+
+@pytest.mark.parametrize("pot_id, dim, params", [
+    ("iso_quadratic", 1, []), ("aniso_quadratic", 2, [25.0, 3.0, 3.0, 1.0])])
+def test_quadratic_batch_evaluates_as_single_points(pot_id, dim, params, rng):
+    # a batch repeats its first point's node set; each value equals that of
+    # the point's own call, bit for bit, for every operator
+    pot = make_potential(pot_id, dim, params)
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    h = 1 / 32 if dim == 1 else 1 / 8
+    values = rng.normal(size=(round(2 / h) + 1,) * dim)
+    u = GridFunction([-1] * dim, [1] * dim, values, gaussian_rule(1.0, 0.7, [0.3] * dim))
+    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim), u.sup_bound)
+    xs = rng.uniform(-0.9, 0.9, size=(40, dim))
+    for equation, kw in _operator_cases(spec).items():
+        batch = evaluate(u, xs, plan, equation, **kw)
+        singles = [evaluate(u, x[None], plan, equation, **kw)[0] for x in xs]
+        assert np.array_equal(batch, singles), equation
+
+
+@pytest.mark.parametrize("pot_name", ["iso1", "aniso2", "perturbed1", "perturbed2"])
+def test_heights_of_a_batch(request, pot_name, monkeypatch):
+    # a work count, not a time: a quadratic batch takes the heights of one
+    # point's nodes, a perturbed batch those of every node
+    pot = request.getfixturevalue(pot_name)
+    plan = make_plan(pot, KernelSpec(1.0, 2.0, 1.5), 1 / 8, 3.0, 1.0)
+    rows = []
+    sym_height = type(pot).sym_height
+
+    def counted(self, x, y):
+        rows.append(y.shape[0])
+        return sym_height(self, x, y)
+
+    monkeypatch.setattr(type(pot), "sym_height", counted)
     pts = _BATCH_POINTS[pot.dim]
-    pq = point_quadrature(plan, pts)
-    # every point has the same near and far nodes, slice by slice
-    for part in (slice(None, pq.near), slice(pq.near, None)):
-        counts = np.bincount(pq.pid[part], minlength=len(pts))
-        assert np.all(counts == counts[0]) and counts[0] > 0
-        assert np.array_equal(pq.pid[part], np.repeat(np.arange(len(pts)), counts[0]))
-        for arr in (pq.y, pq.coef, pq.wbar):
-            per_point = arr[part].reshape(len(pts), counts[0], -1)
-            assert np.array_equal(per_point, np.broadcast_to(per_point[:1], per_point.shape))
+    batch = point_quadrature(plan, pts)
+    one = point_quadrature(plan, pts[:1])
+    want = one.coef.size if pot.quadratic else batch.coef.size
+    assert rows == [want, one.coef.size]

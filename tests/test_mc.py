@@ -11,7 +11,7 @@ from maslab.grid import constant_rule, halfspace_rule
 from maslab.kernels import KernelSpec
 from maslab.mc import (JumpProcessConfig, estimate_exit_payoff,
                        generator_truncation_bound, total_truncated_mass)
-from maslab.potential import make_potential
+from maslab.potential import Potential, make_potential
 from maslab.solver import DiscreteProblem, solve
 
 
@@ -290,3 +290,31 @@ def test_drawn_increments_stay_near_the_jumps_taken(iso1):
                              [0.4], [-1], [1], 10_000)
     taken = r["mean_jumps"] * r["paths"]
     assert taken <= r["drawn_jumps"] <= 1.25 * taken
+
+
+def test_perturbed_bounds_once_per_estimate(perturbed1, monkeypatch):
+    # a work count: the Hessian bounds behind the rejection envelope are
+    # constants of the potential, so an estimate takes them once however
+    # many rounds of draws its paths need
+    calls = {"bounds": 0, "rounds": 0}
+    bounds, draw = Potential.hessian_bounds, mc_mod._draw_jumps_generic
+
+    def counted_bounds(self):
+        calls["bounds"] += 1
+        return bounds(self)
+
+    def counted_draw(*args):
+        calls["rounds"] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(Potential, "hessian_bounds", counted_bounds)
+    monkeypatch.setattr(mc_mod, "_draw_jumps_generic", counted_draw)
+    seen = []
+    for eta in (0.2, 0.05):
+        calls.update(bounds=0, rounds=0)
+        estimate_exit_payoff(JumpProcessConfig(perturbed1, KernelSpec(1.0, 1.0, 1.5), eta,
+                                               halfspace_rule(0, 1.0), 3),
+                             [0.4], [-1], [1], 200)
+        seen.append(dict(calls))
+    assert seen[1]["rounds"] > 2 * seen[0]["rounds"]
+    assert seen[0]["bounds"] == seen[1]["bounds"] <= 2

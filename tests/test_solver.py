@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy import integrate
 
 from maslab import kernels, solver
 from maslab.errors import ConfigurationError, DataError
@@ -1033,3 +1034,38 @@ def test_compile_box_tests_only_the_near_slice(perturbed2, monkeypatch):
     assert far > pq.near
     assert got["inside"] == 2 * pq.near
     assert got["exterior"] == outside + 2 * far
+
+
+def _disc_exit_probability(c: float, sigma: float) -> float:
+    """The probability that the symmetric sigma-stable process started at the
+    centre of the unit disc in R^2 leaves it into the halfplane {y_0 > c}.
+    Riesz's Poisson kernel of the ball (Landkof 1972) at x = 0 is radial,
+    sin(pi s) / pi^2 (|y|^2 - 1)^{-s} |y|^{-2} with s = sigma / 2, so
+    u(0) = (2 sin(pi s) / pi^2) int_1^inf (r^2 - 1)^{-s} r^{-1} arccos(c / r) dr,
+    with the algebraic endpoint weight on [1, 2]."""
+    s = sigma / 2
+    near = integrate.quad(lambda r: (r + 1) ** -s / r * np.arccos(c / r), 1, 2,
+                          weight="alg", wvar=(-s, 0))[0]
+    far = integrate.quad(lambda r: (r * r - 1) ** -s / r * np.arccos(c / r), 2, np.inf)[0]
+    return 2 * np.sin(np.pi * s) / np.pi ** 2 * (near + far)
+
+
+def test_disc_exit_probability_closed_form():
+    # by symmetry half the paths leave into {y_0 > 0}, for every sigma
+    for sigma in (0.5, 1.2, 1.5, 1.9):
+        assert _disc_exit_probability(0.0, sigma) == pytest.approx(0.5, abs=1e-12)
+    assert _disc_exit_probability(0.3, 1.5) == pytest.approx(0.4192645133, abs=1e-10)
+
+
+@pytest.mark.parametrize("h, error", [(1 / 16, 5.355e-3), (1 / 24, 2.856e-3)])
+def test_disc_exit_probability_2d(iso2, h, error):
+    # a 2D operator against a true value: lam = Lam = 1, sigma 1.5, f = 0 on
+    # the unit disc, data 1{x_0 > 0.3}.  u(0) is 0.4192645 exactly; the
+    # relative errors +0.536% and +0.286% are regression numbers, not an
+    # order (the error is not monotone in h on finer grids)
+    exact = _disc_exit_probability(0.3, 1.5)
+    prob = DiscreteProblem(iso2, KernelSpec(1.0, 1.0, 1.5), [-1, -1], [1, 1], h,
+                           halfspace_rule(0, 0.3), domain=lambda p: (p * p).sum(axis=1) < 1)
+    u, rep = solve(prob, f=0.0)
+    assert rep.converged
+    assert (u.eval(np.zeros((1, 2)))[0] - exact) / exact == pytest.approx(error, abs=1e-6)
