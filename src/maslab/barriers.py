@@ -43,8 +43,6 @@ class Barrier:
     potential: Potential
     anchor: AffineMap | None = None
     coeffs: dict = field(default_factory=dict)
-    delta0: float = 0.0
-    m_min: float = 0.0
 
     def field(self) -> AnalyticField:
         n = self.potential.dim
@@ -121,11 +119,11 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
             f"m={m} too small: delta0={delta0:g} <= 0, minimal admissible m is {m_min:g}")
 
     if kind == "F_power":
-        return Barrier(kind, m, 0.5, potential, delta0=delta0, m_min=m_min)
+        return Barrier(kind, m, 0.5, potential)
 
     if kind == "g_normalized":
         T = fit_ellipsoid(potential, np.zeros(potential.dim), float(params["r"]))
-        return Barrier(kind, m, 0.5, potential, anchor=T, delta0=delta0, m_min=m_min)
+        return Barrier(kind, m, 0.5, potential, anchor=T)
 
     # cap height s = 1/8; the outer taper starts at 0.8 of the support radius 2 tau
     tau = float(params["tau"])
@@ -144,7 +142,7 @@ def build_barrier(kind: str, potential: Potential, spec: KernelSpec,
     c_norm = 2.2 / chi_tau
     coeffs = {"m": m, "s": s, "rho_t": rho_t, "two_tau": two_tau,
               "A": A, "c_off": c_off, "a": a, "b": b, "c_norm": c_norm}
-    return Barrier(kind, m, s, potential, coeffs=coeffs, delta0=delta0, m_min=m_min)
+    return Barrier(kind, m, s, potential, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ from .sections import (besicovitch_cover, boundary_radii, contains_many,
                        engulfing_probe, unit_directions)
 from .solver import _f_values
 
+# compute_tau's boundary rays, and its radial samples of S_1 per ray (a
+# quarter as many in 2D)
+TAU_SAMPLES = 24
+
 
 # ---------------------------------------------------------------------------
 # tau of the symmetric-increment proposition
@@ -41,7 +45,7 @@ def estimate_engulfing(potential: Potential) -> float:
     return g
 
 
-def compute_tau(potential: Potential, samples: int = 24) -> float:
+def compute_tau(potential: Potential) -> float:
     """Smallest tau in (gamma, 64 gamma] such that for sampled x in S_1(0),
     x + y outside S_tau(0) forces x - y outside S_1(0).
 
@@ -50,9 +54,9 @@ def compute_tau(potential: Potential, samples: int = 24) -> float:
     """
     n = potential.dim
     gamma_hat = estimate_engulfing(potential)
-    dirs = unit_directions(n, max(16, samples))
+    dirs = unit_directions(n, TAU_SAMPLES)
     t1 = boundary_radii(potential, np.zeros(n), 1.0, dirs)
-    fracs = np.linspace(0.0, 0.999, samples if n == 1 else max(4, samples // 4))
+    fracs = np.linspace(0.0, 0.999, TAU_SAMPLES if n == 1 else TAU_SAMPLES // 4)
     xs = (fracs[:, None, None] * t1[None, :, None] * dirs[None, :, :]).reshape(-1, n)
 
     def predicate(tau: float) -> bool:
@@ -83,12 +87,9 @@ def compute_tau(potential: Potential, samples: int = 24) -> float:
 class EnvelopeResult:
     gamma: GridFunction
     lattice: np.ndarray          # (N, n) envelope lattice points
-    gamma_vals: np.ndarray       # (N,)
     u_vals: np.ndarray           # (N,)
     contact_mask: np.ndarray     # (N,) bool
-    supergradients: np.ndarray   # (N, n); rows valid where in_tau
-    in_tau: np.ndarray           # (N,) bool
-    contact_tol: float
+    supergradients: np.ndarray   # (N, n); valid rows in S_tau, zero rows outside
     details: dict = field(default_factory=dict)
 
 
@@ -153,9 +154,8 @@ def concave_envelope(u: GridFunction, potential: Potential, tau: float) -> Envel
     contact = in_tau & (np.abs(u_vals - gamma_vals) <= contact_tol) & (up > 0)
     return EnvelopeResult(
         gamma=GridFunction(lo_ext, hi_ext, gamma_vals.reshape(shape), zero_rule()),
-        lattice=pts, gamma_vals=gamma_vals, u_vals=u_vals,
-        contact_mask=contact, supergradients=grads, in_tau=in_tau,
-        contact_tol=contact_tol, details={"trivial": trivial})
+        lattice=pts, u_vals=u_vals, contact_mask=contact, supergradients=grads,
+        details={"trivial": trivial})
 
 
 # ---------------------------------------------------------------------------

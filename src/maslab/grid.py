@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .potential import _as_points
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,7 @@ class GridFunction:
         return np.stack(idx, axis=1), np.stack(wts, axis=1)
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.dim == 1 else pts[None, :]
+        pts = _as_points(pts, self.dim)
         out = np.empty(pts.shape[0])
         ins = self.inside(pts)
         if ins.any():
@@ -233,7 +232,4 @@ class AnalyticField:
         self.dim = dim
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.dim == 1 else pts[None, :]
-        return np.asarray(self.fn(pts), dtype=float)
+        return np.asarray(self.fn(_as_points(pts, self.dim)), dtype=float)

@@ -26,7 +26,7 @@ def _as_points(x, dim: int) -> np.ndarray:
         else:
             a = a[None, :]
     if a.shape[1] != dim:
-        raise ConfigurationError(f"point dimension {a.shape[1]} != potential dimension {dim}")
+        raise ConfigurationError(f"point dimension {a.shape[1]} != dimension {dim}")
     return a
 
 

@@ -180,7 +180,6 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
         T = AffineMap(T.linear_part / scale, T.offset)
         img = img / scale
     T.inner_radius = float(img.min())
-    T.outer_radius = float(img.max())
     return T
 
 

@@ -156,12 +156,14 @@ class SolveReport:
 
 
 class DiscreteProblem:
-    """Compiled nonlocal operator on a lattice over a box (optionally masked).
+    """Compiled nonlocal operator on a lattice over a box.
 
-    Unknowns are the lattice points where `domain` is true (default: every
-    lattice point); the rest carry exterior data.  Every unknown p gets the
-    node set of its own base point, built by kernels.point_quadrature on
-    blocks of unknowns that keep each block within kernels.NODE_BUDGET nodes.
+    `domain` is None (every lattice point is an unknown) or a callable that
+    maps the (N, n) lattice points to one bool per point: unknowns are the
+    points where it is true, the rest carry exterior data.  Every unknown p
+    gets the node set of its own base point, built by
+    kernels.point_quadrature on blocks of unknowns that keep each block
+    within kernels.NODE_BUDGET nodes.
     Node bookkeeping is flat: node j belongs to unknown PID[j] with kernel
     bound COEF[j] and height WBAR[j]; S_j, the interpolated pair sum
     u(x_p + y_j) + u(x_p - y_j), is split into in-box contributions
@@ -192,7 +194,7 @@ class DiscreteProblem:
                  domain=None):
         self._rules = equation_rules(equation, kernel_rule, families)
         self.potential, self.spec, self.exterior = potential, spec, exterior
-        self.equation, self.kernel_rule, self.families = equation, kernel_rule, families
+        self.equation, self.families = equation, families
 
         zero = GridFunction.from_callable(box_lo, box_hi, h, lambda p: np.zeros(p.shape[0]),
                                           exterior)
@@ -202,10 +204,11 @@ class DiscreteProblem:
         self.N = self.grid_pts.shape[0]
         if domain is None:
             dom = np.ones(self.N, dtype=bool)
-        elif callable(domain):
-            dom = np.asarray(domain(self.grid_pts), dtype=bool)
         else:
-            dom = np.asarray(domain, dtype=bool).ravel()
+            dom = np.asarray(domain(self.grid_pts), dtype=bool)
+            if dom.shape != (self.N,):
+                raise ConfigurationError(f"domain gives shape {dom.shape} on {self.N} "
+                                         f"lattice points, not ({self.N},)")
         if not dom.any():
             raise ConfigurationError("empty solve domain")
         self.unknown = np.nonzero(dom)[0]

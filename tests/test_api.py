@@ -2,12 +2,16 @@
 function and method in the package is read in its body (reads inside
 nested functions and lambdas count; the nested callbacks' own parameters
 are not checked), and every defaulted parameter is passed by some call in
-src/, tests/ or perfbench/, so no default is a knob that nothing turns.
-No option hides in a dict parameter either: `param.get("key", default)`
-does not occur in src/.  And the CLI's subcommands compute while `run`
-alone writes: no `_cmd_*` takes more than its config or touches a file.
-Every public function, class and method has a program caller: a module of
-the package or a perfbench workload refers to it; a test alone does not."""
+src/ or a perfbench workload, so no default is a knob that only a test
+turns.  No option hides in a dict parameter either: `param.get("key",
+default)` does not occur in src/.  And the CLI's subcommands compute while
+`run` alone writes: no `_cmd_*` takes more than its config or touches a
+file.  Every public function, class and method has a program caller: a
+module of the package or a perfbench workload refers to it; a test alone
+does not.  Likewise every public field (annotated in a class body, stored
+on `self.` or stored ad hoc on another name) has a program reader that
+reads it as an attribute, and every UPPERCASE module constant has one that
+refers to it by name, attribute or import."""
 
 import ast
 from collections import Counter
@@ -23,8 +27,12 @@ EXEMPT = {
     "regularity.holder_estimate(spec)": "perfbench/workloads.py passes it positionally",
 }
 
-# defaulted parameters kept although no call passes them, with the reason
-DEFAULT_EXEMPT = {}
+# defaulted parameters kept although no program call passes them, with the
+# reason
+DEFAULT_EXEMPT = {
+    "cli.main(argv)": "the console script calls main() with none; tests pass argv",
+    "kernels.evaluate(kernel_rule)": "acceptance criterion 1 evaluates the midpoint rule",
+}
 
 # public names kept although no module or perfbench workload refers to them,
 # with the reason
@@ -70,13 +78,19 @@ def test_exemptions_are_still_needed():
     assert EXEMPT.keys() <= _unread_parameters()
 
 
+def _program_files() -> list:
+    """The files whose calls and reads count: the package's modules and the
+    non-test files of perfbench/."""
+    return sorted(SRC.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").rglob("*.py") if not p.name.startswith("test_"))
+
+
 def _passed() -> dict:
-    """Called name -> what its calls pass: keyword names, argument positions,
-    "*" for a starred argument (every position) and "**" for a mapping
-    (every parameter)."""
+    """Called name -> what its program calls pass: keyword names, argument
+    positions, "*" for a starred argument (every position) and "**" for a
+    mapping (every parameter)."""
     out = {}
-    for path in sorted(p for d in ("src", "tests", "perfbench")
-                       for p in (ROOT / d).rglob("*.py")):
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -105,10 +119,16 @@ def _unpassed_defaults() -> set:
     return out
 
 
+def _caller_exempt_defaults(unpassed) -> set:
+    """The unpassed defaults of CALLER_EXEMPT functions: only acceptance
+    criteria call those, so no program call can pass their defaults."""
+    return {d for d in unpassed if d.partition("(")[0] in CALLER_EXEMPT}
+
+
 def test_every_default_is_passed_somewhere():
-    # a default that no call overrides is a constant: write it as one
+    # a default that no program call overrides is a constant: write it as one
     unpassed = _unpassed_defaults()
-    assert unpassed - DEFAULT_EXEMPT.keys() == set()
+    assert unpassed - DEFAULT_EXEMPT.keys() - _caller_exempt_defaults(unpassed) == set()
     assert DEFAULT_EXEMPT.keys() <= unpassed
 
 
@@ -178,13 +198,13 @@ def _public_defs(tree):
 
 
 def _references(tree) -> Counter:
-    """("name", id) per ast.Name and per name a `from ... import` binds,
-    ("attr", attr) per ast.Attribute."""
+    """("name", id) per ast.Name read and per name a `from ... import` binds,
+    ("attr", attr) per ast.Attribute read."""
     out = Counter()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out["name", n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out["attr", n.attr] += 1
         elif isinstance(n, ast.ImportFrom):
             out.update(("name", a.name) for a in n.names)
@@ -209,9 +229,7 @@ def _uncalled(src: Path, callers) -> set:
 
 
 def _program_uncalled() -> set:
-    callers = sorted(SRC.glob("*.py")) + sorted(
-        p for p in (ROOT / "perfbench").rglob("*.py") if not p.name.startswith("test_"))
-    return _uncalled(SRC, callers)
+    return _uncalled(SRC, _program_files())
 
 
 def test_every_public_name_has_a_program_caller():
@@ -237,3 +255,90 @@ def test_uncalled_scanner_reports_an_unreferenced_function(tmp_path):
     found = _uncalled(tmp_path, [tmp_path / "mod.py", tmp_path / "caller.py"])
     # loop refers only to itself; used, Thing and Thing.run have callers
     assert found == {"mod.orphan", "mod.loop"}
+
+
+def _built_from(fn, var):
+    """The class `var` is built from in fn (`var = Class(...)`), if any."""
+    for n in ast.walk(fn):
+        if (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                and isinstance(n.value.func, ast.Name)
+                and any(isinstance(t, ast.Name) and t.id == var for t in n.targets)):
+            return n.value.func.id
+    return None
+
+
+def _stores(fn, cls, module):
+    """(qualified name, attribute) per public `name.attr = ...` in fn: a
+    `self.` store belongs to cls, an ad hoc one to the class its name was
+    built from, else to `module.function.name`."""
+    for n in ast.walk(fn):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and not n.attr.startswith("_")):
+            var = n.value.id
+            owner = (cls if var == "self" and cls
+                     else _built_from(fn, var) or f"{module}.{fn.name}.{var}")
+            yield f"{owner}.{n.attr}", n.attr
+
+
+def _public_fields(tree, module):
+    """(qualified name, bare name, is a constant) per public field of a
+    module: the annotated fields of its classes, the attributes its
+    functions and methods store, and its UPPERCASE module constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((f"{module}.{t.id}", t.id, True) for t in targets
+                        if isinstance(t, ast.Name) and t.id.isupper()
+                        and not t.id.startswith("_"))
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)
+                        and not m.target.id.startswith("_")):
+                    yield f"{node.name}.{m.target.id}", m.target.id, False
+                elif isinstance(m, ast.FunctionDef):
+                    yield from ((q, a, False) for q, a in _stores(m, node.name, module))
+        elif isinstance(node, ast.FunctionDef):
+            yield from ((q, a, False) for q, a in _stores(node, None, module))
+
+
+def _unread(src: Path, readers) -> set:
+    """The public fields and constants of src/*.py that no file of readers
+    reads.  A field is read as an attribute only, so a local variable of the
+    same name does not count; a constant by name, attribute or import."""
+    total = Counter()
+    for path in readers:
+        total += _references(ast.parse(path.read_text()))
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for name, bare, constant in _public_fields(ast.parse(path.read_text()), path.stem):
+            keys = [("attr", bare)] + ([("name", bare)] if constant else [])
+            if not any(total[k] for k in keys):
+                out.add(name)
+    return out
+
+
+def test_every_public_field_has_a_program_reader():
+    # a field or constant that only tests read is state nothing uses: stop
+    # storing it, and let the tests compute what they check from results
+    assert _unread(SRC, _program_files()) == set()
+
+
+def test_unread_scanner_reports_unread_fields_and_constants(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "LIMIT = 3\nUNUSED = 4\n\n\n"
+        "@dataclass\nclass Report:\n    kept: int\n    dropped: int\n\n\n"
+        "class Solver:\n"
+        "    def __init__(self):\n"
+        "        self.size = LIMIT\n        self.spare = 0\n        self._private = 0\n\n\n"
+        "def fit():\n"
+        "    m = Solver()\n    m.radius = 1.0\n    m.scale = 2.0\n    return m\n")
+    (tmp_path / "caller.py").write_text(
+        "from mod import Report, fit\n\n"
+        "def use(r: Report):\n"
+        "    dropped = spare = radius = 0\n"
+        "    return r.kept + fit().size + fit().scale + dropped + spare + radius\n")
+    found = _unread(tmp_path, [tmp_path / "mod.py", tmp_path / "caller.py"])
+    # kept, size, scale and LIMIT are read; dropped, spare and radius have
+    # only local variables as namesakes, and nothing refers to UNUSED
+    assert found == {"Report.dropped", "Solver.spare", "Solver.radius", "mod.UNUSED"}

@@ -20,8 +20,10 @@ def test_minimal_m_2d(iso2):
     #  (m+2) * lam * pi > Lam * 2 pi  =>  m > 2 for lam=1, Lam=2
     spec = KernelSpec(1.0, 2.0, 1.9)
     b = build_barrier("F_power", iso2, spec)
-    assert b.m_min == pytest.approx(2.0, abs=1e-2)
-    assert b.delta0 > 0
+    assert b.m == pytest.approx(3.0, abs=1e-2)  # the default m is m_min + 1
+    with pytest.raises(BarrierError, match="minimal admissible m is") as err:
+        build_barrier("F_power", iso2, spec, {"m": 1.9})
+    assert float(str(err.value).rpartition(" ")[2]) == pytest.approx(2.0, abs=1e-2)
 
 
 def test_m_too_small_reports_minimum(iso2):

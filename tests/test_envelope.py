@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maslab import envelope
 from maslab.envelope import (abp_experiment, compute_tau, concave_envelope,
                              detachment_heights, estimate_engulfing,
                              ring_estimate_check)
@@ -25,6 +26,18 @@ def _ones(p):
     return np.ones(p.shape[0])
 
 
+def _in_tau(env, pot):
+    """The envelope lattice points in S_tau(0), by their heights."""
+    return pot.height(np.zeros(pot.dim), env.lattice) < TAU * TAU
+
+
+def _contact_tol(u):
+    """concave_envelope's contact tolerance: twice the interpolation error
+    estimate |second difference| / 8 of u's values."""
+    d2 = max(float(np.abs(np.diff(u.values, n=2, axis=ax)).max()) for ax in range(u.dim))
+    return max(0.25 * d2, 1e-12 * max(1.0, float(np.abs(u.values).max())))
+
+
 def test_tau_ball_closed_form(iso1):
     # |2x - z| >= |z| - 2|x| > (tau - 2) sqrt(2): tau = 3 suffices
     assert compute_tau(iso1) <= 3.0 + 1e-6
@@ -35,9 +48,11 @@ def test_tau_symmetric_at_center(iso2):
     assert compute_tau(iso2) <= 3.0 + 1e-6
 
 
-def test_tau_perturbed_stable(perturbed1):
-    t1 = compute_tau(perturbed1, samples=16)
-    t2 = compute_tau(perturbed1, samples=32)
+def test_tau_perturbed_stable(perturbed1, monkeypatch):
+    monkeypatch.setattr(envelope, "TAU_SAMPLES", 16)
+    t1 = compute_tau(perturbed1)
+    monkeypatch.setattr(envelope, "TAU_SAMPLES", 32)
+    t2 = compute_tau(perturbed1)
     assert np.isfinite(t1) and np.isfinite(t2)
     assert abs(t1 - t2) <= 0.25 * max(t1, t2)
 
@@ -81,8 +96,9 @@ def test_engulfing_estimate_bounded(perturbed2):
 def test_envelope_dominates_and_concave(iso1):
     env = concave_envelope(_u_cap(), iso1, TAU)
     up = np.maximum(env.u_vals, 0.0)
-    assert np.all(env.gamma_vals[env.in_tau] >= up[env.in_tau] - 1e-12)
-    g = env.gamma_vals[env.in_tau]
+    in_tau = _in_tau(env, iso1)
+    assert np.all(env.gamma.values.ravel()[in_tau] >= up[in_tau] - 1e-12)
+    g = env.gamma.values.ravel()[in_tau]
     assert np.all(g[1:-1] >= 0.5 * (g[:-2] + g[2:]) - 1e-9)
 
 
@@ -91,7 +107,7 @@ def test_envelope_zero_for_nonpositive(iso1):
                                    lambda p: -np.ones(p.shape[0]), zero_rule())
     env = concave_envelope(u, iso1, TAU)
     assert env.details["trivial"]
-    assert np.all(env.gamma_vals == 0.0)
+    assert np.all(env.gamma.values == 0.0)
     assert not env.contact_mask.any()
 
 
@@ -102,7 +118,7 @@ def test_envelope_single_spike(iso1):
     u = GridFunction.from_callable([-1.5], [1.5], 1 / 32, spike, zero_rule())
     env = concave_envelope(u, iso1, TAU)
     i0 = int(np.argmin(np.abs(env.lattice[:, 0])))
-    assert env.gamma_vals[i0] == pytest.approx(1.0, abs=1e-9)
+    assert env.gamma.values.ravel()[i0] == pytest.approx(1.0, abs=1e-9)
     assert env.contact_mask[i0]
 
 
@@ -111,8 +127,9 @@ def test_envelope_matches_plane_minimization_oracle(iso1):
     # pairs of lifted points that dominate the cloud
     u = _u_cap(h=1 / 16)
     env = concave_envelope(u, iso1, TAU)
-    pts = env.lattice[env.in_tau][:, 0]
-    up = np.maximum(env.u_vals[env.in_tau], 0.0)
+    in_tau = _in_tau(env, iso1)
+    pts = env.lattice[in_tau][:, 0]
+    up = np.maximum(env.u_vals[in_tau], 0.0)
     k = pts.size
     best = np.full(k, np.inf)
     for i in range(k):
@@ -123,7 +140,7 @@ def test_envelope_matches_plane_minimization_oracle(iso1):
             vals = up[i] + sl * (pts - pts[i])
             if np.all(vals >= up - 1e-12):
                 best = np.minimum(best, vals)
-    got = env.gamma_vals[env.in_tau]
+    got = env.gamma.values.ravel()[in_tau]
     assert np.all(np.abs(got - best) <= 1e-6)
 
 
@@ -135,12 +152,13 @@ def test_envelope_precondition(iso1):
 
 
 def test_supergradient_supports_u(iso1):
-    env = concave_envelope(_u_cap(), iso1, TAU)
+    u = _u_cap()
+    env = concave_envelope(u, iso1, TAU)
     idx = np.nonzero(env.contact_mask)[0]
-    pts = env.lattice
+    pts, in_tau, tol = env.lattice, _in_tau(env, iso1), _contact_tol(u)
     for ci in idx[:10]:
-        tangent = env.u_vals[ci] + (pts[env.in_tau] - pts[ci]) @ env.supergradients[ci]
-        assert np.all(env.u_vals[env.in_tau] <= tangent + 2 * env.contact_tol + 1e-9)
+        tangent = env.u_vals[ci] + (pts[in_tau] - pts[ci]) @ env.supergradients[ci]
+        assert np.all(env.u_vals[in_tau] <= tangent + 2 * tol + 1e-9)
 
 
 def test_envelope_2d_smoke(iso2):
@@ -150,10 +168,11 @@ def test_envelope_2d_smoke(iso2):
     u = GridFunction.from_callable([-1.5, -1.5], [1.5, 1.5], 1 / 12, cap2, zero_rule())
     env = concave_envelope(u, iso2, TAU)
     up = np.maximum(env.u_vals, 0.0)
-    assert np.all(env.gamma_vals[env.in_tau] >= up[env.in_tau] - 1e-9)
+    in_tau = _in_tau(env, iso2)
+    assert np.all(env.gamma.values.ravel()[in_tau] >= up[in_tau] - 1e-9)
     assert env.contact_mask.any()
     i0 = int(np.argmin(np.linalg.norm(env.lattice, axis=1)))
-    assert env.gamma_vals[i0] == pytest.approx(1.0, abs=1e-6)
+    assert env.gamma.values.ravel()[i0] == pytest.approx(1.0, abs=1e-6)
 
 
 def _solved_abp_fixture(iso1, h):

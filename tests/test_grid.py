@@ -157,3 +157,13 @@ def test_gaussian_rule_centre_and_width():
 def test_analytic_field_eval():
     f = AnalyticField("sq", lambda p: p[:, 0] ** 2, 4.0, 1)
     assert f.eval([[1.5]])[0] == 2.25
+
+
+def test_eval_rejects_points_of_another_dimension():
+    # a 2D point with a third coordinate is not dropped silently
+    u = GridFunction.from_callable([0, 0], [1, 1], 0.25, lambda p: p.sum(axis=1), zero_rule())
+    f = AnalyticField("sum", lambda p: p.sum(axis=1), 2.0, 2)
+    for field in (u, f):
+        assert field.eval([0.25, 0.5])[0] == pytest.approx(0.75)
+        with pytest.raises(ConfigurationError, match="dimension"):
+            field.eval([[0.25, 0.5, 99.0]])

@@ -133,6 +133,14 @@ def test_domain_mask_holds_data(iso1):
     assert 0.0 < float(u.eval([0.5])[0]) < 2.0
 
 
+@pytest.mark.parametrize("extra", [-3, 3])
+def test_domain_of_the_wrong_length_rejected(iso1, extra):
+    # too short left the last lattice points neither unknowns nor data
+    with pytest.raises(ConfigurationError, match="domain"):
+        DiscreteProblem(iso1, KernelSpec(1.0, 2.0, 1.5), [-1], [1], 1 / 16, constant_rule(1.0),
+                        domain=lambda p: np.ones(len(p) + extra, bool))
+
+
 def test_comparison_pairs(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
     g_lo = indicator_box_rule([1.2], [1.8], 0.6)
@@ -847,11 +855,12 @@ def test_solve_memory_has_no_p_by_p_array(iso1):
     assert peak <= 0.75 * prob.P ** 2 * 8
 
 
-def _per_node_reference(prob, u):
+def _per_node_reference(prob, u, kernel_rule=None):
     """The operator on the un-aggregated node set, built per node from
     point_quadrature, the exterior rule and interp_weights: A u, the mass and
     the frozen-policy matrix (all lattice columns, centre weights included),
-    with the nodes, their pair sums S and which nodes are fully exterior."""
+    with the nodes, their pair sums S and which nodes are fully exterior.
+    kernel_rule is the rule a "linear" problem was built with."""
     pq = solver.point_quadrature(prob.plan, prob.grid_pts[prob.unknown])
     x = pq.x[pq.pid]
     S = np.zeros(pq.coef.size)
@@ -867,7 +876,7 @@ def _per_node_reference(prob, u):
         stencils.append((ins, idx, wts))
     delta = S - 2.0 * u[prob.unknown[pq.pid]]
     if prob.equation == "linear":
-        mults = rule_multipliers(prob.kernel_rule, prob.spec, x, pq.y, pq.wbar)
+        mults = rule_multipliers(kernel_rule, prob.spec, x, pq.y, pq.wbar)
     elif prob.equation == "isaacs":
         mults = [[rule_multipliers(r, prob.spec, x, pq.y, pq.wbar) for r in beta]
                  for beta in prob.families]
@@ -885,12 +894,15 @@ def _per_node_reference(prob, u):
     return operator_values(*args), mass, M, pq, S, outside
 
 
+_ROUGH = checkerboard_rule(KernelSpec(1.0, 2.0, 1.5))  # the "linear" case's rule
+
+
 def _aggregation_cases(request):
     iso1 = request.getfixturevalue("iso1")
     spec = KernelSpec(1.0, 2.0, 1.5)
     mid = KernelSpec(1.0, 2.0, 1.5)
     box = indicator_box_rule([1.1], [1.6], 1.0)
-    rough = checkerboard_rule(mid)
+    rough = _ROUGH
     return {
         "plus": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box),
         "minus": lambda: DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box,
@@ -923,7 +935,8 @@ def _off_disc(p):
 def test_exterior_aggregation_matches_per_node_reference(request, case, rng):
     prob = _aggregation_cases(request)[case]()
     u = rng.normal(size=prob.N)
-    want, mass, M_want, pq, S, outside = _per_node_reference(prob, u)
+    want, mass, M_want, pq, S, outside = _per_node_reference(
+        prob, u, _ROUGH if case == "linear" else None)
     got = prob.apply(u)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(prob.mass - mass).max() <= 1e-13 * mass.max()
