@@ -121,6 +121,13 @@ def make_rule(rule_id: str, params=()) -> ExteriorRule:
         raise ConfigurationError(f"rule {rule_id!r} does not take params {list(params)}") from e
 
 
+def _rows(mask: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The rows of pts where mask is true, selected column by column and
+    returned column-major (row selection is slow on column-major arrays,
+    and on row-major ones it runs an inner loop of length n per row)."""
+    return np.stack([np.compress(mask, c) for c in pts.T]).T
+
+
 def tensor_points(axes) -> np.ndarray:
     """All points of the lattice axes[0] x axes[1] x ..., last axis fastest,
     as an (N, len(axes)) array."""

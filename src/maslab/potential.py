@@ -4,6 +4,16 @@ Each entry provides closed-form gradient/Hessian and the height
 function v_x(y) = phi(y) - phi(x) - grad(x).(y - x), which is the deviation
 of phi from its supporting hyperplane at x and drives all section geometry.
 Dimensions 1 and 2 are supported.
+
+Layout: points come as (N, n) arrays, but the heights are computed on their
+columns.  A ufunc over a row-major (N, n) array runs an inner loop of length
+n (2 at most), several times slower than one pass over a contiguous column,
+so `height` and `pair_heights` form y - x one column at a time into a
+column-major buffer, and the arithmetic reads columns.  Each fresh
+temporary the size of a large lattice costs page faults on top of its
+arithmetic, so the results of the height formulas are reused in place.
+Every per-element operation is that of the row-major formulas, so the
+values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +38,15 @@ def _as_points(x, dim: int) -> np.ndarray:
     if a.shape[1] != dim:
         raise ConfigurationError(f"point dimension {a.shape[1]} != dimension {dim}")
     return a
+
+
+def _as_point(x, dim: int) -> np.ndarray:
+    """One point as a (dim,) float array; more than one row raises, where
+    taking the first would drop the rest silently."""
+    a = _as_points(x, dim)
+    if a.shape[0] != 1:
+        raise ConfigurationError(f"need one base point, not {a.shape[0]}")
+    return a[0]
 
 
 def _dot(a: list, b: list) -> np.ndarray:
@@ -118,10 +137,28 @@ class Potential:
         return H
 
     def height(self, x, y) -> np.ndarray:
-        """v_x(y) for a single base point x and one or many probes y."""
-        xa = _as_points(x, self.dim)[0]
+        """v_x(y) for a single base point x and one or many probes y; a base
+        point of more than one row raises ConfigurationError."""
+        xa = _as_point(x, self.dim)
         ya = _as_points(y, self.dim)
-        return self.shifted_height(xa, ya - xa[None, :])
+        d = np.empty((self.dim, ya.shape[0]))     # y - x, column-major
+        for i in range(self.dim):
+            np.subtract(ya[:, i], xa[i], out=d[i])
+        return self.shifted_height(xa, d.T)
+
+    def pair_heights(self, x, y) -> np.ndarray:
+        """v_{x_i}(y_j) for every row x_i of x and y_j of y, as a
+        (len(x), len(y)) array whose row i is height(x_i, y) bit for bit.
+        The pairs are laid out column-major, pair (i, j) at i len(y) + j."""
+        xa, ya = _as_points(x, self.dim), _as_points(y, self.dim)
+        k, m = xa.shape[0], ya.shape[0]
+        base = np.empty((self.dim, k, m))
+        d = np.empty((self.dim, k, m))
+        for i in range(self.dim):
+            base[i] = xa[:, i, None]
+            np.subtract(ya[:, i], xa[:, i, None], out=d[i])
+        return self.shifted_height(base.reshape(self.dim, -1).T,
+                                   d.reshape(self.dim, -1).T).reshape(k, m)
 
     def shifted_height(self, x, y) -> np.ndarray:
         """w_x(y) = v_x(x + y), evaluated in a cancellation-free form.
@@ -150,15 +187,21 @@ class Potential:
         # column by column: an einsum over n <= 2 columns costs several
         # times more than the elementwise products.  The 2D aniso form keeps
         # its matmul: column arithmetic would change its rounding (BLAS uses
-        # fused multiply-adds) for a non-diagonal A.
+        # fused multiply-adds) for a non-diagonal A.  The matmul of a
+        # column-major ya gives the row-major one's bits (OpenBLAS on x86-64;
+        # tests/test_potential.py checks it).  Each result below is a new
+        # array, scaled and clipped in place.
         yc = [ya[:, i] for i in range(self.dim)]
         if self.id == "aniso_quadratic":      # never perturbed
             ay = self._A[0, 0] * ya if self.dim == 1 else ya @ self._A
-            return np.maximum(0.5 * _dot([ay[:, i] for i in range(self.dim)], yc), 0.0)
+            q = _dot([ay[:, i] for i in range(self.dim)], yc)
+            q *= 0.5
+            return np.maximum(q, 0.0, out=q)
         yy = _dot(yc, yc)
-        w = 0.5 * yy                # A = I
-        if not self.eps:
-            return np.maximum(w, 0.0)
+        if not self.eps:            # A = I
+            yy *= 0.5
+            return np.maximum(yy, 0.0, out=yy)
+        w = 0.5 * yy
         # a single base point broadcasts: s0 is then one value
         xc = [xa[:, i] for i in range(self.dim)]
         s0 = np.sqrt(1.0 + _dot(xc, xc))
@@ -168,8 +211,10 @@ class Potential:
             # w_x(sign * y): s1 - s0 - x.y/s0, written without cancellation;
             # in place where the operands commute, which changes no bit
             step = np.add if sign > 0 else np.subtract
-            xpy = [step(a, b) for a, b in zip(xc, yc)]
-            s = _dot(xpy, xpy)
+            s, *rest = [step(a, b) for a, b in zip(xc, yc)]
+            s *= s                                    # |x + sign y|^2 as _dot sums it
+            for c in rest:
+                s += np.multiply(c, c, out=c)
             s += 1.0
             np.sqrt(s, out=s)
             s += s0                                   # s0 + s1
@@ -177,7 +222,9 @@ class Potential:
             num = 2.0 * sxy
             num += yy
             num *= sxy                                # x.y (2 x.y + y.y)
-            num /= np.multiply(np.square(s), s0)
+            den = np.square(s)
+            den *= s0
+            num /= den
             w_s = np.divide(yy, s)
             w_s -= num
             w_s *= self.eps

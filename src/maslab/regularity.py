@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
-from .grid import ExteriorRule, GridFunction
+from .grid import ExteriorRule, GridFunction, _rows
 from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule
-from .potential import Potential, _as_points
+from .potential import Potential, _as_point
 from .sections import boundary_radii, contains_many, sphere_measure, unit_directions
 from .solver import DiscreteProblem, solve
 
@@ -85,7 +85,7 @@ def l_eps_tail(u: GridFunction, potential: Potential, z, tau: float, eps0: float
     With the solved problem, the hypothesis M^- u <= eps0 on S_2tau(z) is
     checked on u as solved, and its margin reported.
     """
-    z = _as_points(z, potential.dim)[0]
+    z = _as_point(z, potential.dim)
     pts = u.points()
     vals = u.values.ravel()
     if vals.min() < -1e-9 * max(1.0, float(np.abs(vals).max())):
@@ -212,15 +212,32 @@ def _section_oscs(potential: Potential, v: np.ndarray, rho: float, h: float, fie
 
 def _pair_heights(potential: Potential, pts: np.ndarray) -> np.ndarray:
     """v_p(q) for every pair (row p, column q), as height(p, pts) gives it,
-    from shifted_height over blocks of at most NODE_BUDGET pairs."""
+    from pair_heights over blocks of at most NODE_BUDGET pairs."""
     m = pts.shape[0]
     out = np.empty((m, m))
     step = max(1, NODE_BUDGET // m)
     for first in range(0, m, step):
-        x = np.repeat(pts[first:first + step], m, axis=0)
-        out[first:first + step] = potential.shifted_height(
-            x, np.tile(pts, (x.shape[0] // m, 1)) - x).reshape(-1, m)
+        out[first:first + step] = potential.pair_heights(pts[first:first + step], pts)
     return out
+
+
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """|p - q| for every pair (row p, row q), bit for bit as np.linalg.norm
+    of p - q gives it: the per-column squared differences are summed in its
+    order, so only (m, m) arrays exist, never the (m, m, n) differences."""
+    out = np.zeros((pts.shape[0],) * 2)
+    d = np.empty_like(out)
+    for c in pts.T:
+        np.subtract.outer(c, c, out=d)
+        out += np.multiply(d, d, out=d)
+    return np.sqrt(out, out=out)
+
+
+def _seminorm(dv: np.ndarray, d: np.ndarray, alpha: float) -> float:
+    """max over pairs p != q of dv / d^alpha, computed in d's storage."""
+    np.fill_diagonal(d, np.inf)
+    np.power(d, alpha, out=d)
+    return float(np.divide(dv, d, out=d).max())
 
 
 def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
@@ -230,7 +247,7 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     Returns the section-intrinsic fit (quasi-distance d(x,y) = sqrt(v_x(y)))
     and the Euclidean fit, with the recorded seminorm constants.
     """
-    x0 = _as_points(x0, potential.dim)[0]
+    x0 = _as_point(x0, potential.dim)
     pts = u.points()
     vals = u.values.ravel()
     v = potential.height(x0, pts)
@@ -241,15 +258,17 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     alpha_hat, _, r2 = _loglog_fit(radii, oscs)
 
     half = v < (rho / 2.0) ** 2
-    P = pts[half]
+    P = _rows(half, pts)
     V = vals[half]
-    dv = np.abs(V[:, None] - V[None, :])
-    dsec = np.sqrt(np.maximum(_pair_heights(potential, P), 1e-300))
-    deuc = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-    np.fill_diagonal(dsec, np.inf)
-    np.fill_diagonal(deuc, np.inf)
-    semi_sec = float((dv / dsec ** alpha_hat).max())
-    semi_euc = float((dv / np.maximum(deuc, 1e-300) ** alpha_hat).max())
+    # (m, m) arrays take 82 MB each at m = 3200: each distance array is
+    # consumed in place before the next is built
+    dv = np.subtract.outer(V, V)
+    np.abs(dv, out=dv)
+    dsec = _pair_heights(potential, P)
+    semi_sec = _seminorm(dv, np.sqrt(np.maximum(dsec, 1e-300, out=dsec), out=dsec), alpha_hat)
+    del dsec
+    deuc = _distances(P)
+    semi_euc = _seminorm(dv, np.maximum(deuc, 1e-300, out=deuc), alpha_hat)
     sup_u = float(np.abs(vals).max())
     return {"alpha_hat": alpha_hat, "r2": r2,
             "seminorm_hat": semi_sec, "seminorm_euclidean": semi_euc,

@@ -10,6 +10,14 @@ radii are closed forms in the boundary radii or in heights v_x(y); the
 radii come from a safeguarded Newton iteration started at the quadratic
 model, which is exact for a quadratic potential, whose sections are
 ellipsoids.
+
+Layout: a section query reads heights over a lattice of tens of thousands
+of points, and Potential.height works on its columns (a ufunc over an
+(N, n) row-major array runs an inner loop of length n, and each fresh
+N-point temporary costs page faults).  So pairs of points are built column
+by column (Potential.pair_heights), and masked selections of a lattice use
+grid._rows, which selects column by column and returns a column-major
+array.  Lattices themselves stay row-major, as grid.box_lattice makes them.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, RefinementNeededError
-from .grid import box_lattice, tensor_points
-from .potential import Potential, _as_points
+from .grid import _rows, box_lattice, tensor_points
+from .potential import Potential, _as_point
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ def boundary_radii(potential: Potential, x, r: float, dirs: np.ndarray) -> np.nd
     """
     if r <= 0:
         raise ConfigurationError("section height must be positive")
-    x = _as_points(x, potential.dim)[0]
+    x = _as_point(x, potential.dim)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
@@ -160,7 +168,7 @@ def fit_ellipsoid(potential: Potential, x, r: float, ray_count: int = 256) -> Af
     n = potential.dim
     if ray_count < 2 * n + 2:
         raise ConfigurationError("ray_count must be at least 2n+2")
-    x = _as_points(x, n)[0]
+    x = _as_point(x, n)
     dirs = unit_directions(n, ray_count)
     t = boundary_radii(potential, x, r, dirs)
     w = sphere_measure(n) / len(dirs)
@@ -197,7 +205,7 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
     if trial_count < 1:
         raise ConfigurationError("trial_count must be >= 1")
     n = potential.dim
-    x = _as_points(x, n)[0]
+    x = _as_point(x, n)
     dirs = unit_directions(n, max(8, trial_count))
     t = boundary_radii(potential, x, r, dirs)
     zs = x[None, :] + (1.0 - 1e-9) * t[:, None] * dirs
@@ -206,11 +214,8 @@ def engulfing_probe(potential: Potential, x, r: float, trial_count: int = 64) ->
     ys = ys.reshape(-1, n)
     ys = np.vstack([x[None, :], ys])
 
-    # every (sample, boundary point) pair in one call: row i*m + j is (y_i, z_j)
-    m = zs.shape[0]
-    ys_rep = np.repeat(ys, m, axis=0)
-    zs_rep = np.tile(zs, (ys.shape[0], 1))
-    vmax = float(potential.shifted_height(ys_rep, zs_rep - ys_rep).max())
+    # every (sample, boundary point) pair in one call
+    vmax = float(potential.pair_heights(ys, zs).max())
     if vmax >= (64.0 * r) ** 2:
         raise GeometryError("engulfing failure: gamma > 64 needed (catalog pathology?)")
     return max(1.0, float(np.sqrt(vmax)) / r)
@@ -353,7 +358,7 @@ def deformation_checks(potential: Potential, t: float, y) -> dict:
     if t <= 0:
         raise ConfigurationError("t must be positive")
     n = potential.dim
-    y = _as_points(y, n)[0]
+    y = _as_point(y, n)
     dirs = unit_directions(n, 12)
     xs = np.vstack([y[None, :] + boundary_radii(potential, y, s, dirs)[:, None] * dirs
                     for s in np.array([0.72, 0.65, 0.58, 0.51]) * t])
@@ -375,7 +380,7 @@ def deformation_checks(potential: Potential, t: float, y) -> dict:
     # S_{delta t}(x) holds the lattice points p with v_x(p) < (delta t)^2, so
     # the largest delta keeping it inside the ring is the smallest sqrt(v_x(p))
     # over lattice points p outside the ring, over t
-    outside = lattice[~ring_ok]
+    outside = _rows(~ring_ok, lattice)
     delta_hats = []
     for x in xs:
         v_min = float(potential.height(x, outside).min()) if outside.size else np.inf

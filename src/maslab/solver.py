@@ -68,7 +68,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, DataError
-from .grid import ExteriorRule, GridFunction
+from .grid import ExteriorRule, GridFunction, _rows
 from .kernels import (KernelRule, KernelSpec, _block_points, equation_rules,
                       group_multipliers, make_plan, operator_values,
                       point_quadrature, policy_slopes, policy_values,
@@ -109,12 +109,6 @@ def _join(blocks: list) -> np.ndarray:
     out = np.concatenate(blocks)
     blocks.clear()
     return out
-
-
-def _rows(mask: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The rows of pts where mask is true, selected column by column and
-    returned column-major (row selection is slow on column-major arrays)."""
-    return np.stack([np.compress(mask, c) for c in pts.T]).T
 
 
 def _slot_map(pid, crow, ccol, rowptr, N: int):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maslab.errors import ConfigurationError, DataError
-from maslab.grid import (AnalyticField, GridFunction, constant_rule,
+from maslab.grid import (AnalyticField, GridFunction, _rows, constant_rule,
                          gaussian_rule, halfspace_rule, indicator_box_rule,
                          make_rule, tensor_points, zero_rule)
 
@@ -167,3 +167,15 @@ def test_eval_rejects_points_of_another_dimension():
         assert field.eval([0.25, 0.5])[0] == pytest.approx(0.75)
         with pytest.raises(ConfigurationError, match="dimension"):
             field.eval([[0.25, 0.5, 99.0]])
+
+
+def test_rows_select_column_by_column(rng):
+    # the rows of pts[mask], bit for bit, in a column-major array, from
+    # row-major and column-major points alike
+    pts = rng.normal(size=(500, 2))
+    mask = rng.uniform(size=500) < 0.4
+    for p in (pts, np.asfortranarray(pts)):
+        got = _rows(mask, p)
+        assert np.array_equal(got, pts[mask])
+        assert got.flags.f_contiguous
+    assert _rows(np.zeros(500, dtype=bool), pts).shape == (0, 2)

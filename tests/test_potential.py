@@ -153,6 +153,57 @@ def test_shifted_height_1d_matches_quadratic_form(rng):
         assert np.array_equal(pot.shifted_height(x, y), want)
 
 
+HEIGHT_POTENTIALS = {
+    "iso": ("iso_quadratic", 2, []),
+    "aniso_diag": ("aniso_quadratic", 2, [4.0, 0.0, 0.0, 1.0]),
+    "aniso_full": ("aniso_quadratic", 2, [2.0, 0.8, 0.8, 1.0]),
+    "aniso_kappa40": ("aniso_quadratic", 2, [25.0, 3.0, 3.0, 1.0]),
+    "perturbed": ("perturbed_quadratic", 2, [0.1]),
+    "iso_1d": ("iso_quadratic", 1, []),
+    "aniso_1d": ("aniso_quadratic", 1, [3.0]),
+    "perturbed_1d": ("perturbed_quadratic", 1, [0.3]),
+}
+
+
+@pytest.mark.parametrize("name", list(HEIGHT_POTENTIALS))
+def test_height_layouts_match_the_rowwise_shifted_height(name, rng):
+    # height forms y - x column by column; row-major, column-major and 1D
+    # probes give the bits of one shifted_height(x, y - x) per row
+    pot = make_potential(*HEIGHT_POTENTIALS[name])
+    x = rng.uniform(-1.0, 1.0, pot.dim)
+    y = rng.uniform(-2.0, 2.0, size=(700, pot.dim))
+    want = np.array([pot.shifted_height(x, (p - x)[None, :])[0] for p in y])
+    if pot.quadratic:
+        # the row-major quadratic form: an aniso height keeps the matmul's
+        # bits, which column arithmetic would not
+        assert np.array_equal(0.5 * np.einsum("ki,ki->k", (y - x) @ pot._A, y - x), want)
+    assert np.array_equal(pot.height(x, y), want)
+    assert np.array_equal(pot.height([x], np.asfortranarray(y)), want)
+    if pot.dim == 1:
+        assert np.array_equal(pot.height(x[0], y[:, 0]), want)   # 1D probes
+    else:
+        assert np.array_equal(pot.height(x, y[0]), want[:1])     # one probe, 1D
+
+
+@pytest.mark.parametrize("name", list(HEIGHT_POTENTIALS))
+def test_pair_heights_rows_are_heights(name, rng):
+    pot = make_potential(*HEIGHT_POTENTIALS[name])
+    xs = rng.uniform(-1.0, 1.0, size=(9, pot.dim))
+    ys = rng.uniform(-2.0, 2.0, size=(40, pot.dim))
+    got = pot.pair_heights(xs, np.asfortranarray(ys))
+    assert got.shape == (9, 40)
+    assert np.array_equal(got, np.array([pot.height(x, ys) for x in xs]))
+
+
+def test_height_rejects_a_base_point_of_several_rows(iso2, iso1):
+    # the second row is not dropped silently
+    with pytest.raises(ConfigurationError, match="one base point"):
+        iso2.height([[0.0, 0.0], [0.7, 0.7]], [[0.1, 0.2]])
+    with pytest.raises(ConfigurationError, match="one base point"):
+        iso1.height([0.0, 0.7], [0.1, 0.2])
+    assert iso2.height([[0.7, 0.7]], [[0.1, 0.2]])[0] == pytest.approx(0.305)
+
+
 @pytest.mark.parametrize("pot, lo, hi", [
     (make_potential("iso_quadratic", 2), 1.0, 1.0),
     (make_potential("aniso_quadratic", 2, [4.0, 1.0, 1.0, 1.0]), 3.0, 3.0),

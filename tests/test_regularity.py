@@ -150,6 +150,13 @@ def _holder_solution(iso1, h, sigma=1.5):
     return u, spec, rep
 
 
+def _pair_heights_row_major(pot, pts):
+    # reference: the pairs as rows, by np.repeat and np.tile of the points
+    m = pts.shape[0]
+    x = np.repeat(pts, m, axis=0)
+    return pot.shifted_height(x, np.tile(pts, (m, 1)) - x).reshape(m, m)
+
+
 @pytest.mark.parametrize("pot_name", ["iso1", "perturbed1", "perturbed2", "aniso2"])
 def test_pair_heights_equal_the_per_point_loop(request, pot_name, monkeypatch):
     # holder_estimate's sectional distances: v_p(q) for every pair, bit for
@@ -161,9 +168,32 @@ def test_pair_heights_equal_the_per_point_loop(request, pot_name, monkeypatch):
         pts = box_lattice([-0.7, -0.4][:pot.dim], [0.6, 0.5][:pot.dim], [k] * pot.dim)
         want = np.array([pot.height(p, pts) for p in pts])
         assert np.array_equal(regularity._pair_heights(pot, pts), want)
+        assert np.array_equal(_pair_heights_row_major(pot, pts), want)
         with monkeypatch.context() as mp:
             mp.setattr(regularity, "NODE_BUDGET", 1000)
             assert np.array_equal(regularity._pair_heights(pot, pts), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_distances_equal_the_norm_of_the_differences(dim, rng):
+    # holder_estimate's Euclidean distances, bit for bit those of the (m, m, n)
+    # formula, from row-major and column-major points
+    P = rng.uniform(-3.0, 3.0, size=(300, dim))
+    want = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+    assert np.array_equal(regularity._distances(P), want)
+    assert np.array_equal(regularity._distances(np.asfortranarray(P)), want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, pot, x: holder_estimate(u, pot, x, KernelSpec(1.0, 2.0, 1.5), C0=0.0),
+    lambda u, pot, x: l_eps_tail(u, pot, x, TAU, eps0=1.0),
+], ids=["holder_estimate", "l_eps_tail"])
+def test_a_base_point_of_several_rows_is_rejected(call, iso1):
+    # the second row of x0 or z is not dropped silently
+    u = GridFunction.from_callable([-3], [3], 1 / 64, lambda p: 2.0 + np.cos(p[:, 0]),
+                                   zero_rule())
+    with pytest.raises(ConfigurationError, match="one base point"):
+        call(u, iso1, [0.0, 0.5])
 
 
 def test_holder_affine_slope_one(iso1):
@@ -179,7 +209,7 @@ def test_holder_affine_slope_one(iso1):
 @pytest.mark.parametrize("pot_name", ["iso1", "perturbed1"])
 def test_holder_one_height_pass_about_x0(request, pot_name, monkeypatch):
     # the half section and every oscillation window come from one height
-    # array about x0; the pair distances use shifted_height
+    # array about x0; the pair distances use pair_heights
     pot = request.getfixturevalue(pot_name)
     u = GridFunction.from_callable([-3], [3], 1 / 256, lambda p: np.cos(2 * p[:, 0]),
                                    zero_rule())

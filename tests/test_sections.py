@@ -236,8 +236,8 @@ def test_engulfing_perturbed_uniform(perturbed2):
     assert max(gs) <= 8.0
 
 
-def _engulfing_by_bisection(potential, x, r, trial_count):
-    # reference: bisection on gamma against the pair predicate v_y(z) < (gamma r)^2
+def _engulfing_samples(potential, x, r, trial_count):
+    # the interior samples ys and boundary points zs of engulfing_probe
     n = potential.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dirs = unit_directions(n, max(8, trial_count))
@@ -245,6 +245,12 @@ def _engulfing_by_bisection(potential, x, r, trial_count):
     zs = x + (1.0 - 1e-9) * t[:, None] * dirs
     fracs = np.array([0.15, 0.4, 0.65, 0.85, 0.99])
     ys = np.vstack([x, (x + fracs[:, None, None] * t[None, :, None] * dirs).reshape(-1, n)])
+    return ys, zs
+
+
+def _engulfing_by_bisection(potential, x, r, trial_count):
+    # reference: bisection on gamma against the pair predicate v_y(z) < (gamma r)^2
+    ys, zs = _engulfing_samples(potential, x, r, trial_count)
     lo, hi = 1.0, 64.0
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
@@ -261,6 +267,26 @@ def test_engulfing_matches_bisection_reference(perturbed1, perturbed2, aniso2):
         got = engulfing_probe(pot, c, r, 48)
         want = _engulfing_by_bisection(pot, c, r, 48)
         assert want - 1e-3 <= got <= want
+
+
+def _engulfing_row_major(potential, x, r, trial_count):
+    # reference: every (sample, boundary point) pair as rows, by np.repeat
+    # and np.tile of row-major arrays, in one shifted_height call
+    ys, zs = _engulfing_samples(potential, x, r, trial_count)
+    m = zs.shape[0]
+    ys_rep = np.repeat(ys, m, axis=0)
+    zs_rep = np.tile(zs, (ys.shape[0], 1))
+    vmax = float(potential.shifted_height(ys_rep, zs_rep - ys_rep).max())
+    return max(1.0, float(np.sqrt(vmax)) / r)
+
+
+def test_engulfing_equals_the_row_major_pair_formula(perturbed1, perturbed2, aniso2):
+    full = make_potential("aniso_quadratic", 2, [2.0, 0.8, 0.8, 1.0])
+    for pot, c, r in ((perturbed2, [0.7, 0.7], 0.5), (perturbed2, [-0.5, 0.3], 1.0),
+                      (aniso2, [0.2, -0.1], 0.25), (full, [0.3, 0.6], 0.5),
+                      (make_potential("iso_quadratic", 2), [0.1, 0.2], 0.5),
+                      (perturbed1, [0.4], 0.5)):
+        assert engulfing_probe(pot, c, r, 48) == _engulfing_row_major(pot, c, r, 48)
 
 
 def test_besicovitch_1d_selection_rule(iso1):
@@ -454,19 +480,24 @@ def test_deformation_perturbed(perturbed2):
     assert not rep["failure"]
 
 
-def _delta_hats_by_bisection(potential, t, y, samples=12):
-    # reference: the samples and lattice of deformation_checks, and per sample
-    # a 30-step bisection on delta against full-lattice membership
+def _deformation_samples(potential, t, y):
+    # the samples xs and the test lattice of deformation_checks
     n = potential.dim
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dirs = unit_directions(n, max(8, samples))
+    dirs = unit_directions(n, 12)
     xs = np.vstack([y + boundary_radii(potential, y, s * t, dirs)[:, None] * dirs
                     for s in (0.72, 0.65, 0.58, 0.51)])
     tmax = boundary_radii(potential, y, t, dirs).max()
     per_axis = 600 if n == 1 else 90
     pts = np.vstack([y, xs])
     lo, hi = pts.min(axis=0) - 1.3 * tmax, pts.max(axis=0) + 1.3 * tmax
-    lattice = tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(n)])
+    return xs, tensor_points([np.linspace(lo[i], hi[i], per_axis) for i in range(n)])
+
+
+def _delta_hats_by_bisection(potential, t, y):
+    # reference: the samples and lattice of deformation_checks, and per sample
+    # a 30-step bisection on delta against full-lattice membership
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    xs, lattice = _deformation_samples(potential, t, y)
     ring_ok = (contains_many(potential, y, t, lattice)
                & ~contains_many(potential, y, t / 4.0, lattice))
     out = []
@@ -488,6 +519,46 @@ def test_deformation_delta_hats_match_bisection_reference(perturbed1, perturbed2
         got = np.array(deformation_checks(pot, t, y)["delta_hats"])
         want = _delta_hats_by_bisection(pot, t, y)
         assert np.abs(got - want).max() <= 1e-8
+
+
+def _deformation_row_major(potential, t, y):
+    # reference: the delta hats and doubling ratios of deformation_checks from
+    # row-major y - x arrays and the row selection lattice[~ring_ok]
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    xs, lattice = _deformation_samples(potential, t, y)
+    v_y = potential.shifted_height(y, lattice - y[None, :])
+    ring_ok = (v_y < t ** 2) & (v_y >= (t / 4.0) ** 2)
+    outside = lattice[~ring_ok]
+    deltas = [min(1.0, float(np.sqrt(potential.shifted_height(x, outside - x[None, :]).min()))
+                  / t) for x in xs]
+    n = potential.dim
+    cell = ((lattice[:, 0].max() - lattice[:, 0].min()) / ((600 if n == 1 else 90) - 1)) ** n
+    m = [float(np.count_nonzero(v_y < r ** 2)) * cell for r in (t, t / 2.0, t / 4.0)]
+    return deltas, [m[0] / m[1], m[1] / m[2]]
+
+
+def test_deformation_equals_the_row_major_formulas(perturbed1, perturbed2, aniso2):
+    for pot, t, y in ((perturbed2, 1.0, [0.6, -0.3]), (aniso2, 0.5, [0.1, 0.2]),
+                      (perturbed1, 1.0, [0.3])):
+        rep = deformation_checks(pot, t, y)
+        deltas, doubling = _deformation_row_major(pot, t, y)
+        assert rep["delta_hats"] == deltas
+        assert rep["doubling_ratios"] == doubling
+
+
+@pytest.mark.parametrize("call", [
+    lambda pot, x: contains_many(pot, x, 0.5, [[0.1, 0.2]]),
+    lambda pot, x: boundary_radii(pot, x, 0.5, unit_directions(2, 8)),
+    lambda pot, x: fit_ellipsoid(pot, x, 0.5),
+    lambda pot, x: engulfing_probe(pot, x, 0.5),
+    lambda pot, x: deformation_checks(pot, 1.0, x),
+], ids=["contains_many", "boundary_radii", "fit_ellipsoid", "engulfing_probe",
+        "deformation_checks"])
+def test_a_base_point_of_several_rows_is_rejected(call, perturbed2):
+    # the second row is not dropped silently
+    call(perturbed2, [[0.0, 0.0]])
+    with pytest.raises(ConfigurationError, match="one base point"):
+        call(perturbed2, [[0.0, 0.0], [0.7, 0.7]])
 
 
 def test_affine_map_invertibility_guard():
