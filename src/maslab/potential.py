@@ -6,14 +6,17 @@ of phi from its supporting hyperplane at x and drives all section geometry.
 Dimensions 1 and 2 are supported.
 
 Layout: points come as (N, n) arrays, but the heights are computed on their
-columns.  A ufunc over a row-major (N, n) array runs an inner loop of length
-n (2 at most), several times slower than one pass over a contiguous column,
-so `height` and `pair_heights` form y - x one column at a time into a
-column-major buffer, and the arithmetic reads columns.  Each fresh
-temporary the size of a large lattice costs page faults on top of its
-arithmetic, so the results of the height formulas are reused in place.
-Every per-element operation is that of the row-major formulas, so the
-values are the same bit for bit.
+columns, in blocks.  A ufunc over a row-major (N, n) array runs an inner
+loop of length n (2 at most), several times slower than one pass over a
+contiguous column, and each fresh temporary the size of a large lattice
+costs page faults on top of its arithmetic.  So `pair_heights`, and
+`height` through it, stream their pairs through one loop of blocks of at
+most HEIGHT_BLOCK: each block's y - x is formed one column at a time into
+one reused column-major (n, HEIGHT_BLOCK) buffer, `shifted_height` runs on
+that block, and its values are copied into the output, the one array the
+size of the input.  Within a pass the results of the height formulas are
+reused in place.  Every per-element operation is that of the row-major
+formulas, so the values are the same bit for bit for any block size.
 """
 
 from __future__ import annotations
@@ -25,6 +28,28 @@ import numpy as np
 from .errors import ConfigurationError
 
 CATALOG_IDS = ("iso_quadratic", "aniso_quadratic", "perturbed_quadratic")
+
+# Pairs per shifted_height call of pair_heights, and so probes per call of
+# height.  It bounds the temporaries of one pass (y - x, |y|^2, x.y and the
+# perturbed form's terms), which would otherwise each be the size of the
+# lattice; at 2^13 pairs each is 64 KB.  One height call on perfbench's
+# sections_2d probe lattice (260 x 260 = 67.6k points about an off-centre
+# point), in ms / minor page faults per call (median of 200 calls in a fresh
+# process after 5 warm ones, shared 2-vCPU host):
+#
+#   block       iso             aniso           perturbed
+#   whole       0.85 / 496      1.40 / 760      2.13 / 1024
+#   2^10        1.55 / 0        1.89 / 0        2.85 / 0
+#   2^11        0.68 / 0        0.79 / 0        1.81 / 0
+#   2^12        0.45 / 0        0.58 / 0        1.23 / 0
+#   2^13        0.33 / 0        0.44 / 0        1.05 / 0
+#   2^14        0.62 / 228      0.39 / 0        0.91 / 0
+#   2^15        0.57 / 224      1.09 / 484      2.14 / 960
+#
+# Small blocks pay the per-call cost of each pass.  From 2^14 a block's
+# temporaries are 128 KB or more, glibc malloc's default threshold for
+# mapping and trimming memory, and they can fault again on every call.
+HEIGHT_BLOCK = 1 << 13
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -138,27 +163,43 @@ class Potential:
 
     def height(self, x, y) -> np.ndarray:
         """v_x(y) for a single base point x and one or many probes y; a base
-        point of more than one row raises ConfigurationError."""
-        xa = _as_point(x, self.dim)
-        ya = _as_points(y, self.dim)
-        d = np.empty((self.dim, ya.shape[0]))     # y - x, column-major
-        for i in range(self.dim):
-            np.subtract(ya[:, i], xa[i], out=d[i])
-        return self.shifted_height(xa, d.T)
+        point of more than one row raises ConfigurationError.  It is row 0
+        of pair_heights(x, y), so the probes pass through shifted_height
+        HEIGHT_BLOCK at a time."""
+        return self.pair_heights(_as_point(x, self.dim), y)[0]
 
     def pair_heights(self, x, y) -> np.ndarray:
         """v_{x_i}(y_j) for every row x_i of x and y_j of y, as a
         (len(x), len(y)) array whose row i is height(x_i, y) bit for bit.
-        The pairs are laid out column-major, pair (i, j) at i len(y) + j."""
+
+        The pairs, row by row, pass through shifted_height in blocks of at
+        most HEIGHT_BLOCK: whole rows of x while len(y) fits a block, else
+        HEIGHT_BLOCK columns of one row.  Each block's y - x is formed column
+        by column in one reused column-major buffer, and its heights are
+        copied into the output, the one array of the size of the pairs."""
         xa, ya = _as_points(x, self.dim), _as_points(y, self.dim)
         k, m = xa.shape[0], ya.shape[0]
-        base = np.empty((self.dim, k, m))
-        d = np.empty((self.dim, k, m))
-        for i in range(self.dim):
-            base[i] = xa[:, i, None]
-            np.subtract(ya[:, i], xa[:, i, None], out=d[i])
-        return self.shifted_height(base.reshape(self.dim, -1).T,
-                                   d.reshape(self.dim, -1).T).reshape(k, m)
+        out = np.empty((k, m))
+        cols = max(1, min(m, HEIGHT_BLOCK))
+        rows = max(1, min(k, HEIGHT_BLOCK // cols))
+        d = np.empty((self.dim, rows * cols))
+        base = np.empty_like(d) if rows > 1 else None
+        for i0 in range(0, k, rows):
+            r = min(rows, k - i0)
+            for j0 in range(0, m, cols):
+                c = min(cols, m - j0)
+                for i in range(self.dim):
+                    np.subtract(ya[j0:j0 + c, i], xa[i0:i0 + r, i, None],
+                                out=d[i, :r * c].reshape(r, c))
+                if r == 1:      # a single base point broadcasts
+                    bx = xa[i0]
+                else:
+                    for i in range(self.dim):
+                        base[i, :r * c].reshape(r, c)[...] = xa[i0:i0 + r, i, None]
+                    bx = base[:, :r * c].T
+                out[i0:i0 + r, j0:j0 + c] = self.shifted_height(
+                    bx, d[:, :r * c].T).reshape(r, c)
+        return out
 
     def shifted_height(self, x, y) -> np.ndarray:
         """w_x(y) = v_x(x + y), evaluated in a cancellation-free form.

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
 from .grid import ExteriorRule, GridFunction, _rows
-from .kernels import NODE_BUDGET, KernelRule, KernelSpec, midpoint_rule
-from .potential import Potential, _as_point
+from .kernels import KernelRule, KernelSpec, midpoint_rule
+from .potential import HEIGHT_BLOCK, Potential, _as_point
 from .sections import boundary_radii, contains_many, sphere_measure, unit_directions
 from .solver import DiscreteProblem, solve
 
@@ -210,32 +210,24 @@ def _section_oscs(potential: Potential, v: np.ndarray, rho: float, h: float, fie
     return np.array(radii), np.array(oscs)
 
 
-def _pair_heights(potential: Potential, pts: np.ndarray) -> np.ndarray:
-    """v_p(q) for every pair (row p, column q), as height(p, pts) gives it,
-    from pair_heights over blocks of at most NODE_BUDGET pairs."""
-    m = pts.shape[0]
-    out = np.empty((m, m))
-    step = max(1, NODE_BUDGET // m)
-    for first in range(0, m, step):
-        out[first:first + step] = potential.pair_heights(pts[first:first + step], pts)
-    return out
-
-
-def _distances(pts: np.ndarray) -> np.ndarray:
-    """|p - q| for every pair (row p, row q), bit for bit as np.linalg.norm
-    of p - q gives it: the per-column squared differences are summed in its
-    order, so only (m, m) arrays exist, never the (m, m, n) differences."""
-    out = np.zeros((pts.shape[0],) * 2)
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|p_i - q_j| for every pair (row p_i, row q_j), bit for bit as
+    np.linalg.norm of p_i - q_j gives it: the per-column squared differences
+    are summed in its order, so only (len(p), len(q)) arrays exist, never
+    the differences with their n columns."""
+    out = np.zeros((p.shape[0], q.shape[0]))
     d = np.empty_like(out)
-    for c in pts.T:
-        np.subtract.outer(c, c, out=d)
+    for a, b in zip(p.T, q.T):
+        np.subtract.outer(a, b, out=d)
         out += np.multiply(d, d, out=d)
     return np.sqrt(out, out=out)
 
 
-def _seminorm(dv: np.ndarray, d: np.ndarray, alpha: float) -> float:
-    """max over pairs p != q of dv / d^alpha, computed in d's storage."""
-    np.fill_diagonal(d, np.inf)
+def _seminorm(dv: np.ndarray, d: np.ndarray, alpha: float, first: int) -> float:
+    """max over pairs p != q of dv / d^alpha, computed in d's storage, for a
+    block of rows whose row i is point first + i."""
+    i = np.arange(d.shape[0])
+    d[i, first + i] = np.inf
     np.power(d, alpha, out=d)
     return float(np.divide(dv, d, out=d).max())
 
@@ -245,7 +237,12 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     """Oscillation fit osc_{S_r(x0)} u ~ A r^alpha plus seminorm estimates.
 
     Returns the section-intrinsic fit (quasi-distance d(x,y) = sqrt(v_x(y)))
-    and the Euclidean fit, with the recorded seminorm constants.
+    and the Euclidean fit, with the recorded seminorm constants.  Both
+    seminorms are maxima over the pairs of the m points of S_{rho/2}(x0),
+    taken block by block over b = HEIGHT_BLOCK // m rows (at least one):
+    each block holds (b, m) arrays of |u_p - u_q|, sqrt of pair_heights and
+    Euclidean distances, so the peak is O(b m), not O(m^2), and the values
+    are those of the whole (m, m) arrays.
     """
     x0 = _as_point(x0, potential.dim)
     pts = u.points()
@@ -260,15 +257,19 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
     half = v < (rho / 2.0) ** 2
     P = _rows(half, pts)
     V = vals[half]
-    # (m, m) arrays take 82 MB each at m = 3200: each distance array is
-    # consumed in place before the next is built
-    dv = np.subtract.outer(V, V)
-    np.abs(dv, out=dv)
-    dsec = _pair_heights(potential, P)
-    semi_sec = _seminorm(dv, np.sqrt(np.maximum(dsec, 1e-300, out=dsec), out=dsec), alpha_hat)
-    del dsec
-    deuc = _distances(P)
-    semi_euc = _seminorm(dv, np.maximum(deuc, 1e-300, out=deuc), alpha_hat)
+    m = P.shape[0]
+    b = max(1, HEIGHT_BLOCK // m)
+    sec, euc = [], []
+    for first in range(0, m, b):
+        rows = slice(first, first + b)
+        dv = np.subtract.outer(V[rows], V)
+        np.abs(dv, out=dv)
+        dsec = potential.pair_heights(P[rows], P)
+        sec.append(_seminorm(dv, np.sqrt(np.maximum(dsec, 1e-300, out=dsec), out=dsec),
+                             alpha_hat, first))
+        deuc = _distances(P[rows], P)
+        euc.append(_seminorm(dv, np.maximum(deuc, 1e-300, out=deuc), alpha_hat, first))
+    semi_sec, semi_euc = float(np.max(sec)), float(np.max(euc))
     sup_u = float(np.abs(vals).max())
     return {"alpha_hat": alpha_hat, "r2": r2,
             "seminorm_hat": semi_sec, "seminorm_euclidean": semi_euc,

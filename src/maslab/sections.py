@@ -12,12 +12,15 @@ model, which is exact for a quadratic potential, whose sections are
 ellipsoids.
 
 Layout: a section query reads heights over a lattice of tens of thousands
-of points, and Potential.height works on its columns (a ufunc over an
-(N, n) row-major array runs an inner loop of length n, and each fresh
-N-point temporary costs page faults).  So pairs of points are built column
-by column (Potential.pair_heights), and masked selections of a lattice use
-grid._rows, which selects column by column and returns a column-major
-array.  Lattices themselves stay row-major, as grid.box_lattice makes them.
+of points.  Potential.height and Potential.pair_heights stream them through
+blocks of at most potential.HEIGHT_BLOCK points or pairs, each block's
+y - x formed column by column in one reused column-major buffer, so a query
+allocates its output and block-sized temporaries, never an N-point one (a
+ufunc over an (N, n) row-major array runs an inner loop of length n, and
+each fresh N-point temporary costs page faults).  Masked selections of a
+lattice use grid._rows, which selects column by column and returns a
+column-major array.  Lattices themselves stay row-major, as
+grid.box_lattice makes them.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maslab import regularity
+from maslab import potential, regularity
 from maslab.errors import ConfigurationError, DataError, RefinementNeededError
 from maslab.grid import GridFunction, box_lattice, indicator_box_rule, zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule, midpoint_rule
@@ -167,21 +167,23 @@ def test_pair_heights_equal_the_per_point_loop(request, pot_name, monkeypatch):
         k = m if pot.dim == 1 else round(m ** 0.5)
         pts = box_lattice([-0.7, -0.4][:pot.dim], [0.6, 0.5][:pot.dim], [k] * pot.dim)
         want = np.array([pot.height(p, pts) for p in pts])
-        assert np.array_equal(regularity._pair_heights(pot, pts), want)
+        assert np.array_equal(pot.pair_heights(pts, pts), want)
         assert np.array_equal(_pair_heights_row_major(pot, pts), want)
         with monkeypatch.context() as mp:
-            mp.setattr(regularity, "NODE_BUDGET", 1000)
-            assert np.array_equal(regularity._pair_heights(pot, pts), want)
+            mp.setattr(potential, "HEIGHT_BLOCK", 1000)
+            assert np.array_equal(pot.pair_heights(pts, pts), want)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_distances_equal_the_norm_of_the_differences(dim, rng):
     # holder_estimate's Euclidean distances, bit for bit those of the (m, m, n)
-    # formula, from row-major and column-major points
+    # formula, from row-major and column-major points, whole or a block of rows
     P = rng.uniform(-3.0, 3.0, size=(300, dim))
     want = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-    assert np.array_equal(regularity._distances(P), want)
-    assert np.array_equal(regularity._distances(np.asfortranarray(P)), want)
+    assert np.array_equal(regularity._distances(P, P), want)
+    F = np.asfortranarray(P)
+    assert np.array_equal(regularity._distances(F, F), want)
+    assert np.array_equal(regularity._distances(F[40:47], F), want[40:47])
 
 
 @pytest.mark.parametrize("call", [
