@@ -196,15 +196,14 @@ def verify_subsolution(barrier: Barrier, potential: Potential, spec: KernelSpec,
             return np.ones(p.shape[0], dtype=bool)
         return potential.height(np.zeros(potential.dim), p) >= 0.25 ** 2
 
-    scale = fld.sup_bound
     box_diam = 2.0 * float(np.linalg.norm(pts, axis=1).max()) + 4.0
 
     def min_at(sigma: float, sample_pts: np.ndarray):
-        plan = make_plan(potential, KernelSpec(spec.lam, spec.Lam, sigma), 2e-3, box_diam, scale)
+        plan = make_plan(potential, KernelSpec(spec.lam, spec.Lam, sigma), 2e-3, box_diam)
         return evaluate(fld, sample_pts, plan, "extremal_minus")
 
     vals = min_at(spec.sigma, pts)
-    threshold = -1e-8 * scale
+    threshold = -1e-8 * fld.sup_bound
     if barrier.kind == "psi_bump":
         outside = checked(pts)
         min_out = float(vals[outside].min()) if outside.any() else np.inf

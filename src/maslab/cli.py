@@ -123,8 +123,7 @@ KERNEL = Section({"lam": NUMBER, "Lam": NUMBER, "sigma": NUMBER},
                  make=lambda k, _: KernelSpec(k["lam"], k["Lam"], k["sigma"]))
 GRID = Section({"box_lo": POINT, "box_hi": POINT, "h": NUMBER})
 COMMON = {"potential": Section({"id": REQUIRED, "dim": 1, "params": Section({}, [], many=True)},
-                               make=lambda p, _: make_potential(p["id"], int(p["dim"]),
-                                                                p["params"])),
+                               make=lambda p, _: make_potential(p["id"], p["dim"], p["params"])),
           "out_dir": "maslab_out"}
 SOLVE = {**COMMON, "kernel": KERNEL, "grid": GRID, "equation": "extremal_plus",
          "kernel_rule": "midpoint", "families": [["lower"], ["upper"]],
@@ -173,9 +172,14 @@ def _resolve(value, spec, name: str = "", dim: int = 1):
     """Config value `value` of key `name` (its default where the config leaves
     it out) checked against `spec`, with defaults filled in and sections made.  A
     key routed to a library function is kept only when set, in a dict under it;
-    its value, like that of a key with a numeric default, is a NUMBER."""
+    its value, like that of a key with a numeric default, is a NUMBER, and that
+    of a key whose default is an int is an integral number, resolved to an int."""
     if value is REQUIRED:
         raise ConfigurationError(f"missing required key '{name}'")
+    if isinstance(spec, int) and isinstance(value, (int, float)):
+        if not float(value).is_integer():
+            raise ConfigurationError(f"'{name}' must be an integer, not {value!r}")
+        return int(value)
     if callable(spec) or isinstance(spec, (int, float)):
         spec = NUMBER
     value = _fill(value, dim)
@@ -264,8 +268,8 @@ def _cmd_sections(cfg: dict) -> tuple[bool, dict]:
     for c in probes["centers"]:
         for r in probes["heights"]:
             c_arr = np.asarray(c, dtype=float)
-            gamma = engulfing_probe(pot, c_arr, r, int(probes["trial_count"]))
-            T = fit_ellipsoid(pot, c_arr, r, max(int(probes["ray_count"]), 2 * n + 2))
+            gamma = engulfing_probe(pot, c_arr, r, probes["trial_count"])
+            T = fit_ellipsoid(pot, c_arr, r, probes["ray_count"])
             volume = sphere_measure(n) / n / abs(T.det)
             t = boundary_radii(pot, c_arr, r, unit_directions(n, 32)).max()
             lo, hi = c_arr - 1.3 * t, c_arr + 1.3 * t
@@ -306,17 +310,16 @@ def _read_grid_csv(path: str, exterior) -> GridFunction:
 
 
 def _cmd_operator(cfg: dict) -> tuple[bool, dict]:
-    pot = cfg["potential"]
-    spec = cfg["kernel"]
+    pot, spec, max_points = cfg["potential"], cfg["kernel"], cfg["max_points"]
+    if max_points < 1:
+        raise ConfigurationError(f"max_points must be at least 1, not {max_points}")
     u = _read_grid_csv(cfg["input_csv"], cfg["exterior"])
-    box_diam = float(np.linalg.norm(u.hi - u.lo))
-    plan = make_plan(pot, spec, u.h, box_diam, u.sup_bound)
+    plan = make_plan(pot, spec, u.h, float(np.linalg.norm(u.hi - u.lo)))
     pts = u.points()
     margin = 2.0 * u.h
     interior = np.all((pts >= u.lo + margin) & (pts <= u.hi - margin), axis=1)
     eval_pts = pts[interior]
-    stride = max(1, eval_pts.shape[0] // int(cfg["max_points"]))
-    eval_pts = eval_pts[::stride]
+    eval_pts = eval_pts[::max(1, eval_pts.shape[0] // max_points)]
     fams = [[lower_rule(spec)], [upper_rule(spec)]]
     mminus = evaluate(u, eval_pts, plan, "extremal_minus")
     mplus = evaluate(u, eval_pts, plan, "extremal_plus")
@@ -436,9 +439,9 @@ def _cmd_c1alpha(cfg: dict) -> tuple[bool, dict]:
 
 def _cmd_mc_validate(cfg: dict) -> tuple[bool, dict]:
     mc_cfg = JumpProcessConfig(cfg["potential"], cfg["kernel"], cfg["eta"],
-                               cfg["payoff"], int(cfg["seed"]))
+                               cfg["payoff"], cfg["seed"])
     box = cfg["domain_box"]
-    r = estimate_exit_payoff(mc_cfg, cfg["x0"], box["lo"], box["hi"], int(cfg["paths"]),
+    r = estimate_exit_payoff(mc_cfg, cfg["x0"], box["lo"], box["hi"], cfg["paths"],
                              **cfg[estimate_exit_payoff])
     return True, {"mc_report.json": {"mean": r["mean"], "std_error": r["std_error"],
                                      "bias_bound": r["bias_bound"], "paths": r["paths"]}}

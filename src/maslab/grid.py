@@ -184,10 +184,6 @@ class GridFunction:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    @property
-    def sup_bound(self) -> float:
-        return max(float(np.abs(self.values).max()), self.exterior.sup_bound)
-
     def inside(self, pts: np.ndarray) -> np.ndarray:
         # column by column: np.all over an (N, dim) comparison runs an inner
         # loop of length dim, several times slower for long N

@@ -16,7 +16,7 @@ Quadrature decomposes increment space into
       (angle x Gauss-Legendre radius) panels with the true wbar;
   (c) an analytic tail beyond the tail radius, bounded via sup|u| and the
       quadratic-growth lower bound of wbar; the tail radius is pushed out
-      until that bound is below tolerance.
+      until that bound is below 1e-9*sup|u|, for any u.
 
 delta, wbar and the bounds are even in y, as every KernelRule must be, so a
 node y and its antipode -y carry the same pair x +- y, coefficient and
@@ -82,16 +82,14 @@ class KernelRule:
     """Multiplier rule: K(y) = (2-sigma)*mult(x,y)/wbar^{(n+sigma)/2}, mult in [lam,Lam].
 
     mult(x, y, wbar) is called with one row of x per node: the node's base
-    point (or a single base point shared by all nodes).  A rule is read at y
-    only, never at -y, and the node stands for both: mult must be even in y.
+    point (or a single base point shared by all nodes); it may return one
+    number for all nodes.  It is read only through rule_multipliers, which
+    checks it against [lam, Lam].  A rule is read at y only, never at -y, and
+    the node stands for both: mult must be even in y.
     """
 
     name: str
     mult: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    def multipliers(self, x, y, wbar) -> np.ndarray:
-        m = np.asarray(self.mult(x, y, wbar), dtype=float)
-        return np.broadcast_to(m, (y.shape[0],)).astype(float, copy=False)
 
 
 def lower_rule(spec: KernelSpec) -> KernelRule:
@@ -150,21 +148,22 @@ class QuadraturePlan:
     ring_heights: np.ndarray       # ascending dyadic ladder r_k
     ring_nodes: int                # Gauss-Legendre nodes per radial panel
     angles: np.ndarray             # (n_ang, n) unit directions
-    ang_weights: np.ndarray        # (n_ang,) angular weights
+    ang_weight: float              # angular weight of each ray
     tail_radius: float             # Euclidean radius where rings stop
     far_radius: float              # beyond the box diameter: see make_plan
 
 
 def make_plan(potential: Potential, spec: KernelSpec, h: float,
-              box_diam: float, sup_scale: float = 1.0) -> QuadraturePlan:
+              box_diam: float) -> QuadraturePlan:
     """Build the quadrature plan for lattice scale h.
 
     rho0 is the height of a few grid cells (2 in 1D where the model stencil
     is node-aligned; 4 in 2D, where diagonal stencils are interpolated and a
     wider core keeps the interpolation bias on the curvature model small);
     the ring ladder r_k doubles from r_0 = 2^{-1/(2-sigma)} in both
-    directions; the tail radius is chosen so the analytic tail bound is
-    below 1e-9 * max(1, sup_scale).  The angular rule is that of 2
+    directions; the tail radius is chosen so the analytic tail bound, linear
+    in sup|u|, is below 1e-9 * sup|u|: the plan depends on the geometry and
+    the kernel class alone, not on the data.  The angular rule is that of 2
     directions in 1D and 16 in 2D (half-step angles), with 8 Gauss-Legendre
     nodes per ring panel in 1D and 5 in 2D.  Rays run along the first
     direction of each antipodal pair only: 1 in 1D, 8 over (0, pi) in 2D,
@@ -179,17 +178,16 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     if h <= 0 or box_diam <= 0:
         raise ConfigurationError("h and box_diam must be positive")
     n = potential.dim
-    sigma, lam, Lam = spec.sigma, spec.lam, spec.Lam
+    sigma, Lam = spec.sigma, spec.Lam
     a_lo, a_hi = potential.hessian_bounds()
     inner_cells = 2 if n == 1 else 4
     rho0 = inner_cells * h * math.sqrt(0.5 * a_hi)
     r0 = 2.0 ** (-1.0 / (2.0 - sigma))
 
-    eps_tail = 1e-9 * max(1.0, sup_scale)
-    coef = (2.0 - sigma) * Lam * 4.0 * max(sup_scale, 1e-300) * sphere_measure(n) \
+    # the tail bound at radius R is coef * sup|u| * R^{-sigma}
+    coef = (2.0 - sigma) * Lam * 4.0 * sphere_measure(n) \
         * (0.5 * a_lo) ** (-(n + sigma) / 2.0) / sigma
-    R_t = (coef / eps_tail) ** (1.0 / sigma)
-    R_t = min(max(R_t, 2.0 * box_diam), 1e30)
+    R_t = min(max((coef / 1e-9) ** (1.0 / sigma), 2.0 * box_diam), 1e30)
 
     j_lo = math.floor(math.log2(max(rho0, 1e-300) / r0))
     h_max = math.sqrt(0.5 * a_hi) * R_t * 1.001
@@ -202,7 +200,7 @@ def make_plan(potential: Potential, spec: KernelSpec, h: float,
     return QuadraturePlan(
         potential=potential, spec=spec, inner_radius=rho0,
         ring_heights=ladder, ring_nodes=8 if n == 1 else 5, angles=angles,
-        ang_weights=np.full(len(angles), sphere_measure(n) / len(angles)),
+        ang_weight=sphere_measure(n) / len(angles),
         tail_radius=float(R_t), far_radius=box_diam * (1 + 1e-9) + 1e-9)
 
 
@@ -253,7 +251,7 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     k = x.shape[0]
     if pot.quadratic and k > 1:
         return _repeat_node_set(point_quadrature(plan, x[:1]), x)
-    ang, aw = plan.angles, plan.ang_weights
+    ang, aw = plan.angles, plan.ang_weight
     n_ang = ang.shape[0]
     q = 0.5 * np.einsum("ai,kij,aj->ka", ang, pot.hessian(x), ang)     # (k, n_ang)
     t_in = plan.inner_radius / np.sqrt(q)
@@ -311,7 +309,7 @@ def point_quadrature(plan: QuadraturePlan, xs) -> PointQuadrature:
     pid = np.repeat(np.tile(np.arange(k), 2), counts)
     xj = np.repeat(np.tile(x.T, 2), counts, axis=1).T
     wbar = pot.sym_height(xj, y)
-    coef = aw.take(a) * w * t ** (n - 1) * (2.0 - sigma) * wbar ** (-(n + sigma) / 2.0)
+    coef = aw * w * t ** (n - 1) * (2.0 - sigma) * wbar ** (-(n + sigma) / 2.0)
     # inner nodes: the quadratic model, whose radial integral is closed form
     wbar[inner] = plan.inner_radius ** 2
     coef[inner] = (aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma)).ravel()
@@ -362,7 +360,7 @@ def node_deltas(u, pq: PointQuadrature) -> np.ndarray:
 
 def rule_multipliers(rule: KernelRule, spec: KernelSpec, x, y, wbar) -> np.ndarray:
     """The rule's multipliers at the nodes, checked against [lam, Lam]."""
-    m = rule.multipliers(x, y, wbar)
+    m = np.broadcast_to(np.asarray(rule.mult(x, y, wbar), dtype=float), (y.shape[0],))
     if np.any(m < spec.lam - 1e-12) or np.any(m > spec.Lam + 1e-12):
         raise KernelClassError(
             f"kernel rule {rule.name!r} leaves [{spec.lam}, {spec.Lam}] at a node")
@@ -421,11 +419,16 @@ def equation_rules(equation: str, kernel_rule: KernelRule | None = None,
                    families=None) -> list:
     """Checks an equation and the kernel rules it needs; returns those rules
     in order: none for M+ and M-, kernel_rule for "linear", and for
-    "isaacs" the rules of every family (families nonempty, each nonempty)."""
+    "isaacs" the rules of every family (families nonempty, each nonempty).
+    A rule the equation does not read is refused, not ignored."""
     if equation not in EQUATIONS:
         raise ConfigurationError(f"unknown equation {equation!r}")
-    if equation == "linear" and kernel_rule is None:
-        raise ConfigurationError("linear equation needs a kernel rule")
+    if (kernel_rule is None) == (equation == "linear"):
+        raise ConfigurationError(f"the linear equation needs a kernel rule and no other "
+                                 f"takes one: equation {equation!r}")
+    if (families is None) == (equation == "isaacs"):
+        raise ConfigurationError(f"the isaacs equation needs kernel families and no other "
+                                 f"takes them: equation {equation!r}")
     if equation == "isaacs" and (not families or any(len(b) == 0 for b in families)):
         raise ConfigurationError("isaacs equation needs nonempty kernel families")
     if equation == "linear":

@@ -89,6 +89,8 @@ class JumpProcessConfig:
             raise ConfigurationError("jump process needs lam == Lam (single kernel)")
         if self.eta <= 0:
             raise ConfigurationError("small-jump cutoff eta must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, not {self.seed}")
 
 
 def total_truncated_mass(config: JumpProcessConfig) -> float:

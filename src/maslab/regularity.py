@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, KernelClassError, RefinementNeededError
 from .grid import ExteriorRule, GridFunction, _rows
-from .kernels import KernelRule, KernelSpec, midpoint_rule
+from .kernels import (KernelRule, KernelSpec, _gauss_legendre, midpoint_rule,
+                      rule_multipliers)
 from .potential import HEIGHT_BLOCK, Potential, _as_point
 from .sections import boundary_radii, contains_many, sphere_measure, unit_directions
 from .solver import DiscreteProblem, solve
@@ -284,34 +285,29 @@ def holder_estimate(u: GridFunction, potential: Potential, x0, spec: KernelSpec,
 
 def _shift_integral(potential: Potential, spec: KernelSpec, rule: KernelRule,
                     varrho: float, hvec: np.ndarray, n_rad: int, n_ang: int) -> float:
-    """int over complement of S_varrho of |K(y) - K(y-h)| / |h| dy, on dyadic
-    radial shells out to 2^24 times the boundary radius."""
+    """int over complement of S_varrho of |K(y) - K(y-h)| / |h| dy by one
+    tensor rule: n_ang directions, along each 24 dyadic shells from the
+    boundary radius of S_varrho out to 2^24 times it, n_rad Gauss-Legendre
+    nodes per shell.  The multipliers are checked against [lam, Lam]."""
     n, sigma = potential.dim, spec.sigma
     dirs = unit_directions(n, n_ang)
-    t_in = boundary_radii(potential, np.zeros(n), varrho, dirs)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_rad)
-    aw = sphere_measure(n) / len(dirs)
-    total = 0.0
     origin = np.zeros(n)
+    t_in = boundary_radii(potential, origin, varrho, dirs)
+    gl_x, gl_w = _gauss_legendre(n_rad)
+    # shell k along direction a is [2 half, 4 half], half = t_in[a] 2^{k-1}, with
+    # nodes 3 half + half * gl_x; arrays over (direction, shell, node), raveled
+    half = 0.5 * t_in[:, None, None] * 2.0 ** np.arange(24)[:, None]
+    t, w = (3.0 * half + half * gl_x).ravel(), (half * gl_w).ravel()
+    y = t[:, None] * np.repeat(dirs, 24 * n_rad, axis=0)
 
     def kernel(pts):
         wb = potential.sym_height(origin, pts)
-        m = rule.multipliers(origin, pts, wb)
+        m = rule_multipliers(rule, spec, origin, pts, wb)
         return (2.0 - sigma) * m * np.maximum(wb, 1e-300) ** (-(n + sigma) / 2.0)
 
-    for a in range(dirs.shape[0]):
-        edges = t_in[a] * 2.0 ** np.arange(0, 25)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            t = mid + half * gl_x
-            w = half * gl_w
-            y = t[:, None] * dirs[a]
-            diff = np.abs(kernel(y) - kernel(y - hvec[None, :]))
-            contrib = aw * float((w * t ** (n - 1) * diff).sum())
-            total += contrib
-            if contrib < 1e-10 * max(total, 1e-300) and lo > 4.0 * t_in[a]:
-                break
-    return total / float(np.linalg.norm(hvec))
+    diff = np.abs(kernel(y) - kernel(y - hvec))
+    aw = sphere_measure(n) / len(dirs)
+    return aw * float((w * t ** (n - 1) * diff).sum()) / float(np.linalg.norm(hvec))
 
 
 def kernel_shift_check(potential: Potential, spec: KernelSpec, rule: KernelRule,

@@ -209,8 +209,7 @@ class DiscreteProblem:
         self.data_idx = np.nonzero(~dom)[0]
         self.P = self.unknown.size
 
-        box_diam = float(np.linalg.norm(zero.hi - zero.lo))
-        self.plan = make_plan(potential, spec, h, box_diam, exterior.sup_bound + 1.0)
+        self.plan = make_plan(potential, spec, h, float(np.linalg.norm(zero.hi - zero.lo)))
         self._compile()
         self.preconditioner = _Circulant(self)
 

@@ -72,7 +72,7 @@ def test_criterion_1_operator_oracle():
     oracles = _brute_force([float(x) for x in pts], sigmas)
     for i, sigma in enumerate(sigmas):
         spec = KernelSpec(1.0, 1.0, sigma)
-        plan = make_plan(ISO1, spec, h, 2.0, u.sup_bound)
+        plan = make_plan(ISO1, spec, h, 2.0)
         rule = midpoint_rule(spec)  # lam = Lam: the single admissible kernel
         oracle = oracles[:, i]
         v_ext = evaluate(u, pts, plan, "extremal_plus")
@@ -99,7 +99,7 @@ def test_criterion_2_algebraic_invariants():
     ext = ExteriorRule("trig", fn, sup)
     u = GridFunction.from_callable([-2], [2], 1 / 64, fn, ext)
     spec = KernelSpec(1.0, 2.0, 1.5)
-    plan = make_plan(ISO1, spec, u.h, 4.0, sup)
+    plan = make_plan(ISO1, spec, u.h, 4.0)
     neg = GridFunction(u.lo, u.hi, -u.values,
                        ExteriorRule("neg", lambda p: -fn(p), sup))
     cu = GridFunction(u.lo, u.hi, 2.5 * u.values,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import maslab
-from maslab.cli import KEYS, ORIGIN, REQUIRED, Section, main, run
+from maslab.cli import KEYS, ORIGIN, REQUIRED, Section, _resolve, main, run
 from maslab.grid import zero_rule
 from maslab.kernels import KernelSpec, checkerboard_rule
 from maslab.potential import make_potential
@@ -358,13 +358,23 @@ def test_missing_required_key_exits_1_before_any_output(tmp_path, capsys, sub, c
     ("abp", {"resolutions": [1 / 32, 0.0]}, "resolutions"),
     ("solve", {"grid": {"box_lo": [-1], "box_hi": [1], "h": 0.0}}, "grid.h"),
     ("solve", {"domain": {"kind": "disc", "r": 1.0}}, "domain.kind"),
-    ("harnack", {"data_family": {"id": "zero"}}, "data_family")])
+    ("harnack", {"data_family": {"id": "zero"}}, "data_family"),
+    # a ZeroDivisionError, every point, a SeedSequence error, 6 rays
+    ("operator", {"max_points": 0}, "max_points must be at least 1"),
+    ("operator", {"max_points": -3}, "max_points must be at least 1"),
+    ("mc-validate", {"seed": -1}, "seed must be >= 0"),
+    ("sections", {"probes": {"ray_count": 3}}, "ray_count must be at least 2n+2")])
 def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
     # rejected by the key table or by the subcommand: nothing is written
     out = tmp_path / "out"
     assert run(sub, dict(CONFIGS[sub], **patch), str(out)) == 1
     assert key in _config_error(capsys)
     assert not out.exists()
+
+
+def test_integral_number_resolves_to_an_int():
+    ray_count = _resolve(48.0, KEYS["sections"]["probes"]["ray_count"], "probes.ray_count")
+    assert ray_count == 48 and type(ray_count) is int
 
 
 @pytest.mark.parametrize("sub, patch, key", [
@@ -390,7 +400,14 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, sub, patch, key):
     ("harnack", {"sigmas": ["x"]}, "'sigmas[0]' must be a number"),
     ("sections", {"probes": {"centers": [0.5]}}, "'probes.centers[0]' must be a JSON list"),
     ("sections", {"probes": {"centers": [[0.0, "a"]]}},
-     "'probes.centers[0][1]' must be a number")])
+     "'probes.centers[0][1]' must be a number"),
+    # an integer key: these ran truncated, or died with a traceback
+    ("operator", {"max_points": 0.5}, "'max_points' must be an integer"),
+    ("mc-validate", {"seed": 1.5}, "'seed' must be an integer"),
+    ("mc-validate", {"paths": 10.5}, "'paths' must be an integer"),
+    ("sections", {"probes": {"trial_count": 2.5}}, "'probes.trial_count' must be an integer"),
+    ("sections", {"potential": {"id": "iso_quadratic", "dim": 1.5}},
+     "'potential.dim' must be an integer")])
 def test_wrong_value_type_exits_1_before_any_output(tmp_path, capsys, sub, patch, key):
     # these raised a traceback, or (holder's unused drift_tol) ran and passed
     out = tmp_path / "out"

@@ -109,12 +109,6 @@ def test_from_callable_keeps_a_step_that_divides_every_side():
     assert u.shape == (7, 4) and u.h == pytest.approx(1 / 3, rel=1e-12)
 
 
-def test_sup_bound_covers_exterior():
-    u = GridFunction.from_callable([-1], [1], 0.5, lambda p: np.zeros(len(p)),
-                                   constant_rule(7.0))
-    assert u.sup_bound == 7.0
-
-
 def test_nonfinite_values_rejected():
     with pytest.raises(DataError):
         GridFunction([-1], [1], np.array([0.0, np.nan, 1.0]), zero_rule())

@@ -9,8 +9,9 @@ from maslab.grid import (AnalyticField, ExteriorRule, GridFunction, gaussian_rul
                          halfspace_rule, zero_rule)
 from maslab.kernels import (KernelSpec, checkerboard_rule, evaluate, lower_rule,
                             make_plan, midpoint_rule, point_quadrature,
-                            second_difference, upper_rule)
+                            rule_multipliers, second_difference, upper_rule)
 from maslab.potential import make_potential
+from maslab.regularity import kernel_shift_check
 from maslab.sections import sphere_measure, unit_directions
 from maslab.solver import DiscreteProblem
 
@@ -135,7 +136,7 @@ def test_extremal_matches_brute_force_cap_parabola(iso1, sigma):
     u = GridFunction.from_callable([-1], [1], 1 / 256,
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
-    plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 2.0)
     xs = (0.0, 0.25, -0.5)
     vals = evaluate(u, xs, plan, "extremal_plus")
     for x, val in zip(xs, vals):
@@ -148,7 +149,7 @@ def test_extremal_gaussian_oracle_sigma19(iso1):
     spec = KernelSpec(1.0, 1.0, sigma)
     u = GridFunction.from_callable([-3], [3], 1 / 256, lambda p: gauss(p[:, 0]),
                                    gaussian_rule(1.0, 1.0))
-    plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 6.0)
     val = evaluate(u, [0.25], plan, "extremal_plus")[0]
     oracle = brute_force_smooth(gauss, gauss_d2, gauss_d4, 0.25, sigma,
                                 nodes=400_000)
@@ -162,7 +163,7 @@ def test_sigma_to_two_stability(iso1):
     vals = []
     for sigma in (1.5, 1.9, 1.99):
         spec = KernelSpec(1.0, 2.0, sigma)
-        plan = make_plan(iso1, spec, u.h, 6.0, u.sup_bound)
+        plan = make_plan(iso1, spec, u.h, 6.0)
         vals.append(evaluate(u, [0.0], plan, "extremal_plus")[0])
     assert np.all(np.isfinite(vals))
     assert max(abs(v) for v in vals) < 50.0
@@ -187,7 +188,7 @@ def test_affine_invariance(iso1, rng):
     shifted = GridFunction(u.lo, u.hi,
                            u.values + 3.0 + 2.0 * u.points()[:, 0].reshape(u.shape),
                            ext)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     xs = np.linspace(-1.5, 1.5, 25)
     a = evaluate(u, xs, plan, "extremal_plus")
     b = evaluate(shifted, xs, plan, "extremal_plus")
@@ -196,7 +197,7 @@ def test_affine_invariance(iso1, rng):
 
 def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 4.0)
     xs = np.linspace(-1.0, 1.0, 11)
 
     def scaled(c):
@@ -214,7 +215,7 @@ def test_positive_homogeneity_and_sign_symmetry(iso1, rng):
 def test_order_minus_isaacs_plus(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     fams = [[lower_rule(spec), midpoint_rule(spec)], [upper_rule(spec)]]
     xs = np.linspace(-1.2, 1.2, 20)
     lo = evaluate(u, xs, plan, "extremal_minus")
@@ -226,7 +227,7 @@ def test_order_minus_isaacs_plus(iso1, rng):
 def test_linear_sandwiched(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     rule = midpoint_rule(spec)
     xs = np.linspace(-1.2, 1.2, 15)
     lo = evaluate(u, xs, plan, "extremal_minus")
@@ -241,7 +242,7 @@ def test_linear_attains_extremal_on_signed_delta(iso1):
     u = GridFunction.from_callable([-1], [1], 1 / 128,
                                    lambda p: np.maximum(0, 1 - p[:, 0] ** 2),
                                    zero_rule())
-    plan = make_plan(iso1, spec, u.h, 2.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 2.0)
     val = evaluate(u, [0.0], plan, "linear", kernel_rule=lower_rule(spec))[0]
     mplus = evaluate(u, [0.0], plan, "extremal_plus")[0]
     assert val == pytest.approx(mplus, rel=1e-12)
@@ -250,7 +251,7 @@ def test_linear_attains_extremal_on_signed_delta(iso1):
 def test_isaacs_single_family_equals_linear(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     rule = midpoint_rule(spec)
     a = evaluate(u, [0.3], plan, "isaacs", families=[[rule]])[0]
     b = evaluate(u, [0.3], plan, "linear", kernel_rule=rule)[0]
@@ -261,7 +262,7 @@ def test_isaacs_affine_zero(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
     aff = ExteriorRule("aff", lambda p: 2 * p[:, 0] + 1, 100.0)
     u = GridFunction.from_callable([-1], [1], 0.125, lambda p: 2 * p[:, 0] + 1, aff)
-    plan = make_plan(iso1, spec, u.h, 2.0, 3.0)
+    plan = make_plan(iso1, spec, u.h, 2.0)
     val = evaluate(u, [0.0], plan, "isaacs", families=[[midpoint_rule(spec)]])[0]
     assert val == pytest.approx(0.0, abs=1e-9)
 
@@ -271,7 +272,7 @@ def test_evaluate_rejects_non_operator_equations(iso1, rng):
     # default is M+
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     for equation in ("fixed_midpoint", "bogus"):
         with pytest.raises(ConfigurationError):
             evaluate(u, [0.0], plan, equation)
@@ -279,6 +280,23 @@ def test_evaluate_rejects_non_operator_equations(iso1, rng):
         evaluate(u, [0.0], plan, "linear")
     xs = np.linspace(-1.0, 1.0, 5)
     assert np.array_equal(evaluate(u, xs, plan), evaluate(u, xs, plan, "extremal_plus"))
+
+
+@pytest.mark.parametrize("equation, unread", [
+    ("extremal_plus", "kernel_rule"), ("isaacs", "kernel_rule"),
+    ("extremal_minus", "families"), ("linear", "families")])
+def test_a_rule_the_equation_does_not_read_is_refused(iso1, rng, equation, unread):
+    # the solver and evaluate dropped such a rule without a word
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    rule = midpoint_rule(spec)
+    given = {"kernel_rule": rule, "families": [[rule]]}
+    read = {"linear": "kernel_rule", "isaacs": "families"}.get(equation)
+    kw = {k: given[k] for k in (unread, read) if k}
+    u = _random_grid_function(rng)
+    with pytest.raises(ConfigurationError, match="no other"):
+        evaluate(u, [0.0], make_plan(iso1, spec, u.h, 4.0), equation, **kw)
+    with pytest.raises(ConfigurationError, match="no other"):
+        DiscreteProblem(iso1, spec, [-1], [1], 1 / 8, zero_rule(), equation, **kw)
 
 
 def test_plan_rays_follow_the_shared_sphere_rule(iso1, iso2):
@@ -294,8 +312,7 @@ def test_plan_rays_follow_the_shared_sphere_rule(iso1, iso2):
         assert np.array_equal(plan.angles, full[:rays])
         np.testing.assert_allclose(np.vstack([plan.angles, -plan.angles]), full,
                                    rtol=0.0, atol=1e-15)
-        assert plan.ang_weights.sum() == pytest.approx(sphere_measure(n), rel=1e-15)
-        assert np.all(plan.ang_weights == plan.ang_weights[0])
+        assert plan.ang_weight * rays == pytest.approx(sphere_measure(n), rel=1e-15)
 
 
 def _full_ray_plan(plan):
@@ -303,8 +320,7 @@ def _full_ray_plan(plan):
     included, each with half a pair's weight."""
     n = plan.potential.dim
     dirs = unit_directions(n, 16, 0.5)
-    return dataclasses.replace(plan, angles=dirs,
-                               ang_weights=np.full(len(dirs), sphere_measure(n) / len(dirs)))
+    return dataclasses.replace(plan, angles=dirs, ang_weight=sphere_measure(n) / len(dirs))
 
 
 def _operator_cases(spec):
@@ -326,7 +342,7 @@ def test_half_ray_plan_equals_the_antipodal_sum(pot_id, dim, params, rng):
     h = 1 / 32 if dim == 1 else 1 / 8
     values = rng.normal(size=(round(2 / h) + 1,) * dim)
     u = GridFunction([-1] * dim, [1] * dim, values, gaussian_rule(1.0, 0.7, [0.3] * dim))
-    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim), u.sup_bound)
+    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim))
     full = _full_ray_plan(plan)
     xs = rng.uniform(-0.9, 0.9, size=(20, dim))
     for equation, kw in _operator_cases(spec).items():
@@ -363,7 +379,7 @@ def test_half_ray_plan_compiles_the_antipodal_sum(monkeypatch, rng):
 def test_isaacs_empty_family_rejected(iso1):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(np.random.default_rng(0))
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     with pytest.raises(ConfigurationError):
         evaluate(u, [0.0], plan, "isaacs", families=[])
 
@@ -371,18 +387,21 @@ def test_isaacs_empty_family_rejected(iso1):
 def test_kernel_class_violation_detected(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     from maslab.kernels import KernelRule
     bad = KernelRule("bad", lambda x, y, w: 5.0)
     with pytest.raises(KernelClassError):
         evaluate(u, [0.0], plan, "linear", kernel_rule=bad)
+    with pytest.raises(KernelClassError):  # the shift certificate read it unchecked
+        kernel_shift_check(iso1, spec, bad, 0.5, [[0.05]])
 
 
 def _isaacs_and_extremal_of_difference(u, v, xs, plan):
     """I u, I v, M-(u - v) and M+(u - v) at xs, I being the Isaacs operator
     of the families [lower], [upper] over plan.spec."""
     families = [[lower_rule(plan.spec)], [upper_rule(plan.spec)]]
-    w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p), u.sup_bound + v.sup_bound, u.dim)
+    w = AnalyticField("u-v", lambda p: u.eval(p) - v.eval(p),
+                      u.exterior.sup_bound + v.exterior.sup_bound, u.dim)
     return (evaluate(u, xs, plan, "isaacs", families=families),
             evaluate(v, xs, plan, "isaacs", families=families),
             evaluate(w, xs, plan, "extremal_minus"), evaluate(w, xs, plan, "extremal_plus"))
@@ -394,7 +413,7 @@ def test_ellipticity_sandwich(iso1, perturbed1, rng):
         spec = KernelSpec(1.0, 2.0, 1.5)
         u = _random_grid_function(rng)
         v = _random_grid_function(rng)
-        plan = make_plan(pot, spec, u.h, 4.0, u.sup_bound + v.sup_bound)
+        plan = make_plan(pot, spec, u.h, 4.0)
         iu, iv, mminus, mplus = _isaacs_and_extremal_of_difference(
             u, v, np.linspace(-1.0, 1.0, 7), plan)
         tol = 1e-6 * np.maximum(1.0, np.abs([iu, iv, mminus, mplus]).max(axis=0))
@@ -409,7 +428,7 @@ def test_ellipticity_affine_shift_zero(iso1, rng):
                        u.exterior.sup_bound + 5.0)
     v = GridFunction(u.lo, u.hi,
                      u.values + 1.0 + 0.5 * u.points()[:, 0].reshape(u.shape), ext)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     iu, iv, mminus, mplus = _isaacs_and_extremal_of_difference(u, v, [0.3], plan)
     assert iu[0] - iv[0] == pytest.approx(0.0, abs=1e-9)
     assert mplus[0] == pytest.approx(0.0, abs=1e-9)
@@ -419,7 +438,7 @@ def test_ellipticity_affine_shift_zero(iso1, rng):
 def test_extremal_affine_zero(iso1):
     aff = ExteriorRule("aff", lambda p: 4.0 - 3.0 * p[:, 0], 1000.0)
     u = GridFunction.from_callable([-1], [1], 1 / 32, lambda p: 4.0 - 3.0 * p[:, 0], aff)
-    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 2.0, 7.0)
+    plan = make_plan(iso1, KernelSpec(1.0, 2.0, 1.5), u.h, 2.0)
     for equation in ("extremal_plus", "extremal_minus"):
         assert evaluate(u, [0.1], plan, equation)[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -427,7 +446,7 @@ def test_extremal_affine_zero(iso1):
 def test_ellipticity_equal_fields_zero(iso1, rng):
     spec = KernelSpec(1.0, 2.0, 1.5)
     u = _random_grid_function(rng)
-    plan = make_plan(iso1, spec, u.h, 4.0, u.sup_bound)
+    plan = make_plan(iso1, spec, u.h, 4.0)
     iu, iv, _, mplus = _isaacs_and_extremal_of_difference(u, u, [0.2], plan)
     assert mplus[0] == pytest.approx(0.0, abs=1e-12)
     assert iu[0] == iv[0]
@@ -438,7 +457,7 @@ def test_checkerboard_rule_within_class(iso1):
     rule = checkerboard_rule(spec)
     y = np.array([[0.3], [0.7], [2.0]])
     w = iso1.sym_height(np.zeros(1), y)
-    m = rule.multipliers(np.zeros(1), y, w)
+    m = rule_multipliers(rule, spec, np.zeros(1), y, w)
     assert np.all((m >= 1.0) & (m <= 2.0))
 
 
@@ -460,7 +479,7 @@ def test_extremal_2d_matches_polar_brute_force(iso2):
     u = GridFunction.from_callable([-3, -3], [3, 3], 6 / 192,
                                    lambda p: np.exp(-(p * p).sum(-1)),
                                    gaussian_rule(1.0, 1.0))
-    plan = make_plan(iso2, spec, u.h, 8.49, u.sup_bound)
+    plan = make_plan(iso2, spec, u.h, 8.49)
 
     def brute2(x, n_ang=360, n_rad=20000, split=1e-3):
         ang = 2 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
@@ -496,7 +515,7 @@ def test_sigma_to_two_local_limit(iso1):
     x0s = np.array([0.0, 0.5])
     for sigma in (1.99, 1.999):
         spec = KernelSpec(1.0, 1.0, sigma)
-        plan = make_plan(iso1, spec, u.h, 6.0, 1.0)
+        plan = make_plan(iso1, spec, u.h, 6.0)
         val = evaluate(u, x0s, plan, "extremal_plus")
         assert val == pytest.approx(2 ** 2.5 * gauss_d2(x0s), rel=0.01)
 
@@ -507,7 +526,7 @@ def test_nonfinite_field_rejected(iso1):
     bad = AnalyticField("bad", lambda p: np.where(p[:, 0] > 1.0, np.inf, 0.0),
                         1.0, 1)
     spec = KernelSpec(1.0, 2.0, 1.5)
-    plan = make_plan(iso1, spec, 1 / 32, 2.0, 1.0)
+    plan = make_plan(iso1, spec, 1 / 32, 2.0)
     with pytest.raises(DataError):
         evaluate(bad, [0.0], plan, "extremal_plus")
 
@@ -524,7 +543,7 @@ def _reference_point_quadrature(plan, x):
     pot, sigma = plan.potential, plan.spec.sigma
     n = pot.dim
     G = pot.hessian(x)[0]
-    ang, aw = plan.angles, plan.ang_weights
+    ang, aw = plan.angles, plan.ang_weight
     q = 0.5 * np.einsum("ai,ij,aj->a", ang, G, ang)
     t_in = plan.inner_radius / np.sqrt(q)
     near = [(t_in[:, None] * ang, aw * q ** (-(n + sigma) / 2.0) * t_in ** (-sigma),
@@ -541,7 +560,7 @@ def _reference_point_quadrature(plan, x):
             w = half * gl_w
             y = t[:, None] * ang[a]
             wb = pot.sym_height(x, y)
-            c = aw[a] * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0)
+            c = aw * w * t ** (n - 1) * (2.0 - sigma) * wb ** (-(n + sigma) / 2.0)
             (far if lo >= plan.far_radius else near).append((y, c, wb))
     ys, cs, ws = zip(*near, *far)
     return np.vstack(ys), np.concatenate(cs), np.concatenate(ws), \
@@ -557,7 +576,7 @@ _BATCH_POINTS = {1: np.array([[-0.9], [0.0], [0.35], [1.0]]),
 def test_batched_node_sets_match_single_points(request, pot_name):
     pot = request.getfixturevalue(pot_name)
     spec = KernelSpec(1.0, 2.0, 1.5)
-    plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
+    plan = make_plan(pot, spec, 1 / 8, 3.0)
     pts = _BATCH_POINTS[pot.dim]
     batch = point_quadrature(plan, pts)
     singles = [point_quadrature(plan, x) for x in pts]
@@ -593,7 +612,7 @@ def test_quadratic_node_sets_shift_invariant(request, pot_name):
     # slice, which is what lets a batch repeat its first point's set
     pot = request.getfixturevalue(pot_name)
     spec = KernelSpec(1.0, 2.0, 1.5)
-    plan = make_plan(pot, spec, 1 / 8, 3.0, 1.0)
+    plan = make_plan(pot, spec, 1 / 8, 3.0)
     first, *rest = [point_quadrature(plan, x) for x in _BATCH_POINTS[pot.dim]]
     assert 0 < first.near < first.coef.size
     for s in rest:
@@ -613,7 +632,7 @@ def test_quadratic_batch_evaluates_as_single_points(pot_id, dim, params, rng):
     h = 1 / 32 if dim == 1 else 1 / 8
     values = rng.normal(size=(round(2 / h) + 1,) * dim)
     u = GridFunction([-1] * dim, [1] * dim, values, gaussian_rule(1.0, 0.7, [0.3] * dim))
-    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim), u.sup_bound)
+    plan = make_plan(pot, spec, h, 2.0 * np.sqrt(dim))
     xs = rng.uniform(-0.9, 0.9, size=(40, dim))
     for equation, kw in _operator_cases(spec).items():
         batch = evaluate(u, xs, plan, equation, **kw)
@@ -626,7 +645,7 @@ def test_heights_of_a_batch(request, pot_name, monkeypatch):
     # a work count, not a time: a quadratic batch takes the heights of one
     # point's nodes, a perturbed batch those of every node
     pot = request.getfixturevalue(pot_name)
-    plan = make_plan(pot, KernelSpec(1.0, 2.0, 1.5), 1 / 8, 3.0, 1.0)
+    plan = make_plan(pot, KernelSpec(1.0, 2.0, 1.5), 1 / 8, 3.0)
     rows = []
     sym_height = type(pot).sym_height
 

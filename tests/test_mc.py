@@ -13,6 +13,7 @@ from maslab.kernels import KernelSpec
 from maslab.mc import (JumpProcessConfig, estimate_exit_payoff,
                        generator_truncation_bound, total_truncated_mass)
 from maslab.potential import Potential, make_potential
+from maslab.sections import unit_directions
 from maslab.solver import DiscreteProblem, solve
 
 
@@ -168,13 +169,50 @@ def test_chunk_boundary_writes_every_payoff(iso1):
     assert r["std_error"] == 0.0
 
 
+def _perturbed_curvature(eps, xx, xt):
+    """theta.D^2 phi(x).theta for a unit theta, from xx = |x|^2 and xt =
+    x.theta: D^2 phi(x) = I + eps (I / s - x x^T / s^3), s = sqrt(1 + |x|^2),
+    for phi = |x|^2 / 2 + eps sqrt(1 + |x|^2)."""
+    s = math.sqrt(1.0 + xx)
+    return 1.0 + eps * (1.0 / s - xt * xt / s ** 3)
+
+
+def _perturbed_height(eps, xx, a, b):
+    """w_x(y) = phi(x + y) - phi(x) - grad phi(x).y of the same phi, clipped
+    at 0, from xx = |x|^2, a = x.y and b = |y|^2: with s0 = sqrt(1 + |x|^2)
+    and s1 = sqrt(1 + |x + y|^2), the root part s1 - s0 - a / s0 is
+    rationalized to b / (s0 + s1) - a (2a + b) / (s0 (s0 + s1)^2), which
+    keeps small heights accurate."""
+    s0 = math.sqrt(1.0 + xx)
+    s1 = math.sqrt(1.0 + xx + 2.0 * a + b)
+    return max(0.0, 0.5 * b + eps * (b / (s0 + s1) - a * (2.0 * a + b) / (s0 * (s0 + s1) ** 2)))
+
+
+@pytest.mark.parametrize("x", [[0.0], [0.4], [-2.5], [0.3, 0.0], [-0.7, 1.9]])
+def test_perturbed_closed_forms_match_the_potential(x):
+    eps, n = 0.5, len(x)
+    pot = make_potential("perturbed_quadratic", n, [eps])
+    xx = float(np.dot(x, x))
+    thetas = np.array([[1.0], [-1.0]]) if n == 1 else unit_directions(2, 8)
+    want = np.einsum("ai,ij,aj->a", thetas, pot.hessian(x)[0], thetas)
+    got = [_perturbed_curvature(eps, xx, float(np.dot(x, t))) for t in thetas]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    ys = np.random.default_rng(n).normal(size=(6, n)) * [[1e-6], [1e-3], [0.1],
+                                                         [1.0], [10.0], [1e3]]
+    want = pot.shifted_height(np.array(x), ys)
+    got = [_perturbed_height(eps, xx, float(np.dot(x, y)), float(np.dot(y, y))) for y in ys]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def _per_path_reference(config, x0, lo, hi, paths):
     """An independent estimator: one Generator and one Python loop per path,
     one scalar draw per jump.  Quadratic increments come by inverse CDF in
     the Cholesky frame of A (A = R^T R, y = sqrt(2) R^{-1} z, so y.A.y / 2 =
     |z|^2), not in the estimator's frame A^{-1/2}; the two differ by a
     rotation, under which a uniform direction stays uniform.  The perturbed
-    entry uses the rejection sampler in scalar form.
+    entry uses the rejection sampler with its curvature and heights from the
+    closed forms above, in scalar arithmetic that shares no code with the
+    package.
 
     Returns the per-path payoffs and jump counts.
     """
@@ -185,41 +223,44 @@ def _per_path_reference(config, x0, lo, hi, paths):
 
     def direction(rng):
         if n == 1:
-            return np.array([-1.0 if rng.random() < 0.5 else 1.0])
+            return (-1.0 if rng.random() < 0.5 else 1.0,)
         ang = 2.0 * math.pi * rng.random()
-        return np.array([math.cos(ang), math.sin(ang)])
+        return math.cos(ang), math.sin(ang)
 
     if pot.quadratic:
-        frame = math.sqrt(2.0) * np.linalg.inv(np.linalg.cholesky(pot._A).T)
+        frame = (math.sqrt(2.0) * np.linalg.inv(np.linalg.cholesky(pot._A).T)).tolist()
 
     def draw_quadratic(rng):
         radius = eta * (1.0 - rng.random()) ** (-1.0 / sigma)
-        return frame @ (radius * direction(rng))
+        theta = direction(rng)
+        return [radius * sum(f * c for f, c in zip(row, theta)) for row in frame]
 
-    def draw_generic(rng, x):
-        G = pot.hessian(x)[0]
+    def draw_perturbed(rng, x):
+        eps, xx = pot.eps, sum(c * c for c in x)
         while True:
             theta = direction(rng)
-            q = 0.5 * theta @ G @ theta
+            xt = sum(p * c for p, c in zip(x, theta))
+            q = 0.5 * _perturbed_curvature(eps, xx, xt)
             if rng.random() >= (0.5 * a_lo / q) ** (n / 2.0):
                 continue
             t = eta / math.sqrt(q) * rng.random() ** (-1.0 / sigma)
-            y = t * theta
-            wbar = math.sqrt(pot.shifted_height(x, y)[0] * pot.shifted_height(x, -y)[0])
+            wbar = math.sqrt(_perturbed_height(eps, xx, t * xt, t * t)
+                             * _perturbed_height(eps, xx, -t * xt, t * t))
             ratio = (max(wbar, 1e-300) / (q * t * t)) ** (-(n + sigma) / 2.0) / env
             if rng.random() < ratio:
-                return y
+                return [t * c for c in theta]
 
     payoffs, jumps = np.empty(paths), np.zeros(paths)
     seeds = np.random.SeedSequence(config.seed).spawn(paths)
     for i in range(paths):
         rng = np.random.default_rng(seeds[i])
-        x = np.array(x0, dtype=float)
+        x = [float(c) for c in x0]
         while True:
-            x = x + (draw_quadratic(rng) if pot.quadratic else draw_generic(rng, x))
+            y = draw_quadratic(rng) if pot.quadratic else draw_perturbed(rng, x)
+            x = [p + c for p, c in zip(x, y)]
             jumps[i] += 1
-            if np.any(x <= lo) or np.any(x >= hi):
-                payoffs[i] = config.payoff(x[None, :])[0]
+            if any(not a < c < b for c, a, b in zip(x, lo, hi)):
+                payoffs[i] = config.payoff(np.array([x]))[0]
                 break
     return payoffs, jumps
 
