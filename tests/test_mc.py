@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 import maslab.mc as mc_mod
-from maslab.errors import ConfigurationError
-from maslab.grid import constant_rule, halfspace_rule
+from maslab.errors import ConfigurationError, DataError
+from maslab.grid import ExteriorRule, constant_rule, halfspace_rule
 from maslab.kernels import KernelSpec
 from maslab.mc import (JumpProcessConfig, estimate_exit_payoff,
                        generator_truncation_bound, total_truncated_mass)
@@ -52,14 +53,20 @@ def test_determinism_per_seed(iso1):
     assert c["mean"] != a["mean"]
 
 
-def test_bias_refinement(iso1):
+def test_bias_refinement(iso1, perturbed1):
+    # the thinned jumps are truncated at eta, and halving it moves the
+    # estimate by no more than the bound; the walk does not read eta
     g = halfspace_rule(0, 1.0)
-    r1 = estimate_exit_payoff(_cfg(iso1, eta=0.05, payoff=g), [0.4], [-1], [1], 8000)
-    r2 = estimate_exit_payoff(_cfg(iso1, eta=0.025, payoff=g), [0.4], [-1], [1], 8000)
+    r1 = estimate_exit_payoff(_cfg(perturbed1, eta=0.05, payoff=g), [0.4], [-1], [1], 8000)
+    r2 = estimate_exit_payoff(_cfg(perturbed1, eta=0.025, payoff=g), [0.4], [-1], [1], 8000)
     move = abs(r1["mean"] - r2["mean"])
     noise = 3.0 * np.hypot(r1["std_error"], r2["std_error"])
     assert move <= r1["bias_bound"] + noise
     assert r2["bias_bound"] < r1["bias_bound"]  # bound shrinks like eta^{2-sigma}
+    w1, w2 = (estimate_exit_payoff(_cfg(iso1, eta=eta, payoff=g), [0.4], [-1], [1], 8000)
+              for eta in (0.05, 0.025))
+    assert w1 == {**w2, "eta": 0.05}
+    assert w1["bias_bound"] == 0.0
 
 
 def test_truncated_mass_closed_form(iso1):
@@ -80,6 +87,27 @@ def test_x0_outside_rejected(iso1):
         estimate_exit_payoff(_cfg(iso1), [1.5], [-1], [1], 200)
 
 
+@pytest.mark.parametrize("arg, value", [("x0", math.nan), ("box_hi", math.nan),
+                                        ("box_hi", math.inf), ("box_lo", -math.inf)])
+def test_non_finite_point_rejected(arg, value, iso1):
+    # NaN passes the inside-the-box test, and an infinite face gives the
+    # walk infinite sections; either used to run to the step guard
+    points = {"x0": [0.0], "box_lo": [-1.0], "box_hi": [1.0], arg: [value]}
+    with pytest.raises(ConfigurationError, match=f"{arg} must be finite"):
+        estimate_exit_payoff(_cfg(iso1), points["x0"], points["box_lo"], points["box_hi"], 200)
+
+
+def test_seed_must_be_an_integer(iso1):
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        _cfg(iso1, seed=1.5)
+
+
+@pytest.mark.parametrize("paths", [1000.5, 2000.0])
+def test_paths_must_be_an_integer(paths, iso1):
+    with pytest.raises(ConfigurationError, match="paths must be an integer"):
+        estimate_exit_payoff(_cfg(iso1), [0.0], [-1], [1], paths)
+
+
 def test_paths_floor(iso1):
     with pytest.raises(ConfigurationError):
         estimate_exit_payoff(_cfg(iso1), [0.0], [-1], [1], 50)
@@ -89,7 +117,6 @@ def test_aniso_2d_mirror_symmetry(aniso2):
     # exits through the y-sides carry payoff 0, so the mean is below 1/2;
     # mirrored payoffs must agree within noise by x-symmetry
     spec = KernelSpec(1.0, 1.0, 1.2)
-    from maslab.grid import ExteriorRule
     right = halfspace_rule(0, 1.0)
     left = ExteriorRule("left", lambda p: (p[:, 0] < -1.0).astype(float), 1.0)
     args = ([0.0, 0.0], [-1, -1], [1, 1], 2000)
@@ -114,26 +141,35 @@ def test_cross_validation_against_solver(iso1):
     u, rep = solve(prob)
     r = estimate_exit_payoff(_cfg(iso1, eta=0.025, payoff=g, seed=11),
                              [0.0], [-1], [1], 10000)
+    assert r["bias_bound"] == 0.0  # the walk is exact
     tol = 3 * r["std_error"] + r["bias_bound"]
     assert abs(float(u.eval([0.0])[0]) - r["mean"]) <= tol
 
 
 @pytest.mark.parametrize("case", ["iso1", "perturbed1"])
 def test_runaway_path_guard(case, request, monkeypatch):
-    # the guard counts jumps taken, not proposals drawn
+    # the guard counts walk steps, or jumps taken and not proposals drawn.
+    # From 0.9 a step away from the near face mostly lands inside, so some
+    # of the 200 walks live past their second step
+    pot = request.getfixturevalue(case)
+    cfg = _cfg(pot, sigma=1.5, eta=1e-4, payoff=constant_rule(1.0))
+    if pot.quadratic:
+        monkeypatch.setattr(mc_mod, "_MAX_JUMPS", 1)
+        with pytest.raises(DataError, match="exceeded 1 steps"):
+            estimate_exit_payoff(cfg, [0.9], [-1], [1], 200)
+        return
     monkeypatch.setattr(mc_mod, "_MAX_JUMPS", 8)
-    cfg = _cfg(request.getfixturevalue(case), sigma=1.5, eta=1e-4, payoff=constant_rule(1.0))
-    with pytest.raises(Exception, match="jumps"):
+    with pytest.raises(DataError, match="jumps"):
         estimate_exit_payoff(cfg, [0.0], [-50], [50], 200)
 
 
 @pytest.mark.parametrize("case", ["iso2", "perturbed2", "perturbed2_eps0.5"])
 def test_cross_validation_2d(case, request):
     # the only check of a 2D deforming-kernel solve against an independent
-    # oracle.  The gate is loose: bias_bound (about 0.047) is some eight
-    # times the standard error (about 0.006), and ROADMAP item W is the
-    # sharper bias estimate it waits for
-    from maslab.grid import ExteriorRule
+    # oracle.  The walk gates iso2 at 3 se + 0; for the perturbed entries
+    # the gate is loose: bias_bound (about 0.047) is some eight times the
+    # standard error (about 0.006), and ROADMAP item W is the sharper bias
+    # estimate it waits for
     pot = (make_potential("perturbed_quadratic", 2, [0.5]) if case == "perturbed2_eps0.5"
            else request.getfixturevalue(case))
     g = ExteriorRule("right", lambda p: (p[:, 0] >= 1.0).astype(float), 1.0)
@@ -144,20 +180,26 @@ def test_cross_validation_2d(case, request):
     cfg = JumpProcessConfig(pot, spec, 0.04, g, seed=5)
     mc = estimate_exit_payoff(cfg, [0.2, 0.0], [-1, -1], [1, 1], 6000)
     gv = float(u.eval(np.array([[0.2, 0.0]]))[0])
+    assert (mc["bias_bound"] == 0.0) == pot.quadratic
     assert abs(gv - mc["mean"]) <= 3 * mc["std_error"] + mc["bias_bound"]
 
 
-@pytest.mark.parametrize("x0", [0.4, -0.3])
-def test_exact_exit_law_1d(iso1, x0):
+@pytest.mark.parametrize("sigma", [0.8, 1.5, 1.9])
+@pytest.mark.parametrize("x0", [0.4, -0.3, 0.9])
+def test_exact_exit_law_1d(iso1, x0, sigma):
     # P_x(X_tau > 1) on (-1, 1) for the symmetric sigma-stable process is
     # the regularized incomplete beta function I_{(1+x)/2}(s, s), s = sigma/2
-    # (Blumenthal, Getoor and Ray 1961); no solver is involved
-    sigma = 1.5
+    # (Blumenthal, Getoor and Ray 1961); no solver is involved.  The walk is
+    # exact, so the gate is 3 se.  At sigma 1.9 about one step in six
+    # overshoots its section by less than an ulp of its radius, so an exit
+    # through the near face can round onto the face, where it must keep its
+    # side
     exact = float(betainc(sigma / 2, sigma / 2, (1 + x0) / 2))
     r = estimate_exit_payoff(_cfg(iso1, sigma=sigma, eta=0.025,
                                   payoff=halfspace_rule(0, 1.0), seed=41),
                              [x0], [-1], [1], 20_000)
-    assert abs(r["mean"] - exact) <= 3 * r["std_error"] + r["bias_bound"]
+    assert r["bias_bound"] == 0.0
+    assert abs(r["mean"] - exact) <= 3 * r["std_error"]
 
 
 def test_chunk_boundary_writes_every_payoff(iso1):
@@ -205,14 +247,10 @@ def test_perturbed_closed_forms_match_the_potential(x):
 
 
 def _per_path_reference(config, x0, lo, hi, paths):
-    """An independent estimator: one Generator and one Python loop per path,
-    one scalar draw per jump.  Quadratic increments come by inverse CDF in
-    the Cholesky frame of A (A = R^T R, y = sqrt(2) R^{-1} z, so y.A.y / 2 =
-    |z|^2), not in the estimator's frame A^{-1/2}; the two differ by a
-    rotation, under which a uniform direction stays uniform.  The perturbed
-    entry uses the rejection sampler with its curvature and heights from the
-    closed forms above, in scalar arithmetic that shares no code with the
-    package.
+    """An independent estimator for the perturbed entry: one Generator and
+    one Python loop per path, one scalar draw per jump, by the rejection
+    sampler with its curvature and heights from the closed forms above, in
+    scalar arithmetic that shares no code with the package.
 
     Returns the per-path payoffs and jump counts.
     """
@@ -227,15 +265,7 @@ def _per_path_reference(config, x0, lo, hi, paths):
         ang = 2.0 * math.pi * rng.random()
         return math.cos(ang), math.sin(ang)
 
-    if pot.quadratic:
-        frame = (math.sqrt(2.0) * np.linalg.inv(np.linalg.cholesky(pot._A).T)).tolist()
-
-    def draw_quadratic(rng):
-        radius = eta * (1.0 - rng.random()) ** (-1.0 / sigma)
-        theta = direction(rng)
-        return [radius * sum(f * c for f, c in zip(row, theta)) for row in frame]
-
-    def draw_perturbed(rng, x):
+    def draw(rng, x):
         eps, xx = pot.eps, sum(c * c for c in x)
         while True:
             theta = direction(rng)
@@ -256,7 +286,7 @@ def _per_path_reference(config, x0, lo, hi, paths):
         rng = np.random.default_rng(seeds[i])
         x = [float(c) for c in x0]
         while True:
-            y = draw_quadratic(rng) if pot.quadratic else draw_perturbed(rng, x)
+            y = draw(rng, x)
             x = [p + c for p, c in zip(x, y)]
             jumps[i] += 1
             if any(not a < c < b for c, a, b in zip(x, lo, hi)):
@@ -265,14 +295,77 @@ def _per_path_reference(config, x0, lo, hi, paths):
     return payoffs, jumps
 
 
+def _per_path_walk(config, x0, lo, hi, paths):
+    """An independent walk on sections, in scalar `math` per path and step
+    that shares no code with the package: A^{-1/2} and (A^{-1})_ii come in
+    closed form for n <= 2.  It reads each chunk's Generator in the
+    estimator's order, one Beta variate for every live path and then one
+    uniform for each, so it takes the same steps.
+
+    Returns the per-path exit points and step counts.
+    """
+    A = config.potential._A.tolist()
+    n, s = len(A), config.spec.sigma / 2.0
+    if n == 1:
+        inv_sqrt, inv_diag = [[1.0 / math.sqrt(A[0][0])]], [1.0 / A[0][0]]
+    else:
+        (a, b), (c, d) = A
+        det = a * d - b * c
+        # sqrt(A) = (A + sqrt(det) I) / t, t = sqrt(trace + 2 sqrt(det)),
+        # whose determinant is sqrt(det)
+        root, t = math.sqrt(det), math.sqrt(a + d + 2.0 * math.sqrt(det))
+        inv_sqrt = [[(d + root) / (t * root), -b / (t * root)],
+                    [-c / (t * root), (a + root) / (t * root)]]
+        inv_diag = [d / det, a / det]
+    frame = [[math.sqrt(2.0) * v for v in row] for row in inv_sqrt]
+
+    exits, steps = [None] * paths, [0] * paths
+    chunk = mc_mod._CHUNK
+    for ch, seq in enumerate(np.random.SeedSequence(config.seed).spawn(-(-paths // chunk))):
+        rng = np.random.default_rng(seq)
+        live = [(i, [float(v) for v in x0]) for i in range(ch * chunk, min(paths, (ch + 1) * chunk))]
+        rounds = 0
+        while live:
+            rounds += 1
+            vs = [rng.beta(s, 1.0 - s) for _ in live]
+            us = [rng.random() for _ in live]
+            still = []
+            for (i, x), v, u in zip(live, vs, us):
+                r = min(min(p - a, b - p) / math.sqrt(2.0 * q)
+                        for p, a, b, q in zip(x, lo, hi, inv_diag))
+                rho = r / math.sqrt(v)
+                if n == 1:
+                    z = [-rho if u < 0.5 else rho]
+                else:
+                    z = [rho * math.cos(2.0 * math.pi * u), rho * math.sin(2.0 * math.pi * u)]
+                x = [p + sum(f * w for f, w in zip(row, z)) for p, row in zip(x, frame)]
+                if all(a < p < b for p, a, b in zip(x, lo, hi)):
+                    still.append((i, x))
+                else:
+                    exits[i], steps[i] = x, rounds
+            live = still
+    return np.array(exits), np.array(steps)
+
+
 # a non-diagonal A: a frame applied in the wrong basis changes the law,
 # which a diagonal A would hide
 _OFFDIAG = [2.0, 0.8, 0.8, 1.0]
 
 
+def _recording(payoff, seen):
+    """`payoff`, keeping the points it is evaluated at in the list `seen`."""
+    def fn(p):
+        seen.append(p.copy())
+        return payoff(p)
+
+    return ExteriorRule(payoff.name, fn, payoff.sup_bound)
+
+
 @pytest.mark.parametrize("case", ["iso1", "perturbed2", "aniso2_offdiag",
                                   "perturbed1_eps0.5"])
 def test_parity_with_per_path_reference(case, iso1, perturbed2):
+    # a quadratic potential walks, and the scalar walk takes the same steps
+    # from the same draws; the perturbed entry samples the reference's law
     if case == "iso1":
         cfg = _cfg(iso1, sigma=1.5, eta=0.05, payoff=halfspace_rule(0, 1.0), seed=17)
         args = ([0.4], [-1.0], [1.0], 3000)
@@ -287,6 +380,13 @@ def test_parity_with_per_path_reference(case, iso1, perturbed2):
         cfg = JumpProcessConfig(pot, spec, 0.1, halfspace_rule(0, 1.0), 17)
         args = ([0.3, 0.0], [-1.0, -1.0], [1.0, 1.0], 600 if case == "perturbed2" else 2000)
     paths = args[-1]
+    if cfg.potential.quadratic:
+        seen = []
+        r = estimate_exit_payoff(replace(cfg, payoff=_recording(cfg.payoff, seen)), *args)
+        ref_exits, ref_steps = _per_path_walk(cfg, *args)
+        np.testing.assert_allclose(seen[0], ref_exits, rtol=0.0, atol=1e-12)
+        assert r["mean_jumps"] == ref_steps.mean()
+        return
     ref_pay, ref_jumps = _per_path_reference(cfg, *args)
     r = estimate_exit_payoff(cfg, *args)
     se_ref = ref_pay.std(ddof=1) / math.sqrt(paths)
@@ -327,6 +427,38 @@ def test_quadratic_jump_law(case, iso1):
         assert stats.kstest(radius[half], radius_cdf).pvalue > 0.01
 
 
+@pytest.mark.parametrize("case", ["iso1", "aniso2_offdiag"])
+def test_section_exit_law(case, iso1):
+    # one step from a section's centre: in the frame z = A^{1/2} y / sqrt(2)
+    # the section of radius r is the ball |z| < r, which the stable process
+    # leaves at |z| / r = V^{-1/2}, V ~ Beta(s, 1 - s), s = sigma/2, in a
+    # uniform direction independent of |z| (Blumenthal, Getoor and Ray
+    # 1961); Kolmogorov-Smirnov tests at a fixed seed
+    pot = iso1 if case == "iso1" else make_potential("aniso_quadratic", 2, _OFFDIAG)
+    s, m = 1.3 / 2, 20_000
+    rng = np.random.default_rng(2024)
+    radius = rng.uniform(0.1, 2.0, m)
+    y = mc_mod._exit_steps(rng, s, mc_mod._frame(pot, 1.0), radius).T
+    ev, V = np.linalg.eigh(pot._A)
+    z = y @ (V * np.sqrt(ev)) @ V.T / math.sqrt(2.0)
+    ratio = np.linalg.norm(z, axis=1) / radius
+    assert ratio.min() >= 1.0 - 1e-12
+
+    def ratio_cdf(t):
+        return 1.0 - betainc(s, 1.0 - s, 1.0 / np.maximum(t, 1.0) ** 2)
+
+    if pot.dim == 1:
+        halves = [z[:, 0] > 0, z[:, 0] < 0]
+        assert stats.binomtest(int(halves[0].sum()), m).pvalue > 0.01
+    else:
+        angle = (np.arctan2(z[:, 1], z[:, 0]) / (2 * math.pi)) % 1.0
+        assert stats.kstest(angle, "uniform").pvalue > 0.01
+        halves = [angle < 0.5, angle >= 0.5]
+    assert stats.kstest(ratio, ratio_cdf).pvalue > 0.01
+    for half in halves:  # the radius does not depend on the direction
+        assert stats.kstest(ratio[half], ratio_cdf).pvalue > 0.01
+
+
 @pytest.mark.parametrize("arg", ["x0", "box_lo", "box_hi"])
 def test_point_of_wrong_dimension_rejected(arg, iso1, iso2):
     # 1D increments would broadcast over both coordinates of a 2D point
@@ -339,16 +471,17 @@ def test_point_of_wrong_dimension_rejected(arg, iso1, iso2):
                                  points["box_hi"], 200)
 
 
-@pytest.mark.parametrize("case, waste", [("iso1", 1.25), ("perturbed1", 1.5)],
+@pytest.mark.parametrize("case, waste", [("iso1", 1.0), ("perturbed1", 1.5)],
                          ids=["iso1", "perturbed1"])
 def test_drawn_increments_stay_near_the_jumps_taken(case, waste, request):
-    # the exit_1d kind of start: a path stops at its first exit, so the rest
-    # of its last block is drawn for nothing, and the perturbed entry also
-    # refuses some proposals; the count is exact per seed
+    # the exit_1d kind of start: a thinned path stops at its first exit, so
+    # the rest of its last block is drawn for nothing, and the perturbed
+    # entry also refuses some proposals; a walk draws each step it takes
+    # and no other.  The count is exact per seed
     r = estimate_exit_payoff(_cfg(request.getfixturevalue(case), eta=0.025,
                                   payoff=halfspace_rule(0, 1.0), seed=31),
                              [0.4], [-1], [1], 10_000)
-    taken = r["mean_jumps"] * r["paths"]
+    taken = round(r["mean_jumps"] * r["paths"])
     assert taken <= r["drawn_jumps"] <= waste * taken
 
 
@@ -381,9 +514,10 @@ def test_perturbed_bounds_once_per_estimate(perturbed1, monkeypatch):
 def test_perturbed_rounds_draw_blocks(iso1, perturbed1, monkeypatch):
     # a work count: every round of the perturbed entry draws a block of
     # proposals through the quadratic model's _draw_jumps, so it takes about
-    # as many rounds as the iso estimate, a few more as it refuses some.  A
-    # chunk's longest path sets its round count, so the counts are summed
-    # over five seeds (at seed 3 alone they are 16 and 6)
+    # as many rounds as a perturbation too small to refuse any proposal, a
+    # few more as it refuses some.  A chunk's longest path sets its round
+    # count, so the counts are summed over five seeds.  The walk draws no
+    # block
     shapes = []
     draw = mc_mod._draw_jumps
 
@@ -393,13 +527,16 @@ def test_perturbed_rounds_draw_blocks(iso1, perturbed1, monkeypatch):
 
     monkeypatch.setattr(mc_mod, "_draw_jumps", recorded)
     rounds = []
-    for pot in (iso1, perturbed1):
+    for pot in (make_potential("perturbed_quadratic", 1, [1e-9]), perturbed1):
         shapes.clear()
         drawn = sum(_exit_estimate(pot, 0.05, seed)["drawn_jumps"] for seed in range(3, 8))
         assert {shape[0] for shape in shapes} == {mc_mod._BLOCK}
         assert sum(math.prod(shape) for shape in shapes) == drawn
         rounds.append(len(shapes))
     assert 1 <= rounds[1] <= 2 * rounds[0]
+    shapes.clear()
+    _exit_estimate(iso1, 0.05)
+    assert shapes == []
 
 
 @pytest.mark.parametrize("case", ["perturbed1_eps0.5", "perturbed2"])
