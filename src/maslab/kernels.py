@@ -358,10 +358,17 @@ def node_deltas(u, pq: PointQuadrature) -> np.ndarray:
     return d
 
 
-def rule_multipliers(rule: KernelRule, spec: KernelSpec, x, y, wbar) -> np.ndarray:
-    """The rule's multipliers at the nodes, checked against [lam, Lam]."""
-    m = np.broadcast_to(np.asarray(rule.mult(x, y, wbar), dtype=float), (y.shape[0],))
-    if np.any(m < spec.lam - 1e-12) or np.any(m > spec.Lam + 1e-12):
+def rule_multipliers(rule: KernelRule, spec: KernelSpec, x, y, wbar) -> float | np.ndarray:
+    """The rule's multipliers at the nodes, checked against [lam, Lam]: one
+    float for a rule that returns one number, else one per node."""
+    m = np.asarray(rule.mult(x, y, wbar), dtype=float)
+    if m.ndim == 0:
+        m = float(m)
+        out = m < spec.lam - 1e-12 or m > spec.Lam + 1e-12
+    else:
+        m = np.broadcast_to(m, (y.shape[0],))
+        out = np.any(m < spec.lam - 1e-12) or np.any(m > spec.Lam + 1e-12)
+    if out:
         raise KernelClassError(
             f"kernel rule {rule.name!r} leaves [{spec.lam}, {spec.Lam}] at a node")
     return m
@@ -374,10 +381,11 @@ def policy_slopes(delta, coef, pid, count: int, spec: KernelSpec, equation: str,
     Node j belongs to point pid[j] and carries the kernel bound coef[j] and
     the second difference delta[j].  The slopes are the Pucci choice of lam
     or Lam for the extremal equations, the rule's multipliers `mults` for
-    "linear", and for "isaacs" (mults a list of families, each a list of
-    multiplier arrays) the multipliers of the min over families of the max
-    within each family, chosen point by point.  Frozen, they are the policy
-    of the linearization.
+    "linear" (one number or one per node, returned as given), and for
+    "isaacs" (mults a list of families, each a list of multipliers, one
+    number or one per node) the multipliers of the min over families of the
+    max within each family, chosen point by point.  Frozen, they are the
+    policy of the linearization.
     """
     if equation == "extremal_plus":
         return np.where(delta > 0, spec.Lam, spec.lam)
@@ -396,7 +404,7 @@ def policy_slopes(delta, coef, pid, count: int, spec: KernelSpec, equation: str,
     for a, beta in enumerate(mults):
         for b, m in enumerate(beta):
             sel = (best_a[pid] == a) & (best_b[a][pid] == b)
-            slopes[sel] = m[sel]
+            slopes[sel] = np.broadcast_to(m, delta.shape)[sel]
     return slopes
 
 
@@ -438,8 +446,8 @@ def equation_rules(equation: str, kernel_rule: KernelRule | None = None,
 
 def group_multipliers(equation: str, families, mults: list):
     """The multiplier arrays of equation_rules' rules, in its order, grouped
-    the way policy_slopes takes them: None for M+ and M-, the one array for
-    "linear", one list of arrays per family for "isaacs"."""
+    the way policy_slopes takes them: None for M+ and M-, the one rule's
+    for "linear", one list per family for "isaacs"."""
     if equation != "isaacs":
         return mults[0] if equation == "linear" else None
     it = iter(mults)

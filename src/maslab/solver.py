@@ -56,6 +56,13 @@ layout, goes through the box test and the interpolation; a far node is
 longer than the box diameter (the plan's far_radius), so its pair points
 are exterior by construction and go straight to the exterior rule and the
 fold.
+
+A fixed policy (the linear equation, or M+ and M- with lam == Lam) is one
+matrix, assembled once straight from the triplets, duplicate (unknown,
+lattice point) pairs and all.  A policy that may change numbers the summed
+CSR pattern of its matrices at compile, which every policy step reuses and
+which keeps duplicates out of its many GMRES products.  A step whose slopes
+equal the last step's reuses the last step's matrix.
 """
 
 from __future__ import annotations
@@ -109,6 +116,15 @@ def _join(blocks: list) -> np.ndarray:
     out = np.concatenate(blocks)
     blocks.clear()
     return out
+
+
+def _join_multipliers(blocks: list, coef: list):
+    """One rule's multipliers over the blocks: one float where every block
+    gave the same number, else an array, a block's number repeated over its
+    compiled nodes (coef holds the blocks' COEF)."""
+    if all(np.ndim(m) == 0 for m in blocks) and len(set(blocks)) == 1:
+        return blocks[0]
+    return _join([np.full(c.size, m) if np.ndim(m) == 0 else m for m, c in zip(blocks, coef)])
 
 
 def _slot_map(pid, crow, ccol, rowptr, N: int):
@@ -172,13 +188,20 @@ class DiscreteProblem:
     slice: every far node (kernels.point_quadrature's [near | far] layout,
     |y| beyond the plan's far_radius) is fully exterior by construction.
     Group sums are taken over runs of equal (point, CONST), and no run
-    crosses the near/far seam, so no value depends on the block size.  Two
-    sparse operators, built once from the triplets and sharing CW and CCOL,
-    do every step's work: the interpolation (Jtot x N) gives node_deltas,
-    and the gather sums each triplet into its slot of the canonical CSR
-    pattern of S, so assemble is one sparse product.  node_counts has the
-    node counts before and after the folding, the far slices' total
-    (far_nodes) and the entries of that pattern (policy_entries);
+    crosses the near/far seam, so no value depends on the block size.  The
+    interpolation (Jtot x N), built once from the triplets, gives
+    node_deltas.  fixed_policy is true for the linear equation and for M+
+    and M- with lam == Lam: one policy, so S is assembled once per solve,
+    straight from the triplets, every triplet a stored entry.  Every other
+    problem (M+ and M- with lam < Lam, Isaacs) numbers the canonical CSR
+    pattern of S at compile, one entry per distinct (unknown, lattice
+    point) pair, and builds a gather, sharing CW, that sums each triplet
+    into its slot: its policy steps assemble S with one sparse product,
+    and its GMRES products touch only the summed entries.  A linear rule
+    that returns one number keeps that number as the multiplier of every
+    node, folded or not.
+    node_counts has the node counts before and after the folding, the far
+    slices' total (far_nodes) and S's stored entries (policy_entries);
     preconditioner is the circulant that every policy solve uses.
     """
 
@@ -209,6 +232,9 @@ class DiscreteProblem:
         self.data_idx = np.nonzero(~dom)[0]
         self.P = self.unknown.size
 
+        # one policy: the linear equation, or M+ / M- with lam == Lam
+        self.fixed_policy = equation == "linear" or (equation != "isaacs"
+                                                     and spec.lam == spec.Lam)
         self.plan = make_plan(potential, spec, h, float(np.linalg.norm(zero.hi - zero.lo)))
         self._compile()
         self.preconditioner = _Circulant(self)
@@ -284,7 +310,11 @@ class DiscreteProblem:
                 ccol.append(idx.ravel())
                 cw.append(wts.ravel())
             for m_list, rule in zip(mults, self._rules):
-                m_list.append(fold(rule_multipliers(rule, spec, pq.xj, pq.y, pq.wbar)))
+                m = rule_multipliers(rule, spec, pq.xj, pq.y, pq.wbar)
+                # a linear rule's one number stays one number: its fold
+                # would return it to within a few ulps
+                linear_number = self.equation == "linear" and np.ndim(m) == 0
+                m_list.append(m if linear_number else fold(np.broadcast_to(m, (J,))))
             pid.append(np.concatenate([pq.pid[:nr][keep], key // vals.size]) + first)
             coef.append(np.concatenate([pq.coef[:nr][keep], gc]))
             wbar.append(fold(pq.wbar))
@@ -293,6 +323,8 @@ class DiscreteProblem:
             quadrature_nodes += J
             exterior_nodes += ce[0].size + ce[1].size
             far_nodes += J - nr
+        self._mults = group_multipliers(self.equation, self.families,
+                                        [_join_multipliers(m, coef) for m in mults])
         self.PID = _join(pid)
         self.COEF = _join(coef)
         self.CONST = _join(const)
@@ -303,8 +335,6 @@ class DiscreteProblem:
         self.CW = _join(cw)
         self.mass = np.bincount(self.PID, weights=self.COEF, minlength=self.P) \
             * 2.0 * spec.Lam
-        self._mults = group_multipliers(self.equation, self.families,
-                                        [_join(m) for m in mults])
         # node j's triplets are nodeptr[j]:nodeptr[j+1], unknown p's are
         # rowptr[p]:rowptr[p+1]; both operators share CW and CCOL
         nodeptr = np.zeros(self.Jtot + 1, dtype=np.int32)
@@ -314,15 +344,21 @@ class DiscreteProblem:
                                            minlength=self.P))
         self._interp = sp.csr_matrix((self.CW, self.CCOL, nodeptr), shape=(self.Jtot, self.N))
         self._rowptr = rowptr
-        slot, indices, indptr = _slot_map(self.PID, self.CROW, self.CCOL, rowptr, self.N)
-        self._gather = sp.csc_matrix((self.CW, slot, nodeptr),
-                                     shape=(indices.size, self.Jtot))
-        self._pattern = (indices, indptr)
+        if self.fixed_policy:
+            # one S per solve, so no pattern: S is the triplets themselves
+            self._node_triplets = np.diff(nodeptr)
+            entries = self.CROW.size
+        else:
+            slot, indices, indptr = _slot_map(self.PID, self.CROW, self.CCOL, rowptr, self.N)
+            self._gather = sp.csc_matrix((self.CW, slot, nodeptr),
+                                         shape=(indices.size, self.Jtot))
+            self._pattern = (indices, indptr)
+            entries = indices.size
         self.node_counts = {"quadrature_nodes": quadrature_nodes, "compiled_nodes": j_off,
                             "exterior_groups": j_off - (quadrature_nodes - exterior_nodes),
                             "exterior_share": exterior_nodes / quadrature_nodes,
                             "far_nodes": far_nodes,
-                            "policy_entries": indices.size}
+                            "policy_entries": entries}
 
     # -- discrete operator ---------------------------------------------------
 
@@ -340,22 +376,30 @@ class DiscreteProblem:
                                self.spec, equation or self.equation, mults)
 
     def node_slopes(self, delta: np.ndarray):
-        """Frozen linearization slopes (policy) at the current iterate."""
+        """Frozen linearization slopes (policy) at the current iterate: one
+        per node, or the one number of a linear rule that returns one."""
         return policy_slopes(delta, self.COEF, self.PID, self.P, self.spec,
                              self.equation, self._mults)
 
     def assemble(self, slopes: np.ndarray):
         """Frozen-policy matrix S + diag(d) in the unknowns, S over all columns.
 
-        S is the canonical CSR matrix (rows = unknowns, columns = all lattice
-        points, one entry per distinct pair) of the interpolation triplets
-        weighted by a = COEF * slopes, and d = -2 * (sum of a per point) the
-        centre weights; the exterior part of A u is not included.  The
-        pattern is fixed at compile, so S's entries are one sparse gather
-        of a, and every S of the problem shares the read-only pattern.
+        S is the CSR matrix (rows = unknowns, columns = all lattice points)
+        of the interpolation triplets weighted by a = COEF * slopes, and
+        d = -2 * (sum of a per point) the centre weights; the exterior part
+        of A u is not included.  For a fixed policy S stores every triplet,
+        in the compile's node-major order, with the compile's row pointers:
+        no pattern is numbered for a matrix built once.  Otherwise S is
+        canonical (one entry per distinct pair): the pattern is fixed at
+        compile, so S's entries are one sparse gather of a, and every S of
+        the problem shares the read-only pattern.
         """
         a = self.COEF * slopes
-        S = sp.csr_matrix((self._gather @ a, *self._pattern), shape=(self.P, self.N))
+        if self.fixed_policy:
+            data = np.repeat(a, self._node_triplets) * self.CW
+            S = sp.csr_matrix((data, self.CCOL, self._rowptr), shape=(self.P, self.N))
+        else:
+            S = sp.csr_matrix((self._gather @ a, *self._pattern), shape=(self.P, self.N))
         return S, -2.0 * np.bincount(self.PID, weights=a, minlength=self.P)
 
     def data_values(self) -> np.ndarray:
@@ -420,11 +464,12 @@ class _Circulant:
         return buf.ravel()[self.index]
 
 
-def _krylov(problem: DiscreteProblem, slopes, r, rtol: float, atol: float):
-    """Correction dx with (S + diag(d)) dx = r, the policy system of `slopes`,
-    by GMRES right-preconditioned so that max(atol, rtol * |r|) bounds the
-    true residual; also the iteration count and whether it hit the cap."""
-    S, d = problem.assemble(slopes)
+def _krylov(problem: DiscreteProblem, system, r, rtol: float, atol: float):
+    """Correction dx with (S + diag(d)) dx = r, the policy system (S, d) of
+    problem.assemble, by GMRES right-preconditioned so that
+    max(atol, rtol * |r|) bounds the true residual; also the iteration count
+    and whether it hit the cap."""
+    S, d = system
     precond, z = problem.preconditioner, np.zeros(problem.N)
 
     def matvec(v):
@@ -472,12 +517,17 @@ def solve(problem: DiscreteProblem, f=None,
     u = problem.data_values()
     slopes, g = _linearize(problem, u, f_vals)
     res = res0 = float(np.abs(g).max())
-    fixed = problem.equation == "linear" or (problem.equation != "isaacs"
-                                             and problem.spec.lam == problem.spec.Lam)
+    fixed = problem.fixed_policy
     krylov_capped = 0
     policy_residuals, krylov_steps, krylov_rtols = [], [], []
-    stop, prev, last = "step_cap", np.inf, None
+    stop, prev, last, system = "step_cap", np.inf, None, None
     for step in range(1, POLICY_STEPS + 1):
+        # a step whose slopes equal the last step's reuses its system; a
+        # new system is built after the last one is released
+        same = last is not None and np.array_equal(slopes, last)
+        if not same:
+            system = None
+            system = problem.assemble(slopes)
         if fixed and last is None:
             # the stop at the tolerance or the floor of the module docstring
             sup_u = (max(float(np.abs(u).max()), problem.exterior.sup_bound)
@@ -488,11 +538,11 @@ def solve(problem: DiscreteProblem, f=None,
             rtol = target / g_2 if g_2 > target else 1.0
         else:
             rtol = KRYLOV_RTOL
-            if not (res0 == 0.0 or np.array_equal(slopes, last)):
+            if not (res0 == 0.0 or same):
                 rtol = max(KRYLOV_RTOL, min(FORCING_MAX, res / res0))
         # the policy system for the correction dx has the right-hand side
         # -g: exterior and data-column parts are already in g
-        dx, k, capped = _krylov(problem, slopes, -g, rtol, 0.1 * tolerance)
+        dx, k, capped = _krylov(problem, system, -g, rtol, 0.1 * tolerance)
         krylov_steps.append(k)
         krylov_rtols.append(rtol)
         krylov_capped += capped

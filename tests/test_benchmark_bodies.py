@@ -49,3 +49,16 @@ def test_traced_body_times_the_layers_of_its_workload(name):
     assert solver.make_plan is kernels.make_plan  # the wrappers are gone
     metrics = {**run.body_layer_metrics(tracer, body), **run.sample_apply_assemble(body)}
     assert [m for m in LAYERS[name] if not metrics[m] > 0] == []
+
+
+def test_exit_1d_alone_takes_the_fixed_policy_path():
+    # exit_1d's linear problem assembles S straight from its triplets and
+    # numbers no pattern; the M+ problems of pucci_1d and pucci_2d (lam < Lam)
+    # number their summed pattern
+    recorded = workloads.load_recorded()
+    exit_1d = workloads.Exit1D(1, recorded).problem()
+    assert exit_1d.fixed_policy and not hasattr(exit_1d, "_gather")
+    pucci_2d = workloads.Pucci2D(1, recorded)
+    for prob in [workloads.Pucci1D(1, recorded).problem()] + [
+            pucci_2d.problem(tag) for tag in pucci_2d.CASES]:
+        assert not prob.fixed_policy and hasattr(prob, "_gather")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -369,8 +370,14 @@ def test_half_ray_plan_compiles_the_antipodal_sum(monkeypatch, rng):
                                             equation, **kw))
         half, full = problems
         assert 2 * half.node_counts["quadrature_nodes"] == full.node_counts["quadrature_nodes"]
-        for key in ("exterior_groups", "policy_entries"):
-            assert half.node_counts[key] == full.node_counts[key], key
+        assert half.node_counts["exterior_groups"] == full.node_counts["exterior_groups"]
+        # the same summed pattern of S; a fixed policy stores every triplet,
+        # and each full-ray node's twin repeats its triplets
+        pairs = [np.unique(p.PID[p.CROW] * p.N + p.CCOL).size for p in problems]
+        assert pairs[0] == pairs[1]
+        entries = [p.node_counts["policy_entries"] for p in problems]
+        assert entries == ([pairs[0]] * 2 if not half.fixed_policy
+                           else [half.CROW.size, 2 * half.CROW.size]), equation
         want = full.apply(values)
         np.testing.assert_allclose(half.apply(values), want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max(), err_msg=equation)
@@ -394,6 +401,24 @@ def test_kernel_class_violation_detected(iso1, rng):
         evaluate(u, [0.0], plan, "linear", kernel_rule=bad)
     with pytest.raises(KernelClassError):  # the shift certificate read it unchecked
         kernel_shift_check(iso1, spec, bad, 0.5, [[0.05]])
+
+
+@pytest.mark.parametrize("shape", ["one number", "one per node"])
+def test_rule_outside_the_class_is_refused_by_the_compile(iso1, shape):
+    # a one-number rule is checked as one number, with the same message
+    from maslab.kernels import KernelRule
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    bad = KernelRule("bad", {"one number": lambda x, y, w: 5.0,
+                             "one per node": lambda x, y, w: np.full(y.shape[0], 5.0)}[shape])
+    with pytest.raises(KernelClassError,
+                       match=re.escape("kernel rule 'bad' leaves [1.0, 2.0] at a node")):
+        DiscreteProblem(iso1, spec, [-1], [1], 1 / 8, halfspace_rule(0, 1.0), "linear",
+                        kernel_rule=bad)
+    y = np.array([[0.3], [0.7]])
+    m = rule_multipliers(midpoint_rule(spec), spec, np.zeros(1), y, np.ones(2))
+    assert isinstance(m, float) and m == 1.5
+    m = rule_multipliers(checkerboard_rule(spec), spec, np.zeros(1), y, np.ones(2))
+    assert m.shape == (2,)
 
 
 def _isaacs_and_extremal_of_difference(u, v, xs, plan):

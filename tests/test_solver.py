@@ -733,6 +733,119 @@ def test_node_deltas_match_the_triplet_sum(request, case, rng):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _fixed_cases(request):
+    iso1, spec = request.getfixturevalue("iso1"), KernelSpec(1.0, 2.0, 1.5)
+    return {
+        "1d_linear_hole": lambda: DiscreteProblem(
+            iso1, spec, [-1], [1], 1 / 32, indicator_box_rule([-0.1], [0.1], 2.0),
+            "linear", kernel_rule=midpoint_rule(spec),
+            domain=lambda p: np.abs(p[:, 0]) > 0.1),
+        "2d_aniso_linear": lambda: DiscreteProblem(
+            request.getfixturevalue("aniso2"), spec, [-1, -1], [1, 1], 1 / 8,
+            gaussian_rule(1.0, 0.7, [0.3, -0.2]), "linear",
+            kernel_rule=checkerboard_rule(spec)),
+        "1d_plus_lam_is_Lam": lambda: DiscreteProblem(
+            iso1, KernelSpec(1.5, 1.5, 1.5), [-1], [1], 1 / 32,
+            indicator_box_rule([1.2], [1.8], 1.0)),
+    }
+
+
+def _summed_policy_matrix(prob, slopes):
+    """The canonical CSR matrix of the triplets weighted by COEF * slopes,
+    duplicate (unknown, column) pairs summed by COO, and the centre weights."""
+    a = np.broadcast_to(prob.COEF * slopes, (prob.Jtot,))
+    S = sp.coo_matrix((a[prob.CROW] * prob.CW, (prob.PID[prob.CROW], prob.CCOL)),
+                      shape=(prob.P, prob.N)).tocsr()
+    return S, -2.0 * np.bincount(prob.PID, weights=a, minlength=prob.P)
+
+
+@pytest.mark.parametrize("case", ["1d_linear_hole", "2d_aniso_linear", "1d_plus_lam_is_Lam"])
+def test_fixed_policy_matrix_is_the_triplets(request, case, rng, monkeypatch):
+    # a fixed policy numbers no pattern: S stores every triplet, in the
+    # compile's row order, and sums to the COO reference
+    prob = _fixed_cases(request)[case]()
+    assert prob.fixed_policy
+    assert not hasattr(prob, "_gather") and not hasattr(prob, "_pattern")
+    slopes = prob.node_slopes(prob.node_deltas(rng.normal(size=prob.N)))
+    S, d = prob.assemble(slopes)
+    assert S.nnz == prob.CROW.size == prob.node_counts["policy_entries"]
+    assert np.array_equal(S.indptr, prob._rowptr)
+    want, d_want = _summed_policy_matrix(prob, slopes)
+    assert want.nnz < S.nnz                     # duplicate pairs are stored
+    assert np.abs(S.toarray() - want.toarray()).max() <= 1e-13 * np.abs(want.data).max()
+    assert np.array_equal(d, d_want)
+    # the solve with the summed matrix: the same u to roundoff
+    u, rep = solve(prob)
+    monkeypatch.setattr(DiscreteProblem, "assemble", _summed_policy_matrix)
+    u_ref, rep_ref = solve(prob)
+    assert rep.converged and rep_ref.converged
+    scale = np.abs(u_ref.values).max()
+    assert np.abs(u.values - u_ref.values).max() <= 1e-12 * scale
+
+
+def test_one_number_rule_is_not_folded(iso1):
+    # a linear rule that returns one number keeps it, where the fold of the
+    # grouped nodes (an Isaacs family's, on the same nodes) returns it to
+    # within a few ulps; the checkerboard's multipliers stay one per node
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    box = indicator_box_rule([1.1], [1.6], 1.0)
+
+    def problem(*args, **kw):
+        return DiscreteProblem(iso1, spec, [-1], [1], 1 / 32, box, *args, **kw)
+
+    for rule in (lower_rule(spec), upper_rule(spec), midpoint_rule(spec)):
+        linear = problem("linear", kernel_rule=rule)
+        m = linear._mults
+        assert isinstance(m, float)
+        folded = problem("isaacs", families=[[rule]])._mults[0][0]
+        assert folded.shape == (linear.Jtot,)
+        # the fold's sums round: 3 ulps at the midpoint 1.5
+        assert np.abs(folded - m).max() <= 4 * np.spacing(m)
+    rough = problem("linear", kernel_rule=checkerboard_rule(spec))
+    assert isinstance(rough._mults, np.ndarray) and rough._mults.shape == (rough.Jtot,)
+    assert rough.fixed_policy and np.unique(rough._mults).size > 2
+
+
+def test_one_number_per_block_is_spread_over_its_nodes(iso1, monkeypatch):
+    # blocks of one point: a rule that gives each call one number, here the
+    # sign of its point, gives every node of that point the number
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
+    spec = KernelSpec(1.0, 2.0, 1.5)
+    rule = kernels.KernelRule("by_side", lambda x, y, w: 1.0 if x[0, 0] < 0 else 2.0)
+    prob = DiscreteProblem(iso1, spec, [-1], [1], 1 / 8, halfspace_rule(0, 1.0), "linear",
+                           kernel_rule=rule)
+    side = prob.grid_pts[prob.unknown[prob.PID], 0] < 0
+    assert np.array_equal(prob._mults, np.where(side, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("case", ["fixed_1d", "plus_2d"])
+def test_a_step_with_the_last_slopes_reuses_its_system(request, case, monkeypatch):
+    # a fixed policy's refinement step (f = 100, as in the refinement test
+    # above) and this extremal solve's final step have the slopes of the
+    # step before: (S, d) is assembled once for both
+    prob, f = {
+        "fixed_1d": lambda: (DiscreteProblem(
+            request.getfixturevalue("iso1"), KernelSpec(1.0, 1.0, 1.9), [-1], [1], 1 / 64,
+            halfspace_rule(0, 1.0)), 100.0),
+        "plus_2d": lambda: (DiscreteProblem(
+            request.getfixturevalue("aniso2"), KernelSpec(1.0, 2.0, 1.5), [-1, -1], [1, 1],
+            1 / 8, halfspace_rule(0, 1.0)), None),
+    }[case]()
+    calls = []
+    assemble = DiscreteProblem.assemble
+
+    def counted(self, slopes):
+        calls.append(np.copy(slopes))
+        return assemble(self, slopes)
+
+    monkeypatch.setattr(DiscreteProblem, "assemble", counted)
+    _, rep = solve(prob, f=f)
+    assert rep.converged and rep.iterations >= 2
+    assert rep.details["krylov_rtols"][-1] == solver.KRYLOV_RTOL
+    assert len(calls) == rep.iterations - 1
+    assert all(not np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+
+
 def _nearest_centre(prob):
     pos = np.array(np.unravel_index(prob.unknown, prob.geom.shape)).T
     return pos, int(np.argmin(((pos - (np.array(prob.geom.shape) - 1) / 2) ** 2).sum(axis=1)))
